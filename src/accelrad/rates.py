@@ -198,10 +198,11 @@ class Sideband:
     m: int | None = None  # cavity mode index, when applicable
 
     def __post_init__(self):
-        if self.rate < 0:
-            raise ValueError(f"rate must be >= 0, got {self.rate}")
-        if not self.omega > 0:
-            raise ValueError(f"photon frequency must be positive, got {self.omega}")
+        if not (math.isfinite(self.rate) and self.rate >= 0):
+            raise ValueError(f"rate must be finite and >= 0, got {self.rate}")
+        if not (math.isfinite(self.omega) and self.omega > 0):
+            raise ValueError(
+                f"photon frequency must be finite and positive, got {self.omega}")
 
 
 def emission_frequency(atom: AtomParams, Omega: float, n: int) -> float:

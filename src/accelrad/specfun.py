@@ -53,13 +53,14 @@ def bessel_j(n: int, x: float, budget: AccuracyBudget = DEFAULT_BUDGET) -> float
     n = int(n)
     if not math.isfinite(x):
         raise ValueError(f"argument must be finite, got {x}")
+    x = float(x)  # numpy scalars would leak into the result and slow the loops
     if x < 0:
         return -bessel_j(n, -x, budget) if n % 2 else bessel_j(n, -x, budget)
     if x == 0.0:
         return 1.0 if n == 0 else 0.0
     if x <= _SERIES_CUTOFF:
         return _bessel_series(n, x, budget)
-    return _bessel_miller(n, x)
+    return _miller_range(n, n, x)[0]
 
 
 def bessel_j_orders(n_max: int, x: float) -> np.ndarray:
@@ -73,13 +74,12 @@ def bessel_j_orders(n_max: int, x: float) -> np.ndarray:
     if not math.isfinite(x):
         raise ValueError(f"argument must be finite, got {x}")
     sign = -1.0 if x < 0 else 1.0
-    x = abs(x)
+    x = abs(float(x))
     if x == 0.0:
         out = np.zeros(n_max + 1)
         out[0] = 1.0
         return out
-    out = np.empty(n_max + 1)
-    _miller_pass(n_max, x, out)
+    out = np.array(_miller_range(0, n_max, x))
     if sign < 0:
         out[1::2] *= -1.0
     return out
@@ -119,37 +119,107 @@ def _miller_start(n: int, x: float) -> int:
     return m + (m & 1)
 
 
-def _miller_pass(n_max: int, x: float, out: np.ndarray) -> float:
-    """Downward recurrence normalized by J_0 + 2*sum_k J_2k = 1.
+def _miller_range(lo: int, hi: int, x: float) -> list:
+    """J_lo(x) .. J_hi(x), x > 0, as floats in ascending order.
 
-    Fills ``out`` with orders 0..n_max and returns J_{n_max}.
+    Downward recurrence J_{k-1} = (2k/x) J_k - J_{k+1} from the seed 1e-30
+    at ``_miller_start(hi, x)``, normalized by J_0 + 2*sum_k J_2k = 1.  The
+    start index is even, so the steps come in pairs (k even, then k odd)
+    whose second member is the even order that enters the normalization.
+    Pairs above the kept orders only recur, kept pairs also store, and pairs
+    below recur while rescaling what was stored.  Any step past 1e250 in
+    magnitude rescales the recurrence, the normalization and every value
+    stored so far by 1e-250, one rescale at a time.
     """
-    m = _miller_start(n_max, x)
-    j_up = 0.0           # J_{k+1}
-    j_cur = 1e-30        # J_k seed
-    norm = 2.0 * j_cur if m % 2 == 0 else 0.0
-    for k in range(m, 0, -1):
-        j_down = (2.0 * k / x) * j_cur - j_up
-        j_up = j_cur
-        j_cur = j_down
-        idx = k - 1
-        if abs(j_cur) > _MILLER_RESCALE:
-            scale = 1.0 / _MILLER_RESCALE
-            j_cur *= scale
-            j_up *= scale
+    m = _miller_start(hi, x)
+    top = hi // 2 + 1    # pair holding orders 2*top-1 (>= hi) and 2*top-2
+    bot = lo // 2 + 1    # pair holding orders 2*bot-1 and 2*bot-2 (<= lo)
+    kept = []            # stored values, descending order from 2*top-1
+    seed = 1e-30
+    up, cur, norm = _miller_pairs(m // 2, top, x, 0.0, seed, 2.0 * seed, kept)
+    up, cur, norm = _miller_kept_pairs(top, max(bot, 2) - 1, x, up, cur,
+                                       norm, kept)
+    up, cur, norm = _miller_pairs(bot - 1, 1, x, up, cur, norm, kept)
+    # The last pair, orders 1 and 0: J_0 enters the normalization once.
+    scale = 1.0 / _MILLER_RESCALE
+    j1 = (4.0 / x) * cur - up
+    if abs(j1) > _MILLER_RESCALE:
+        j1 *= scale
+        cur *= scale
+        norm *= scale
+        kept[:] = [v * scale for v in kept]
+    j0 = (2.0 / x) * j1 - cur
+    if abs(j0) > _MILLER_RESCALE:
+        j0 *= scale
+        j1 *= scale
+        norm *= scale
+        kept[:] = [v * scale for v in kept]
+    norm += j0
+    if bot == 1:
+        kept += (j1, j0)
+    first = 2 * top - 1
+    return [v / norm for v in reversed(kept[first - hi:first - lo + 1])]
+
+
+def _miller_pairs(start: int, stop: int, x: float, up: float, cur: float,
+                  norm: float, kept: list):
+    """Pairs ``start`` down to ``stop + 1`` of ``_miller_range``, not stored.
+
+    Pair j takes J_{2j+1} (``up``) and J_{2j} (``cur``) to J_{2j-1} and
+    J_{2j-2}; ``tk`` is 2k for k = 2j, an exact float.
+    """
+    big = _MILLER_RESCALE
+    scale = 1.0 / big
+    tk = 4.0 * start
+    for _ in range(start - stop):
+        # a > big or a < -big is abs(a) > big without the call.
+        a = (tk / x) * cur - up
+        if a > big or a < -big:
+            a *= scale
+            cur *= scale
             norm *= scale
-            out[idx + 1:] *= scale
-        if idx <= n_max:
-            out[idx] = j_cur
-        if idx % 2 == 0:
-            norm += j_cur if idx == 0 else 2.0 * j_cur
-    out /= norm
-    return out[n_max]
+            kept[:] = [v * scale for v in kept]
+        b = ((tk - 2.0) / x) * a - cur
+        if b > big or b < -big:
+            b *= scale
+            a *= scale
+            norm *= scale
+            kept[:] = [v * scale for v in kept]
+        tk -= 4.0
+        norm += 2.0 * b
+        up = a
+        cur = b
+    return up, cur, norm
 
 
-def _bessel_miller(n: int, x: float) -> float:
-    scratch = np.empty(n + 1)
-    return _miller_pass(n, x, scratch)
+def _miller_kept_pairs(start: int, stop: int, x: float, up: float,
+                       cur: float, norm: float, kept: list):
+    """``_miller_pairs`` that also appends both new values to ``kept``.
+
+    A loop of its own, so that the unstored pairs pay no store test.
+    """
+    big = _MILLER_RESCALE
+    scale = 1.0 / big
+    tk = 4.0 * start
+    for _ in range(start - stop):
+        a = (tk / x) * cur - up
+        if a > big or a < -big:
+            a *= scale
+            cur *= scale
+            norm *= scale
+            kept[:] = [v * scale for v in kept]
+        b = ((tk - 2.0) / x) * a - cur
+        if b > big or b < -big:
+            b *= scale
+            a *= scale
+            norm *= scale
+            kept[:] = [v * scale for v in kept]
+        kept += (a, b)
+        tk -= 4.0
+        norm += 2.0 * b
+        up = a
+        cur = b
+    return up, cur, norm
 
 
 def anger_j(nu: float, x: float, budget: AccuracyBudget = DEFAULT_BUDGET) -> float:

@@ -205,6 +205,27 @@ z0 = 10 nm
         payload = json.loads(capsys.readouterr().out)
         assert payload["sidebands"][0]["rate_hz"] == csv_rate
 
+    def test_miller_path_fields_are_plain_floats(self, tmp_path, capsys):
+        # A = 10 mm puts k*A above the series cutoff (12) from n = 7 on, so
+        # rate_hz and oracle_rel_dev come from the Miller recurrence.
+        text = FREE_SPACE_CFG.replace("amplitude = 1 nm", "amplitude = 10 mm")
+        path = write_cfg(tmp_path, text + "\n[run]\nn_max = 12\n")
+        assert main(["rate", "--config", path, "--verify"]) == 0
+        csv_text = capsys.readouterr().out
+        assert main(["rate", "--config", path, "--verify",
+                     "--format", "json"]) == 0
+        json_text = capsys.readouterr().out
+        assert "np.float64(" not in csv_text
+        assert "np.float64(" not in json_text
+        header, *rows = csv_text.strip().splitlines()
+        keys = header.split(",")
+        lines = json.loads(json_text)["sidebands"]
+        assert len(rows) == len(lines) == 12
+        for row, line in zip(rows, lines):
+            for key, field in zip(keys, row.split(",")):
+                if isinstance(line[key], float):
+                    assert float(field) == line[key], (key, field)
+
 
 class TestSpectrumCommand:
     def test_cavity_resonance_yields_single_line(self, tmp_path, capsys):

@@ -9,9 +9,9 @@ from accelrad import (ABSORB_DEEXCITE, EMIT_EXCITE, PARALLEL,
                       ApproximationDomainError, AtomParams, Cavity, FreeSpace,
                       GeneralPeriodicMotion, Mirror, NoSidebandError,
                       OffResonanceError, PhysicsDomainError, RotationMotion,
-                      ShoMotion, allowed_sidebands, bessel_j, cavity_rate,
-                      dimensionless_amplitude, free_space_rate, mirror_rate,
-                      small_amplitude_rate)
+                      ShoMotion, Sideband, allowed_sidebands, bessel_j,
+                      cavity_rate, dimensionless_amplitude, free_space_rate,
+                      mirror_rate, small_amplitude_rate)
 from accelrad.constants import SPEED_OF_LIGHT as C
 
 # Frozen from the fsum series oracle (tests/test_specfun.py):
@@ -300,6 +300,21 @@ class TestCavityRate:
             Cavity(length=1.0, z0=1.5)
         with pytest.raises(ValueError):
             Cavity(length=1.0, z0=0.5, n_photons=-1)
+
+
+class TestSideband:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_rejects_non_finite_or_negative_rate(self, bad):
+        with pytest.raises(ValueError):
+            Sideband(n=1, omega=1.0, rate=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_non_finite_or_non_positive_omega(self, bad):
+        with pytest.raises(ValueError):
+            Sideband(n=1, omega=bad, rate=1.0)
+
+    def test_accepts_zero_rate(self):
+        assert Sideband(n=1, omega=1.0, rate=0.0).rate == 0.0
 
 
 class TestAllowedSidebands:

@@ -3,11 +3,15 @@
 Expected values are frozen from two oracles that never touch the library
 code path: an fsum-accumulated power series for Bessel, and a dense
 trapezoid rule for the Anger integral.  scipy serves as a third, fully
-external cross-check.
+external cross-check, and mpmath as the high-precision reference for the
+Miller path, which must also match a frozen copy of its original
+recurrence bit for bit.
 """
 
 import math
+import random
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -35,6 +39,50 @@ def series_oracle(n, x, terms=400):
         if abs(term) < 1e-300:
             break
     return math.fsum(vals)
+
+
+def miller_reference(n_max, x):
+    """J_0(x) .. J_{n_max}(x) for x > 0, frozen from the original recurrence.
+
+    A straight transcription of the numpy-scratch Miller pass that the
+    library's pure-float kernel replaced; the kernel must reproduce it bit
+    for bit, rescales and underflow included.
+    """
+    base = max(n_max, int(x))
+    m = base + 16 + int(2.5 * math.sqrt(base + 1.0))
+    m += m & 1
+    out = np.empty(n_max + 1)
+    j_up = 0.0
+    j_cur = 1e-30
+    norm = 2.0 * j_cur if m % 2 == 0 else 0.0
+    for k in range(m, 0, -1):
+        j_down = (2.0 * k / x) * j_cur - j_up
+        j_up = j_cur
+        j_cur = j_down
+        idx = k - 1
+        if abs(j_cur) > 1e250:
+            scale = 1.0 / 1e250
+            j_cur *= scale
+            j_up *= scale
+            norm *= scale
+            out[idx + 1:] *= scale
+        if idx <= n_max:
+            out[idx] = j_cur
+        if idx % 2 == 0:
+            norm += j_cur if idx == 0 else 2.0 * j_cur
+    out /= norm
+    return out
+
+
+def miller_grid(seed, count):
+    """Seeded (n, x) pairs on the Miller path: n <= 3500, 12 < x <= 5000."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(count):
+        x = math.exp(rng.uniform(math.log(12.0), math.log(5000.0)))
+        n = rng.randint(0, min(3500, int(1.2 * x) + 20))
+        pairs.append((n, x))
+    return pairs
 
 
 def anger_trapezoid_oracle(nu, x, panels=10**6):
@@ -97,6 +145,56 @@ class TestBessel:
         for n in range(7):
             assert arr[n] == pytest.approx(bessel_j(n, -3.2), rel=1e-11,
                                            abs=1e-14)
+
+    def test_miller_path_bit_identical_to_reference(self):
+        # Random orders up to 3500 (most of them deep in underflow for small
+        # x), the rescale-heavy corner just above the series cutoff, where
+        # up to 28 rescales by 1e-250 happen and J_n turns subnormal, and
+        # negative arguments.
+        rng = random.Random(3)
+        cases = [(rng.randint(0, 3500),
+                  math.exp(rng.uniform(math.log(12.0), math.log(5000.0))))
+                 for _ in range(150)]
+        cases += miller_grid(4, 150)
+        cases += [(n, 12.5) for n in range(180, 330, 7)]
+        cases += [(3000, 12.5), (1000, 12.0000001), (3500, 5000.0)]
+        cases += [(n, -x) for n, x in cases[::5]]
+        for n, x in cases:
+            ref = miller_reference(n, abs(x))[n]
+            if x < 0 and n % 2:
+                ref = -ref
+            got = bessel_j(n, x)
+            assert type(got) is float, (n, x)
+            assert got == ref and math.copysign(1.0, got) == math.copysign(
+                1.0, ref), (n, x, got, ref)
+
+    def test_orders_bit_identical_to_reference(self):
+        rng = random.Random(5)
+        cases = [(rng.randint(0, 400),
+                  math.exp(rng.uniform(math.log(1e-3), math.log(400.0))))
+                 for _ in range(120)]
+        cases += [(0, 0.5), (1, 13.0), (2, 400.0), (400, 12.5), (400, 0.01)]
+        for n_max, x in cases:
+            assert np.array_equal(bessel_j_orders(n_max, x),
+                                  miller_reference(n_max, x)), (n_max, x)
+            flipped = miller_reference(n_max, x)
+            flipped[1::2] *= -1.0
+            assert np.array_equal(bessel_j_orders(n_max, -x), flipped)
+
+    def test_miller_path_against_mpmath(self):
+        # Absolute error in units of the envelope min(1, sqrt(2/(pi x))).
+        # Measured worst over this grid: 7.1e-12 at (144, 151.0), next
+        # 4.2e-12; (22, 279.6) gives 2.5e-12.  The bound is twice the worst.
+        # The 1e-12 target is not met yet.
+        worst = 0.0
+        with mpmath.workdps(30):
+            for n, x in miller_grid(11, 80) + [(22, 279.6)]:
+                exact = float(mpmath.besselj(n, x, maxprec=40000,
+                                             maxterms=10**6))
+                err = abs(bessel_j(n, x) - exact) / min(
+                    1.0, math.sqrt(2.0 / (math.pi * x)))
+                worst = max(worst, err)
+        assert worst < 1.5e-11
 
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
