@@ -1,9 +1,14 @@
-"""Composite Gauss-Legendre quadrature with panel-doubling refinement.
+"""Quadrature rules shared by the special functions and the amplitude oracle.
 
-Shared by the special-function evaluators and the brute-force amplitude
-oracle.  The integrands here are smooth but oscillatory, so the driver seeds
-the panel count from the caller's oscillation estimate and doubles panels
-until two successive estimates agree.
+* ``periodic_trapezoid`` -- the N-node trapezoid rule over one full period,
+  for analytic periodic integrands.  Its error is the aliasing tail (the
+  integrand's Fourier coefficients at multiples of N), which decays
+  exponentially once N exceeds the integrand's bandwidth, so the caller
+  sets the node count from that bandwidth and one doubling confirms it.
+* ``composite_gl`` / ``refine_to_tolerance`` -- composite Gauss-Legendre
+  panels with panel doubling, for integrands that are not periodic over
+  the interval (the Anger function) and for the second, independent route
+  of the selection-rule scan.
 """
 
 import math
@@ -14,6 +19,42 @@ from .errors import ConvergenceError
 
 _GL_ORDER = 8
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
+
+#: Most nodes ``periodic_trapezoid`` may use; it raises rather than go past.
+MAX_PERIODIC_NODES = 2**20
+
+
+def periodic_trapezoid(f, nodes: int, rel_tol: float):
+    """Integrate a 2 pi-periodic ``f`` over [-pi, pi) by the trapezoid rule.
+
+    Starts from ``nodes`` uniform nodes and doubles (adding only the
+    midpoints) until two successive estimates agree to
+    ``rel_tol * max(1, |value|)``.  Returns ``(value, error_estimate,
+    nodes_used)``; raises :class:`ConvergenceError` rather than pass
+    :data:`MAX_PERIODIC_NODES`.  ``f`` must accept an ndarray of abscissae
+    and return an ndarray of the same shape.
+    """
+    count = int(nodes)
+    err = math.inf
+    if 2 * count <= MAX_PERIODIC_NODES:
+        step = 2.0 * math.pi / count
+        total = np.sum(f(-math.pi + step * np.arange(count)))
+        value = step * total
+        while 2 * count <= MAX_PERIODIC_NODES:
+            total += np.sum(f(-math.pi + step * (np.arange(count) + 0.5)))
+            count *= 2
+            step *= 0.5
+            refined = step * total
+            err = abs(refined - value)
+            value = refined
+            if err <= rel_tol * max(1.0, abs(value)):
+                return value, err, count
+    raise ConvergenceError(
+        f"periodic trapezoid rule did not reach rel_tol={rel_tol:g} within "
+        f"the node cap MAX_PERIODIC_NODES = {MAX_PERIODIC_NODES} (started at "
+        f"{int(nodes)} nodes; error estimate {err:g})",
+        error_estimate=err,
+    )
 
 
 def composite_gl(f, a: float, b: float, panels: int):

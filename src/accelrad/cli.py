@@ -25,9 +25,8 @@ from . import __version__, oracle, sweep
 from .constants import angular_to_hz, hz_to_angular
 from .errors import (ConfigError, ConvergenceError, OracleMismatchError,
                      PhysicsDomainError)
-from .rates import (EMIT_EXCITE, AtomParams, Cavity, FreeSpace,
-                    GeneralPeriodicMotion, Mirror, RotationMotion, ShoMotion,
-                    allowed_sidebands)
+from .rates import (AtomParams, Cavity, FreeSpace, GeneralPeriodicMotion,
+                    Mirror, RotationMotion, ShoMotion, allowed_sidebands)
 
 _LENGTH_UNITS = (("nm", 1e-9), ("um", 1e-6), ("mm", 1e-3), ("m", 1.0))
 
@@ -362,29 +361,6 @@ def build_geometry(cfg: GeometryConfig):
     return Cavity(length=cfg.length_m, z0=cfg.z0_m, n_photons=cfg.photons)
 
 
-def _verified_lines(atom, motion, geom, lines):
-    """Pair each sideband with its oracle rate; enforce the integrity bound."""
-    rows = []
-    for line in lines:
-        if line.branch != EMIT_EXCITE:
-            rows.append((line, None, None))
-            continue
-        result = oracle.one_period_amplitude(motion, geom, line.omega,
-                                             atom.omega0, g=atom.g)
-        scale = max(line.rate, result.rate)
-        floor = 1e-20 * 8.0 * math.pi * atom.g**2 / motion.Omega
-        deviation = 0.0 if scale <= floor else abs(result.rate - line.rate) / scale
-        if deviation > VERIFY_TOL:
-            raise OracleMismatchError(
-                f"sideband n={line.n}: closed form {line.rate!r} Hz vs "
-                f"oracle {result.rate!r} Hz (relative deviation "
-                f"{deviation:g} > {VERIFY_TOL:g})",
-                relative_deviation=deviation,
-            )
-        rows.append((line, result.rate, deviation))
-    return rows
-
-
 def sidebands_text(rows, fmt: str) -> str:
     """Serialize (sideband, oracle_rate, deviation) rows as CSV or JSON."""
     verified = any(orate is not None for _, orate, _ in rows)
@@ -483,8 +459,8 @@ def cmd_rate(args) -> int:
     n_max = args.n_max if args.n_max is not None else cfg.n_max
     lines = allowed_sidebands(atom, motion, geom, n_max)
     verify = args.verify or cfg.verify
-    rows = (_verified_lines(atom, motion, geom, lines) if verify
-            else [(line, None, None) for line in lines])
+    rows = (oracle.verified_lines(atom, motion, geom, lines, VERIFY_TOL)
+            if verify else [(line, None, None) for line in lines])
     fmt = args.format or cfg.fmt
     _emit(sidebands_text(rows, fmt), args.output or cfg.output)
     return 0
@@ -504,8 +480,8 @@ def cmd_spectrum(args) -> int:
     else:
         lines = allowed_sidebands(atom, motion, geom, n_max)
         verify = args.verify or cfg.verify
-        rows = (_verified_lines(atom, motion, geom, lines) if verify
-                else [(line, None, None) for line in lines])
+        rows = (oracle.verified_lines(atom, motion, geom, lines, VERIFY_TOL)
+                if verify else [(line, None, None) for line in lines])
     fmt = args.format or cfg.fmt
     _emit(sidebands_text(rows, fmt), args.output or cfg.output)
     return 0

@@ -12,9 +12,8 @@ import numpy as np
 from . import __version__ as _version
 from . import oracle
 from .constants import SPEED_OF_LIGHT as C
-from .errors import OracleMismatchError
-from .rates import (EMIT_EXCITE, AtomParams, FreeSpace, Mirror, ShoMotion,
-                    Sideband, allowed_sidebands, free_space_rate, mirror_rate)
+from .rates import (AtomParams, FreeSpace, Mirror, ShoMotion, Sideband,
+                    allowed_sidebands, free_space_rate, mirror_rate)
 from .specfun import bessel_j, bessel_j_orders
 
 
@@ -184,19 +183,5 @@ def spectrum(atom: AtomParams, motion, geom, n_max: int, *,
     if not verify:
         return lines
     cfg = quadrature if quadrature is not None else oracle.DEFAULT_CONFIG
-    for line in lines:
-        if line.branch != EMIT_EXCITE:
-            continue  # the oracle models the emission branch only
-        result = oracle.one_period_amplitude(motion, geom, line.omega,
-                                             atom.omega0, cfg, g=atom.g)
-        scale = max(line.rate, result.rate)
-        floor = 1e-20 * 8.0 * math.pi * atom.g**2 / motion.Omega
-        if scale > floor and abs(result.rate - line.rate) > verify_tol * scale:
-            deviation = abs(result.rate - line.rate) / scale
-            raise OracleMismatchError(
-                f"sideband n={line.n}: closed form {line.rate:g} Hz vs "
-                f"oracle {result.rate:g} Hz (relative deviation "
-                f"{deviation:g} > {verify_tol:g})",
-                relative_deviation=deviation,
-            )
+    oracle.verified_lines(atom, motion, geom, lines, verify_tol, cfg)
     return lines

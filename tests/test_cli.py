@@ -227,6 +227,35 @@ z0 = 10 nm
                     assert float(field) == line[key], (key, field)
 
 
+    def test_verify_passes_on_a_line_at_the_float64_floor(self, tmp_path,
+                                                          capsys):
+        # The n = 8 line sits at 1.9e-20 of 8 pi g^2 / Omega, where float64
+        # resolves its one-period integral only to about 1e-6 relative; it
+        # must not be reported as an integrity failure.
+        text = """\
+[atom]
+frequency_hz = 121067234768.6584
+alpha = 0.7108271536012858
+
+[motion]
+kind = sho
+drive_frequency_hz = 88837472775.76576
+amplitude = 38.92854815457865 um
+orientation = perpendicular
+
+[geometry]
+kind = free_space
+"""
+        path = write_cfg(tmp_path, text)
+        assert main(["rate", "--config", path, "--n-max", "11",
+                     "--verify"]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == [
+            str(n) for n in range(2, 12)]
+        for row in rows:
+            assert float(row.split(",")[7]) < 1e-6
+
+
 class TestSpectrumCommand:
     def test_cavity_resonance_yields_single_line(self, tmp_path, capsys):
         # L chosen so omega = pi*m*c/L with m = 1 satisfies

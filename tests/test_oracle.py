@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from accelrad import (AtomParams, Cavity, FreeSpace, GeneralPeriodicMotion,
-                      Mirror, PhysicsDomainError, QuadratureConfig, ShoMotion,
-                      bessel_j, cavity_rate, free_space_rate,
-                      general_trajectory_spectrum, mirror_rate,
-                      one_period_amplitude, verify_selection_rule)
-from accelrad._quadrature import composite_gl
+from accelrad import (AtomParams, Cavity, ConvergenceError, FreeSpace,
+                      GeneralPeriodicMotion, Mirror, PhysicsDomainError,
+                      QuadratureConfig, ShoMotion, bessel_j, cavity_rate,
+                      free_space_rate, general_trajectory_spectrum,
+                      mirror_rate, one_period_amplitude,
+                      verify_selection_rule)
+from accelrad._quadrature import MAX_PERIODIC_NODES, composite_gl
+from accelrad.oracle import equivalence_report, rate_floor
 from accelrad.constants import SPEED_OF_LIGHT as C
 
 TWO_PI = 2.0 * math.pi
@@ -278,3 +280,115 @@ class TestQuadratureConfig:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             QuadratureConfig(rel_tol=-1.0)
+
+
+def _sho_cases():
+    """Free-space, mirror and cavity SHO amplitudes as argument tuples."""
+    free = make_free_case(3.3, 4)
+    omega = 3 * 2.0 - 1.0  # n = 3
+    k = omega / C
+    mirror = (ShoMotion(amplitude=2.2 / k, Omega=2.0), Mirror(z0=4.0 / k),
+              omega, 1.0)
+    Omega, m = 2.0e9, 3
+    omega_c = 0.6 * 2 * Omega
+    length = math.pi * m * C / omega_c
+    cavity = (ShoMotion(amplitude=0.05 * length, Omega=Omega),
+              Cavity(length=length, z0=0.3 * length, n_photons=2),
+              omega_c, 2 * Omega - omega_c)
+    return [(free[0], FreeSpace(), free[1], free[2]), mirror, cavity]
+
+
+class TestPeriodicKernel:
+    def test_independent_of_the_bessel_algebra(self, monkeypatch):
+        before = [one_period_amplitude(*case).amplitude
+                  for case in _sho_cases()]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle must not evaluate bessel_j")
+
+        monkeypatch.setattr("accelrad.specfun.bessel_j", forbidden)
+        monkeypatch.setattr("accelrad.rates.bessel_j", forbidden)
+        after = [one_period_amplitude(*case).amplitude
+                 for case in _sho_cases()]
+        assert after == before
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_sampled_harmonics_against_dense_gauss_legendre(self, n):
+        # Harmonics up to 7 make |dphi/dtau| (the bound B) about twice
+        # max|phi| = 10, so the node count must follow B, not the peak.
+        def shape(tau):
+            return (0.3 * np.sin(tau) + 0.1 * np.sin(2 * tau)
+                    + 0.05 * np.sin(7 * tau))
+
+        omega0, Omega = 1.0, 2.0
+        omega = n * Omega - omega0
+        k = omega / C
+        ts = TWO_PI * np.arange(64) / 64
+        scale = 10.0 / (k * np.max(np.abs(shape(np.linspace(
+            -math.pi, math.pi, 20001)))))
+        motion = GeneralPeriodicMotion(Omega=Omega,
+                                       samples=tuple(scale * shape(ts)))
+        res = one_period_amplitude(motion, FreeSpace(), omega, omega0)
+
+        def integrand(tau):
+            return np.exp(1j * (-k * scale * shape(tau) + n * tau))
+
+        reference = composite_gl(integrand, -math.pi, math.pi, 2000)
+        assert abs(res.amplitude - reference) <= 1e-12
+        # B = k sum_h |h| |c_h| = 10 (0.3 + 2 * 0.1 + 7 * 0.05) / 0.3985
+        # = 21.3, so the start is 4 (n + 22 + 40) nodes, doubled once.
+        assert res.panels_used == 8 * (n + 22 + 40)
+
+    def test_equivalence_report_seeds_0_to_9(self):
+        for seed in range(10):
+            report = equivalence_report(seed)
+            assert report["max_relative_deviation"] < 1e-10, seed
+
+    def test_panels_used_is_the_accepted_node_count(self):
+        n, a_tilde = 5, 7.3
+        motion, omega, omega0 = make_free_case(a_tilde, n)
+        res = one_period_amplitude(motion, FreeSpace(), omega, omega0)
+        # Start 4 (n + ceil(B) + 40) nodes, B = a_tilde; one doubling.
+        assert res.panels_used == 2 * 4 * (n + 8 + 40)
+        count = res.panels_used
+        tau = -math.pi + TWO_PI * np.arange(count) / count
+        trapezoid = TWO_PI * np.mean(np.exp(1j * (-a_tilde * np.sin(tau)
+                                                  + n * tau)))
+        assert abs(res.amplitude - trapezoid) < 1e-13
+        wide = one_period_amplitude(motion, FreeSpace(), omega, omega0,
+                                    QuadratureConfig(initial_panels=4096))
+        assert wide.panels_used == 8192
+
+    def test_node_cap_raises_convergence_error(self):
+        motion, omega, omega0 = make_free_case(1.8412, 1)
+        with pytest.raises(ConvergenceError) as info:
+            one_period_amplitude(motion, FreeSpace(), omega, omega0,
+                                 QuadratureConfig(rel_tol=1e-30))
+        assert str(MAX_PERIODIC_NODES) in str(info.value)
+        assert 0.0 < info.value.error_estimate < 1e-12
+
+
+class TestRateFloor:
+    def test_floor_far_below_verified_lines(self):
+        # The deepest line the verified benchmark requests reach, n = 200
+        # with k A = 400, stays compared down to 1e-12 of 8 pi g^2 / Omega.
+        n, a_tilde, g = 200, 400.0, 0.5
+        motion, omega, omega0 = make_free_case(a_tilde, n)
+        floor = rate_floor(motion, FreeSpace(), omega, omega0, g, 1e-6)
+        assert floor < 1e-12 * 8.0 * math.pi * g**2 / motion.Omega
+
+    def test_floor_bounds_the_oracle_rounding(self):
+        # A line far under the floor deviates by more than the tolerance
+        # from its closed form; one far above it does not.
+        atom = AtomParams(omega0=1.0, g=0.5)
+        for n, a_tilde, expect_resolved in ((8, 0.25, False),
+                                            (6, 0.5, True), (3, 0.5, True)):
+            motion, omega, _ = make_free_case(a_tilde, n)
+            closed = free_space_rate(atom, motion, n).rate
+            oracle_rate = one_period_amplitude(
+                motion, FreeSpace(), omega, atom.omega0, g=atom.g).rate
+            floor = rate_floor(motion, FreeSpace(), omega, atom.omega0,
+                               atom.g, 1e-6)
+            deviation = abs(oracle_rate - closed) / closed
+            assert (closed > floor) == expect_resolved
+            assert (deviation < 1e-6) == expect_resolved

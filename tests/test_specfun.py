@@ -196,6 +196,38 @@ class TestBessel:
                 worst = max(worst, err)
         assert worst < 1.5e-11
 
+    @pytest.mark.parametrize("n_max,x", [(300, 1e-57), (3, 1e-100)])
+    def test_orders_finite_at_tiny_argument(self, n_max, x):
+        # A Miller step (2k/x) J_k overflows here before the 1e250 rescale
+        # test can act; the result must still be finite and correct.
+        assert not np.isfinite(miller_reference(n_max, x)).all()
+        arr = bessel_j_orders(n_max, x)
+        assert np.isfinite(arr).all()
+        assert arr[0] == 1.0
+        assert arr[1] == x / 2
+        with mpmath.workdps(30):
+            for k in range(2, n_max + 1):
+                exact = float(mpmath.besselj(k, mpmath.mpf(x)))
+                assert abs(arr[k] - exact) <= 1e-13 * abs(exact) + 1e-322, k
+
+    def test_orders_bits_unchanged_wherever_finite_before(self):
+        # Over arguments small enough for a step to overflow, every result
+        # the reference recurrence gives finite keeps its bits.
+        rng = random.Random(9)
+        finite = overflowed = 0
+        for _ in range(300):
+            n_max = rng.randint(0, 400)
+            x = 10.0 ** rng.uniform(-120.0, -50.0)
+            ref = miller_reference(n_max, x)
+            got = bessel_j_orders(n_max, x)
+            if np.isfinite(ref).all():
+                finite += 1
+                assert np.array_equal(got, ref), (n_max, x)
+            else:
+                overflowed += 1
+                assert np.isfinite(got).all() and got[0] == 1.0, (n_max, x)
+        assert finite >= 5 and overflowed >= 200
+
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
             bessel_j(-1, 1.0)

@@ -213,3 +213,31 @@ class TestSpectrum:
         motion = ShoMotion(amplitude=0.4 * C, Omega=2.0)
         with pytest.raises(OracleMismatchError):
             spectrum(atom, motion, FreeSpace(), 2, verify=True)
+
+    def test_verification_flags_a_skewed_line_near_1e_12_of_scale(
+            self, monkeypatch):
+        # Free-space n = 3 line at about 1e-12 of 8 pi g^2 / Omega: far
+        # above the float64 floor of its integral, so a 1% skew of its
+        # oracle rate alone must be caught.
+        import accelrad.oracle as oracle_module
+
+        atom = AtomParams(omega0=1.0, g=0.5)
+        Omega, n = 2.0, 3
+        omega = n * Omega - atom.omega0
+        motion = ShoMotion(amplitude=0.0458 * C / omega, Omega=Omega)
+        rate = free_space_rate(atom, motion, n).rate
+        assert 1e-13 < rate / (8.0 * math.pi * atom.g**2 / Omega) < 1e-11
+        real = oracle_module.one_period_amplitude
+
+        def skewed(*args, **kwargs):
+            res = real(*args, **kwargs)
+            if args[2] != omega:
+                return res
+            return type(res)(amplitude=res.amplitude, rate=res.rate * 1.01,
+                             error_estimate=res.error_estimate,
+                             panels_used=res.panels_used)
+
+        assert spectrum(atom, motion, FreeSpace(), n, verify=True)
+        monkeypatch.setattr(oracle_module, "one_period_amplitude", skewed)
+        with pytest.raises(OracleMismatchError, match="n=3"):
+            spectrum(atom, motion, FreeSpace(), n, verify=True)
