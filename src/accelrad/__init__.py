@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .errors import (ApproximationDomainError, ConfigError, ConvergenceError,
                      NoSidebandError, OffResonanceError, OracleMismatchError,
-                     PhysicsDomainError)
+                     OracleRangeError, PhysicsDomainError)
 from .specfun import (DEFAULT_BUDGET, AccuracyBudget, anger_j, bessel_j,
                       bessel_j_orders, rational_period_integral)
 from .rates import (ABSORB_DEEXCITE, EMIT_EXCITE, PARALLEL, PERPENDICULAR,
@@ -32,7 +32,7 @@ __all__ = [
     # errors
     "ApproximationDomainError", "ConfigError", "ConvergenceError",
     "NoSidebandError", "OffResonanceError", "OracleMismatchError",
-    "PhysicsDomainError",
+    "OracleRangeError", "PhysicsDomainError",
     # special functions
     "AccuracyBudget", "DEFAULT_BUDGET", "anger_j", "bessel_j",
     "bessel_j_orders", "rational_period_integral",

@@ -8,9 +8,13 @@
 * ``composite_gl`` / ``refine_to_tolerance`` -- composite Gauss-Legendre
   panels with panel doubling, for integrands that are not periodic over
   the interval (the Anger function) and for the second, independent route
-  of the selection-rule scan.
+  of the selection-rule scan.  The panel rules depend on ``(a, b, panels)``
+  only, so the most recent :data:`GL_CACHE_RULES` rules of at most
+  :data:`GL_CACHE_MAX_NODES` nodes are kept, read-only, for reuse: at most
+  128 x 4096 nodes x 16 bytes = 8 MiB.  Larger rules are built per call.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -22,6 +26,11 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 
 #: Most nodes ``periodic_trapezoid`` may use; it raises rather than go past.
 MAX_PERIODIC_NODES = 2**20
+
+#: How many Gauss-Legendre panel rules ``composite_gl`` keeps for reuse.
+GL_CACHE_RULES = 128
+#: Largest rule, in nodes, that ``composite_gl`` keeps for reuse.
+GL_CACHE_MAX_NODES = 4096
 
 
 def periodic_trapezoid(f, nodes: int, rel_tol: float):
@@ -61,14 +70,28 @@ def composite_gl(f, a: float, b: float, panels: int):
     """Integrate ``f`` over [a, b] with ``panels`` Gauss-Legendre panels.
 
     ``f`` must accept an ndarray of abscissae and return an ndarray (real or
-    complex) of the same shape.
+    complex) of the same shape; the abscissae it gets are read-only.
     """
+    if panels * _GL_ORDER <= GL_CACHE_MAX_NODES:
+        x, w = _cached_gl_rule(a, b, panels)
+    else:
+        x, w = _gl_rule(a, b, panels)
+    return np.sum(w * f(x))
+
+
+def _gl_rule(a: float, b: float, panels: int):
+    """Read-only nodes and weights of ``panels`` GL panels over [a, b]."""
     edges = np.linspace(a, b, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
     x = (mid[:, None] + half * _GL_NODES[None, :]).ravel()
     w = np.broadcast_to(half * _GL_WEIGHTS, (panels, _GL_ORDER)).ravel()
-    return np.sum(w * f(x))
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+_cached_gl_rule = functools.lru_cache(maxsize=GL_CACHE_RULES)(_gl_rule)
 
 
 def refine_to_tolerance(f, a: float, b: float, initial_panels: int,

@@ -135,6 +135,31 @@ def _get_float(cp, section, key, required=False):
         ) from None
 
 
+def _get_int(cp, section, key, default, minimum=None):
+    if not cp.has_option(section, key):
+        return default
+    try:
+        value = cp.getint(section, key)
+    except ValueError:
+        raise ConfigError(
+            f"[{section}] {key} = {cp.get(section, key)!r} is not an integer"
+        ) from None
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"[{section}] {key} must be >= {minimum}, "
+                          f"got {value}")
+    return value
+
+
+def _positive(section, key, value, default):
+    """``value`` if it is a finite positive number, ``default`` if None."""
+    if value is None:
+        return default
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"[{section}] {key} must be a finite positive "
+                          f"number, got {value!r}")
+    return value
+
+
 def _get_bool(cp, section, key, default):
     if not cp.has_option(section, key):
         return default
@@ -202,12 +227,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(
             f"[geometry] kind must be free_space, mirror or cavity, "
             f"got {gkind!r}")
-    photons = 0
-    if cp.has_option("geometry", "photons"):
-        try:
-            photons = cp.getint("geometry", "photons")
-        except ValueError:
-            raise ConfigError("[geometry] photons must be an integer") from None
+    photons = _get_int(cp, "geometry", "photons", 0)
     geometry = GeometryConfig(
         kind=gkind,
         z0_m=(parse_length(cp.get("geometry", "z0"))
@@ -227,23 +247,27 @@ def parse_config(text: str) -> RunConfig:
                 f"[sweep] preset must be fig2, fig3 or custom, got {preset!r}")
         sweep_settings = SweepSettings(
             preset=preset,
-            n_max=cp.getint("sweep", "n_max", fallback=defaults.n_max),
-            a_tilde_max=_get_float(cp, "sweep", "a_tilde_max")
-            or defaults.a_tilde_max,
-            a_tilde_count=cp.getint("sweep", "a_tilde_count",
-                                    fallback=defaults.a_tilde_count),
+            n_max=_get_int(cp, "sweep", "n_max", defaults.n_max, 1),
+            a_tilde_max=_positive(
+                "sweep", "a_tilde_max", _get_float(cp, "sweep", "a_tilde_max"),
+                defaults.a_tilde_max),
+            a_tilde_count=_get_int(cp, "sweep", "a_tilde_count",
+                                   defaults.a_tilde_count, 1),
             amplitude_min_m=(parse_length(cp.get("sweep", "amplitude_min"))
                              if cp.has_option("sweep", "amplitude_min")
                              else defaults.amplitude_min_m),
-            amplitude_max_m=(parse_length(cp.get("sweep", "amplitude_max"))
-                             if cp.has_option("sweep", "amplitude_max")
-                             else defaults.amplitude_max_m),
-            amplitude_count=cp.getint("sweep", "amplitude_count",
-                                      fallback=defaults.amplitude_count),
-            alpha_max=_get_float(cp, "sweep", "alpha_max")
-            or defaults.alpha_max,
-            alpha_count=cp.getint("sweep", "alpha_count",
-                                  fallback=defaults.alpha_count),
+            amplitude_max_m=_positive(
+                "sweep", "amplitude_max",
+                (parse_length(cp.get("sweep", "amplitude_max"))
+                 if cp.has_option("sweep", "amplitude_max") else None),
+                defaults.amplitude_max_m),
+            amplitude_count=_get_int(cp, "sweep", "amplitude_count",
+                                     defaults.amplitude_count, 1),
+            alpha_max=_positive(
+                "sweep", "alpha_max", _get_float(cp, "sweep", "alpha_max"),
+                defaults.alpha_max),
+            alpha_count=_get_int(cp, "sweep", "alpha_count",
+                                 defaults.alpha_count, 1),
             absolute=_get_bool(cp, "sweep", "absolute", defaults.absolute),
         )
 
@@ -254,8 +278,8 @@ def parse_config(text: str) -> RunConfig:
         if fmt not in ("csv", "json"):
             raise ConfigError(f"[run] format must be csv or json, got {fmt!r}")
         verify = _get_bool(cp, "run", "verify", False)
-        seed = cp.getint("run", "seed", fallback=0)
-        n_max = cp.getint("run", "n_max", fallback=1)
+        seed = _get_int(cp, "run", "seed", 0, 0)
+        n_max = _get_int(cp, "run", "n_max", 1, 1)
         output = cp.get("run", "output", fallback=None)
 
     return RunConfig(atom=atom, motion=motion, geometry=geometry,
@@ -449,6 +473,14 @@ def _emit(text: str, output: str | None):
             fh.write(text)
 
 
+def _n_max_option(args, default: int) -> int:
+    if args.n_max is None:
+        return default
+    if args.n_max < 1:
+        raise ConfigError(f"--n-max must be >= 1, got {args.n_max}")
+    return args.n_max
+
+
 def cmd_rate(args) -> int:
     cfg = _load_config(args.config)
     if cfg is None:
@@ -456,7 +488,7 @@ def cmd_rate(args) -> int:
     atom = build_atom(cfg.atom)
     motion = build_motion(cfg.motion)
     geom = build_geometry(cfg.geometry)
-    n_max = args.n_max if args.n_max is not None else cfg.n_max
+    n_max = _n_max_option(args, cfg.n_max)
     lines = allowed_sidebands(atom, motion, geom, n_max)
     verify = args.verify or cfg.verify
     rows = (oracle.verified_lines(atom, motion, geom, lines, VERIFY_TOL)
@@ -473,7 +505,7 @@ def cmd_spectrum(args) -> int:
     atom = build_atom(cfg.atom)
     motion = build_motion(cfg.motion)
     geom = build_geometry(cfg.geometry)
-    n_max = args.n_max if args.n_max is not None else max(cfg.n_max, 10)
+    n_max = _n_max_option(args, max(cfg.n_max, 10))
     if isinstance(motion, GeneralPeriodicMotion):
         lines = oracle.general_trajectory_spectrum(motion, geom, atom, n_max)
         rows = [(line, None, None) for line in lines]
@@ -541,7 +573,11 @@ def cmd_oracle(args) -> int:
     cfg = _load_config(args.config)
     seed = args.seed if args.seed is not None else \
         (cfg.seed if cfg is not None else 0)
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
     draws = args.draws
+    if draws < 1:
+        raise ConfigError(f"--draws must be >= 1, got {draws}")
     selection = oracle.selection_rule_report()
     equivalence = oracle.equivalence_report(seed=seed, count=draws)
     selection_pass = bool(selection["max_abs_value"] < SELECTION_RULE_TOL)

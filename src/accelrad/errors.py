@@ -31,6 +31,14 @@ class ApproximationDomainError(PhysicsDomainError):
     """Input lies outside the validity domain of a closed-form approximation."""
 
 
+class OracleRangeError(PhysicsDomainError):
+    """A line the amplitude oracle cannot resolve within its node cap.
+
+    Raised before any node is evaluated, so it says nothing about whether
+    the closed form and the oracle agree.
+    """
+
+
 class ConvergenceError(RuntimeError):
     """Quadrature or series failed to reach the requested tolerance.
 

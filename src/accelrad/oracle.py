@@ -29,6 +29,14 @@ The oracle integrates the trajectory directly and shares none of the
 Bessel or sin^2 algebra of the closed forms.  Composite Gauss-Legendre
 quadrature remains for the Anger function and for the Gauss-Legendre route
 of the selection-rule scan (``specfun.rational_period_integral``).
+
+The selection-rule scan checks (1/2 pi) int e^{i(x sin(q psi) - p psi)} dpsi
+on two independent routes.  Its trapezoid route takes every p of one
+(q, x, node count) row from a single FFT of exp(i x sin(q psi_j)), so the
+300-case scan costs 29 FFTs; its Gauss-Legendre route reuses panel rules
+from a cache in ``_quadrature`` that holds at most 128 read-only rules of
+at most 4096 nodes (8 MiB).  Only those value-independent rules outlive a
+report.
 """
 
 import math
@@ -36,9 +44,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import periodic_trapezoid
+from ._quadrature import MAX_PERIODIC_NODES, periodic_trapezoid
 from .constants import SPEED_OF_LIGHT as C
-from .errors import OracleMismatchError, PhysicsDomainError
+from .errors import OracleMismatchError, OracleRangeError, PhysicsDomainError
 from .rates import (EMIT_EXCITE, PARALLEL, RESONANCE_TOL,
                     AtomParams, Cavity, FreeSpace, GeneralPeriodicMotion,
                     Mirror, RotationMotion, ShoMotion, Sideband,
@@ -232,11 +240,19 @@ def one_period_amplitude(motion, geom, omega: float, omega0: float,
     The periodic trapezoid rule starts from
     ``max(cfg.initial_panels, 4 (n + ceil(B) + 40))`` nodes, B the bound on
     |dphi/dtau|, which puts the aliasing tail far below float64; one
-    doubling then confirms ``cfg.rel_tol``.
+    doubling then confirms ``cfg.rel_tol``.  A start above half of
+    :data:`accelrad._quadrature.MAX_PERIODIC_NODES` leaves no room for that
+    doubling and raises :class:`OracleRangeError` before any node is
+    evaluated.
     """
     line = _line_integral(motion, geom, omega, omega0, mode)
     nodes = max(cfg.initial_panels,
                 4 * (line.n + math.ceil(line.bandwidth) + 40))
+    if 2 * nodes > MAX_PERIODIC_NODES:
+        raise OracleRangeError(
+            f"sideband n={line.n} needs a trapezoid start of {nodes} nodes, "
+            f"more than half of the oracle's node cap MAX_PERIODIC_NODES = "
+            f"{MAX_PERIODIC_NODES}; it is beyond the oracle's range")
     value, err, used = periodic_trapezoid(line.integrand, nodes, cfg.rel_tol)
     rate = _rate(line.chi, motion.Omega, g, abs(value))
     return OracleResult(amplitude=complex(value), rate=float(rate),
@@ -301,19 +317,34 @@ def _require_clearance(motion, clearance: float):
             f"(clearance {clearance:g} m)")
 
 
+def _selection_nodes(p: int, q: int, x: float) -> int:
+    """Trapezoid node count of the selection-rule check at (p, q, x)."""
+    return max(4096, 64 * math.ceil(abs(x) * q + p))
+
+
+def _selection_row(q: int, x: float, nodes: int):
+    """|J(x; p, q)| for every p in [0, nodes) from one FFT.
+
+    On the uniform grid psi_j = -pi + 2 pi j / N the N-node trapezoid sum
+    of exp(i(x sin(q psi) - p psi)) is (-1)^p times the p-th DFT
+    coefficient of exp(i x sin(q psi_j)), so one FFT gives every p at once.
+    """
+    psi = -math.pi + 2.0 * math.pi * np.arange(nodes) / nodes
+    return np.abs(np.fft.fft(np.exp(1j * x * np.sin(q * psi)))) / nodes
+
+
 def verify_selection_rule(p: int, q: int, x: float) -> float:
-    """|J(x; p, q)| by dense trapezoid quadrature over one full period.
+    """|J(x; p, q)| by the trapezoid rule over one full period.
 
     Independent of the Gauss-Legendre route in specfun: uniform sampling of
-    exp(i(x sin(q psi) - p psi)) over psi in [-pi, pi).  For coprime p, q
-    with q >= 2 the result must vanish; q = 1 is the Bessel control case.
+    exp(i(x sin(q psi) - p psi)) over psi in [-pi, pi), summed for all p at
+    once by one FFT.  For coprime p, q with q >= 2 the result must vanish;
+    q = 1 is the Bessel control case.
     """
     if p != int(p) or q != int(q) or p < 1 or q < 1:
         raise ValueError(f"p and q must be positive integers, got p={p}, q={q}")
-    n_samples = max(4096, 64 * math.ceil(abs(x) * q + p))
-    psi = -math.pi + 2.0 * math.pi * np.arange(n_samples) / n_samples
-    value = np.mean(np.exp(1j * (x * np.sin(q * psi) - p * psi)))
-    return float(abs(value))
+    p, q = int(p), int(q)
+    return float(_selection_row(q, x, _selection_nodes(p, q, x))[p])
 
 
 def general_trajectory_spectrum(traj: GeneralPeriodicMotion, geom,
@@ -373,9 +404,13 @@ def equivalence_cases(seed: int = 0, count: int = 200) -> list[EquivalenceCase]:
       integrand) is meaningless for any double-precision quadrature.  The
       deeply suppressed region is covered by the absolute selection-rule
       bound instead.
+
+    Raises :class:`ValueError` for ``count < 1``.
     """
     from .specfun import bessel_j
 
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
     cases = []
     attempts = 0
@@ -444,7 +479,12 @@ def closed_form_rate(case: EquivalenceCase) -> float:
 
 def equivalence_report(seed: int = 0, count: int = 200,
                        cfg: QuadratureConfig = DEFAULT_CONFIG) -> dict:
-    """Run the oracle-equivalence suite; returns max deviation and cases."""
+    """Run the oracle-equivalence suite; returns max deviation and cases.
+
+    Raises :class:`ValueError` for ``count < 1`` (from
+    :func:`equivalence_cases`): a report over no draws would pass without
+    checking anything.
+    """
     worst = 0.0
     worst_case = None
     for case in equivalence_cases(seed, count):
@@ -461,23 +501,31 @@ def equivalence_report(seed: int = 0, count: int = 200,
 def selection_rule_report() -> dict:
     """Scan the coprime (p, q) grid; returns the largest |J(x; p, q)|.
 
-    Runs both quadrature routes (Gauss-Legendre panels and the dense
-    trapezoid above) over q in [2, 7], p in [1, 20] coprime,
-    x in {0.3, 1.0, 2.5, 7.0}.
+    Runs both quadrature routes over q in [2, 7], p in [1, 20] coprime,
+    x in {0.3, 1.0, 2.5, 7.0}: Gauss-Legendre panels
+    (``specfun.rational_period_integral``, whose panel rules composite_gl
+    reuses from its bounded cache) and the trapezoid rule of
+    :func:`verify_selection_rule`, computed as one FFT per distinct
+    (q, x, node count) row: 29 FFTs for the 300 cases.  The rows live only
+    for the one report.
     """
     from .specfun import rational_period_integral
 
     worst = 0.0
     worst_case = None
     cases = 0
+    rows = {}
     for q in range(2, 8):
         for p in range(1, 21):
             if math.gcd(p, q) != 1:
                 continue
             for x in (0.3, 1.0, 2.5, 7.0):
                 cases += 1
+                key = (q, x, _selection_nodes(p, q, x))
+                if key not in rows:
+                    rows[key] = _selection_row(*key)
                 value = max(abs(rational_period_integral(x, p, q)),
-                            verify_selection_rule(p, q, x))
+                            float(rows[key][p]))
                 if value > worst:
                     worst, worst_case = value, (x, p, q)
     return {"count": cases, "max_abs_value": worst, "worst_case": worst_case}

@@ -413,6 +413,13 @@ class TestOracleCommand:
         assert payload["pass"] is True
         assert payload["equivalence"]["max_relative_deviation"] < 1e-8
 
+    @pytest.mark.parametrize("draws", ["0", "-5"])
+    def test_fewer_than_one_draw_is_a_config_error(self, draws, capsys):
+        assert main(["oracle", "--draws", draws]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--draws" in captured.err
+
     def test_integrity_failure_exit_code(self, capsys, monkeypatch):
         import accelrad.oracle as oracle_module
 
@@ -420,3 +427,108 @@ class TestOracleCommand:
             oracle_module, "selection_rule_report",
             lambda: {"count": 1, "max_abs_value": 1.0, "worst_case": None})
         assert main(["oracle", "--draws", "3"]) == 4
+
+
+SWEEP_CFG = FREE_SPACE_CFG + """
+[sweep]
+preset = fig2
+"""
+
+
+class TestConfigValueErrors:
+    """Every unparsable or non-positive integer, count and maximum is a
+    config error (exit 2), never a physics error or a silent default."""
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("run", "n_max", "abc"),
+        ("run", "n_max", "0"),
+        ("run", "n_max", "-3"),
+        ("run", "seed", "1.5"),
+        ("run", "seed", "-1"),
+        ("geometry", "photons", "two"),
+        ("sweep", "n_max", "x"),
+        ("sweep", "n_max", "0"),
+        ("sweep", "a_tilde_count", "x"),
+        ("sweep", "a_tilde_count", "0"),
+        ("sweep", "amplitude_count", "1.5"),
+        ("sweep", "amplitude_count", "0"),
+        ("sweep", "alpha_count", "x"),
+        ("sweep", "alpha_count", "-2"),
+        ("sweep", "a_tilde_max", "0"),
+        ("sweep", "a_tilde_max", "-4"),
+        ("sweep", "a_tilde_max", "inf"),
+        ("sweep", "alpha_max", "0"),
+        ("sweep", "alpha_max", "nan"),
+        ("sweep", "amplitude_max", "0"),
+        ("sweep", "amplitude_max", "-1 nm"),
+    ])
+    def test_bad_value_exits_2(self, tmp_path, capsys, section, key, value):
+        lines = SWEEP_CFG.splitlines()
+        if f"[{section}]" not in lines:
+            lines.append(f"[{section}]")
+        lines.insert(lines.index(f"[{section}]") + 1, f"{key} = {value}")
+        path = write_cfg(tmp_path, "\n".join(lines) + "\n")
+        command = "sweep" if section == "sweep" else "rate"
+        assert main([command, "--config", path]) == 2
+        assert f"[{section}] {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["rate", "spectrum"])
+    @pytest.mark.parametrize("n_max", ["0", "-3"])
+    def test_non_positive_n_max_option_exits_2(self, tmp_path, capsys,
+                                               command, n_max):
+        path = write_cfg(tmp_path, FREE_SPACE_CFG)
+        assert main([command, "--config", path, "--n-max", n_max]) == 2
+        assert "--n-max" in capsys.readouterr().err
+
+    def test_negative_seed_option_exits_2(self):
+        assert main(["oracle", "--seed", "-1", "--draws", "3"]) == 2
+
+    def test_explicit_maxima_are_kept(self):
+        cfg = parse_config(SWEEP_CFG + "a_tilde_max = 0.5\nalpha_max = 0.25\n"
+                           "amplitude_max = 3 nm\n")
+        assert cfg.sweep.a_tilde_max == 0.5
+        assert cfg.sweep.alpha_max == 0.25
+        assert cfg.sweep.amplitude_max_m == pytest.approx(3e-9, rel=1e-15)
+
+
+# Drive 1 GHz with the atom at 9.5 GHz leaves one emission line, n = 10, at
+# omega = 2 pi 0.5 GHz, where k = 2 pi 0.5e9 / c.
+_RANGE_K = 2.0 * math.pi * 0.5e9 / 2.99792458e8
+
+
+def _range_cfg(k_amplitude):
+    return f"""\
+[atom]
+frequency_hz = 9.5e9
+coupling_hz = 1e5
+
+[motion]
+kind = sho
+drive_frequency_hz = 1e9
+amplitude = {k_amplitude / _RANGE_K!r}
+
+[geometry]
+kind = free_space
+
+[run]
+n_max = 10
+"""
+
+
+class TestVerifyBeyondTheOracleRange:
+    def test_line_beyond_the_node_cap_exits_3(self, tmp_path, capsys):
+        # k A = 2e5 starts the oracle at 800200 nodes, above half the cap.
+        path = write_cfg(tmp_path, _range_cfg(2e5))
+        assert main(["rate", "--config", path, "--verify"]) == 3
+        err = capsys.readouterr().err
+        assert "MAX_PERIODIC_NODES" in err and "n=10" in err
+        assert "integrity failure" not in err
+
+    def test_line_within_the_node_cap_verifies(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, _range_cfg(1.2e5))
+        assert main(["rate", "--config", path, "--verify"]) == 0
+        rows = [row.split(",") for row in
+                capsys.readouterr().out.strip().splitlines()[1:]]
+        verified = [row for row in rows if row[6]]
+        assert [row[0] for row in verified] == ["10"]
+        assert float(verified[0][7]) < 1e-6

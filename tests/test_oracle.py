@@ -7,14 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import accelrad._quadrature as quadrature
+import accelrad.oracle as oracle_module
 from accelrad import (AtomParams, Cavity, ConvergenceError, FreeSpace,
-                      GeneralPeriodicMotion, Mirror, PhysicsDomainError,
-                      QuadratureConfig, ShoMotion, bessel_j, cavity_rate,
-                      free_space_rate, general_trajectory_spectrum,
-                      mirror_rate, one_period_amplitude,
-                      verify_selection_rule)
+                      GeneralPeriodicMotion, Mirror, OracleRangeError,
+                      PhysicsDomainError, QuadratureConfig, ShoMotion,
+                      anger_j, bessel_j, cavity_rate, free_space_rate,
+                      general_trajectory_spectrum, mirror_rate,
+                      one_period_amplitude, rational_period_integral,
+                      selection_rule_report, verify_selection_rule)
 from accelrad._quadrature import MAX_PERIODIC_NODES, composite_gl
-from accelrad.oracle import equivalence_report, rate_floor
+from accelrad.oracle import equivalence_cases, equivalence_report, rate_floor
 from accelrad.constants import SPEED_OF_LIGHT as C
 
 TWO_PI = 2.0 * math.pi
@@ -392,3 +395,176 @@ class TestRateFloor:
             deviation = abs(oracle_rate - closed) / closed
             assert (closed > floor) == expect_resolved
             assert (deviation < 1e-6) == expect_resolved
+
+
+class TestNodeCapRange:
+    def test_line_beyond_the_cap_raises_before_any_node(self, monkeypatch):
+        # k A = 2e5 at n = 10 starts at 4 (10 + 200000 + 40) = 800200 nodes,
+        # more than half of the cap: no doubling would fit.
+        def no_quadrature(*args):
+            raise AssertionError("a node was evaluated")
+
+        monkeypatch.setattr(oracle_module, "periodic_trapezoid", no_quadrature)
+        motion, omega, omega0 = make_free_case(2e5, 10)
+        with pytest.raises(OracleRangeError) as info:
+            one_period_amplitude(motion, FreeSpace(), omega, omega0)
+        assert isinstance(info.value, PhysicsDomainError)
+        assert not isinstance(info.value, ConvergenceError)
+        message = str(info.value)
+        assert "MAX_PERIODIC_NODES" in message
+        assert str(MAX_PERIODIC_NODES) in message
+        assert "n=10" in message
+        assert "800200" in message
+
+    def test_line_within_the_cap_still_verifies(self):
+        # k A = 1.2e5 starts at 480200 nodes and confirms at 960400.
+        motion, omega, omega0 = make_free_case(1.2e5, 10)
+        atom = AtomParams(omega0=omega0, g=0.5)
+        result = one_period_amplitude(motion, FreeSpace(), omega, omega0,
+                                      g=atom.g)
+        assert result.panels_used == 8 * (10 + 120000 + 40)
+        closed = free_space_rate(atom, motion, 10).rate
+        assert result.rate == pytest.approx(closed, rel=1e-8)
+
+
+def dense_selection_rule(p, q, x):
+    """|J(x; p, q)| by the dense trapezoid sum, frozen from the original
+    ``verify_selection_rule`` that the one-FFT-per-row route replaced."""
+    n_samples = max(4096, 64 * math.ceil(abs(x) * q + p))
+    psi = -math.pi + 2.0 * math.pi * np.arange(n_samples) / n_samples
+    value = np.mean(np.exp(1j * (x * np.sin(q * psi) - p * psi)))
+    return float(abs(value))
+
+
+def uncached_composite_gl(f, a, b, panels):
+    """Composite Gauss-Legendre rule built on every call, frozen from the
+    original ``composite_gl`` before it reused its panel rules."""
+    edges = np.linspace(a, b, panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1] - edges[0])
+    x = (mid[:, None] + half * quadrature._GL_NODES[None, :]).ravel()
+    w = np.broadcast_to(half * quadrature._GL_WEIGHTS,
+                        (panels, quadrature._GL_ORDER)).ravel()
+    return np.sum(w * f(x))
+
+
+SCAN_XS = (0.3, 1.0, 2.5, 7.0)
+SCAN_GRID = [(p, q, x) for q in range(2, 8) for p in range(1, 21)
+             if math.gcd(p, q) == 1 for x in SCAN_XS]
+
+
+def reference_selection_report():
+    """The selection-rule scan as it read before the FFT rows: the dense
+    trapezoid sum per case next to ``rational_period_integral``."""
+    worst, worst_case = 0.0, None
+    for p, q, x in SCAN_GRID:
+        value = max(abs(rational_period_integral(x, p, q)),
+                    dense_selection_rule(p, q, x))
+        if value > worst:
+            worst, worst_case = value, (x, p, q)
+    return {"count": len(SCAN_GRID), "max_abs_value": worst,
+            "worst_case": worst_case}
+
+
+class TestSelectionRuleRows:
+    def test_report_computes_each_row_once(self, monkeypatch):
+        calls = []
+        row = oracle_module._selection_row
+
+        def spy(q, x, nodes):
+            calls.append((q, x, nodes))
+            return row(q, x, nodes)
+
+        monkeypatch.setattr(oracle_module, "_selection_row", spy)
+        selection_rule_report()
+        expected = {(q, x, oracle_module._selection_nodes(p, q, x))
+                    for p, q, x in SCAN_GRID}
+        assert len(calls) == len(set(calls)) == 29
+        assert set(calls) == expected
+
+    def test_fft_row_matches_the_dense_sum_on_the_grid(self):
+        worst = max(abs(verify_selection_rule(p, q, x)
+                        - dense_selection_rule(p, q, x))
+                    for p, q, x in SCAN_GRID)
+        assert worst <= 1e-15
+
+    @pytest.mark.parametrize("x", SCAN_XS + (-2.5, 15.0))
+    def test_bessel_controls(self, x):
+        for p in range(1, 21):
+            fft = verify_selection_rule(p, 1, x)
+            assert abs(fft - dense_selection_rule(p, 1, x)) <= 1e-15, p
+            assert abs(fft - abs(bessel_j(p, x))) <= 1e-13, p
+
+    def test_report_equals_the_frozen_reference_loop(self, monkeypatch):
+        report = selection_rule_report()
+        monkeypatch.setattr(quadrature, "composite_gl", uncached_composite_gl)
+        reference = reference_selection_report()
+        assert report == reference
+        assert type(report["max_abs_value"]) is float
+
+
+class TestGaussLegendreRuleCache:
+    def test_rational_period_integral_bit_equal_to_uncached(self,
+                                                            monkeypatch):
+        cached = [rational_period_integral(x, p, q) for p, q, x in SCAN_GRID]
+        monkeypatch.setattr(quadrature, "composite_gl", uncached_composite_gl)
+        uncached = [rational_period_integral(x, p, q)
+                    for p, q, x in SCAN_GRID]
+        assert cached == uncached
+
+    def test_anger_j_bit_equal_to_uncached(self, monkeypatch):
+        pairs = [(0.5, 1.0), (2.3, 7.5), (10.0, 3.0), (-1.5, 20.0),
+                 (3.0, 0.0), (0.25, 150.0)]
+        cached = [anger_j(nu, x) for nu, x in pairs]
+        monkeypatch.setattr(quadrature, "composite_gl", uncached_composite_gl)
+        assert cached == [anger_j(nu, x) for nu, x in pairs]
+
+    def test_cached_rule_arrays_are_read_only(self):
+        seen = []
+
+        def integrand(x):
+            seen.append(x)
+            return np.cos(x)
+
+        composite_gl(integrand, 0.0, 1.0, 7)
+        composite_gl(integrand, 0.0, 1.0, 7)
+        assert seen[0] is seen[1]
+        assert not seen[0].flags.writeable
+        x, w = quadrature._cached_gl_rule(0.0, 1.0, 7)
+        assert not x.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+
+    def test_rule_above_the_node_limit_is_not_cached(self):
+        panels = quadrature.GL_CACHE_MAX_NODES // quadrature._GL_ORDER + 1
+        before = quadrature._cached_gl_rule.cache_info()
+        value = composite_gl(np.cos, 0.0, 2.0, panels)
+        assert quadrature._cached_gl_rule.cache_info() == before
+        assert value == uncached_composite_gl(np.cos, 0.0, 2.0, panels)
+
+    def test_rule_at_the_node_limit_is_cached(self):
+        panels = quadrature.GL_CACHE_MAX_NODES // quadrature._GL_ORDER
+        composite_gl(np.cos, 0.0, 3.0, panels)
+        hits = quadrature._cached_gl_rule.cache_info().hits
+        composite_gl(np.cos, 0.0, 3.0, panels)
+        assert quadrature._cached_gl_rule.cache_info().hits == hits + 1
+
+    def test_cache_never_holds_more_than_its_entry_cap(self):
+        cap = quadrature.GL_CACHE_RULES
+        assert cap * quadrature.GL_CACHE_MAX_NODES * 16 <= 8 * 2**20
+        for i in range(cap + 40):
+            composite_gl(np.cos, 0.0, 1.0 + i, 3)
+            info = quadrature._cached_gl_rule.cache_info()
+            assert info.currsize <= info.maxsize == cap
+
+
+class TestEquivalenceDrawCount:
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_cases_reject_fewer_than_one_draw(self, count):
+        with pytest.raises(ValueError, match="count"):
+            equivalence_cases(seed=0, count=count)
+
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_report_rejects_fewer_than_one_draw(self, count):
+        with pytest.raises(ValueError, match="count"):
+            equivalence_report(seed=0, count=count)
