@@ -207,14 +207,17 @@ def parse_config(text: str) -> RunConfig:
         except ValueError:
             raise ConfigError("[motion] samples must be comma-separated "
                               "numbers (meters)") from None
+    orientation = cp.get("motion", "orientation", fallback="perpendicular")
+    if orientation not in ("perpendicular", "parallel"):
+        raise ConfigError(f"[motion] orientation must be perpendicular or "
+                          f"parallel, got {orientation!r}")
     motion = MotionConfig(
         kind=kind,
         drive_frequency_hz=_get_float(cp, "motion", "drive_frequency_hz",
                                       required=True),
         amplitude_m=(parse_length(cp.get("motion", "amplitude"))
                      if cp.has_option("motion", "amplitude") else None),
-        orientation=cp.get("motion", "orientation",
-                           fallback="perpendicular"),
+        orientation=orientation,
         delta_rad=_get_float(cp, "motion", "delta_rad") or 0.0,
         radius_m=(parse_length(cp.get("motion", "radius"))
                   if cp.has_option("motion", "radius") else None),
@@ -416,41 +419,59 @@ def sidebands_text(rows, fmt: str) -> str:
     return "\n".join(out) + "\n"
 
 
+def _json_join(items, depth, brackets="[]"):
+    """JSON texts laid out as ``json.dumps(indent=2)`` lays out a list at
+    nesting ``depth``, or an object when each item is ``"key": value``."""
+    pad = "\n" + "  " * (depth + 1)
+    return (f"{brackets[0]}{pad}{(',' + pad).join(items)}{pad[:-2]}"
+            f"{brackets[1]}" if items else brackets)
+
+
 def sweep_text(result, fmt: str) -> str:
-    """Serialize a SweepResult: matrix CSV, or long CSV when aux data exist."""
+    """Serialize a SweepResult: matrix CSV, long CSV when aux data exist, or
+    JSON laid out exactly as ``json.dumps(payload, sort_keys=True, indent=2)``.
+    Every float is written as its shortest ``repr``, formatted once."""
     grid = result.grid
+    axis1 = list(map(repr, grid.axis1_values))
+    axis2 = list(map(repr, grid.axis2_values))
+    aux_keys = sorted(result.aux)
+    true, false = ("true", "false") if fmt == "json" else ("1", "0")
+
+    def texts(array):  # cell texts of each row, made as the row is written
+        if array.dtype == bool:
+            return ([true if c else false for c in r] for r in array.tolist())
+        return (list(map(repr, r)) for r in array.tolist())
+
     if fmt == "json":
-        payload = {
-            "kind": "sweep",
-            "metadata": result.metadata,
-            "axis1": {"name": grid.axis1_name, "values": list(grid.axis1_values)},
-            "axis2": {"name": grid.axis2_name, "values": list(grid.axis2_values)},
-            "fixed": grid.fixed,
-            "values": result.values.tolist(),
-            "aux": {key: np.asarray(value).tolist()
-                    for key, value in result.aux.items()},
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if result.aux:
-        aux_keys = sorted(result.aux)
-        header = (f"{grid.axis1_name},{grid.axis2_name},value,"
-                  + ",".join(aux_keys))
-        out = [header]
-        for i, a in enumerate(grid.axis1_values):
-            for j, b in enumerate(grid.axis2_values):
-                cells = [repr(a), repr(b), repr(float(result.values[i, j]))]
-                for key in aux_keys:
-                    cell = result.aux[key][i, j]
-                    cells.append(repr(int(cell)) if isinstance(cell, (bool, np.bool_))
-                                 else repr(float(cell)))
-                out.append(",".join(cells))
-        return "\n".join(out) + "\n"
-    header = grid.axis1_name + "," + ",".join(
-        f"{grid.axis2_name}={v:g}" for v in grid.axis2_values)
-    out = [header]
-    for i, a in enumerate(grid.axis1_values):
-        row = [repr(a)] + [repr(float(v)) for v in result.values[i]]
-        out.append(",".join(row))
+        def matrix(array, depth):
+            return _json_join([_json_join(row, depth + 1)
+                               for row in texts(array)], depth)
+        aux = [f"{json.dumps(key)}: {matrix(result.aux[key], 2)}"
+               for key in aux_keys]
+        axes = [_json_join([f'"name": {json.dumps(name)}',
+                            f'"values": {_json_join(values, 2)}'], 1, "{}")
+                for name, values in ((grid.axis1_name, axis1),
+                                     (grid.axis2_name, axis2))]
+        # The members that sort between "axis2" and "values", unbraced.
+        small = json.dumps({"fixed": grid.fixed, "kind": "sweep",
+                            "metadata": result.metadata},
+                           sort_keys=True, indent=2)[4:-2]
+        return _json_join([f'"aux": {_json_join(aux, 1, "{}")}',
+                           f'"axis1": {axes[0]}', f'"axis2": {axes[1]}', small,
+                           f'"values": {matrix(result.values, 1)}'],
+                          0, "{}") + "\n"
+    if aux_keys:
+        out = [f"{grid.axis1_name},{grid.axis2_name},value,"
+               + ",".join(aux_keys)]
+        rows = zip(texts(result.values),
+                   *(texts(result.aux[key]) for key in aux_keys))
+        for a, row in zip(axis1, rows):
+            out.extend(f"{a},{','.join(cells)}" for cells in zip(axis2, *row))
+    else:
+        out = [grid.axis1_name + "," + ",".join(
+            f"{grid.axis2_name}={v:g}" for v in grid.axis2_values)]
+        out.extend(f"{a},{','.join(row)}"
+                   for a, row in zip(axis1, texts(result.values)))
     return "\n".join(out) + "\n"
 
 

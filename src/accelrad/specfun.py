@@ -122,12 +122,14 @@ def _bessel_series(n: int, x: float, budget: AccuracyBudget) -> float:
     total = term
     peak = abs(term)
     h2 = half * half
+    tol = 1e-2 * budget.rel_tol
     for k in range(1, budget.max_terms + 1):
         term *= -h2 / (k * (n + k))
         total += term
         mag = abs(term)
-        peak = max(peak, mag)
-        if mag <= 1e-2 * budget.rel_tol * abs(total) or mag <= 1e-17 * peak:
+        if mag > peak:
+            peak = mag
+        if mag <= tol * abs(total) or mag <= 1e-17 * peak:
             return total
     raise ConvergenceError(
         f"Bessel series for J_{n}({x}) did not converge in "

@@ -33,6 +33,8 @@ class SweepGrid:
             values = tuple(float(v) for v in values)
             if len(values) == 0:
                 raise ValueError(f"axis {name!r} is empty")
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"axis {name!r} must be finite")
             if any(b <= a for a, b in zip(values, values[1:])):
                 raise ValueError(f"axis {name!r} must be strictly increasing")
         object.__setattr__(self, "axis1_values",
@@ -43,7 +45,12 @@ class SweepGrid:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Rate matrix over a grid; values[i, j] pairs axis1[i] with axis2[j]."""
+    """Rate matrix over a grid; values[i, j] pairs axis1[i] with axis2[j].
+
+    ``values`` holds finite non-negative floats.  Each ``aux`` entry is an
+    array of the grid's shape, either bool or finite float, so no serialized
+    number is ever NaN or infinite.
+    """
 
     grid: SweepGrid
     values: np.ndarray
@@ -55,8 +62,19 @@ class SweepResult:
         if self.values.shape != expected:
             raise ValueError(
                 f"values shape {self.values.shape} != grid shape {expected}")
-        if not np.all(np.isfinite(self.values)) or np.any(self.values < 0):
-            raise ValueError("values must be finite and non-negative")
+        if (not np.issubdtype(self.values.dtype, np.floating)
+                or not np.all(np.isfinite(self.values))
+                or np.any(self.values < 0)):
+            raise ValueError("values must be finite non-negative floats")
+        for key, value in self.aux.items():
+            if not isinstance(value, np.ndarray) or value.shape != expected:
+                raise ValueError(f"aux {key!r} must be an array of the grid "
+                                 f"shape {expected}")
+            if value.dtype != bool and not (
+                    np.issubdtype(value.dtype, np.floating)
+                    and np.all(np.isfinite(value))):
+                raise ValueError(f"aux {key!r} must be bool, or float and "
+                                 f"finite")
 
 
 def fig2_surface(a_tilde_values=None, n_values=None, *,

@@ -532,3 +532,117 @@ class TestVerifyBeyondTheOracleRange:
         verified = [row for row in rows if row[6]]
         assert [row[0] for row in verified] == ["10"]
         assert float(verified[0][7]) < 1e-6
+
+
+class TestOrientationIsCheckedAtParse:
+    @pytest.mark.parametrize("argv", [["rate"], ["spectrum"],
+                                      ["sweep", "--preset", "custom"]])
+    def test_unknown_orientation_exits_2(self, tmp_path, capsys, argv):
+        text = FREE_SPACE_CFG.replace("amplitude = 1 nm\n",
+                                      "amplitude = 1 nm\n"
+                                      "orientation = sideways\n")
+        path = write_cfg(tmp_path, text)
+        assert main(argv + ["--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "[motion] orientation" in err and "'sideways'" in err
+        assert "perpendicular" in err and "parallel" in err
+
+
+def frozen_sweep_text(result, fmt: str) -> str:
+    """``cli.sweep_text`` as it was before it formatted each float once."""
+    import numpy as np
+    grid = result.grid
+    if fmt == "json":
+        payload = {
+            "kind": "sweep",
+            "metadata": result.metadata,
+            "axis1": {"name": grid.axis1_name, "values": list(grid.axis1_values)},
+            "axis2": {"name": grid.axis2_name, "values": list(grid.axis2_values)},
+            "fixed": grid.fixed,
+            "values": result.values.tolist(),
+            "aux": {key: np.asarray(value).tolist()
+                    for key, value in result.aux.items()},
+        }
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    if result.aux:
+        aux_keys = sorted(result.aux)
+        header = (f"{grid.axis1_name},{grid.axis2_name},value,"
+                  + ",".join(aux_keys))
+        out = [header]
+        for i, a in enumerate(grid.axis1_values):
+            for j, b in enumerate(grid.axis2_values):
+                cells = [repr(a), repr(b), repr(float(result.values[i, j]))]
+                for key in aux_keys:
+                    cell = result.aux[key][i, j]
+                    cells.append(repr(int(cell)) if isinstance(cell, (bool, np.bool_))
+                                 else repr(float(cell)))
+                out.append(",".join(cells))
+        return "\n".join(out) + "\n"
+    header = grid.axis1_name + "," + ",".join(
+        f"{grid.axis2_name}={v:g}" for v in grid.axis2_values)
+    out = [header]
+    for i, a in enumerate(grid.axis1_values):
+        row = [repr(a)] + [repr(float(v)) for v in result.values[i]]
+        out.append(",".join(row))
+    return "\n".join(out) + "\n"
+
+
+# Cells on each switch of float repr: signed zero, the smallest subnormal,
+# the fixed/exponent boundaries at 1e-4 and 1e16, and the largest float.
+REPR_SWITCHES = (0.0, -0.0, 5e-324, 1e-05, 9.999999999999999e-05, 1e16,
+                 1.7976931348623157e308)
+
+
+def _switch_result(with_aux):
+    import numpy as np
+    from accelrad import SweepGrid, SweepResult
+    count = len(REPR_SWITCHES)
+    values = np.array([[REPR_SWITCHES[(i + j) % count] for j in range(count)]
+                       for i in range(count)])
+    grid = SweepGrid('axis "one" é', (-1.0, 0.0) + REPR_SWITCHES[2:],
+                     "n", (-2.0,) + REPR_SWITCHES[1:],
+                     fixed={"Omega": 1e16, "tag": "line\nbreak Ω"})
+    aux = {}
+    if with_aux:
+        aux = {"zeta": -values[::-1], "flag": values > 1e-5,
+               "all_false": np.zeros(values.shape, dtype=bool)}
+    return SweepResult(grid=grid, values=values,
+                       metadata={"surface": "switches", "version": "x"},
+                       aux=aux)
+
+
+def _sweep_cases():
+    import numpy as np
+    from accelrad import (AtomParams, FreeSpace, Mirror, ShoMotion,
+                          fig2_surface, fig3_surface, rate_surface)
+    atom = AtomParams(omega0=2 * math.pi * 5e9, alpha=0.2)
+    motion = ShoMotion(amplitude=1e-9, Omega=2 * math.pi * 1e10)
+    amplitudes = np.linspace(1e-9, 4e-3, 24)
+    return {
+        "fig2-relative": lambda: fig2_surface(),
+        "fig2-absolute": lambda: fig2_surface(
+            np.linspace(0.0, 30.0, 512), range(1, 31),
+            g=atom.g, Omega=motion.Omega),
+        "fig3": lambda: fig3_surface(),
+        "custom-free-space": lambda: rate_surface(
+            atom, motion, FreeSpace(), amplitudes, range(1, 31)),
+        "custom-mirror": lambda: rate_surface(
+            atom, motion, Mirror(z0=4e-3), amplitudes[:-1], range(1, 31)),
+        "grid-1x1": lambda: fig2_surface([1.8412], [1]),
+        "a-tilde-count-1": lambda: fig2_surface([7.5], range(1, 31)),
+        "amplitude-count-1": lambda: fig3_surface(
+            [5e-9], np.linspace(1 / 128, 1.0, 128)),
+        "custom-amplitude-count-1": lambda: rate_surface(
+            atom, motion, FreeSpace(), [2e-3], range(1, 31)),
+        "repr-switches": lambda: _switch_result(False),
+        "repr-switches-aux": lambda: _switch_result(True),
+    }
+
+
+class TestSweepTextMatchesFrozenReference:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("case", sorted(_sweep_cases()))
+    def test_byte_identical(self, case, fmt):
+        from accelrad.cli import sweep_text
+        result = _sweep_cases()[case]()
+        assert sweep_text(result, fmt) == frozen_sweep_text(result, fmt)

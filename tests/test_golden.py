@@ -1,0 +1,105 @@
+"""Golden outputs: every shipped config through every command and format.
+
+Each entry is the exit code and the sha256 of stdout for one config, command
+and format.  The digests pin the CLI bytes of ``configs/*.cfg``: a change
+that is meant to keep output byte-identical must leave all of them alone,
+and one that changes bytes on purpose (a new ``__version__`` included, since
+JSON output carries it) must say so where it updates them.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from accelrad.cli import main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+COMMANDS = {
+    "rate": ["rate"],
+    "spectrum": ["spectrum"],
+    "sweep-fig2": ["sweep", "--preset", "fig2"],
+    "sweep-fig3": ["sweep", "--preset", "fig3"],
+    "sweep-custom": ["sweep", "--preset", "custom"],
+}
+
+# sha256 of the empty string: a run that fails writes nothing to stdout.
+GOLDEN = {
+    ("cavity", "rate", "csv"): (
+        0, "7fb5b778316f74fdde194b84385586961cb441fdfa5c95242da763f84110b6b0"),
+    ("cavity", "rate", "json"): (
+        0, "e63b9f6960ee3110e8d46047f060bc13f6e9895fc6969df2d407676a98e90d2f"),
+    ("cavity", "spectrum", "csv"): (
+        0, "7fb5b778316f74fdde194b84385586961cb441fdfa5c95242da763f84110b6b0"),
+    ("cavity", "spectrum", "json"): (
+        0, "e63b9f6960ee3110e8d46047f060bc13f6e9895fc6969df2d407676a98e90d2f"),
+    ("cavity", "sweep-fig2", "csv"): (
+        0, "7911ab633604a425fb844d4e70920b3b05684bf6982df51a67874ae115cafc8f"),
+    ("cavity", "sweep-fig2", "json"): (
+        0, "19a794faf1f6a0e12804c2dbb1cd0834556132c66a6421df61e4d1bb84c1635f"),
+    ("cavity", "sweep-fig3", "csv"): (
+        0, "5cfb7dffa15802dbc84e790a2ee6ea923dc1444face7353cef91941790f25c74"),
+    ("cavity", "sweep-fig3", "json"): (
+        0, "92a1a07ead53c7c15d5aa3f0724cfe60ed75300064cb25fab1b32e7f8ca4a3c8"),
+    ("cavity", "sweep-custom", "csv"): (
+        3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("cavity", "sweep-custom", "json"): (
+        3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("free_space", "rate", "csv"): (
+        0, "fa0fa1c2706391a33e5bbe77b7adef9af408799ffc525588d6f83375ff243a58"),
+    ("free_space", "rate", "json"): (
+        0, "2b5294643f6ea3f6d047bb1893bf3cf11f2b531254cd70a5f0c3243f3e226fff"),
+    ("free_space", "spectrum", "csv"): (
+        0, "7c707d8c98e50f19b5ec0749a750ed609f1c20c45977d3999c6f633ecd24a3e1"),
+    ("free_space", "spectrum", "json"): (
+        0, "ca8fc092766ec9a26b09978286f6349ebb666bdb36fd593124399af927f2a24c"),
+    ("free_space", "sweep-fig2", "csv"): (
+        0, "7911ab633604a425fb844d4e70920b3b05684bf6982df51a67874ae115cafc8f"),
+    ("free_space", "sweep-fig2", "json"): (
+        0, "19a794faf1f6a0e12804c2dbb1cd0834556132c66a6421df61e4d1bb84c1635f"),
+    ("free_space", "sweep-fig3", "csv"): (
+        0, "f64d54a01e4d1aecd2c60ccb95d5ef45dfe216b6978776c4e46ef9de24ed2e7f"),
+    ("free_space", "sweep-fig3", "json"): (
+        0, "62f602e284fe6ebefd82646d357d3d0a18f28c7e61ac54858b08939234f64d21"),
+    ("free_space", "sweep-custom", "csv"): (
+        0, "d23fa78af186582b30e34e3c701f1a2dfc5140ec4d8ff004adc1672eee38b84d"),
+    ("free_space", "sweep-custom", "json"): (
+        0, "a9991d8dcdb1a40311496bdb9469aa6c0007adb60bf4b8a430f3667a868f5f18"),
+    ("mirror", "rate", "csv"): (
+        0, "623cad973f7ee37f326233d16bc0cc1ea87ce2869fbd35284421c23ead96cf7b"),
+    ("mirror", "rate", "json"): (
+        0, "0b4a955451b0fbb97155994bb6883e17c0330e6a1cc10ecbe7a85c81152c6be9"),
+    ("mirror", "spectrum", "csv"): (
+        0, "561c15e1172cea943f9e4883887662f863bb12f7fc3a598902a3dc3d9536752a"),
+    ("mirror", "spectrum", "json"): (
+        0, "a7ac222ec175f0e2293f08e1938bf7cdc50f7fab0e644ada636ad93f4918124d"),
+    ("mirror", "sweep-fig2", "csv"): (
+        0, "7911ab633604a425fb844d4e70920b3b05684bf6982df51a67874ae115cafc8f"),
+    ("mirror", "sweep-fig2", "json"): (
+        0, "19a794faf1f6a0e12804c2dbb1cd0834556132c66a6421df61e4d1bb84c1635f"),
+    ("mirror", "sweep-fig3", "csv"): (
+        0, "f64d54a01e4d1aecd2c60ccb95d5ef45dfe216b6978776c4e46ef9de24ed2e7f"),
+    ("mirror", "sweep-fig3", "json"): (
+        0, "62f602e284fe6ebefd82646d357d3d0a18f28c7e61ac54858b08939234f64d21"),
+    ("mirror", "sweep-custom", "csv"): (
+        0, "103778cb07e8159dd57147fe5f393cdec861b197283c893a9b7e34e2be2a6344"),
+    ("mirror", "sweep-custom", "json"): (
+        0, "306455d2001d85726873e6af3e433efb9b734bdd8db47baf806e9b11ed5d3aaa"),
+}
+
+
+def test_every_config_and_command_is_pinned():
+    configs = {path.stem for path in CONFIGS.glob("*.cfg")}
+    assert {key[0] for key in GOLDEN} == configs
+    assert len(GOLDEN) == len(configs) * len(COMMANDS) * 2
+
+
+@pytest.mark.parametrize("config,command,fmt", sorted(GOLDEN))
+def test_stdout_matches_golden(capsys, config, command, fmt):
+    code, digest = GOLDEN[config, command, fmt]
+    argv = COMMANDS[command] + ["--config", str(CONFIGS / f"{config}.cfg"),
+                                "--format", fmt]
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -307,3 +307,69 @@ class TestAccuracyBudget:
     def test_rejects_zero_terms(self):
         with pytest.raises(ValueError):
             AccuracyBudget(max_terms=0)
+
+
+def frozen_bessel_series(n, x, budget):
+    """``specfun._bessel_series`` as it was before its loop invariants were
+    hoisted; the two must agree bit for bit."""
+    half = 0.5 * x
+    term = 1.0
+    for i in range(1, n + 1):
+        term *= half / i
+    if term == 0.0:
+        return 0.0
+    total = term
+    peak = abs(term)
+    h2 = half * half
+    for k in range(1, budget.max_terms + 1):
+        term *= -h2 / (k * (n + k))
+        total += term
+        mag = abs(term)
+        peak = max(peak, mag)
+        if mag <= 1e-2 * budget.rel_tol * abs(total) or mag <= 1e-17 * peak:
+            return total
+    raise ConvergenceError(
+        f"Bessel series for J_{n}({x}) did not converge in "
+        f"{budget.max_terms} terms",
+        error_estimate=abs(term),
+    )
+
+
+class TestSeriesMatchesFrozenLoop:
+    def test_bit_identical_on_seeded_pairs(self):
+        from accelrad.specfun import DEFAULT_BUDGET, _bessel_series
+        rng = np.random.default_rng(20261018)
+        orders = rng.integers(0, 40, 20000).tolist()
+        args = (12.0 * (1.0 - rng.random(20000))).tolist()  # 0 < x <= 12
+        for n, x in zip(orders, args):
+            new = _bessel_series(n, x, DEFAULT_BUDGET)
+            old = frozen_bessel_series(n, x, DEFAULT_BUDGET)
+            assert new == old and math.copysign(1.0, new) == \
+                math.copysign(1.0, old), (n, x)
+
+    @pytest.mark.parametrize("rel_tol", [1e-10, 1e-14, 1e-3])
+    def test_bit_identical_under_other_budgets(self, rel_tol):
+        from accelrad.specfun import _bessel_series
+        budget = AccuracyBudget(rel_tol=rel_tol)
+        for n in range(0, 40, 3):
+            for x in np.linspace(0.05, 12.0, 40).tolist():
+                assert _bessel_series(n, x, budget) == \
+                    frozen_bessel_series(n, x, budget), (n, x)
+
+    def test_small_term_budget_fails_where_it_did(self):
+        from accelrad.specfun import _bessel_series
+        tiny = AccuracyBudget(rel_tol=1e-14, max_terms=40)
+        failed = []
+        for n in range(0, 40, 3):
+            for x in (12.0, 20.0, 26.0, 28.0, 30.0, 35.0):
+                try:
+                    old = frozen_bessel_series(n, x, tiny)
+                except ConvergenceError as exc:
+                    with pytest.raises(ConvergenceError) as excinfo:
+                        _bessel_series(n, x, tiny)
+                    assert excinfo.value.error_estimate == exc.error_estimate
+                    assert str(excinfo.value) == str(exc)
+                    failed.append((n, x))
+                else:
+                    assert _bessel_series(n, x, tiny) == old
+        assert (0, 30.0) in failed and (0, 12.0) not in failed

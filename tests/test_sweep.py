@@ -142,6 +142,49 @@ class TestGridTypes:
         with pytest.raises(ValueError):
             SweepResult(grid=grid, values=np.array([[-1.0]]), metadata={})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_axes_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            SweepGrid("a", (0.0, bad), "b", (1.0,))
+
+    def test_values_must_be_float(self):
+        grid = SweepGrid("a", (1.0,), "b", (1.0,))
+        with pytest.raises(ValueError):
+            SweepResult(grid=grid, values=np.array([[1]]), metadata={})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_aux_is_rejected(self, bad):
+        grid = SweepGrid("a", (1.0, 2.0), "b", (1.0,))
+        aux = np.array([[0.5], [bad]])
+        with pytest.raises(ValueError, match="aux 'extra'"):
+            SweepResult(grid=grid, values=np.zeros((2, 1)), metadata={},
+                        aux={"extra": aux})
+
+    @pytest.mark.parametrize("aux", [np.zeros((1, 2)), np.zeros(2),
+                                     np.zeros((2, 1, 1), dtype=bool),
+                                     [[0.5], [1.5]]])
+    def test_misshaped_aux_is_rejected(self, aux):
+        grid = SweepGrid("a", (1.0, 2.0), "b", (1.0,))
+        with pytest.raises(ValueError, match="aux 'extra'"):
+            SweepResult(grid=grid, values=np.zeros((2, 1)), metadata={},
+                        aux={"extra": aux})
+
+    @pytest.mark.parametrize("aux", [np.array([[1], [2]]),
+                                     np.array([["a"], ["b"]])])
+    def test_aux_must_be_bool_or_float(self, aux):
+        grid = SweepGrid("a", (1.0, 2.0), "b", (1.0,))
+        with pytest.raises(ValueError, match="aux 'extra'"):
+            SweepResult(grid=grid, values=np.zeros((2, 1)), metadata={},
+                        aux={"extra": aux})
+
+    def test_bool_and_finite_float_aux_are_accepted(self):
+        grid = SweepGrid("a", (1.0, 2.0), "b", (1.0,))
+        aux = {"flag": np.array([[True], [False]]),
+               "signed": np.array([[-1.5], [0.0]], dtype=np.float32)}
+        res = SweepResult(grid=grid, values=np.zeros((2, 1)), metadata={},
+                          aux=aux)
+        assert res.aux is aux
+
 
 class TestRateSurface:
     def test_cells_equal_direct_calls(self):
