@@ -13,11 +13,10 @@ Exit codes: 0 success, 2 config error, 3 physics-domain error,
 
 import argparse
 import configparser
-import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -52,43 +51,67 @@ def parse_length(text: str) -> float:
 
 
 @dataclass(frozen=True)
+class ConfigKey:
+    """One INI config key, declared on the dataclass field it fills.
+
+    ``kind`` is ``float``, ``length`` (meters, unit suffix allowed), ``int``,
+    ``bool``, ``str`` or ``tuple`` (comma-separated floats); every float must
+    be finite.  ``bound`` is ``"> 0"``, ``">= 0"`` or ``">= 1"``.
+    """
+    name: str
+    kind: str
+    bound: str | None = None
+    choices: tuple | None = None
+
+
+def _key(name, kind, default=MISSING, bound=None, choices=None):
+    return field(default=default,
+                 metadata={"key": ConfigKey(name, kind, bound, choices)})
+
+
+@dataclass(frozen=True)
 class AtomConfig:
-    frequency_hz: float
-    alpha: float | None = None
-    coupling_hz: float | None = None
+    frequency_hz: float = _key("frequency_hz", "float", bound="> 0")
+    alpha: float | None = _key("alpha", "float", None, "> 0")
+    coupling_hz: float | None = _key("coupling_hz", "float", None, "> 0")
 
 
 @dataclass(frozen=True)
 class MotionConfig:
-    kind: str
-    drive_frequency_hz: float
-    amplitude_m: float | None = None
-    orientation: str = "perpendicular"
-    delta_rad: float = 0.0
-    radius_m: float | None = None
-    samples_m: tuple | None = None
+    kind: str = _key("kind", "str", choices=("sho", "rotation", "general"))
+    drive_frequency_hz: float = _key("drive_frequency_hz", "float",
+                                     bound="> 0")
+    amplitude_m: float | None = _key("amplitude", "length", None, ">= 0")
+    orientation: str = _key("orientation", "str", "perpendicular",
+                            choices=("perpendicular", "parallel"))
+    delta_rad: float = _key("delta_rad", "float", 0.0)
+    radius_m: float | None = _key("radius", "length", None, ">= 0")
+    samples_m: tuple | None = _key("samples", "tuple", None)
 
 
 @dataclass(frozen=True)
 class GeometryConfig:
-    kind: str
-    z0_m: float | None = None
-    length_m: float | None = None
-    photons: int = 0
+    kind: str = _key("kind", "str",
+                     choices=("free_space", "mirror", "cavity"))
+    z0_m: float | None = _key("z0", "length", None, "> 0")
+    length_m: float | None = _key("length", "length", None, "> 0")
+    photons: int = _key("photons", "int", 0, ">= 0")
 
 
 @dataclass(frozen=True)
 class SweepSettings:
-    preset: str = "fig2"
-    n_max: int = 30
-    a_tilde_max: float = 30.0
-    a_tilde_count: int = 512
-    amplitude_min_m: float = 0.0
-    amplitude_max_m: float = 1e-8
-    amplitude_count: int = 128
-    alpha_max: float = 1.0
-    alpha_count: int = 128
-    absolute: bool = False
+    preset: str = _key("preset", "str", "fig2",
+                       choices=("fig2", "fig3", "custom"))
+    n_max: int = _key("n_max", "int", 30, ">= 1")
+    a_tilde_max: float = _key("a_tilde_max", "float", 30.0, "> 0")
+    a_tilde_count: int = _key("a_tilde_count", "int", 512, ">= 1")
+    # 0 starts the custom sweep at amplitude_max / amplitude_count
+    amplitude_min_m: float = _key("amplitude_min", "length", 0.0, ">= 0")
+    amplitude_max_m: float = _key("amplitude_max", "length", 1e-8, "> 0")
+    amplitude_count: int = _key("amplitude_count", "int", 128, ">= 1")
+    alpha_max: float = _key("alpha_max", "float", 1.0, "> 0")
+    alpha_count: int = _key("alpha_count", "int", 128, ">= 1")
+    absolute: bool = _key("absolute", "bool", False)
 
 
 @dataclass(frozen=True)
@@ -97,78 +120,69 @@ class RunConfig:
     motion: MotionConfig
     geometry: GeometryConfig
     sweep: SweepSettings | None = None
-    output: str | None = None
-    fmt: str = "csv"
-    verify: bool = False
-    seed: int = 0
-    n_max: int = 1
+    output: str | None = _key("output", "str", None)
+    fmt: str = _key("format", "str", "csv", choices=("csv", "json"))
+    verify: bool = _key("verify", "bool", False)
+    seed: int = _key("seed", "int", 0, ">= 0")
+    n_max: int = _key("n_max", "int", 1, ">= 1")
 
 
-_ATOM_KEYS = {"frequency_hz", "alpha", "coupling_hz"}
-_MOTION_KEYS = {"kind", "drive_frequency_hz", "amplitude", "orientation",
-                "delta_rad", "radius", "samples"}
-_GEOMETRY_KEYS = {"kind", "z0", "length", "photons"}
-_SWEEP_KEYS = {"preset", "n_max", "a_tilde_max", "a_tilde_count",
-               "amplitude_min", "amplitude_max", "amplitude_count",
-               "alpha_max", "alpha_count", "absolute"}
-_RUN_KEYS = {"format", "verify", "seed", "n_max", "output"}
+# section -> (dataclass, {INI key: (field name, ConfigKey, default)})
+CONFIG_SECTIONS = {
+    section: (cls, {f.metadata["key"].name: (f.name, f.metadata["key"],
+                                              f.default)
+                    for f in fields(cls) if "key" in f.metadata})
+    for section, cls in (("atom", AtomConfig), ("motion", MotionConfig),
+                         ("geometry", GeometryConfig),
+                         ("sweep", SweepSettings), ("run", RunConfig))}
+
+# kind -> (reader, what a text it cannot read is not)
+_KINDS = {
+    "float": (float, "a number"),
+    "length": (parse_length, "a length"),
+    "int": (int, "an integer"),
+    "bool": (lambda text: configparser.ConfigParser.BOOLEAN_STATES[
+        text.lower()], "a boolean"),
+    "str": (str, "text"),
+    "tuple": (lambda text: tuple(map(float, text.split(","))),
+              "comma-separated numbers"),
+}
+_BOUNDS = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0,
+           ">= 1": lambda v: v >= 1}
 
 
-def _check_keys(section: str, present, allowed):
-    unknown = set(present) - allowed
-    if unknown:
-        raise ConfigError(
-            f"[{section}] has unknown key(s): {', '.join(sorted(unknown))}; "
-            f"allowed: {', '.join(sorted(allowed))}")
-
-
-def _get_float(cp, section, key, required=False):
-    if not cp.has_option(section, key):
-        if required:
-            raise ConfigError(f"[{section}] is missing required key {key!r}")
-        return None
+def _read_value(section, key: ConfigKey, text):
+    reader, noun = _KINDS[key.kind]
     try:
-        return cp.getfloat(section, key)
-    except ValueError:
-        raise ConfigError(
-            f"[{section}] {key} = {cp.get(section, key)!r} is not a number"
-        ) from None
-
-
-def _get_int(cp, section, key, default, minimum=None):
-    if not cp.has_option(section, key):
-        return default
-    try:
-        value = cp.getint(section, key)
-    except ValueError:
-        raise ConfigError(
-            f"[{section}] {key} = {cp.get(section, key)!r} is not an integer"
-        ) from None
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"[{section}] {key} must be >= {minimum}, "
-                          f"got {value}")
+        value = reader(text)
+    except (ValueError, KeyError, ConfigError):
+        raise ConfigError(f"[{section}] {key.name} = {text!r} is not "
+                          f"{noun}") from None
+    if (key.kind in ("float", "length") and not math.isfinite(value)
+            or key.kind == "tuple" and not all(map(math.isfinite, value))):
+        raise ConfigError(f"[{section}] {key.name} must be finite, "
+                          f"got {text!r}")
+    if key.bound is not None and not _BOUNDS[key.bound](value):
+        raise ConfigError(f"[{section}] {key.name} must be {key.bound}, "
+                          f"got {text!r}")
+    if key.choices is not None and value not in key.choices:
+        raise ConfigError(f"[{section}] {key.name} must be one of "
+                          f"{', '.join(key.choices)}; got {value!r}")
     return value
 
 
-def _positive(section, key, value, default):
-    """``value`` if it is a finite positive number, ``default`` if None."""
-    if value is None:
-        return default
-    if not (math.isfinite(value) and value > 0):
-        raise ConfigError(f"[{section}] {key} must be a finite positive "
-                          f"number, got {value!r}")
-    return value
-
-
-def _get_bool(cp, section, key, default):
-    if not cp.has_option(section, key):
-        return default
-    try:
-        return cp.getboolean(section, key)
-    except ValueError:
-        raise ConfigError(
-            f"[{section}] {key} = {cp.get(section, key)!r} is not a boolean"
-        ) from None
+def _read_section(cp, section, **values):
+    cls, table = CONFIG_SECTIONS[section]
+    for name, text in cp.items(section, raw=True):
+        if name not in table:
+            raise ConfigError(f"[{section}] {name} is not a known key; "
+                              f"allowed: {', '.join(sorted(table))}")
+        attr, key, _ = table[name]
+        values[attr] = _read_value(section, key, text)
+    for name, (attr, _, default) in table.items():
+        if default is MISSING and attr not in values:
+            raise ConfigError(f"[{section}] {name} is required")
+    return cls(**values)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -178,175 +192,44 @@ def parse_config(text: str) -> RunConfig:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config syntax error: {exc}") from None
-
     for section in ("atom", "motion", "geometry"):
         if not cp.has_section(section):
             raise ConfigError(f"missing required section [{section}]")
-    known = {"atom", "motion", "geometry", "sweep", "run"}
     for section in cp.sections():
-        if section not in known:
+        if section not in CONFIG_SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
+    parts = {section: _read_section(cp, section)
+             for section in ("atom", "motion", "geometry", "sweep")
+             if cp.has_section(section)}
+    if not cp.has_section("run"):
+        return RunConfig(**parts)
+    return _read_section(cp, "run", **parts)
 
-    _check_keys("atom", cp.options("atom"), _ATOM_KEYS)
-    atom = AtomConfig(
-        frequency_hz=_get_float(cp, "atom", "frequency_hz", required=True),
-        alpha=_get_float(cp, "atom", "alpha"),
-        coupling_hz=_get_float(cp, "atom", "coupling_hz"),
-    )
 
-    _check_keys("motion", cp.options("motion"), _MOTION_KEYS)
-    kind = cp.get("motion", "kind", fallback=None)
-    if kind not in ("sho", "rotation", "general"):
-        raise ConfigError(
-            f"[motion] kind must be sho, rotation or general, got {kind!r}")
-    samples = None
-    if cp.has_option("motion", "samples"):
-        try:
-            samples = tuple(float(v) for v in
-                            cp.get("motion", "samples").split(","))
-        except ValueError:
-            raise ConfigError("[motion] samples must be comma-separated "
-                              "numbers (meters)") from None
-    orientation = cp.get("motion", "orientation", fallback="perpendicular")
-    if orientation not in ("perpendicular", "parallel"):
-        raise ConfigError(f"[motion] orientation must be perpendicular or "
-                          f"parallel, got {orientation!r}")
-    motion = MotionConfig(
-        kind=kind,
-        drive_frequency_hz=_get_float(cp, "motion", "drive_frequency_hz",
-                                      required=True),
-        amplitude_m=(parse_length(cp.get("motion", "amplitude"))
-                     if cp.has_option("motion", "amplitude") else None),
-        orientation=orientation,
-        delta_rad=_get_float(cp, "motion", "delta_rad") or 0.0,
-        radius_m=(parse_length(cp.get("motion", "radius"))
-                  if cp.has_option("motion", "radius") else None),
-        samples_m=samples,
-    )
-
-    _check_keys("geometry", cp.options("geometry"), _GEOMETRY_KEYS)
-    gkind = cp.get("geometry", "kind", fallback=None)
-    if gkind not in ("free_space", "mirror", "cavity"):
-        raise ConfigError(
-            f"[geometry] kind must be free_space, mirror or cavity, "
-            f"got {gkind!r}")
-    photons = _get_int(cp, "geometry", "photons", 0)
-    geometry = GeometryConfig(
-        kind=gkind,
-        z0_m=(parse_length(cp.get("geometry", "z0"))
-              if cp.has_option("geometry", "z0") else None),
-        length_m=(parse_length(cp.get("geometry", "length"))
-                  if cp.has_option("geometry", "length") else None),
-        photons=photons,
-    )
-
-    sweep_settings = None
-    if cp.has_section("sweep"):
-        _check_keys("sweep", cp.options("sweep"), _SWEEP_KEYS)
-        defaults = SweepSettings()
-        preset = cp.get("sweep", "preset", fallback=defaults.preset)
-        if preset not in ("fig2", "fig3", "custom"):
-            raise ConfigError(
-                f"[sweep] preset must be fig2, fig3 or custom, got {preset!r}")
-        sweep_settings = SweepSettings(
-            preset=preset,
-            n_max=_get_int(cp, "sweep", "n_max", defaults.n_max, 1),
-            a_tilde_max=_positive(
-                "sweep", "a_tilde_max", _get_float(cp, "sweep", "a_tilde_max"),
-                defaults.a_tilde_max),
-            a_tilde_count=_get_int(cp, "sweep", "a_tilde_count",
-                                   defaults.a_tilde_count, 1),
-            amplitude_min_m=(parse_length(cp.get("sweep", "amplitude_min"))
-                             if cp.has_option("sweep", "amplitude_min")
-                             else defaults.amplitude_min_m),
-            amplitude_max_m=_positive(
-                "sweep", "amplitude_max",
-                (parse_length(cp.get("sweep", "amplitude_max"))
-                 if cp.has_option("sweep", "amplitude_max") else None),
-                defaults.amplitude_max_m),
-            amplitude_count=_get_int(cp, "sweep", "amplitude_count",
-                                     defaults.amplitude_count, 1),
-            alpha_max=_positive(
-                "sweep", "alpha_max", _get_float(cp, "sweep", "alpha_max"),
-                defaults.alpha_max),
-            alpha_count=_get_int(cp, "sweep", "alpha_count",
-                                 defaults.alpha_count, 1),
-            absolute=_get_bool(cp, "sweep", "absolute", defaults.absolute),
-        )
-
-    fmt, verify, seed, n_max, output = "csv", False, 0, 1, None
-    if cp.has_section("run"):
-        _check_keys("run", cp.options("run"), _RUN_KEYS)
-        fmt = cp.get("run", "format", fallback="csv")
-        if fmt not in ("csv", "json"):
-            raise ConfigError(f"[run] format must be csv or json, got {fmt!r}")
-        verify = _get_bool(cp, "run", "verify", False)
-        seed = _get_int(cp, "run", "seed", 0, 0)
-        n_max = _get_int(cp, "run", "n_max", 1, 1)
-        output = cp.get("run", "output", fallback=None)
-
-    return RunConfig(atom=atom, motion=motion, geometry=geometry,
-                     sweep=sweep_settings, output=output, fmt=fmt,
-                     verify=verify, seed=seed, n_max=n_max)
+def _write_value(key: ConfigKey, value) -> str:
+    if key.kind == "str":
+        return value
+    if key.kind == "bool":
+        return "true" if value else "false"
+    if key.kind == "tuple":
+        return ",".join(map(repr, value))
+    return repr(value)
 
 
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical text form of a RunConfig; parse(serialize(c)) == c."""
-    out = io.StringIO()
-
-    def emit(section, pairs):
-        out.write(f"[{section}]\n")
-        for key, value in pairs:
-            if value is None:
-                continue
-            out.write(f"{key} = {value}\n")
-        out.write("\n")
-
-    a = cfg.atom
-    emit("atom", [("frequency_hz", repr(a.frequency_hz)),
-                  ("alpha", None if a.alpha is None else repr(a.alpha)),
-                  ("coupling_hz",
-                   None if a.coupling_hz is None else repr(a.coupling_hz))])
-    m = cfg.motion
-    emit("motion", [
-        ("kind", m.kind),
-        ("drive_frequency_hz", repr(m.drive_frequency_hz)),
-        ("amplitude", None if m.amplitude_m is None else repr(m.amplitude_m)),
-        ("orientation", m.orientation),
-        ("delta_rad", repr(m.delta_rad)),
-        ("radius", None if m.radius_m is None else repr(m.radius_m)),
-        ("samples", None if m.samples_m is None
-         else ",".join(repr(s) for s in m.samples_m)),
-    ])
-    ge = cfg.geometry
-    emit("geometry", [
-        ("kind", ge.kind),
-        ("z0", None if ge.z0_m is None else repr(ge.z0_m)),
-        ("length", None if ge.length_m is None else repr(ge.length_m)),
-        ("photons", repr(ge.photons)),
-    ])
-    if cfg.sweep is not None:
-        s = cfg.sweep
-        emit("sweep", [
-            ("preset", s.preset),
-            ("n_max", repr(s.n_max)),
-            ("a_tilde_max", repr(s.a_tilde_max)),
-            ("a_tilde_count", repr(s.a_tilde_count)),
-            ("amplitude_min", repr(s.amplitude_min_m)),
-            ("amplitude_max", repr(s.amplitude_max_m)),
-            ("amplitude_count", repr(s.amplitude_count)),
-            ("alpha_max", repr(s.alpha_max)),
-            ("alpha_count", repr(s.alpha_count)),
-            ("absolute", "true" if s.absolute else "false"),
-        ])
-    emit("run", [
-        ("format", cfg.fmt),
-        ("verify", "true" if cfg.verify else "false"),
-        ("seed", repr(cfg.seed)),
-        ("n_max", repr(cfg.n_max)),
-        ("output", cfg.output),
-    ])
-    return out.getvalue()
+    out = []
+    for section, (_, table) in CONFIG_SECTIONS.items():
+        obj = cfg if section == "run" else getattr(cfg, section)
+        if obj is None:
+            continue
+        out.append(f"[{section}]")
+        for name, (attr, key, _) in table.items():
+            value = getattr(obj, attr)
+            if value is not None:
+                out.append(f"{name} = {_write_value(key, value)}")
+        out.append("")
+    return "\n".join(out) + "\n"
 
 
 def build_atom(cfg: AtomConfig) -> AtomParams:
@@ -568,7 +451,7 @@ def cmd_sweep(args) -> int:
         alphas = np.linspace(settings.alpha_max / settings.alpha_count,
                              settings.alpha_max, settings.alpha_count)
         result = sweep.fig3_surface(amplitudes, alphas, Omega=Omega)
-    elif preset == "custom":
+    else:
         if cfg is None:
             raise ConfigError("custom sweep needs --config")
         atom = build_atom(cfg.atom)
@@ -582,8 +465,6 @@ def cmd_sweep(args) -> int:
         amplitudes = np.linspace(lo if lo > 0 else hi / count, hi, count)
         result = sweep.rate_surface(atom, motion, geom, amplitudes,
                                     range(1, settings.n_max + 1))
-    else:
-        raise ConfigError(f"unknown sweep preset {preset!r}")
     fmt = args.format or (cfg.fmt if cfg is not None else "csv")
     output = args.output or (cfg.output if cfg is not None else None)
     _emit(sweep_text(result, fmt), output)
@@ -660,8 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
                                         "(default: stdout)")
         p.add_argument("--format", choices=("csv", "json"),
                        help="output format (default from config, else csv)")
-        p.add_argument("--seed", type=int,
-                       help="seed for randomized checks")
 
     p_rate = sub.add_parser("rate", help="per-sideband rates")
     common(p_rate, needs_config=True)
@@ -686,6 +565,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser(
         "oracle", help="run the selection-rule and oracle-equivalence suites")
     common(p_oracle, needs_config=False)
+    p_oracle.add_argument("--seed", type=int,
+                          help="seed for the equivalence draws "
+                               "(default from config, else 0)")
     p_oracle.add_argument("--draws", type=int, default=200,
                           help="number of equivalence draws (default 200)")
     p_oracle.set_defaults(func=cmd_oracle)

@@ -1,16 +1,23 @@
 """CLI tests: config round-trip, determinism, unit honesty, exit codes."""
 
+import io
 import json
 import math
+import os
+import pathlib
+import string
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import MISSING
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from accelrad import AtomParams, ShoMotion, free_space_rate
-from accelrad.cli import (AtomConfig, GeometryConfig, MotionConfig, RunConfig,
-                          SweepSettings, main, parse_config, parse_length,
-                          serialize_config)
+from accelrad.cli import (CONFIG_SECTIONS, AtomConfig, GeometryConfig,
+                          MotionConfig, RunConfig, SweepSettings, main,
+                          parse_config, parse_length, serialize_config)
 
 FREE_SPACE_CFG = """\
 [atom]
@@ -180,6 +187,15 @@ z0 = 10 nm
 """
         path = write_cfg(tmp_path, text)
         assert main(["rate", "--config", path]) == 3
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "free_space_rate ignores orientation, while the oracle projects the "
+        "wave vector to k sin(delta) for parallel motion, so --verify of a "
+        "free-space parallel line is an integrity failure (exit 4)"))
+    def test_free_space_parallel_verify_mismatch(self, tmp_path):
+        text = with_value(FREE_SPACE_CFG, "motion", "orientation", "parallel")
+        assert main(["rate", "--config", write_cfg(tmp_path, text),
+                     "--verify"]) == 0
 
     def test_config_error_exit_code(self, tmp_path):
         path = write_cfg(tmp_path, "[atom]\nfrequency_hz = hello\n")
@@ -435,6 +451,24 @@ preset = fig2
 """
 
 
+def with_value(text, section, key, value):
+    """``text`` with ``key = value`` in place of the key's line in
+    ``section``, or at the top of the section (added when absent)."""
+    lines = text.splitlines()
+    if f"[{section}]" not in lines:
+        lines.append(f"[{section}]")
+    at = lines.index(f"[{section}]") + 1
+    end = next((i for i in range(at, len(lines))
+                if lines[i].startswith("[")), len(lines))
+    own = [i for i in range(at, end)
+           if lines[i].split("=")[0].strip() == key]
+    if own:
+        lines[own[0]] = f"{key} = {value}"
+    else:
+        lines.insert(at, f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
 class TestConfigValueErrors:
     """Every unparsable or non-positive integer, count and maximum is a
     config error (exit 2), never a physics error or a silent default."""
@@ -461,13 +495,51 @@ class TestConfigValueErrors:
         ("sweep", "alpha_max", "nan"),
         ("sweep", "amplitude_max", "0"),
         ("sweep", "amplitude_max", "-1 nm"),
+        ("atom", "frequency_hz", "inf"),
+        ("atom", "frequency_hz", "nan"),
+        ("atom", "frequency_hz", "-inf"),
+        ("atom", "frequency_hz", "0"),
+        ("atom", "frequency_hz", "-5e9"),
+        ("atom", "alpha", "inf"),
+        ("atom", "alpha", "nan"),
+        ("atom", "alpha", "-inf"),
+        ("atom", "alpha", "0"),
+        ("atom", "alpha", "-0.2"),
+        ("atom", "coupling_hz", "inf"),
+        ("atom", "coupling_hz", "nan"),
+        ("atom", "coupling_hz", "-inf"),
+        ("atom", "coupling_hz", "0"),
+        ("atom", "coupling_hz", "-1e8"),
+        ("motion", "kind", "spin"),
+        ("motion", "drive_frequency_hz", "inf"),
+        ("motion", "drive_frequency_hz", "nan"),
+        ("motion", "drive_frequency_hz", "0"),
+        ("motion", "drive_frequency_hz", "-1e10"),
+        ("motion", "amplitude", "-1 nm"),
+        ("motion", "amplitude", "nan"),
+        ("motion", "amplitude", "inf nm"),
+        ("motion", "amplitude", "one nm"),
+        ("motion", "delta_rad", "nan"),
+        ("motion", "delta_rad", "inf"),
+        ("motion", "radius", "-2 nm"),
+        ("motion", "samples", "0,nan,0"),
+        ("motion", "samples", "0,1e-9,x"),
+        ("geometry", "kind", "box"),
+        ("geometry", "z0", "0"),
+        ("geometry", "z0", "-1 mm"),
+        ("geometry", "length", "0"),
+        ("geometry", "length", "-3 mm"),
+        ("geometry", "photons", "-1"),
+        ("sweep", "preset", "fig9"),
+        ("sweep", "amplitude_min", "nan"),
+        ("sweep", "amplitude_min", "inf"),
+        ("sweep", "amplitude_min", "-1 nm"),
+        ("sweep", "absolute", "maybe"),
+        ("run", "format", "xml"),
+        ("run", "verify", "2"),
     ])
     def test_bad_value_exits_2(self, tmp_path, capsys, section, key, value):
-        lines = SWEEP_CFG.splitlines()
-        if f"[{section}]" not in lines:
-            lines.append(f"[{section}]")
-        lines.insert(lines.index(f"[{section}]") + 1, f"{key} = {value}")
-        path = write_cfg(tmp_path, "\n".join(lines) + "\n")
+        path = write_cfg(tmp_path, with_value(SWEEP_CFG, section, key, value))
         command = "sweep" if section == "sweep" else "rate"
         assert main([command, "--config", path]) == 2
         assert f"[{section}] {key}" in capsys.readouterr().err
@@ -489,6 +561,61 @@ class TestConfigValueErrors:
         assert cfg.sweep.a_tilde_max == 0.5
         assert cfg.sweep.alpha_max == 0.25
         assert cfg.sweep.amplitude_max_m == pytest.approx(3e-9, rel=1e-15)
+
+    @pytest.mark.parametrize("argv,edits", [
+        (["sweep"], [("sweep", "absolute", "true"),
+                     ("motion", "drive_frequency_hz", "inf")]),
+        (["rate"], [("motion", "delta_rad", "nan")]),
+        (["sweep"], [("sweep", "preset", "custom"),
+                     ("sweep", "amplitude_count", "1"),
+                     ("sweep", "amplitude_min", "inf")]),
+        (["sweep"], [("sweep", "preset", "custom"),
+                     ("sweep", "amplitude_min", "nan")]),
+        (["spectrum"], [("motion", "kind", "general"),
+                        ("motion", "samples",
+                         ",".join(["0.0"] * 15 + ["nan"]))]),
+    ])
+    def test_non_finite_value_stops_before_any_command(self, tmp_path, capsys,
+                                                       argv, edits):
+        text = SWEEP_CFG
+        for section, key, value in edits:
+            text = with_value(text, section, key, value)
+        assert main(argv + ["--config", write_cfg(tmp_path, text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"[{section}] {key} must be finite" in captured.err
+
+    def test_bounds_admit_their_edges(self):
+        cfg = parse_config(
+            FREE_SPACE_CFG.replace("amplitude = 1 nm", "amplitude = 0 nm\n"
+                                   "radius = 0\ndelta_rad = -0.3")
+            + "photons = 0\n[sweep]\namplitude_min = 0\n"
+              "[run]\nseed = 0\nn_max = 1\n")
+        assert cfg.motion.amplitude_m == 0.0 and cfg.motion.radius_m == 0.0
+        assert cfg.motion.delta_rad == -0.3
+        assert cfg.geometry.photons == 0 and cfg.seed == 0
+        assert cfg.sweep.amplitude_min_m == 0.0
+
+    def test_zero_amplitude_min_starts_at_max_over_count(self, tmp_path,
+                                                         capsys):
+        base = FREE_SPACE_CFG + ("\n[sweep]\npreset = custom\nn_max = 2\n"
+                                 "amplitude_max = 4 nm\namplitude_count = 4\n")
+        outputs = []
+        for extra in ("", "amplitude_min = 0\n", "amplitude_min = 1 nm\n"):
+            path = write_cfg(tmp_path, base + extra)
+            assert main(["sweep", "--config", path]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert float(outputs[1].splitlines()[1].split(",")[0]) == 1e-9
+
+    @pytest.mark.parametrize("command", ["rate", "spectrum", "sweep"])
+    def test_seed_option_belongs_to_oracle_alone(self, tmp_path, capsys,
+                                                 command):
+        path = write_cfg(tmp_path, FREE_SPACE_CFG)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", path, "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
 
 # Drive 1 GHz with the atom at 9.5 GHz leaves one emission line, n = 10, at
@@ -646,3 +773,167 @@ class TestSweepTextMatchesFrozenReference:
         from accelrad.cli import sweep_text
         result = _sweep_cases()[case]()
         assert sweep_text(result, fmt) == frozen_sweep_text(result, fmt)
+
+
+# Every key of every section, drawn from the key table in accelrad.cli.
+
+def _table_value(key):
+    """Any value a key accepts."""
+    if key.choices is not None:
+        return st.sampled_from(key.choices)
+    if key.kind == "bool":
+        return st.booleans()
+    if key.kind == "int":
+        return st.integers(int(key.bound.split()[1]), 2**63)
+    if key.kind == "str":
+        return st.text(string.ascii_letters + string.digits + "._-/",
+                       min_size=1, max_size=12)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    if key.kind == "tuple":
+        return st.lists(finite, min_size=1, max_size=20).map(tuple)
+    if key.bound is None:
+        return finite
+    return st.floats(min_value=0.0, exclude_min=key.bound == "> 0",
+                     allow_infinity=False)
+
+
+def _table_section(section):
+    _, table = CONFIG_SECTIONS[section]
+    return {attr: (_table_value(key) if default is not None
+                   else st.none() | _table_value(key))
+            for attr, key, default in table.values()}
+
+
+def _table_run_config():
+    return st.builds(
+        RunConfig,
+        atom=st.builds(AtomConfig, **_table_section("atom")),
+        motion=st.builds(MotionConfig, **_table_section("motion")),
+        geometry=st.builds(GeometryConfig, **_table_section("geometry")),
+        sweep=st.none() | st.builds(SweepSettings, **_table_section("sweep")),
+        **_table_section("run"))
+
+
+# Values a request can afford: n_max <= 20, sweep counts <= 16, and
+# frequencies and lengths that keep k*A in the hundreds.
+def _fuzz_text(key):
+    if key.choices is not None:
+        return st.sampled_from(key.choices)
+    if key.kind == "bool":
+        return st.sampled_from(["true", "false"])
+    if key.kind == "int":
+        low = int(key.bound.split()[1])
+        return st.integers(low, 16 if key.name.endswith("count") else
+                           20 if key.name == "n_max" else 4).map(str)
+    if key.kind == "tuple":   # a sampled trajectory needs 16 samples
+        return st.lists(st.floats(-1e-6, 1e-6), min_size=16,
+                        max_size=20).map(lambda s: ",".join(map(repr, s)))
+    if key.kind == "length":
+        return st.floats(1e-10, 1e-3).map(repr)
+    if key.name.endswith("_hz"):
+        return st.floats(1e8, 1e11).map(repr)
+    if key.bound is None:
+        return st.floats(-7.0, 7.0).map(repr)
+    return st.floats(0.01, 30.0).map(repr)
+
+
+# Corruptions of one key: each must exit 2 and name "[section] key".
+_BAD_TEXTS = ("abc", "nan", "inf", "-inf", "-1", "-2.5e-9")
+
+
+@st.composite
+def _corrupted_config(draw):
+    command = draw(st.sampled_from(["rate", "spectrum", "sweep"]))
+    # One of alpha and coupling_hz, every length and the samples are kept,
+    # so that most uncorrupted configs run; any other optional key may be
+    # left out.  output is never written: it names a file to write.
+    coupling = draw(st.sampled_from(["alpha", "coupling_hz"]))
+    entries = []    # [section, key, text, ConfigKey, required]
+    for section, (_, table) in CONFIG_SECTIONS.items():
+        if section == "sweep" and command != "sweep" and draw(st.booleans()):
+            continue
+        for name, (_, key, default) in table.items():
+            required = default is MISSING
+            if name in ("alpha", "coupling_hz"):
+                keep = name == coupling
+            else:
+                keep = (required or key.kind in ("length", "tuple")
+                        or section == "sweep" and key.kind == "int"
+                        or name != "output" and draw(st.booleans()))
+            if keep:
+                entries.append([section, name, draw(_fuzz_text(key)), key,
+                                required])
+    # Free-space SHO ignores orientation in the closed form but not in the
+    # oracle, so --verify of a parallel line there is a known mismatch
+    # (exit 4), pinned by test_free_space_parallel_verify_mismatch.
+    if ["geometry", "kind", "free_space"] in [e[:3] for e in entries]:
+        entries = [e for e in entries if e[:3] != ["motion", "orientation",
+                                                   "parallel"]]
+    corruption = draw(st.sampled_from(
+        ["none", "drop", "unknown", "bad value", "bad choice"]))
+    named = None
+    if corruption == "drop":
+        entry = draw(st.sampled_from(entries))
+        entries.remove(entry)
+        named = entry[:2] if entry[4] else None
+    elif corruption == "unknown":
+        section = draw(st.sampled_from(list(CONFIG_SECTIONS)))
+        entries.append([section, "colour", "blue", None, False])
+        named = [section, "colour"]
+    elif corruption != "none":
+        kinds = (("str",) if corruption == "bad choice" else
+                 ("float", "length", "int", "bool", "tuple"))
+        entry = draw(st.sampled_from([e for e in entries
+                                      if e[3].kind in kinds]))
+        bad = _BAD_TEXTS[:4] if entry[3].bound is None else _BAD_TEXTS
+        entry[2] = (f"no_{entry[2]}" if corruption == "bad choice"
+                    else draw(st.sampled_from(bad if entry[3].kind != "bool"
+                                              else ("abc", "2", "nan"))))
+        named = entry[:2]
+    sections = ["atom", "motion", "geometry"] + [
+        s for s in ("sweep", "run") if any(e[0] == s for e in entries)]
+    text = "".join(f"[{s}]\n" + "".join(f"{e[1]} = {e[2]}\n"
+                                         for e in entries if e[0] == s)
+                   for s in sections)
+    return command, text, named
+
+
+class TestConfigTable:
+    @given(cfg=_table_run_config())
+    @settings(max_examples=150, deadline=None)
+    def test_every_key_round_trips(self, cfg):
+        assert parse_config(serialize_config(cfg)) == cfg
+
+    @given(case=_corrupted_config())
+    @settings(max_examples=150, deadline=None)
+    def test_corrupted_configs_exit_cleanly(self, case):
+        command, text, named = case
+        with tempfile.TemporaryDirectory() as folder:
+            path = os.path.join(folder, "run.cfg")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([command, "--config", path])
+        assert code in (0, 2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if named is not None:
+            assert code == 2, text
+            assert f"[{named[0]}] {named[1]}" in err.getvalue(), text
+
+    def test_readme_lists_every_key(self):
+        readme = (pathlib.Path(__file__).resolve().parent.parent
+                  / "README.md").read_text(encoding="utf-8")
+        rows = {tuple(cell.strip().strip("`") for cell in
+                      line.strip("|").split("|"))
+                for line in readme.splitlines()
+                if line.startswith("| `[")}
+        expected = set()
+        for section, (_, table) in CONFIG_SECTIONS.items():
+            for name, (_, key, default) in table.items():
+                shown = ("required" if default is MISSING else "none"
+                         if default is None else str(default).lower()
+                         if isinstance(default, bool) else str(default))
+                expected.add((f"[{section}]", name, key.kind, key.bound or "",
+                              shown, ", ".join(key.choices or ())))
+        assert {row[:3] + row[4:] for row in rows} == expected
