@@ -18,8 +18,8 @@ from .rates import (ABSORB_DEEXCITE, EMIT_EXCITE, PARALLEL, PERPENDICULAR,
                     RESONANCE_TOL, AtomParams, Cavity, FreeSpace,
                     GeneralPeriodicMotion, Mirror, RotationMotion, ShoMotion,
                     Sideband, allowed_sidebands, cavity_mode_frequency,
-                    cavity_rate, dimensionless_amplitude, emission_frequency,
-                    free_space_rate, mirror_rate, small_amplitude_rate)
+                    cavity_rate, emission_frequency, free_space_rate,
+                    mirror_rate, small_amplitude_rate)
 from .oracle import (DEFAULT_CONFIG, OracleResult, QuadratureConfig,
                      equivalence_cases, equivalence_report,
                      general_trajectory_spectrum, one_period_amplitude,
@@ -41,8 +41,8 @@ __all__ = [
     "RESONANCE_TOL", "AtomParams", "Cavity", "FreeSpace",
     "GeneralPeriodicMotion", "Mirror", "RotationMotion", "ShoMotion",
     "Sideband", "allowed_sidebands", "cavity_mode_frequency", "cavity_rate",
-    "dimensionless_amplitude", "emission_frequency", "free_space_rate",
-    "mirror_rate", "small_amplitude_rate",
+    "emission_frequency", "free_space_rate", "mirror_rate",
+    "small_amplitude_rate",
     # oracle
     "DEFAULT_CONFIG", "OracleResult", "QuadratureConfig",
     "equivalence_cases", "equivalence_report", "general_trajectory_spectrum",

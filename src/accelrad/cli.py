@@ -385,39 +385,24 @@ def _n_max_option(args, default: int) -> int:
     return args.n_max
 
 
-def cmd_rate(args) -> int:
+def cmd_sidebands(args) -> int:
+    """``rate`` and ``spectrum``.  ``spectrum`` raises the config's n_max to
+    at least 10 and takes sampled motion through the oracle quadrature."""
     cfg = _load_config(args.config)
-    if cfg is None:
-        raise ConfigError("rate needs --config")
     atom = build_atom(cfg.atom)
     motion = build_motion(cfg.motion)
     geom = build_geometry(cfg.geometry)
-    n_max = _n_max_option(args, cfg.n_max)
-    lines = allowed_sidebands(atom, motion, geom, n_max)
-    verify = args.verify or cfg.verify
-    rows = (oracle.verified_lines(atom, motion, geom, lines, VERIFY_TOL)
-            if verify else [(line, None, None) for line in lines])
-    fmt = args.format or cfg.fmt
-    _emit(sidebands_text(rows, fmt), args.output or cfg.output)
-    return 0
-
-
-def cmd_spectrum(args) -> int:
-    cfg = _load_config(args.config)
-    if cfg is None:
-        raise ConfigError("spectrum needs --config")
-    atom = build_atom(cfg.atom)
-    motion = build_motion(cfg.motion)
-    geom = build_geometry(cfg.geometry)
-    n_max = _n_max_option(args, max(cfg.n_max, 10))
-    if isinstance(motion, GeneralPeriodicMotion):
+    spectrum = args.command == "spectrum"
+    n_max = _n_max_option(args, max(cfg.n_max, 10) if spectrum
+                          else cfg.n_max)
+    if spectrum and cfg.motion.kind == "general":
         lines = oracle.general_trajectory_spectrum(motion, geom, atom, n_max)
         rows = [(line, None, None) for line in lines]
     else:
         lines = allowed_sidebands(atom, motion, geom, n_max)
-        verify = args.verify or cfg.verify
         rows = (oracle.verified_lines(atom, motion, geom, lines, VERIFY_TOL)
-                if verify else [(line, None, None) for line in lines])
+                if args.verify or cfg.verify
+                else [(line, None, None) for line in lines])
     fmt = args.format or cfg.fmt
     _emit(sidebands_text(rows, fmt), args.output or cfg.output)
     return 0
@@ -534,27 +519,28 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config):
+    def common(p, needs_config, formats=("csv", "json"),
+               default="from config, else csv"):
         p.add_argument("--config", required=needs_config,
                        help="path to INI-style run configuration")
         p.add_argument("--output", help="write output to this path "
                                         "(default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"),
-                       help="output format (default from config, else csv)")
+        p.add_argument("--format", choices=formats,
+                       help=f"output format (default {default})")
 
     p_rate = sub.add_parser("rate", help="per-sideband rates")
     common(p_rate, needs_config=True)
     p_rate.add_argument("--n-max", type=int, help="highest sideband index")
     p_rate.add_argument("--verify", action="store_true",
                         help="cross-check each line against the oracle")
-    p_rate.set_defaults(func=cmd_rate)
+    p_rate.set_defaults(func=cmd_sidebands)
 
     p_spec = sub.add_parser("spectrum", help="full sideband spectrum")
     common(p_spec, needs_config=True)
     p_spec.add_argument("--n-max", type=int, help="highest sideband index")
     p_spec.add_argument("--verify", action="store_true",
                         help="cross-check each line against the oracle")
-    p_spec.set_defaults(func=cmd_spectrum)
+    p_spec.set_defaults(func=cmd_sidebands)
 
     p_sweep = sub.add_parser("sweep", help="figure-data surfaces")
     common(p_sweep, needs_config=False)
@@ -564,7 +550,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser(
         "oracle", help="run the selection-rule and oracle-equivalence suites")
-    common(p_oracle, needs_config=False)
+    common(p_oracle, needs_config=False, formats=("text", "json"),
+           default="text")
     p_oracle.add_argument("--seed", type=int,
                           help="seed for the equivalence draws "
                                "(default from config, else 0)")

@@ -11,8 +11,13 @@ field-mode profile along the trajectory,
     mirror / cavity: f(tau) = exp(i(phi - theta0)) - c.c.
                             = 2i sin(phi(tau) - theta0)
 
-with phi(tau) = k * z(tau) the position phase in scaled time tau = Omega t.
-The per-cycle transition rate follows as
+with phi(tau) = k * z(tau) the position phase in scaled time tau = Omega t
+and theta0 = k * z0 the mirror offset.  Next to a boundary the k of phi and
+of theta0 are the wave-vector components along the motion and along the
+mirror normal (``project`` of the motion types); free space takes the full
+k.  The trajectory and the field mode come from the motion and geometry
+types in ``rates``, as the closed forms read them.  The per-cycle
+transition rate follows as
 
     rate = chi * (Omega / 2 pi) * (g / Omega)^2 * |amplitude|^2
 
@@ -47,10 +52,9 @@ import numpy as np
 from ._quadrature import MAX_PERIODIC_NODES, periodic_trapezoid
 from .constants import SPEED_OF_LIGHT as C
 from .errors import OracleMismatchError, OracleRangeError, PhysicsDomainError
-from .rates import (EMIT_EXCITE, PARALLEL, RESONANCE_TOL,
-                    AtomParams, Cavity, FreeSpace, GeneralPeriodicMotion,
-                    Mirror, RotationMotion, ShoMotion, Sideband,
-                    cavity_mode_frequency)
+from .rates import (EMIT_EXCITE, AtomParams, Cavity, FreeSpace,
+                    GeneralPeriodicMotion, Mirror, ShoMotion, Sideband,
+                    check_clearance)
 
 #: Relative tolerance for recognizing (omega + omega0) / Omega as an integer.
 INTEGER_TOL = 1e-9
@@ -88,73 +92,6 @@ class OracleResult:
     panels_used: int
 
 
-def _trig_coefficients(samples):
-    """Fourier coefficients c_h of uniform one-period samples and their
-    integer harmonics h (samples sit at tau_j = 2 pi j / M)."""
-    z = np.asarray(samples, dtype=float)
-    m = len(z)
-    return np.fft.fft(z) / m, np.fft.fftfreq(m, d=1.0 / m)
-
-
-def _trig_interpolant(coef, freqs):
-    """Band-limited interpolant z(tau) = Re sum_h c_h exp(i h tau).
-
-    Exact for trajectories whose spectrum fits below the sampling Nyquist
-    frequency.
-    """
-    def z_of(tau):
-        tau = np.asarray(tau, dtype=float)
-        phases = np.exp(1j * np.multiply.outer(tau, freqs))
-        return (phases @ coef).real
-
-    return z_of
-
-
-def _trajectory_extent(motion) -> float:
-    if isinstance(motion, ShoMotion):
-        return motion.amplitude
-    if isinstance(motion, RotationMotion):
-        return motion.radius
-    if isinstance(motion, GeneralPeriodicMotion):
-        return max(abs(s) for s in motion.samples)
-    raise TypeError(f"unsupported motion type {type(motion).__name__}")
-
-
-def _position_phase(motion, k: float):
-    """phi(tau) = k z(tau) as a vectorized callable, with two bounds.
-
-    Returns ``(phi, bandwidth, peak)``: ``bandwidth`` bounds |dphi/dtau|,
-    which sets the trapezoid node count, and ``peak`` bounds |phi|.  For
-    sampled motion both come from the interpolant's coefficients,
-    k sum_h |h| |c_h| and k sum_h |c_h|.
-    """
-    if isinstance(motion, ShoMotion):
-        lam = k * motion.amplitude
-        if motion.orientation == PARALLEL:
-            lam = k * math.sin(motion.delta) * motion.amplitude
-        return (lambda tau: lam * np.sin(tau)), abs(lam), abs(lam)
-    if isinstance(motion, RotationMotion):
-        lam = k * motion.radius
-        delta = motion.delta
-        return (lambda tau: lam * np.sin(tau + delta)), abs(lam), abs(lam)
-    if isinstance(motion, GeneralPeriodicMotion):
-        coef, freqs = _trig_coefficients(motion.samples)
-        z_of = _trig_interpolant(coef, freqs)
-        size = np.abs(coef)
-        return ((lambda tau: k * z_of(tau)), k * float(np.abs(freqs) @ size),
-                k * float(np.sum(size)))
-    raise TypeError(f"unsupported motion type {type(motion).__name__}")
-
-
-def _mirror_offset_phase(motion, k: float, z0: float) -> float:
-    """theta0 = k_z z0 with the wave direction projected per the motion."""
-    if isinstance(motion, ShoMotion) and motion.orientation == PARALLEL:
-        return k * math.cos(motion.delta) * z0
-    if isinstance(motion, RotationMotion):
-        return k * math.cos(motion.delta) * z0
-    return k * z0
-
-
 @dataclass(frozen=True)
 class _LineIntegral:
     """The one-period integrand of a resonant line and what bounds it."""
@@ -181,37 +118,27 @@ def _line_integral(motion, geom, omega: float, omega0: float,
             f"integer; use rational_period_integral to verify the "
             f"off-resonant amplitude vanishes")
 
-    chi = 1.0
-    if isinstance(geom, FreeSpace):
-        k = omega / C
-        theta0 = None
-    elif isinstance(geom, Mirror):
-        k = omega / C
-        theta0 = _mirror_offset_phase(motion, k, geom.z0)
-        _require_clearance(motion, geom.z0)
-    elif isinstance(geom, Cavity):
-        m = round(omega * geom.length / (math.pi * C))
-        if m < 1 or abs(omega - cavity_mode_frequency(geom, m)) > RESONANCE_TOL * omega:
-            raise PhysicsDomainError(
-                f"omega={omega:g} rad/s is not a cavity mode of "
-                f"length {geom.length:g} m")
-        k = math.pi * m / geom.length
-        theta0 = _mirror_offset_phase(motion, k, geom.z0)
-        _require_clearance(motion, min(geom.z0, geom.length - geom.z0))
-        chi = geom.n_photons + 1.0
-    else:
-        raise TypeError(f"unsupported geometry {type(geom).__name__}")
+    field = geom.field_mode(omega)
+    if field is None:
+        raise PhysicsDomainError(
+            f"omega={omega:g} rad/s is not a cavity mode of "
+            f"length {geom.length:g} m")
+    k, z0, chi = field
+    check_clearance(motion, geom)
 
     if mode not in ("right", "left"):
         raise ValueError(f"mode must be 'right' or 'left', got {mode!r}")
-    phi, bandwidth, peak = _position_phase(motion, k)
-    if theta0 is None:
+    if z0 is None:
+        phi, bandwidth, peak = motion.phase(k)
         sign = -1.0 if mode == "right" else 1.0
         theta0 = 0.0
 
         def integrand(tau):
             return np.exp(1j * (sign * phi(tau) + n * tau))
     else:
+        k_motion, k_normal = motion.project(k)
+        theta0 = k_normal * z0
+        phi, bandwidth, peak = motion.phase(k_motion)
 
         def integrand(tau):
             return 2j * np.sin(phi(tau) - theta0) * np.exp(1j * n * tau)
@@ -307,16 +234,6 @@ def verified_lines(atom: AtomParams, motion, geom, lines, tol: float,
     return rows
 
 
-def _require_clearance(motion, clearance: float):
-    if isinstance(motion, ShoMotion) and motion.orientation == PARALLEL:
-        return
-    extent = _trajectory_extent(motion)
-    if extent >= clearance:
-        raise PhysicsDomainError(
-            f"motion extent {extent:g} m reaches the boundary "
-            f"(clearance {clearance:g} m)")
-
-
 def _selection_nodes(p: int, q: int, x: float) -> int:
     """Trapezoid node count of the selection-rule check at (p, q, x)."""
     return max(4096, 64 * math.ceil(abs(x) * q + p))
@@ -359,15 +276,12 @@ def general_trajectory_spectrum(traj: GeneralPeriodicMotion, geom,
         raise TypeError("general_trajectory_spectrum needs sampled motion")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    check_clearance(traj, geom)
     out = []
     for n in range(1, n_max + 1):
         omega = n * traj.Omega - atom.omega0
-        if omega <= 0:
+        if omega <= 0 or geom.field_mode(omega) is None:
             continue
-        if isinstance(geom, Cavity):
-            m = round(omega * geom.length / (math.pi * C))
-            if m < 1 or abs(omega - cavity_mode_frequency(geom, m)) > RESONANCE_TOL * omega:
-                continue
         result = one_period_amplitude(traj, geom, omega, atom.omega0, cfg,
                                       g=atom.g)
         out.append(Sideband(n=n, omega=omega, rate=result.rate,

@@ -16,10 +16,17 @@ angular frequency omega = n*Omega - omega0.  Closed forms:
 
 with k = omega / c.  All frequencies are angular (rad/s), all lengths are
 meters, all rates are Hz.
+
+Each motion type declares its extent toward a boundary, its wave-vector
+projection and its phase k z(tau); each geometry its clearance and the
+field mode a photon occupies.  The closed forms here and the quadrature
+oracle both read these facts from the types and nowhere else.
 """
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .constants import SPEED_OF_LIGHT as C
 from .errors import (ApproximationDomainError, NoSidebandError,
@@ -40,6 +47,12 @@ RESONANCE_TOL = 1e-9
 #: Validity bound on the dimensionless amplitude for the small-amplitude
 #: closed form (J_1(x)^2 ~ x^2/4).
 SMALL_AMPLITUDE_MAX = 0.1
+
+
+def _wave_components(k: float, delta: float):
+    """(k sin(delta), k cos(delta)): the wave vector of direction ``delta``
+    along the mirror plane and along the mirror normal."""
+    return k * math.sin(delta), k * math.cos(delta)
 
 
 @dataclass(frozen=True)
@@ -76,11 +89,12 @@ class AtomParams:
 class ShoMotion:
     """Simple harmonic motion z(t) = A sin(Omega t).
 
-    ``orientation`` matters only next to a mirror: ``perpendicular`` motion
-    runs along the mirror normal, ``parallel`` motion along the mirror plane.
-    For parallel motion the emitted wave direction is parameterized by
-    ``delta`` with k_y = k sin(delta) (transverse, along the motion) and
-    k_z = k cos(delta) (normal to the mirror).
+    ``orientation`` matters only next to a mirror or in a cavity:
+    ``perpendicular`` motion runs along the mirror normal, ``parallel``
+    motion along the mirror plane.  For parallel motion the emitted wave
+    direction is parameterized by ``delta`` with k_y = k sin(delta)
+    (transverse, along the motion) and k_z = k cos(delta) (normal to the
+    mirror).  In free space both orientations see the full k A.
     """
 
     amplitude: float
@@ -97,6 +111,24 @@ class ShoMotion:
             raise ValueError(f"unknown orientation {self.orientation!r}")
         if not math.isfinite(self.delta):
             raise ValueError(f"delta must be finite, got {self.delta}")
+
+    @property
+    def extent(self) -> float:
+        """Reach toward a boundary: A, or 0 for motion in the mirror plane."""
+        return self.amplitude if self.orientation == PERPENDICULAR else 0.0
+
+    def project(self, k: float):
+        """(k_motion, k_normal): the wave vector along the motion and along
+        the boundary normal, for a photon of wavenumber ``k``."""
+        if self.orientation == PARALLEL:
+            return _wave_components(k, self.delta)
+        return k, k
+
+    def phase(self, k: float):
+        """``(phi, bandwidth, peak)``: phi(tau) = k z(tau) vectorized, with
+        bounds on |dphi/dtau| and |phi|; ``k`` is k_motion."""
+        lam = k * self.amplitude
+        return (lambda tau: lam * np.sin(tau)), abs(lam), abs(lam)
 
 
 @dataclass(frozen=True)
@@ -119,6 +151,23 @@ class RotationMotion:
             raise ValueError(f"Omega must be positive, got {self.Omega}")
         if not math.isfinite(self.delta):
             raise ValueError(f"delta must be finite, got {self.delta}")
+
+    @property
+    def extent(self) -> float:
+        """Reach toward a boundary: the radius R."""
+        return self.radius
+
+    amplitude = extent  # of each coordinate of the circular motion
+
+    def project(self, k: float):
+        """(k_motion, k_normal) = (k, k cos(delta)); see ShoMotion.project."""
+        return k, _wave_components(k, self.delta)[1]
+
+    def phase(self, k: float):
+        """phi(tau) = k R sin(tau + delta); see ShoMotion.phase."""
+        lam = k * self.radius
+        delta = self.delta
+        return (lambda tau: lam * np.sin(tau + delta)), abs(lam), abs(lam)
 
 
 @dataclass(frozen=True)
@@ -145,10 +194,50 @@ class GeneralPeriodicMotion:
             raise ValueError("samples must be finite")
         object.__setattr__(self, "samples", samples)
 
+    @property
+    def extent(self) -> float:
+        """Reach toward a boundary: max |z| over the samples."""
+        return max(abs(s) for s in self.samples)
+
+    def project(self, k: float):
+        """(k_motion, k_normal) = (k, k); see ShoMotion.project."""
+        return k, k
+
+    def phase(self, k: float):
+        """See ShoMotion.phase; z(tau) = Re sum_h c_h exp(i h tau) over the
+        samples' Fourier coefficients c_h, which bound |dphi/dtau| by
+        k sum_h |h| |c_h| and |phi| by k sum_h |c_h|."""
+        z = np.asarray(self.samples, dtype=float)
+        m = len(z)
+        coef, freqs = np.fft.fft(z) / m, np.fft.fftfreq(m, d=1.0 / m)
+
+        def phi(tau):
+            tau = np.asarray(tau, dtype=float)
+            phases = np.exp(1j * np.multiply.outer(tau, freqs))
+            return k * (phases @ coef).real
+
+        size = np.abs(coef)
+        return (phi, k * float(np.abs(freqs) @ size),
+                k * float(np.sum(size)))
+
 
 @dataclass(frozen=True)
 class FreeSpace:
     """Unbounded vacuum; travelling-wave modes."""
+
+    clearance = math.inf
+
+    def field_mode(self, omega: float):
+        """``(k, z0, chi)`` of the mode a photon at ``omega`` occupies: its
+        wavenumber, the mirror offset of a standing wave (None for a
+        travelling one) and the emission factor N + 1."""
+        return omega / C, None, 1.0
+
+    def sidebands(self, atom, motion, n: int,
+                  resonance_tol: float = RESONANCE_TOL) -> list:
+        """Closed-form lines of index n: the emission line, once open."""
+        return ([free_space_rate(atom, motion, n)]
+                if n * motion.Omega > atom.omega0 else [])
 
 
 @dataclass(frozen=True)
@@ -160,6 +249,20 @@ class Mirror:
     def __post_init__(self):
         if not (math.isfinite(self.z0) and self.z0 > 0):
             raise ValueError(f"z0 must be positive, got {self.z0}")
+
+    @property
+    def clearance(self) -> float:
+        return self.z0
+
+    def field_mode(self, omega: float):
+        """See FreeSpace.field_mode."""
+        return omega / C, self.z0, 1.0
+
+    def sidebands(self, atom, motion, n: int,
+                  resonance_tol: float = RESONANCE_TOL) -> list:
+        """See FreeSpace.sidebands."""
+        return ([mirror_rate(atom, motion, self, n)]
+                if n * motion.Omega > atom.omega0 else [])
 
 
 @dataclass(frozen=True)
@@ -185,6 +288,43 @@ class Cavity:
             raise ValueError(
                 f"n_photons must be a non-negative integer, "
                 f"got {self.n_photons}")
+
+    @property
+    def clearance(self) -> float:
+        """Distance from z0 to the nearer cavity mirror."""
+        return min(self.z0, self.length - self.z0)
+
+    def mode_index(self, omega: float) -> int | None:
+        """Index m of the mode nearest ``omega``, or None below mode 1."""
+        m = round(omega * self.length / (math.pi * C))
+        return m if m >= 1 else None
+
+    def field_mode(self, omega: float):
+        """See FreeSpace.field_mode; None unless ``omega`` lies within
+        RESONANCE_TOL relative of a cavity mode, whose k is pi m / L."""
+        m = self.mode_index(omega)
+        if m is None or (abs(omega - cavity_mode_frequency(self, m))
+                         > RESONANCE_TOL * omega):
+            return None
+        return math.pi * m / self.length, self.z0, self.n_photons + 1.0
+
+    def sidebands(self, atom, motion, n: int,
+                  resonance_tol: float = RESONANCE_TOL) -> list:
+        """Closed-form lines of index n: each photon-number branch whose
+        frequency matches a cavity mode within ``resonance_tol``."""
+        out = []
+        for branch, omega in ((EMIT_EXCITE, n * motion.Omega - atom.omega0),
+                              (ABSORB_DEEXCITE,
+                               atom.omega0 - n * motion.Omega)):
+            m = self.mode_index(omega)
+            if m is None:
+                continue
+            try:
+                out.append(cavity_rate(atom, motion, self, n, m, branch,
+                                       resonance_tol))
+            except OffResonanceError:
+                continue
+        return out
 
 
 @dataclass(frozen=True)
@@ -217,52 +357,14 @@ def emission_frequency(atom: AtomParams, Omega: float, n: int) -> float:
     return omega
 
 
-def dimensionless_amplitude(motion, omega: float) -> float:
-    """Dimensionless oscillation amplitude k*A seen by a photon at ``omega``.
-
-    Rotation uses the radius in place of A.  Parallel-to-mirror SHO uses the
-    transverse wave-vector component k_y = k sin(delta).
-    """
-    if not omega > 0:
-        raise PhysicsDomainError(f"omega must be positive, got {omega}")
-    k = omega / C
-    if isinstance(motion, ShoMotion):
-        if motion.orientation == PARALLEL:
-            return k * math.sin(motion.delta) * motion.amplitude
-        return k * motion.amplitude
-    if isinstance(motion, RotationMotion):
-        return k * motion.radius
-    if isinstance(motion, GeneralPeriodicMotion):
-        return k * max(abs(s) for s in motion.samples)
-    raise TypeError(f"unsupported motion type {type(motion).__name__}")
-
-
-def _check_clearance(extent: float, clearance: float, what: str):
+def check_clearance(motion, geom):
+    """Reject a trajectory that reaches the boundary: the motion's extent
+    toward it must stay below the geometry's clearance."""
+    extent, clearance = motion.extent, geom.clearance
     if extent >= clearance:
         raise PhysicsDomainError(
-            f"motion extent {extent:g} m reaches the {what} "
+            f"motion extent {extent:g} m reaches the boundary "
             f"(clearance {clearance:g} m); require extent < clearance")
-
-
-def _mirror_geometry_factors(motion, geom: Mirror, n: int, k: float):
-    """Return (a_tilde, theta) for the mirror rate formula."""
-    if isinstance(motion, ShoMotion):
-        if motion.orientation == PARALLEL:
-            a_tilde = k * math.sin(motion.delta) * motion.amplitude
-            theta = k * math.cos(motion.delta) * geom.z0 - 0.5 * math.pi * n
-        else:
-            _check_clearance(motion.amplitude, geom.z0, "mirror")
-            a_tilde = k * motion.amplitude
-            theta = k * geom.z0 - 0.5 * math.pi * n
-    elif isinstance(motion, RotationMotion):
-        _check_clearance(motion.radius, geom.z0, "mirror")
-        a_tilde = k * motion.radius
-        theta = k * math.cos(motion.delta) * geom.z0 - 0.5 * math.pi * n
-    else:
-        raise TypeError(
-            "mirror_rate needs SHO or rotation motion; for sampled "
-            "trajectories use oracle.general_trajectory_spectrum")
-    return a_tilde, theta
 
 
 def mirror_rate(atom: AtomParams, motion, geom: Mirror, n: int) -> Sideband:
@@ -273,8 +375,14 @@ def mirror_rate(atom: AtomParams, motion, geom: Mirror, n: int) -> Sideband:
     substitute the projected wave-vector components (see the motion types).
     """
     omega = emission_frequency(atom, motion.Omega, n)
-    k = omega / C
-    a_tilde, theta = _mirror_geometry_factors(motion, geom, n, k)
+    if isinstance(motion, GeneralPeriodicMotion):
+        raise TypeError(
+            "mirror_rate needs SHO or rotation motion; for sampled "
+            "trajectories use oracle.general_trajectory_spectrum")
+    check_clearance(motion, geom)
+    k_motion, k_normal = motion.project(omega / C)
+    a_tilde = k_motion * motion.amplitude
+    theta = k_normal * geom.z0 - 0.5 * math.pi * n
     rate = (8.0 * math.pi * atom.g**2 / motion.Omega
             * math.sin(theta)**2 * bessel_j(n, a_tilde)**2)
     return Sideband(n=n, omega=omega, rate=rate, branch=EMIT_EXCITE)
@@ -334,8 +442,7 @@ def cavity_rate(atom: AtomParams, motion: ShoMotion, geom: Cavity,
             f"omega={omega:g}, omega0={atom.omega0:g})",
             mismatch=mismatch,
         )
-    _check_clearance(motion.amplitude, min(geom.z0, geom.length - geom.z0),
-                     "cavity mirror")
+    check_clearance(motion, geom)
     a_tilde = math.pi * m * motion.amplitude / geom.length
     theta = math.pi * m * geom.z0 / geom.length - 0.5 * math.pi * n
     rate = (8.0 * math.pi * chi * atom.g**2 / motion.Omega
@@ -357,33 +464,9 @@ def allowed_sidebands(atom: AtomParams, motion, geom, n_max: int,
         raise TypeError(
             "no closed form for sampled trajectories; use "
             "oracle.general_trajectory_spectrum")
-    out = []
-    for n in range(1, n_max + 1):
-        if isinstance(geom, FreeSpace):
-            if n * motion.Omega > atom.omega0:
-                out.append(free_space_rate(atom, motion, n))
-        elif isinstance(geom, Mirror):
-            if n * motion.Omega > atom.omega0:
-                out.append(mirror_rate(atom, motion, geom, n))
-        elif isinstance(geom, Cavity):
-            for branch in (EMIT_EXCITE, ABSORB_DEEXCITE):
-                if branch == EMIT_EXCITE:
-                    omega = n * motion.Omega - atom.omega0
-                else:
-                    omega = atom.omega0 - n * motion.Omega
-                if omega <= 0:
-                    continue
-                m = round(omega * geom.length / (math.pi * C))
-                if m < 1:
-                    continue
-                try:
-                    out.append(cavity_rate(atom, motion, geom, n, m, branch,
-                                           resonance_tol))
-                except OffResonanceError:
-                    continue
-        else:
-            raise TypeError(f"unsupported geometry {type(geom).__name__}")
-    return out
+    check_clearance(motion, geom)
+    return [line for n in range(1, n_max + 1)
+            for line in geom.sidebands(atom, motion, n, resonance_tol)]
 
 
 def small_amplitude_rate(atom: AtomParams, motion: ShoMotion) -> float:

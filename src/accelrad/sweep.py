@@ -12,8 +12,8 @@ import numpy as np
 from . import __version__ as _version
 from . import oracle
 from .constants import SPEED_OF_LIGHT as C
-from .rates import (AtomParams, FreeSpace, Mirror, ShoMotion, Sideband,
-                    allowed_sidebands, free_space_rate, mirror_rate)
+from .rates import (AtomParams, Cavity, ShoMotion, Sideband,
+                    allowed_sidebands, check_clearance)
 from .specfun import bessel_j, bessel_j_orders
 
 
@@ -163,23 +163,21 @@ def rate_surface(atom: AtomParams, motion: ShoMotion, geom,
                  amplitude_values, n_values) -> SweepResult:
     """Custom sweep: closed-form rate over oscillation amplitude and n.
 
-    Cells with no open sideband (n*Omega <= omega0) are zero.
+    Cells with no open sideband (n*Omega <= omega0) are zero.  Each
+    amplitude row must clear the boundary.
     """
+    if isinstance(geom, Cavity):
+        raise TypeError(
+            "custom sweeps support free-space and mirror geometries")
     amplitude_values = tuple(float(a) for a in amplitude_values)
     n_values = tuple(int(n) for n in n_values)
     values = np.zeros((len(amplitude_values), len(n_values)))
     for i, amplitude in enumerate(amplitude_values):
         cell_motion = replace(motion, amplitude=amplitude)
+        check_clearance(cell_motion, geom)
         for j, n in enumerate(n_values):
-            if n * motion.Omega <= atom.omega0:
-                continue
-            if isinstance(geom, FreeSpace):
-                values[i, j] = free_space_rate(atom, cell_motion, n).rate
-            elif isinstance(geom, Mirror):
-                values[i, j] = mirror_rate(atom, cell_motion, geom, n).rate
-            else:
-                raise TypeError(
-                    "custom sweeps support free-space and mirror geometries")
+            for line in geom.sidebands(atom, cell_motion, n):
+                values[i, j] = line.rate
     grid = SweepGrid("amplitude_m", amplitude_values, "n", n_values,
                      fixed={"omega0": atom.omega0, "g": atom.g,
                             "Omega": motion.Omega})

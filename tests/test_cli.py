@@ -188,14 +188,17 @@ z0 = 10 nm
         path = write_cfg(tmp_path, text)
         assert main(["rate", "--config", path]) == 3
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "free_space_rate ignores orientation, while the oracle projects the "
-        "wave vector to k sin(delta) for parallel motion, so --verify of a "
-        "free-space parallel line is an integrity failure (exit 4)"))
-    def test_free_space_parallel_verify_mismatch(self, tmp_path):
+    def test_free_space_parallel_verify_matches(self, tmp_path, capsys):
+        # In free space neither route projects the wave vector, so a
+        # parallel line verifies and equals the perpendicular one.
+        path = write_cfg(tmp_path, FREE_SPACE_CFG)
+        assert main(["rate", "--config", path, "--verify"]) == 0
+        perpendicular = capsys.readouterr().out
         text = with_value(FREE_SPACE_CFG, "motion", "orientation", "parallel")
+        text = with_value(text, "motion", "delta_rad", "0.4")
         assert main(["rate", "--config", write_cfg(tmp_path, text),
                      "--verify"]) == 0
+        assert capsys.readouterr().out == perpendicular
 
     def test_config_error_exit_code(self, tmp_path):
         path = write_cfg(tmp_path, "[atom]\nfrequency_hz = hello\n")
@@ -436,6 +439,20 @@ class TestOracleCommand:
         assert captured.out == ""
         assert "--draws" in captured.err
 
+    def test_csv_format_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--draws", "3", "--format", "csv"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'csv'" in captured.err and "text" in captured.err
+
+    def test_text_format_is_the_default_report(self, capsys):
+        assert main(["oracle", "--draws", "3"]) == 0
+        default = capsys.readouterr().out
+        assert main(["oracle", "--draws", "3", "--format", "text"]) == 0
+        assert capsys.readouterr().out == default
+
     def test_integrity_failure_exit_code(self, capsys, monkeypatch):
         import accelrad.oracle as oracle_module
 
@@ -661,6 +678,47 @@ class TestVerifyBeyondTheOracleRange:
         assert float(verified[0][7]) < 1e-6
 
 
+# Drive 1 GHz below an atom at 5 GHz opens no line up to n = 4.  Each
+# motion below reaches the boundary of each geometry it is paired with.
+_COLLIDING_ATOM = "[atom]\nfrequency_hz = 5e9\nalpha = 0.2\n"
+_COLLIDING_MOTION = {
+    "sho": "kind = sho\namplitude = 2 mm\n",
+    "sampled": "kind = general\nsamples = " + ",".join(
+        repr(0.06 * math.sin(2 * math.pi * j / 16)) for j in range(16)) + "\n",
+}
+_CAVITY_LENGTH = 2.99792458e8 / (2 * 1.1e9)   # z0 = 0.3 L is 41 mm
+_COLLIDING_GEOMETRY = {
+    "mirror": "kind = mirror\nz0 = 1 mm\n",
+    "cavity": f"kind = cavity\nlength = {_CAVITY_LENGTH!r}\n"
+              f"z0 = {0.3 * _CAVITY_LENGTH!r}\n",
+}
+
+
+class TestClearanceBeforeAnyLine:
+    @pytest.mark.parametrize("motion,geometry,argv", [
+        ("sho", "mirror", ["rate", "--n-max", "3"]),
+        ("sho", "mirror", ["spectrum", "--n-max", "3"]),
+        ("sho", "mirror", ["rate", "--n-max", "6"]),
+        ("sho", "mirror", ["sweep", "--preset", "custom"]),
+        ("sho", "cavity", ["spectrum", "--n-max", "3"]),
+        ("sampled", "mirror", ["spectrum", "--n-max", "3"]),
+        ("sampled", "cavity", ["spectrum", "--n-max", "3"]),
+    ])
+    def test_collision_exits_3_whether_or_not_a_line_is_open(
+            self, tmp_path, capsys, motion, geometry, argv):
+        motion_text = _COLLIDING_MOTION[motion]
+        if geometry == "cavity" and motion == "sho":
+            motion_text = motion_text.replace("2 mm", "60 mm")
+        text = (f"{_COLLIDING_ATOM}[motion]\ndrive_frequency_hz = 1e9\n"
+                f"{motion_text}[geometry]\n{_COLLIDING_GEOMETRY[geometry]}"
+                "[sweep]\nn_max = 3\namplitude_max = 2 mm\n"
+                "amplitude_count = 4\n")
+        assert main(argv + ["--config", write_cfg(tmp_path, text)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "reaches the boundary (clearance" in captured.err
+
+
 class TestOrientationIsCheckedAtParse:
     @pytest.mark.parametrize("argv", [["rate"], ["spectrum"],
                                       ["sweep", "--preset", "custom"]])
@@ -863,12 +921,6 @@ def _corrupted_config(draw):
             if keep:
                 entries.append([section, name, draw(_fuzz_text(key)), key,
                                 required])
-    # Free-space SHO ignores orientation in the closed form but not in the
-    # oracle, so --verify of a parallel line there is a known mismatch
-    # (exit 4), pinned by test_free_space_parallel_verify_mismatch.
-    if ["geometry", "kind", "free_space"] in [e[:3] for e in entries]:
-        entries = [e for e in entries if e[:3] != ["motion", "orientation",
-                                                   "parallel"]]
     corruption = draw(st.sampled_from(
         ["none", "drop", "unknown", "bad value", "bad choice"]))
     named = None

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 import accelrad._quadrature as quadrature
 import accelrad.oracle as oracle_module
-from accelrad import (AtomParams, Cavity, ConvergenceError, FreeSpace,
-                      GeneralPeriodicMotion, Mirror, OracleRangeError,
+from accelrad import (PARALLEL, AtomParams, Cavity, ConvergenceError,
+                      FreeSpace, GeneralPeriodicMotion, Mirror,
+                      OracleRangeError,
                       PhysicsDomainError, QuadratureConfig, ShoMotion,
                       anger_j, bessel_j, cavity_rate, free_space_rate,
                       general_trajectory_spectrum, mirror_rate,
@@ -108,6 +109,24 @@ class TestOnePeriodAmplitude:
         motion = ShoMotion(amplitude=2.0, Omega=2.0)
         with pytest.raises(PhysicsDomainError):
             one_period_amplitude(motion, Mirror(z0=1.0), 1.0, 1.0)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.4, -2.1])
+    def test_free_space_parallel_equals_perpendicular(self, delta):
+        # Free space has no boundary to project onto: both orientations
+        # integrate the full k A, as the closed form does.
+        motion, omega, omega0 = make_free_case(2.7, 3)
+        parallel = ShoMotion(amplitude=motion.amplitude, Omega=motion.Omega,
+                             orientation=PARALLEL, delta=delta)
+        for mode in ("right", "left"):
+            a = one_period_amplitude(motion, FreeSpace(), omega, omega0,
+                                     mode=mode)
+            b = one_period_amplitude(parallel, FreeSpace(), omega, omega0,
+                                     mode=mode)
+            assert repr(b.amplitude) == repr(a.amplitude)
+            assert (b.rate, b.error_estimate, b.panels_used) == (
+                a.rate, a.error_estimate, a.panels_used)
+        assert (rate_floor(parallel, FreeSpace(), omega, omega0, 1.0, 1e-6)
+                == rate_floor(motion, FreeSpace(), omega, omega0, 1.0, 1e-6))
 
     def test_unknown_mode_rejected(self):
         motion, omega, omega0 = make_free_case(1.0, 1)

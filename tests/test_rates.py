@@ -1,6 +1,7 @@
 """Closed-form rate tests: frozen examples, reductions, scaling laws."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from accelrad import (ABSORB_DEEXCITE, EMIT_EXCITE, PARALLEL,
                       GeneralPeriodicMotion, Mirror, NoSidebandError,
                       OffResonanceError, PhysicsDomainError, RotationMotion,
                       ShoMotion, Sideband, allowed_sidebands, bessel_j,
-                      cavity_rate, dimensionless_amplitude, free_space_rate,
-                      mirror_rate, small_amplitude_rate)
+                      cavity_mode_frequency, cavity_rate, free_space_rate,
+                      general_trajectory_spectrum, mirror_rate,
+                      one_period_amplitude, rate_surface,
+                      small_amplitude_rate)
 from accelrad.constants import SPEED_OF_LIGHT as C
 
 # Frozen from the fsum series oracle (tests/test_specfun.py):
@@ -49,27 +52,6 @@ class TestAtomParams:
     def test_rejects_bad_frequency(self, omega0):
         with pytest.raises(ValueError):
             AtomParams(omega0=omega0, g=1.0)
-
-
-class TestDimensionlessAmplitude:
-    def test_unit_wavevector(self):
-        assert dimensionless_amplitude(ShoMotion(1.0, 1.0), C) == 1.0
-
-    def test_linear_scaling(self):
-        motion = ShoMotion(amplitude=0.01, Omega=1.0)
-        assert dimensionless_amplitude(motion, 2.0 * C) == pytest.approx(0.02)
-
-    def test_rotation_uses_radius(self):
-        motion = RotationMotion(radius=0.5, Omega=1.0)
-        assert dimensionless_amplitude(motion, C) == pytest.approx(0.5)
-
-    def test_parallel_projects_transverse_component(self):
-        motion = ShoMotion(1.0, 1.0, orientation=PARALLEL, delta=math.pi / 6)
-        assert dimensionless_amplitude(motion, C) == pytest.approx(0.5)
-
-    def test_rejects_non_positive_omega(self):
-        with pytest.raises(PhysicsDomainError):
-            dimensionless_amplitude(ShoMotion(1.0, 1.0), 0.0)
 
 
 class TestMirrorRate:
@@ -344,6 +326,91 @@ class TestAllowedSidebands:
         motion = GeneralPeriodicMotion(Omega=2.0, samples=tuple([0.0] * 16))
         with pytest.raises(TypeError):
             allowed_sidebands(atom, motion, FreeSpace(), 3)
+
+
+class TestMotionGeometryProtocol:
+    """The facts each motion and geometry type declares once."""
+
+    def test_extent_toward_the_boundary(self):
+        samples = tuple(0.5 * math.sin(2 * math.pi * j / 16) - 0.25
+                        for j in range(16))
+        assert ShoMotion(2.0, 1.0).extent == 2.0
+        assert ShoMotion(2.0, 1.0, orientation=PARALLEL).extent == 0.0
+        assert RotationMotion(radius=3.0, Omega=1.0).extent == 3.0
+        assert GeneralPeriodicMotion(Omega=1.0, samples=samples).extent \
+            == max(abs(z) for z in samples)
+
+    def test_projection(self):
+        k, delta = 3.0, 0.7
+        sho = ShoMotion(1.0, 1.0, delta=delta)
+        assert sho.project(k) == (k, k)
+        assert replace(sho, orientation=PARALLEL).project(k) == (
+            k * math.sin(delta), k * math.cos(delta))
+        assert RotationMotion(1.0, 1.0, delta=delta).project(k) == (
+            k, k * math.cos(delta))
+        sampled = GeneralPeriodicMotion(Omega=1.0, samples=(0.0,) * 16)
+        assert sampled.project(k) == (k, k)
+
+    def test_clearance(self):
+        assert FreeSpace().clearance == math.inf
+        assert Mirror(z0=2.0).clearance == 2.0
+        assert Cavity(length=5.0, z0=3.5).clearance == 5.0 - 3.5
+        assert Cavity(length=5.0, z0=1.5).clearance == 1.5
+
+    def test_mode_index(self):
+        geom = Cavity(length=1.0, z0=0.5)
+        assert geom.mode_index(3.0 * math.pi * C) == 3
+        assert geom.mode_index(3.4 * math.pi * C) == 3
+        assert geom.mode_index(0.4 * math.pi * C) is None
+        assert geom.mode_index(-2.0 * math.pi * C) is None
+
+    def test_field_mode_of_a_cavity_needs_a_mode_match(self):
+        geom = Cavity(length=1.0, z0=0.5, n_photons=2)
+        omega = cavity_mode_frequency(geom, 3)
+        assert geom.field_mode(omega) == (3.0 * math.pi, 0.5, 3.0)
+        assert geom.field_mode(omega * (1.0 + 1e-6)) is None
+        assert Mirror(z0=2.0).field_mode(C) == (1.0, 2.0, 1.0)
+        assert FreeSpace().field_mode(C) == (1.0, None, 1.0)
+
+
+class TestClearance:
+    """A trajectory that reaches its boundary is rejected before any line,
+    with one message on every route (tests/test_cli.py holds the requests
+    that open no line to it)."""
+
+    def test_parallel_motion_never_reaches_the_mirror(self):
+        atom = AtomParams(omega0=0.5, g=1.0)
+        motion = ShoMotion(amplitude=2.0, Omega=1.0, orientation=PARALLEL,
+                           delta=0.3)
+        assert len(allowed_sidebands(atom, motion, Mirror(z0=1.0), 3)) == 3
+
+    @pytest.mark.parametrize("motion", [
+        ShoMotion(amplitude=2.0, Omega=1.0),
+        RotationMotion(radius=2.0, Omega=1.0),
+        GeneralPeriodicMotion(Omega=1.0, samples=tuple(
+            2.0 * math.sin(2 * math.pi * j / 16) for j in range(16)))])
+    @pytest.mark.parametrize("geom", [Mirror(z0=1.0),
+                                      Cavity(length=3.0, z0=1.0)])
+    def test_one_message_for_both_routes(self, motion, geom):
+        atom = AtomParams(omega0=0.5, g=1.0)
+        if isinstance(motion, GeneralPeriodicMotion):
+            routes = [lambda: general_trajectory_spectrum(motion, geom, atom,
+                                                          3)]
+        else:
+            routes = [lambda: allowed_sidebands(atom, motion, geom, 3)]
+        if isinstance(geom, Mirror):
+            # n = 1 at omega = 0.5 is a line of the mirror, not the cavity.
+            routes.append(lambda: one_period_amplitude(motion, geom, 0.5,
+                                                       0.5))
+            if isinstance(motion, ShoMotion):
+                routes.append(lambda: rate_surface(
+                    atom, motion, geom, [motion.amplitude], [1]))
+        for route in routes:
+            with pytest.raises(PhysicsDomainError) as info:
+                route()
+            assert str(info.value) == (
+                f"motion extent 2 m reaches the boundary (clearance "
+                f"{geom.clearance:g} m); require extent < clearance")
 
 
 class TestSmallAmplitudeRate:
