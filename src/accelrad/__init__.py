@@ -3,7 +3,7 @@
 Closed-form first-order sideband rates for an atom shaken in free space,
 next to a mirror, or inside a cavity, together with a brute-force
 oscillatory-integral oracle that cross-validates every formula, special
-functions (Bessel / Anger / rational-period integrals), figure-data sweeps
+functions (Bessel J_n and the rational-period integral), figure-data sweeps
 and a reproducible CLI.
 """
 
@@ -12,20 +12,18 @@ __version__ = "0.1.0"
 from .errors import (ApproximationDomainError, ConfigError, ConvergenceError,
                      NoSidebandError, OffResonanceError, OracleMismatchError,
                      OracleRangeError, PhysicsDomainError)
-from .specfun import (DEFAULT_BUDGET, AccuracyBudget, anger_j, bessel_j,
-                      bessel_j_orders, rational_period_integral)
+from .specfun import bessel_j, bessel_j_orders, rational_period_integral
 from .rates import (ABSORB_DEEXCITE, EMIT_EXCITE, PARALLEL, PERPENDICULAR,
                     RESONANCE_TOL, AtomParams, Cavity, FreeSpace,
                     GeneralPeriodicMotion, Mirror, RotationMotion, ShoMotion,
                     Sideband, allowed_sidebands, cavity_mode_frequency,
                     cavity_rate, emission_frequency, free_space_rate,
                     mirror_rate, small_amplitude_rate)
-from .oracle import (DEFAULT_CONFIG, OracleResult, QuadratureConfig,
-                     equivalence_cases, equivalence_report,
+from .oracle import (OracleResult, equivalence_cases, equivalence_report,
                      general_trajectory_spectrum, one_period_amplitude,
                      selection_rule_report, verify_selection_rule)
 from .sweep import (SweepGrid, SweepResult, fig2_surface, fig3_surface,
-                    rate_surface, spectrum)
+                    rate_surface)
 
 __all__ = [
     "__version__",
@@ -34,8 +32,7 @@ __all__ = [
     "NoSidebandError", "OffResonanceError", "OracleMismatchError",
     "OracleRangeError", "PhysicsDomainError",
     # special functions
-    "AccuracyBudget", "DEFAULT_BUDGET", "anger_j", "bessel_j",
-    "bessel_j_orders", "rational_period_integral",
+    "bessel_j", "bessel_j_orders", "rational_period_integral",
     # domain model and rates
     "ABSORB_DEEXCITE", "EMIT_EXCITE", "PARALLEL", "PERPENDICULAR",
     "RESONANCE_TOL", "AtomParams", "Cavity", "FreeSpace",
@@ -44,10 +41,10 @@ __all__ = [
     "emission_frequency", "free_space_rate", "mirror_rate",
     "small_amplitude_rate",
     # oracle
-    "DEFAULT_CONFIG", "OracleResult", "QuadratureConfig",
-    "equivalence_cases", "equivalence_report", "general_trajectory_spectrum",
-    "one_period_amplitude", "selection_rule_report", "verify_selection_rule",
+    "OracleResult", "equivalence_cases", "equivalence_report",
+    "general_trajectory_spectrum", "one_period_amplitude",
+    "selection_rule_report", "verify_selection_rule",
     # sweeps
     "SweepGrid", "SweepResult", "fig2_surface", "fig3_surface",
-    "rate_surface", "spectrum",
+    "rate_surface",
 ]

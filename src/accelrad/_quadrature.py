@@ -6,12 +6,12 @@
   exponentially once N exceeds the integrand's bandwidth, so the caller
   sets the node count from that bandwidth and one doubling confirms it.
 * ``composite_gl`` / ``refine_to_tolerance`` -- composite Gauss-Legendre
-  panels with panel doubling, for integrands that are not periodic over
-  the interval (the Anger function) and for the second, independent route
-  of the selection-rule scan.  The panel rules depend on ``(a, b, panels)``
-  only, so the most recent :data:`GL_CACHE_RULES` rules of at most
-  :data:`GL_CACHE_MAX_NODES` nodes are kept, read-only, for reuse: at most
-  128 x 4096 nodes x 16 bytes = 8 MiB.  Larger rules are built per call.
+  panels with panel doubling, for the second, independent route of the
+  selection-rule scan (``specfun.rational_period_integral``).  The panel
+  rules depend on ``(a, b, panels)`` only, so the most recent
+  :data:`GL_CACHE_RULES` rules of at most :data:`GL_CACHE_MAX_NODES` nodes
+  are kept, read-only, for reuse: at most 128 x 4096 nodes x 16 bytes =
+  8 MiB.  Larger rules are built per call.
 """
 
 import functools
@@ -94,15 +94,16 @@ def _gl_rule(a: float, b: float, panels: int):
 _cached_gl_rule = functools.lru_cache(maxsize=GL_CACHE_RULES)(_gl_rule)
 
 
-def refine_to_tolerance(f, a: float, b: float, initial_panels: int,
+def refine_to_tolerance(f, a: float, b: float, panels: int,
                         rel_tol: float, max_nodes: int = 10**6):
-    """Panel-doubling driver around :func:`composite_gl`.
+    """Panel-doubling driver around :func:`composite_gl`, starting at
+    ``panels`` panels.
 
     Returns ``(value, error_estimate, panels_used)`` where the error estimate
     is the difference between the last two refinements.  Raises
     :class:`ConvergenceError` when the node budget is exhausted first.
     """
-    panels = max(1, int(initial_panels))
+    panels = max(1, int(panels))
     value = composite_gl(f, a, b, panels)
     err = math.inf
     while panels * _GL_ORDER <= max_nodes:

@@ -387,7 +387,8 @@ def _n_max_option(args, default: int) -> int:
 
 def cmd_sidebands(args) -> int:
     """``rate`` and ``spectrum``.  ``spectrum`` raises the config's n_max to
-    at least 10 and takes sampled motion through the oracle quadrature."""
+    at least 10 and takes sampled motion through the oracle quadrature,
+    which leaves nothing for ``--verify`` to check."""
     cfg = _load_config(args.config)
     atom = build_atom(cfg.atom)
     motion = build_motion(cfg.motion)
@@ -396,6 +397,10 @@ def cmd_sidebands(args) -> int:
     n_max = _n_max_option(args, max(cfg.n_max, 10) if spectrum
                           else cfg.n_max)
     if spectrum and cfg.motion.kind == "general":
+        if args.verify or cfg.verify:
+            raise ConfigError(
+                "--verify does not apply to sampled motion: its spectrum is "
+                "oracle output, with no closed form to check it against")
         lines = oracle.general_trajectory_spectrum(motion, geom, atom, n_max)
         rows = [(line, None, None) for line in lines]
     else:

@@ -32,8 +32,8 @@ SIAM Review 56, 2014).  Starting from 4 (n + B + 40) nodes, B a bound on
 |dphi/dtau|, puts that tail far below float64; one doubling confirms it.
 The oracle integrates the trajectory directly and shares none of the
 Bessel or sin^2 algebra of the closed forms.  Composite Gauss-Legendre
-quadrature remains for the Anger function and for the Gauss-Legendre route
-of the selection-rule scan (``specfun.rational_period_integral``).
+quadrature remains for the Gauss-Legendre route of the selection-rule scan
+(``specfun.rational_period_integral``).
 
 The selection-rule scan checks (1/2 pi) int e^{i(x sin(q psi) - p psi)} dpsi
 on two independent routes.  Its trapezoid route takes every p of one
@@ -61,25 +61,9 @@ INTEGER_TOL = 1e-9
 
 _EPS = 2.0 ** -52  # float64 machine epsilon
 
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Oracle accuracy: the fewest trapezoid nodes to start from, and the
-    relative agreement two successive estimates must reach.  The node cap
-    is :data:`accelrad._quadrature.MAX_PERIODIC_NODES`."""
-
-    initial_panels: int = 16
-    rel_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.initial_panels < 16:
-            raise ValueError(
-                f"initial_panels must be >= 16, got {self.initial_panels}")
-        if not self.rel_tol > 0:
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
-
-
-DEFAULT_CONFIG = QuadratureConfig()
+#: Relative agreement two successive trapezoid estimates must reach.  The
+#: node cap is :data:`accelrad._quadrature.MAX_PERIODIC_NODES`.
+REL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -153,8 +137,7 @@ def _rate(chi: float, Omega: float, g: float, amplitude: float) -> float:
     return chi * (Omega / (2.0 * math.pi)) * (g / Omega) ** 2 * amplitude ** 2
 
 
-def one_period_amplitude(motion, geom, omega: float, omega0: float,
-                         cfg: QuadratureConfig = DEFAULT_CONFIG, *,
+def one_period_amplitude(motion, geom, omega: float, omega0: float, *,
                          g: float = 1.0, mode: str = "right") -> OracleResult:
     """Direct quadrature of the one-period emission amplitude.
 
@@ -164,23 +147,21 @@ def one_period_amplitude(motion, geom, omega: float, omega0: float,
     ``mode`` picks the right- or left-moving travelling wave in free space.
     ``g`` enters only the returned rate, not the amplitude.
 
-    The periodic trapezoid rule starts from
-    ``max(cfg.initial_panels, 4 (n + ceil(B) + 40))`` nodes, B the bound on
-    |dphi/dtau|, which puts the aliasing tail far below float64; one
-    doubling then confirms ``cfg.rel_tol``.  A start above half of
-    :data:`accelrad._quadrature.MAX_PERIODIC_NODES` leaves no room for that
-    doubling and raises :class:`OracleRangeError` before any node is
-    evaluated.
+    The periodic trapezoid rule starts from ``4 (n + ceil(B) + 40)`` nodes,
+    B the bound on |dphi/dtau|, which puts the aliasing tail far below
+    float64; one doubling then confirms :data:`REL_TOL`.  A start above
+    half of :data:`accelrad._quadrature.MAX_PERIODIC_NODES` leaves no room
+    for that doubling and raises :class:`OracleRangeError` before any node
+    is evaluated.
     """
     line = _line_integral(motion, geom, omega, omega0, mode)
-    nodes = max(cfg.initial_panels,
-                4 * (line.n + math.ceil(line.bandwidth) + 40))
+    nodes = 4 * (line.n + math.ceil(line.bandwidth) + 40)
     if 2 * nodes > MAX_PERIODIC_NODES:
         raise OracleRangeError(
             f"sideband n={line.n} needs a trapezoid start of {nodes} nodes, "
             f"more than half of the oracle's node cap MAX_PERIODIC_NODES = "
             f"{MAX_PERIODIC_NODES}; it is beyond the oracle's range")
-    value, err, used = periodic_trapezoid(line.integrand, nodes, cfg.rel_tol)
+    value, err, used = periodic_trapezoid(line.integrand, nodes, REL_TOL)
     rate = _rate(line.chi, motion.Omega, g, abs(value))
     return OracleResult(amplitude=complex(value), rate=float(rate),
                         error_estimate=float(err), panels_used=used)
@@ -202,8 +183,7 @@ def rate_floor(motion, geom, omega: float, omega0: float, g: float,
     return _rate(line.chi, motion.Omega, g, amplitude)
 
 
-def verified_lines(atom: AtomParams, motion, geom, lines, tol: float,
-                   cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
+def verified_lines(atom: AtomParams, motion, geom, lines, tol: float) -> list:
     """Pair each sideband with its oracle rate and relative deviation.
 
     Returns ``(line, oracle_rate, deviation)`` rows; absorption-branch lines
@@ -218,7 +198,7 @@ def verified_lines(atom: AtomParams, motion, geom, lines, tol: float,
             continue
         # Looked up at call time, so that a replaced oracle is the one used.
         result = one_period_amplitude(motion, geom, line.omega, atom.omega0,
-                                      cfg, g=atom.g)
+                                      g=atom.g)
         scale = max(line.rate, result.rate)
         floor = rate_floor(motion, geom, line.omega, atom.omega0, atom.g, tol)
         deviation = (0.0 if scale <= floor
@@ -265,8 +245,8 @@ def verify_selection_rule(p: int, q: int, x: float) -> float:
 
 
 def general_trajectory_spectrum(traj: GeneralPeriodicMotion, geom,
-                                atom: AtomParams, n_max: int,
-                                cfg: QuadratureConfig = DEFAULT_CONFIG) -> list[Sideband]:
+                                atom: AtomParams,
+                                n_max: int) -> list[Sideband]:
     """Emission spectrum of a sampled periodic trajectory, by quadrature.
 
     Scans n in [1, n_max]; for a cavity only mode-matched sidebands survive.
@@ -282,7 +262,7 @@ def general_trajectory_spectrum(traj: GeneralPeriodicMotion, geom,
         omega = n * traj.Omega - atom.omega0
         if omega <= 0 or geom.field_mode(omega) is None:
             continue
-        result = one_period_amplitude(traj, geom, omega, atom.omega0, cfg,
+        result = one_period_amplitude(traj, geom, omega, atom.omega0,
                                       g=atom.g)
         out.append(Sideband(n=n, omega=omega, rate=result.rate,
                             branch=EMIT_EXCITE))
@@ -293,13 +273,11 @@ def general_trajectory_spectrum(traj: GeneralPeriodicMotion, geom,
 class EquivalenceCase:
     """One randomized closed-form-vs-oracle comparison configuration."""
 
-    kind: str
     atom: AtomParams
     motion: ShoMotion
     geom: object
     n: int
     omega: float
-    m: int | None = None
 
 
 def equivalence_cases(seed: int = 0, count: int = 200) -> list[EquivalenceCase]:
@@ -345,7 +323,6 @@ def equivalence_cases(seed: int = 0, count: int = 200) -> list[EquivalenceCase]:
                 continue
             motion = ShoMotion(amplitude=a_tilde / k, Omega=Omega)
             geom = FreeSpace()
-            m = None
         elif kind == "mirror":
             z_tilde = float(rng.uniform(0.1, 2.0 * math.pi))
             hi = min(25.0, 0.98 * z_tilde)
@@ -357,7 +334,6 @@ def equivalence_cases(seed: int = 0, count: int = 200) -> list[EquivalenceCase]:
                 continue
             motion = ShoMotion(amplitude=a_tilde / k, Omega=Omega)
             geom = Mirror(z0=z_tilde / k)
-            m = None
         else:
             m = int(rng.integers(1, 9))
             length = math.pi * m * C / omega
@@ -374,25 +350,18 @@ def equivalence_cases(seed: int = 0, count: int = 200) -> list[EquivalenceCase]:
             geom = Cavity(length=length, z0=z0,
                           n_photons=int(rng.integers(0, 4)))
         atom = AtomParams(omega0=omega0, g=g)
-        cases.append(EquivalenceCase(kind=kind, atom=atom, motion=motion,
-                                     geom=geom, n=n, omega=omega, m=m))
+        cases.append(EquivalenceCase(atom=atom, motion=motion, geom=geom,
+                                     n=n, omega=omega))
     return cases
 
 
 def closed_form_rate(case: EquivalenceCase) -> float:
     """Closed-form rate for an equivalence draw (emission branch)."""
-    from . import rates
-
-    if case.kind == "free":
-        return rates.free_space_rate(case.atom, case.motion, case.n).rate
-    if case.kind == "mirror":
-        return rates.mirror_rate(case.atom, case.motion, case.geom, case.n).rate
-    return rates.cavity_rate(case.atom, case.motion, case.geom, case.n,
-                             case.m, EMIT_EXCITE).rate
+    lines = case.geom.sidebands(case.atom, case.motion, case.n)
+    return next(line.rate for line in lines if line.branch == EMIT_EXCITE)
 
 
-def equivalence_report(seed: int = 0, count: int = 200,
-                       cfg: QuadratureConfig = DEFAULT_CONFIG) -> dict:
+def equivalence_report(seed: int = 0, count: int = 200) -> dict:
     """Run the oracle-equivalence suite; returns max deviation and cases.
 
     Raises :class:`ValueError` for ``count < 1`` (from
@@ -404,7 +373,7 @@ def equivalence_report(seed: int = 0, count: int = 200,
     for case in equivalence_cases(seed, count):
         reference = closed_form_rate(case)
         result = one_period_amplitude(case.motion, case.geom, case.omega,
-                                      case.atom.omega0, cfg, g=case.atom.g)
+                                      case.atom.omega0, g=case.atom.g)
         deviation = abs(result.rate - reference) / reference
         if deviation > worst:
             worst, worst_case = deviation, case

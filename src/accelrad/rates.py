@@ -18,9 +18,10 @@ with k = omega / c.  All frequencies are angular (rad/s), all lengths are
 meters, all rates are Hz.
 
 Each motion type declares its extent toward a boundary, its wave-vector
-projection and its phase k z(tau); each geometry its clearance and the
-field mode a photon occupies.  The closed forms here and the quadrature
-oracle both read these facts from the types and nowhere else.
+projection and its phase k z(tau); each geometry its clearance, the field
+mode a photon occupies and the motions its closed form covers.  The closed
+forms here and the quadrature oracle both read these facts from the types
+and nowhere else.
 """
 
 import math
@@ -226,6 +227,14 @@ class FreeSpace:
     """Unbounded vacuum; travelling-wave modes."""
 
     clearance = math.inf
+    #: Why the closed form rejects a motion that ``covers`` refuses.
+    uncovered = "free_space_rate needs SHO motion"
+
+    @staticmethod
+    def covers(motion) -> bool:
+        """Whether the closed form covers ``motion``: SHO of either
+        orientation."""
+        return isinstance(motion, ShoMotion)
 
     def field_mode(self, omega: float):
         """``(k, z0, chi)`` of the mode a photon at ``omega`` occupies: its
@@ -233,8 +242,7 @@ class FreeSpace:
         travelling one) and the emission factor N + 1."""
         return omega / C, None, 1.0
 
-    def sidebands(self, atom, motion, n: int,
-                  resonance_tol: float = RESONANCE_TOL) -> list:
+    def sidebands(self, atom, motion, n: int) -> list:
         """Closed-form lines of index n: the emission line, once open."""
         return ([free_space_rate(atom, motion, n)]
                 if n * motion.Omega > atom.omega0 else [])
@@ -254,12 +262,19 @@ class Mirror:
     def clearance(self) -> float:
         return self.z0
 
+    uncovered = ("mirror_rate needs SHO or rotation motion; for sampled "
+                 "trajectories use oracle.general_trajectory_spectrum")
+
+    @staticmethod
+    def covers(motion) -> bool:
+        """See FreeSpace.covers: SHO of either orientation, or rotation."""
+        return isinstance(motion, (ShoMotion, RotationMotion))
+
     def field_mode(self, omega: float):
         """See FreeSpace.field_mode."""
         return omega / C, self.z0, 1.0
 
-    def sidebands(self, atom, motion, n: int,
-                  resonance_tol: float = RESONANCE_TOL) -> list:
+    def sidebands(self, atom, motion, n: int) -> list:
         """See FreeSpace.sidebands."""
         return ([mirror_rate(atom, motion, self, n)]
                 if n * motion.Omega > atom.omega0 else [])
@@ -294,6 +309,14 @@ class Cavity:
         """Distance from z0 to the nearer cavity mirror."""
         return min(self.z0, self.length - self.z0)
 
+    uncovered = "cavity_rate needs SHO motion along the cavity axis"
+
+    @staticmethod
+    def covers(motion) -> bool:
+        """See FreeSpace.covers: perpendicular SHO only."""
+        return (isinstance(motion, ShoMotion)
+                and motion.orientation == PERPENDICULAR)
+
     def mode_index(self, omega: float) -> int | None:
         """Index m of the mode nearest ``omega``, or None below mode 1."""
         m = round(omega * self.length / (math.pi * C))
@@ -308,10 +331,9 @@ class Cavity:
             return None
         return math.pi * m / self.length, self.z0, self.n_photons + 1.0
 
-    def sidebands(self, atom, motion, n: int,
-                  resonance_tol: float = RESONANCE_TOL) -> list:
+    def sidebands(self, atom, motion, n: int) -> list:
         """Closed-form lines of index n: each photon-number branch whose
-        frequency matches a cavity mode within ``resonance_tol``."""
+        frequency matches a cavity mode within RESONANCE_TOL."""
         out = []
         for branch, omega in ((EMIT_EXCITE, n * motion.Omega - atom.omega0),
                               (ABSORB_DEEXCITE,
@@ -320,8 +342,7 @@ class Cavity:
             if m is None:
                 continue
             try:
-                out.append(cavity_rate(atom, motion, self, n, m, branch,
-                                       resonance_tol))
+                out.append(cavity_rate(atom, motion, self, n, m, branch))
             except OffResonanceError:
                 continue
         return out
@@ -367,6 +388,13 @@ def check_clearance(motion, geom):
             f"(clearance {clearance:g} m); require extent < clearance")
 
 
+def check_closed_form(motion, geom):
+    """Reject a motion that the geometry's closed form does not cover, with
+    the message the geometry declares."""
+    if not geom.covers(motion):
+        raise TypeError(geom.uncovered)
+
+
 def mirror_rate(atom: AtomParams, motion, geom: Mirror, n: int) -> Sideband:
     """Emission sideband of an atom oscillating next to a mirror.
 
@@ -375,10 +403,7 @@ def mirror_rate(atom: AtomParams, motion, geom: Mirror, n: int) -> Sideband:
     substitute the projected wave-vector components (see the motion types).
     """
     omega = emission_frequency(atom, motion.Omega, n)
-    if isinstance(motion, GeneralPeriodicMotion):
-        raise TypeError(
-            "mirror_rate needs SHO or rotation motion; for sampled "
-            "trajectories use oracle.general_trajectory_spectrum")
+    check_closed_form(motion, geom)
     check_clearance(motion, geom)
     k_motion, k_normal = motion.project(omega / C)
     a_tilde = k_motion * motion.amplitude
@@ -393,8 +418,7 @@ def free_space_rate(atom: AtomParams, motion: ShoMotion, n: int) -> Sideband:
 
     rate = (2 pi g^2 / Omega) * J_n((n Omega - omega0) A / c)^2.
     """
-    if not isinstance(motion, ShoMotion):
-        raise TypeError("free_space_rate needs SHO motion")
+    check_closed_form(motion, FreeSpace)
     omega = emission_frequency(atom, motion.Omega, n)
     a_tilde = omega * motion.amplitude / C
     rate = (2.0 * math.pi * atom.g**2 / motion.Omega
@@ -410,8 +434,7 @@ def cavity_mode_frequency(geom: Cavity, m: int) -> float:
 
 
 def cavity_rate(atom: AtomParams, motion: ShoMotion, geom: Cavity,
-                n: int, m: int, branch: str = EMIT_EXCITE,
-                resonance_tol: float = RESONANCE_TOL) -> Sideband:
+                n: int, m: int, branch: str = EMIT_EXCITE) -> Sideband:
     """Sideband rate for an atom oscillating along the axis of a cavity.
 
     Branches (photon frequency omega = pi m c / L):
@@ -419,11 +442,10 @@ def cavity_rate(atom: AtomParams, motion: ShoMotion, geom: Cavity,
     * ``emit-excite``:    requires n*Omega = omega + omega0, factor N + 1
     * ``absorb-deexcite``: requires n*Omega = omega0 - omega, factor N
 
-    Both resonance conditions are checked to ``resonance_tol`` relative to
+    Both resonance conditions are checked to RESONANCE_TOL relative to
     Omega; a violation raises OffResonanceError carrying the mismatch.
     """
-    if not isinstance(motion, ShoMotion) or motion.orientation != PERPENDICULAR:
-        raise TypeError("cavity_rate needs SHO motion along the cavity axis")
+    check_closed_form(motion, geom)
     if n != int(n) or n < 1:
         raise ValueError(f"sideband index must be a positive integer, got {n}")
     omega = cavity_mode_frequency(geom, m)
@@ -435,7 +457,7 @@ def cavity_rate(atom: AtomParams, motion: ShoMotion, geom: Cavity,
         chi = geom.n_photons
     else:
         raise ValueError(f"unknown branch {branch!r}")
-    if abs(mismatch) > resonance_tol * motion.Omega:
+    if abs(mismatch) > RESONANCE_TOL * motion.Omega:
         raise OffResonanceError(
             f"cavity branch {branch}: resonance violated by "
             f"{mismatch:g} rad/s (n*Omega={n * motion.Omega:g}, "
@@ -450,13 +472,15 @@ def cavity_rate(atom: AtomParams, motion: ShoMotion, geom: Cavity,
     return Sideband(n=n, omega=omega, rate=rate, branch=branch, m=m)
 
 
-def allowed_sidebands(atom: AtomParams, motion, geom, n_max: int,
-                      resonance_tol: float = RESONANCE_TOL) -> list[Sideband]:
+def allowed_sidebands(atom: AtomParams, motion, geom,
+                      n_max: int) -> list[Sideband]:
     """All sidebands with n in [1, n_max] open in the given geometry.
 
     For a cavity, only (n, m) pairs meeting the resonance condition within
-    ``resonance_tol`` survive; both photon-number branches are scanned.
-    An empty list is a valid result.
+    RESONANCE_TOL survive; both photon-number branches are scanned.
+    An empty list is a valid result.  A motion the geometry's closed form
+    does not cover, or one that reaches the boundary, is rejected before
+    any line, so the outcome does not depend on which lines are open.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -465,8 +489,9 @@ def allowed_sidebands(atom: AtomParams, motion, geom, n_max: int,
             "no closed form for sampled trajectories; use "
             "oracle.general_trajectory_spectrum")
     check_clearance(motion, geom)
+    check_closed_form(motion, geom)
     return [line for n in range(1, n_max + 1)
-            for line in geom.sidebands(atom, motion, n, resonance_tol)]
+            for line in geom.sidebands(atom, motion, n)]
 
 
 def small_amplitude_rate(atom: AtomParams, motion: ShoMotion) -> float:
@@ -492,5 +517,11 @@ def small_amplitude_rate(atom: AtomParams, motion: ShoMotion) -> float:
         raise ApproximationDomainError(
             f"dimensionless amplitude {a_tilde:g} outside the small-"
             f"amplitude domain (< {SMALL_AMPLITUDE_MAX})")
-    return (math.pi * (motion.amplitude * atom.alpha)**2 * motion.Omega**3
-            / (32.0 * C**2))
+    return small_amplitude_formula(motion.amplitude * atom.alpha,
+                                   motion.Omega)
+
+
+def small_amplitude_formula(a_alpha, Omega: float):
+    """pi (A alpha)^2 Omega^3 / (32 c^2), unchecked; ``a_alpha`` = A alpha
+    may be a float or an ndarray."""
+    return math.pi * a_alpha**2 * Omega**3 / (32.0 * C**2)

@@ -1,21 +1,18 @@
 """Special functions behind the closed-form rates.
 
-Three evaluators, all self-contained (no scipy):
+Two evaluators, both self-contained (no scipy):
 
 * ``bessel_j``      -- integer-order Bessel J_n, ascending power series for
                        |x| <= 12 and normalized downward (Miller) recurrence
                        above.
-* ``anger_j``       -- Anger function of real order,
-                       (1/pi) * int_0^pi cos(x sin t - nu t) dt,
-                       by adaptive composite Gauss-Legendre quadrature.
 * ``rational_period_integral`` -- one-period average
                        (1/2pi) * int_{-pi}^{pi} exp(i(x sin(q s) - p s)) ds,
                        which vanishes unless q divides p; this is the
-                       mathematical form of the sideband selection rule.
+                       mathematical form of the sideband selection rule,
+                       by adaptive composite Gauss-Legendre quadrature.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,25 +22,13 @@ from .errors import ConvergenceError
 _SERIES_CUTOFF = 12.0
 _MILLER_RESCALE = 1e250
 
-
-@dataclass(frozen=True)
-class AccuracyBudget:
-    """Accuracy contract for series and quadrature evaluation."""
-
-    rel_tol: float = 1e-10
-    max_terms: int = 10**6
-
-    def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.max_terms < 1:
-            raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
+#: Relative accuracy of the Bessel series and of the quadrature refinement.
+_REL_TOL = 1e-10
+#: Most terms the Bessel series, and most nodes the quadrature, may use.
+_MAX_TERMS = 10**6
 
 
-DEFAULT_BUDGET = AccuracyBudget()
-
-
-def bessel_j(n: int, x: float, budget: AccuracyBudget = DEFAULT_BUDGET) -> float:
+def bessel_j(n: int, x: float) -> float:
     """Bessel function J_n(x) for non-negative integer order.
 
     Satisfies J_n(-x) = (-1)^n J_n(x) by construction.
@@ -55,11 +40,11 @@ def bessel_j(n: int, x: float, budget: AccuracyBudget = DEFAULT_BUDGET) -> float
         raise ValueError(f"argument must be finite, got {x}")
     x = float(x)  # numpy scalars would leak into the result and slow the loops
     if x < 0:
-        return -bessel_j(n, -x, budget) if n % 2 else bessel_j(n, -x, budget)
+        return -bessel_j(n, -x) if n % 2 else bessel_j(n, -x)
     if x == 0.0:
         return 1.0 if n == 0 else 0.0
     if x <= _SERIES_CUTOFF:
-        return _bessel_series(n, x, budget)
+        return _bessel_series(n, x)
     return _miller_range(n, n, x)[0]
 
 
@@ -110,7 +95,7 @@ def _leading_terms(n_max: int, x: float) -> list:
     return out
 
 
-def _bessel_series(n: int, x: float, budget: AccuracyBudget) -> float:
+def _bessel_series(n: int, x: float) -> float:
     # J_n(x) = sum_k (-1)^k (x/2)^{n+2k} / (k! (n+k)!), built multiplicatively
     # so large n underflows gracefully instead of overflowing n!.
     half = 0.5 * x
@@ -122,8 +107,8 @@ def _bessel_series(n: int, x: float, budget: AccuracyBudget) -> float:
     total = term
     peak = abs(term)
     h2 = half * half
-    tol = 1e-2 * budget.rel_tol
-    for k in range(1, budget.max_terms + 1):
+    tol = 1e-2 * _REL_TOL
+    for k in range(1, _MAX_TERMS + 1):
         term *= -h2 / (k * (n + k))
         total += term
         mag = abs(term)
@@ -133,7 +118,7 @@ def _bessel_series(n: int, x: float, budget: AccuracyBudget) -> float:
             return total
     raise ConvergenceError(
         f"Bessel series for J_{n}({x}) did not converge in "
-        f"{budget.max_terms} terms",
+        f"{_MAX_TERMS} terms",
         error_estimate=abs(term),
     )
 
@@ -249,26 +234,7 @@ def _miller_kept_pairs(start: int, stop: int, x: float, up: float,
     return up, cur, norm
 
 
-def anger_j(nu: float, x: float, budget: AccuracyBudget = DEFAULT_BUDGET) -> float:
-    """Anger function J_nu(x) = (1/pi) * int_0^pi cos(x sin t - nu t) dt.
-
-    Coincides with bessel_j at integer order.  Raises ConvergenceError when
-    the node budget runs out before the tolerance is met.
-    """
-    if not (math.isfinite(nu) and math.isfinite(x)):
-        raise ValueError(f"nu and x must be finite, got nu={nu}, x={x}")
-
-    def integrand(t):
-        return np.cos(x * np.sin(t) - nu * t)
-
-    panels = max(16, math.ceil(4.0 * (abs(x) + abs(nu))))
-    value, _, _ = refine_to_tolerance(
-        integrand, 0.0, math.pi, panels, budget.rel_tol, budget.max_terms)
-    return value / math.pi
-
-
-def rational_period_integral(x: float, p: int, q: int,
-                             budget: AccuracyBudget = DEFAULT_BUDGET) -> float:
+def rational_period_integral(x: float, p: int, q: int) -> float:
     """One-period average (1/2pi) * int_{-pi}^{pi} e^{i(x sin(q s) - p s)} ds.
 
     p/q need not be reduced.  Vanishes whenever p/q is not an integer; equals
@@ -286,7 +252,7 @@ def rational_period_integral(x: float, p: int, q: int,
 
     panels = max(16, math.ceil(4.0 * (abs(x) + p)))
     value, _, _ = refine_to_tolerance(
-        integrand, -math.pi, math.pi, panels, budget.rel_tol, budget.max_terms)
+        integrand, -math.pi, math.pi, panels, _REL_TOL, _MAX_TERMS)
     value /= 2.0 * math.pi
     if abs(value.imag) >= 1e-12:
         raise ConvergenceError(

@@ -1,4 +1,4 @@
-"""Parameter sweeps: figure-data surfaces, spectra and their metadata.
+"""Parameter sweeps: figure-data surfaces and their metadata.
 
 Cells are written into pre-sized arrays addressed by grid index, so results
 are deterministic regardless of evaluation order.
@@ -10,10 +10,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__ as _version
-from . import oracle
 from .constants import SPEED_OF_LIGHT as C
-from .rates import (AtomParams, Cavity, ShoMotion, Sideband,
-                    allowed_sidebands, check_clearance)
+from .rates import (SMALL_AMPLITUDE_MAX, AtomParams, Cavity, ShoMotion,
+                    check_clearance, small_amplitude_formula)
 from .specfun import bessel_j, bessel_j_orders
 
 
@@ -124,8 +123,8 @@ def fig3_surface(amplitude_values=None, alpha_values=None, *,
 
     with the exact Bessel-formula rate alongside in ``aux['exact_rate_hz']``
     and a per-cell validity flag in ``aux['approx_valid']`` (the cell's
-    dimensionless amplitude must stay below 0.1; violating cells are flagged,
-    not fatal).
+    dimensionless amplitude must stay below SMALL_AMPLITUDE_MAX = 0.1;
+    violating cells are flagged, not fatal).
     """
     if amplitude_values is None:
         amplitude_values = np.linspace(1e-8 / 128, 1e-8, 128)
@@ -140,15 +139,14 @@ def fig3_surface(amplitude_values=None, alpha_values=None, *,
 
     amps = np.asarray(amplitude_values)
     alphas = np.asarray(alpha_values)
-    values = (math.pi * np.outer(amps, alphas) ** 2 * Omega**3
-              / (32.0 * C**2))
+    values = small_amplitude_formula(np.outer(amps, alphas), Omega)
     # Exact rate for comparison: omega0 = Omega/2, g = alpha*omega0,
     # a_tilde = Omega*A/(2c).
     a_tilde = 0.5 * Omega * amps / C
     j1_sq = np.array([bessel_j(1, a) ** 2 for a in a_tilde])
     g_sq = (alphas * 0.5 * Omega) ** 2
     exact = 2.0 * math.pi / Omega * np.outer(j1_sq, g_sq)
-    approx_valid = np.broadcast_to((a_tilde < 0.1)[:, None],
+    approx_valid = np.broadcast_to((a_tilde < SMALL_AMPLITUDE_MAX)[:, None],
                                    values.shape).copy()
     grid = SweepGrid("amplitude_m", amplitude_values, "alpha", alpha_values,
                      fixed={"Omega": Omega, "omega0": 0.5 * Omega})
@@ -184,20 +182,3 @@ def rate_surface(atom: AtomParams, motion: ShoMotion, geom,
     metadata = {"surface": "custom", "normalization": "hz",
                 "version": _version}
     return SweepResult(grid=grid, values=values, metadata=metadata)
-
-
-def spectrum(atom: AtomParams, motion, geom, n_max: int, *,
-             verify: bool = False, verify_tol: float = 1e-6,
-             quadrature=None) -> list[Sideband]:
-    """Sideband spectrum via the closed forms, optionally oracle-checked.
-
-    With ``verify`` set, every emission line is re-verified against the
-    brute-force one-period amplitude; disagreement beyond ``verify_tol``
-    relative raises :class:`OracleMismatchError`.
-    """
-    lines = allowed_sidebands(atom, motion, geom, n_max)
-    if not verify:
-        return lines
-    cfg = quadrature if quadrature is not None else oracle.DEFAULT_CONFIG
-    oracle.verified_lines(atom, motion, geom, lines, verify_tol, cfg)
-    return lines

@@ -326,6 +326,24 @@ kind = free_space
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("flag,run", [(["--verify"], ""),
+                                          ([], "[run]\nverify = true\n")],
+                             ids=["flag", "config"])
+    def test_general_motion_spectrum_rejects_verify(self, tmp_path, capsys,
+                                                    flag, run):
+        samples = ",".join(repr(1e-9 * math.sin(2 * math.pi * j / 16))
+                           for j in range(16))
+        text = (f"{_COLLIDING_ATOM}[motion]\nkind = general\n"
+                f"drive_frequency_hz = 1e10\nsamples = {samples}\n"
+                f"[geometry]\nkind = free_space\n{run}")
+        path = write_cfg(tmp_path, text)
+        assert main(["spectrum", "--config", path, "--n-max", "2"]
+                    + flag) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sampled motion" in captured.err
+        assert "oracle output" in captured.err
+
 
 class TestRotationConfig:
     def test_rotation_rate_through_cli(self, tmp_path, capsys):
@@ -717,6 +735,35 @@ class TestClearanceBeforeAnyLine:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "reaches the boundary (clearance" in captured.err
+
+
+class TestUnsupportedPairBeforeAnyLine:
+    # Free space opens its first line at n = 6 (5 GHz atom, 1 GHz drive);
+    # the cavity (0.9 GHz atom) has a mode near a branch from n = 2 on.
+    @pytest.mark.parametrize("motion,geometry,atom_hz,n_max,message", [
+        ("kind = rotation\nradius = 1 nm\n", "kind = free_space\n", 5e9,
+         3, "free_space_rate needs SHO motion"),
+        ("kind = rotation\nradius = 1 nm\n", "kind = free_space\n", 5e9,
+         6, "free_space_rate needs SHO motion"),
+        ("kind = sho\namplitude = 1 nm\norientation = parallel\n",
+         _COLLIDING_GEOMETRY["cavity"], 0.9e9, 1,
+         "cavity_rate needs SHO motion along the cavity axis"),
+        ("kind = rotation\nradius = 1 nm\n",
+         _COLLIDING_GEOMETRY["cavity"], 0.9e9, 1,
+         "cavity_rate needs SHO motion along the cavity axis"),
+    ], ids=["rotation-free_space-closed", "rotation-free_space-open",
+            "parallel-cavity", "rotation-cavity"])
+    def test_uncovered_pair_exits_3_whether_or_not_a_line_is_open(
+            self, tmp_path, capsys, motion, geometry, atom_hz, n_max,
+            message):
+        text = (f"[atom]\nfrequency_hz = {atom_hz!r}\nalpha = 0.2\n"
+                f"[motion]\ndrive_frequency_hz = 1e9\n{motion}"
+                f"[geometry]\n{geometry}")
+        path = write_cfg(tmp_path, text)
+        assert main(["rate", "--config", path, "--n-max", str(n_max)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
 
 class TestOrientationIsCheckedAtParse:

@@ -11,13 +11,13 @@ import accelrad._quadrature as quadrature
 import accelrad.oracle as oracle_module
 from accelrad import (PARALLEL, AtomParams, Cavity, ConvergenceError,
                       FreeSpace, GeneralPeriodicMotion, Mirror,
-                      OracleRangeError,
-                      PhysicsDomainError, QuadratureConfig, ShoMotion,
-                      anger_j, bessel_j, cavity_rate, free_space_rate,
+                      OracleRangeError, PhysicsDomainError, ShoMotion,
+                      bessel_j, cavity_rate, free_space_rate,
                       general_trajectory_spectrum, mirror_rate,
                       one_period_amplitude, rational_period_integral,
                       selection_rule_report, verify_selection_rule)
-from accelrad._quadrature import MAX_PERIODIC_NODES, composite_gl
+from accelrad._quadrature import (MAX_PERIODIC_NODES, composite_gl,
+                                  periodic_trapezoid)
 from accelrad.oracle import equivalence_cases, equivalence_report, rate_floor
 from accelrad.constants import SPEED_OF_LIGHT as C
 
@@ -294,16 +294,6 @@ class TestGeneralTrajectorySpectrum:
             GeneralPeriodicMotion(Omega=1.0, samples=(0.0,) * 8)
 
 
-class TestQuadratureConfig:
-    def test_rejects_small_panel_seed(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(initial_panels=4)
-
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(rel_tol=-1.0)
-
-
 def _sho_cases():
     """Free-space, mirror and cavity SHO amplitudes as argument tuples."""
     free = make_free_case(3.3, 4)
@@ -377,15 +367,16 @@ class TestPeriodicKernel:
         trapezoid = TWO_PI * np.mean(np.exp(1j * (-a_tilde * np.sin(tau)
                                                   + n * tau)))
         assert abs(res.amplitude - trapezoid) < 1e-13
-        wide = one_period_amplitude(motion, FreeSpace(), omega, omega0,
-                                    QuadratureConfig(initial_panels=4096))
-        assert wide.panels_used == 8192
 
     def test_node_cap_raises_convergence_error(self):
-        motion, omega, omega0 = make_free_case(1.8412, 1)
+        # The oracle's free-space integrand at k A = 1.8412, n = 1, from
+        # its start of 4 (n + ceil(k A) + 40) nodes; no float64 sum meets
+        # rel_tol = 1e-30, so the doubling runs into the node cap.
+        def integrand(tau):
+            return np.exp(1j * (-1.8412 * np.sin(tau) + tau))
+
         with pytest.raises(ConvergenceError) as info:
-            one_period_amplitude(motion, FreeSpace(), omega, omega0,
-                                 QuadratureConfig(rel_tol=1e-30))
+            periodic_trapezoid(integrand, 4 * (1 + 2 + 40), rel_tol=1e-30)
         assert str(MAX_PERIODIC_NODES) in str(info.value)
         assert 0.0 < info.value.error_estimate < 1e-12
 
@@ -530,13 +521,6 @@ class TestGaussLegendreRuleCache:
         uncached = [rational_period_integral(x, p, q)
                     for p, q, x in SCAN_GRID]
         assert cached == uncached
-
-    def test_anger_j_bit_equal_to_uncached(self, monkeypatch):
-        pairs = [(0.5, 1.0), (2.3, 7.5), (10.0, 3.0), (-1.5, 20.0),
-                 (3.0, 0.0), (0.25, 150.0)]
-        cached = [anger_j(nu, x) for nu, x in pairs]
-        monkeypatch.setattr(quadrature, "composite_gl", uncached_composite_gl)
-        assert cached == [anger_j(nu, x) for nu, x in pairs]
 
     def test_cached_rule_arrays_are_read_only(self):
         seen = []

@@ -1,11 +1,10 @@
 """Special-function tests against independent oracles.
 
-Expected values are frozen from two oracles that never touch the library
-code path: an fsum-accumulated power series for Bessel, and a dense
-trapezoid rule for the Anger integral.  scipy serves as a third, fully
-external cross-check, and mpmath as the high-precision reference for the
-Miller path, which must also match a frozen copy of its original
-recurrence bit for bit.
+Expected values are frozen from an oracle that never touches the library
+code path: an fsum-accumulated power series for Bessel.  scipy serves as a
+second, fully external cross-check, and mpmath as the high-precision
+reference for the Miller path, which must also match a frozen copy of its
+original recurrence bit for bit.
 """
 
 import math
@@ -18,13 +17,12 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from accelrad import (AccuracyBudget, ConvergenceError, anger_j, bessel_j,
-                      bessel_j_orders, rational_period_integral)
+import accelrad.specfun as specfun
+from accelrad import (ConvergenceError, bessel_j, bessel_j_orders,
+                      rational_period_integral)
 
 # Frozen from the fsum power-series oracle below.
 J1_AT_FIRST_PEAK = 0.5818652242276431
-# Frozen from the 1e6-panel trapezoid oracle below.
-ANGER_HALF_AT_ONE = 0.85516530967887
 
 
 def series_oracle(n, x, terms=400):
@@ -83,14 +81,6 @@ def miller_grid(seed, count):
         n = rng.randint(0, min(3500, int(1.2 * x) + 20))
         pairs.append((n, x))
     return pairs
-
-
-def anger_trapezoid_oracle(nu, x, panels=10**6):
-    """Independent dense-trapezoid Anger evaluation."""
-    t = np.linspace(0.0, math.pi, panels + 1)
-    f = np.cos(x * np.sin(t) - nu * t)
-    h = math.pi / panels
-    return float(h * (0.5 * f[0] + f[1:-1].sum() + 0.5 * f[-1]) / math.pi)
 
 
 class TestBessel:
@@ -239,35 +229,6 @@ class TestBessel:
             bessel_j(0, math.inf)
 
 
-class TestAnger:
-    def test_at_origin(self):
-        assert anger_j(0.0, 0.0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_reduces_to_bessel_at_integer_order(self):
-        assert anger_j(3.0, 2.0) == pytest.approx(bessel_j(3, 2.0), abs=1e-12)
-
-    @pytest.mark.parametrize("nu", range(0, 9))
-    @pytest.mark.parametrize("x", [0.0, 0.7, 2.5, 6.0, 10.0])
-    def test_integer_order_agreement_grid(self, nu, x):
-        assert abs(anger_j(float(nu), x) - bessel_j(nu, x)) < 1e-8
-
-    def test_half_order_against_trapezoid_oracle(self):
-        assert anger_trapezoid_oracle(0.5, 1.0) == pytest.approx(
-            ANGER_HALF_AT_ONE, abs=1e-12)
-        assert anger_j(0.5, 1.0) == pytest.approx(ANGER_HALF_AT_ONE,
-                                                  abs=1e-10)
-
-    def test_infeasible_budget_raises_with_estimate(self):
-        tiny = AccuracyBudget(rel_tol=1e-14, max_terms=40)
-        with pytest.raises(ConvergenceError) as excinfo:
-            anger_j(0.5, 40.0, tiny)
-        assert excinfo.value.error_estimate >= 0.0
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            anger_j(math.nan, 1.0)
-
-
 class TestRationalPeriodIntegral:
     def test_half_integer_vanishes(self):
         assert abs(rational_period_integral(1.0, 3, 2)) < 1e-10
@@ -299,17 +260,7 @@ class TestRationalPeriodIntegral:
             rational_period_integral(1.0, 3, -1)
 
 
-class TestAccuracyBudget:
-    def test_rejects_non_positive_tolerance(self):
-        with pytest.raises(ValueError):
-            AccuracyBudget(rel_tol=0.0)
-
-    def test_rejects_zero_terms(self):
-        with pytest.raises(ValueError):
-            AccuracyBudget(max_terms=0)
-
-
-def frozen_bessel_series(n, x, budget):
+def frozen_bessel_series(n, x, rel_tol=1e-10, max_terms=10**6):
     """``specfun._bessel_series`` as it was before its loop invariants were
     hoisted; the two must agree bit for bit."""
     half = 0.5 * x
@@ -321,55 +272,56 @@ def frozen_bessel_series(n, x, budget):
     total = term
     peak = abs(term)
     h2 = half * half
-    for k in range(1, budget.max_terms + 1):
+    for k in range(1, max_terms + 1):
         term *= -h2 / (k * (n + k))
         total += term
         mag = abs(term)
         peak = max(peak, mag)
-        if mag <= 1e-2 * budget.rel_tol * abs(total) or mag <= 1e-17 * peak:
+        if mag <= 1e-2 * rel_tol * abs(total) or mag <= 1e-17 * peak:
             return total
     raise ConvergenceError(
         f"Bessel series for J_{n}({x}) did not converge in "
-        f"{budget.max_terms} terms",
+        f"{max_terms} terms",
         error_estimate=abs(term),
     )
 
 
 class TestSeriesMatchesFrozenLoop:
     def test_bit_identical_on_seeded_pairs(self):
-        from accelrad.specfun import DEFAULT_BUDGET, _bessel_series
         rng = np.random.default_rng(20261018)
         orders = rng.integers(0, 40, 20000).tolist()
         args = (12.0 * (1.0 - rng.random(20000))).tolist()  # 0 < x <= 12
         for n, x in zip(orders, args):
-            new = _bessel_series(n, x, DEFAULT_BUDGET)
-            old = frozen_bessel_series(n, x, DEFAULT_BUDGET)
+            new = specfun._bessel_series(n, x)
+            old = frozen_bessel_series(n, x)
             assert new == old and math.copysign(1.0, new) == \
                 math.copysign(1.0, old), (n, x)
 
     @pytest.mark.parametrize("rel_tol", [1e-10, 1e-14, 1e-3])
-    def test_bit_identical_under_other_budgets(self, rel_tol):
-        from accelrad.specfun import _bessel_series
-        budget = AccuracyBudget(rel_tol=rel_tol)
+    def test_bit_identical_under_other_budgets(self, rel_tol, monkeypatch):
+        # The tolerance is a module constant; patching it checks that the
+        # loop reads it where the frozen loop read its argument.
+        monkeypatch.setattr(specfun, "_REL_TOL", rel_tol)
         for n in range(0, 40, 3):
             for x in np.linspace(0.05, 12.0, 40).tolist():
-                assert _bessel_series(n, x, budget) == \
-                    frozen_bessel_series(n, x, budget), (n, x)
+                assert specfun._bessel_series(n, x) == \
+                    frozen_bessel_series(n, x, rel_tol), (n, x)
 
-    def test_small_term_budget_fails_where_it_did(self):
-        from accelrad.specfun import _bessel_series
-        tiny = AccuracyBudget(rel_tol=1e-14, max_terms=40)
+    def test_small_term_budget_fails_where_it_did(self, monkeypatch):
+        # Only a smaller term cap reaches the non-convergence error.
+        monkeypatch.setattr(specfun, "_REL_TOL", 1e-14)
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 40)
         failed = []
         for n in range(0, 40, 3):
             for x in (12.0, 20.0, 26.0, 28.0, 30.0, 35.0):
                 try:
-                    old = frozen_bessel_series(n, x, tiny)
+                    old = frozen_bessel_series(n, x, 1e-14, 40)
                 except ConvergenceError as exc:
                     with pytest.raises(ConvergenceError) as excinfo:
-                        _bessel_series(n, x, tiny)
+                        specfun._bessel_series(n, x)
                     assert excinfo.value.error_estimate == exc.error_estimate
                     assert str(excinfo.value) == str(exc)
                     failed.append((n, x))
                 else:
-                    assert _bessel_series(n, x, tiny) == old
+                    assert specfun._bessel_series(n, x) == old
         assert (0, 30.0) in failed and (0, 12.0) not in failed

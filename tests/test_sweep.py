@@ -1,4 +1,5 @@
-"""Sweep-engine tests: surface structure, cell consistency, spectrum wrapper."""
+"""Sweep-engine tests: surface structure, cell consistency, and spectra
+checked line by line against the oracle."""
 
 import math
 
@@ -6,10 +7,20 @@ import numpy as np
 import pytest
 
 from accelrad import (AtomParams, FreeSpace, Mirror, OracleMismatchError,
-                      ShoMotion, SweepGrid, SweepResult, bessel_j,
-                      fig2_surface, fig3_surface, free_space_rate,
-                      mirror_rate, rate_surface, spectrum)
+                      ShoMotion, SweepGrid, SweepResult, allowed_sidebands,
+                      bessel_j, fig2_surface, fig3_surface, free_space_rate,
+                      mirror_rate, rate_surface)
+from accelrad.cli import VERIFY_TOL
 from accelrad.constants import SPEED_OF_LIGHT as C
+from accelrad.oracle import verified_lines
+
+
+def verified_spectrum(atom, motion, geom, n_max):
+    """The closed-form lines, each checked against the oracle as
+    ``--verify`` checks them."""
+    lines = allowed_sidebands(atom, motion, geom, n_max)
+    verified_lines(atom, motion, geom, lines, VERIFY_TOL)
+    return lines
 
 
 class TestFig2Surface:
@@ -210,7 +221,7 @@ class TestSpectrum:
     def test_free_space_ladder(self):
         atom = AtomParams(omega0=1.0, g=1.0)
         motion = ShoMotion(amplitude=0.02, Omega=2.0)
-        lines = spectrum(atom, motion, FreeSpace(), 5)
+        lines = allowed_sidebands(atom, motion, FreeSpace(), 5)
         assert [line.omega for line in lines] == pytest.approx(
             [1.0, 3.0, 5.0, 7.0, 9.0])
 
@@ -232,12 +243,12 @@ class TestSpectrum:
     def test_empty_below_threshold(self):
         atom = AtomParams(omega0=10.0, g=1.0)
         motion = ShoMotion(amplitude=0.02, Omega=1.0)
-        assert spectrum(atom, motion, FreeSpace(), 5) == []
+        assert allowed_sidebands(atom, motion, FreeSpace(), 5) == []
 
     def test_verified_spectrum_passes_on_consistent_physics(self):
         atom = AtomParams(omega0=1.0, g=0.5)
         motion = ShoMotion(amplitude=0.4 * C, Omega=2.0)
-        lines = spectrum(atom, motion, FreeSpace(), 3, verify=True)
+        lines = verified_spectrum(atom, motion, FreeSpace(), 3)
         assert len(lines) == 3
 
     def test_verification_flags_a_corrupted_closed_form(self, monkeypatch):
@@ -255,7 +266,7 @@ class TestSpectrum:
         atom = AtomParams(omega0=1.0, g=0.5)
         motion = ShoMotion(amplitude=0.4 * C, Omega=2.0)
         with pytest.raises(OracleMismatchError):
-            spectrum(atom, motion, FreeSpace(), 2, verify=True)
+            verified_spectrum(atom, motion, FreeSpace(), 2)
 
     def test_verification_flags_a_skewed_line_near_1e_12_of_scale(
             self, monkeypatch):
@@ -280,7 +291,7 @@ class TestSpectrum:
                              error_estimate=res.error_estimate,
                              panels_used=res.panels_used)
 
-        assert spectrum(atom, motion, FreeSpace(), n, verify=True)
+        assert verified_spectrum(atom, motion, FreeSpace(), n)
         monkeypatch.setattr(oracle_module, "one_period_amplitude", skewed)
         with pytest.raises(OracleMismatchError, match="n=3"):
-            spectrum(atom, motion, FreeSpace(), n, verify=True)
+            verified_spectrum(atom, motion, FreeSpace(), n)
