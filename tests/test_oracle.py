@@ -17,7 +17,7 @@ from accelrad import (PARALLEL, AtomParams, Cavity, ConvergenceError,
                       one_period_amplitude, rational_period_integral,
                       selection_rule_report, verify_selection_rule)
 from accelrad._quadrature import (MAX_PERIODIC_NODES, composite_gl,
-                                  periodic_trapezoid)
+                                  periodic_trapezoid, refine_to_tolerance)
 from accelrad.oracle import equivalence_cases, equivalence_report, rate_floor
 from accelrad.constants import SPEED_OF_LIGHT as C
 
@@ -521,6 +521,21 @@ class TestGaussLegendreRuleCache:
         uncached = [rational_period_integral(x, p, q)
                     for p, q, x in SCAN_GRID]
         assert cached == uncached
+
+    def test_anger_j_bit_equal_to_uncached(self, monkeypatch):
+        def anger_j(nu, x):
+            def integrand(t):
+                return np.cos(x * np.sin(t) - nu * t)
+
+            panels = max(16, math.ceil(4.0 * (abs(x) + abs(nu))))
+            return refine_to_tolerance(integrand, 0.0, math.pi, panels,
+                                       1e-10)[0] / math.pi
+
+        pairs = [(0.5, 1.0), (2.3, 7.5), (10.0, 3.0), (-1.5, 20.0),
+                 (3.0, 0.0), (0.25, 150.0)]
+        cached = [anger_j(nu, x) for nu, x in pairs]
+        monkeypatch.setattr(quadrature, "composite_gl", uncached_composite_gl)
+        assert cached == [anger_j(nu, x) for nu, x in pairs]
 
     def test_cached_rule_arrays_are_read_only(self):
         seen = []

@@ -20,9 +20,12 @@ from hypothesis import strategies as st
 import accelrad.specfun as specfun
 from accelrad import (ConvergenceError, bessel_j, bessel_j_orders,
                       rational_period_integral)
+from accelrad._quadrature import refine_to_tolerance
 
 # Frozen from the fsum power-series oracle below.
 J1_AT_FIRST_PEAK = 0.5818652242276431
+# Anger J_{1/2}(1), frozen from the dense-trapezoid oracle below.
+ANGER_HALF_AT_ONE = 0.85516530967887
 
 
 def series_oracle(n, x, terms=400):
@@ -81,6 +84,26 @@ def miller_grid(seed, count):
         n = rng.randint(0, min(3500, int(1.2 * x) + 20))
         pairs.append((n, x))
     return pairs
+
+
+def anger_gl(nu, x, max_nodes=10**6):
+    """Anger J_nu(x) = (1/pi) int_0^pi cos(x sin t - nu t) dt, integrated by
+    the Gauss-Legendre route that backs rational_period_integral."""
+    def integrand(t):
+        return np.cos(x * np.sin(t) - nu * t)
+
+    panels = max(16, math.ceil(4.0 * (abs(x) + abs(nu))))
+    value, _, _ = refine_to_tolerance(
+        integrand, 0.0, math.pi, panels, 1e-10, max_nodes)
+    return value / math.pi
+
+
+def anger_trapezoid_oracle(nu, x, panels=10**6):
+    """Independent dense-trapezoid Anger evaluation."""
+    t = np.linspace(0.0, math.pi, panels + 1)
+    f = np.cos(x * np.sin(t) - nu * t)
+    h = math.pi / panels
+    return float(h * (0.5 * f[0] + f[1:-1].sum() + 0.5 * f[-1]) / math.pi)
 
 
 class TestBessel:
@@ -227,6 +250,33 @@ class TestBessel:
             bessel_j(0, math.nan)
         with pytest.raises(ValueError):
             bessel_j(0, math.inf)
+
+
+class TestAnger:
+    """At integer order the Anger integral is Bessel's integral, so the
+    Gauss-Legendre route and bessel_j check each other."""
+
+    def test_at_origin(self):
+        assert anger_gl(0.0, 0.0) == pytest.approx(1.0, abs=1e-12)
+
+    def test_reduces_to_bessel_at_integer_order(self):
+        assert anger_gl(3.0, 2.0) == pytest.approx(bessel_j(3, 2.0), abs=1e-12)
+
+    @pytest.mark.parametrize("nu", range(0, 9))
+    @pytest.mark.parametrize("x", [0.0, 0.7, 2.5, 6.0, 10.0])
+    def test_integer_order_agreement_grid(self, nu, x):
+        assert abs(anger_gl(float(nu), x) - bessel_j(nu, x)) < 1e-8
+
+    def test_half_order_against_trapezoid_oracle(self):
+        assert anger_trapezoid_oracle(0.5, 1.0) == pytest.approx(
+            ANGER_HALF_AT_ONE, abs=1e-12)
+        assert anger_gl(0.5, 1.0) == pytest.approx(ANGER_HALF_AT_ONE,
+                                                   abs=1e-10)
+
+    def test_infeasible_budget_raises_with_estimate(self):
+        with pytest.raises(ConvergenceError) as excinfo:
+            anger_gl(0.5, 40.0, max_nodes=40)
+        assert excinfo.value.error_estimate >= 0.0
 
 
 class TestRationalPeriodIntegral:
