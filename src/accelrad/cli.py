@@ -7,8 +7,9 @@ All boundary inputs are ordinary frequencies in Hz and lengths in meters
 happens once at parse time.  Identical config + seed produce byte-identical
 output.
 
-Exit codes: 0 success, 2 config error, 3 physics-domain error,
-4 oracle-integrity failure.
+Exit codes: 0 success, 2 config error, 3 physics-domain error (float64
+overflow included), 4 oracle-integrity failure.  The error type alone picks
+the code; any other exception is a bug and propagates.
 """
 
 import argparse
@@ -372,9 +373,12 @@ def _load_config(path: str | None) -> RunConfig | None:
 def _emit(text: str, output: str | None):
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {output}: {exc}") from None
 
 
 def _n_max_option(args, default: int) -> int:
@@ -449,9 +453,11 @@ def cmd_sweep(args) -> int:
         geom = build_geometry(cfg.geometry)
         if not isinstance(motion, ShoMotion):
             raise ConfigError("custom sweep needs sho motion")
-        lo = settings.amplitude_min_m
-        hi = settings.amplitude_max_m
+        lo, hi = settings.amplitude_min_m, settings.amplitude_max_m
         count = settings.amplitude_count
+        if 0 < lo and hi <= lo and count > 1:
+            raise ConfigError(f"[sweep] amplitude_min = {lo!r} m must be "
+                              f"below amplitude_max = {hi!r} m")
         amplitudes = np.linspace(lo if lo > 0 else hi / count, hi, count)
         result = sweep.rate_surface(atom, motion, geom, amplitudes,
                                     range(1, settings.n_max + 1))
@@ -533,19 +539,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=formats,
                        help=f"output format (default {default})")
 
-    p_rate = sub.add_parser("rate", help="per-sideband rates")
-    common(p_rate, needs_config=True)
-    p_rate.add_argument("--n-max", type=int, help="highest sideband index")
-    p_rate.add_argument("--verify", action="store_true",
-                        help="cross-check each line against the oracle")
-    p_rate.set_defaults(func=cmd_sidebands)
-
-    p_spec = sub.add_parser("spectrum", help="full sideband spectrum")
-    common(p_spec, needs_config=True)
-    p_spec.add_argument("--n-max", type=int, help="highest sideband index")
-    p_spec.add_argument("--verify", action="store_true",
-                        help="cross-check each line against the oracle")
-    p_spec.set_defaults(func=cmd_sidebands)
+    for name, what in (("rate", "per-sideband rates"),
+                       ("spectrum", "full sideband spectrum")):
+        p_lines = sub.add_parser(name, help=what)
+        common(p_lines, needs_config=True)
+        p_lines.add_argument("--n-max", type=int,
+                             help="highest sideband index")
+        p_lines.add_argument("--verify", action="store_true",
+                             help="cross-check each line against the oracle")
+        p_lines.set_defaults(func=cmd_sidebands)
 
     p_sweep = sub.add_parser("sweep", help="figure-data surfaces")
     common(p_sweep, needs_config=False)
@@ -577,8 +579,12 @@ def main(argv=None) -> int:
     except (OracleMismatchError, ConvergenceError) as exc:
         print(f"integrity failure: {exc}", file=sys.stderr)
         return 4
-    except (PhysicsDomainError, ValueError, TypeError) as exc:
+    except PhysicsDomainError as exc:
         print(f"physics-domain error: {exc}", file=sys.stderr)
+        return 3
+    except OverflowError:
+        print("physics-domain error: value beyond float64 range",
+              file=sys.stderr)
         return 3
     except BrokenPipeError:
         # downstream consumer (head, less, ...) closed the pipe

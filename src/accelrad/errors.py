@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: config errors -> 2, physics-domain
-errors -> 3, numerical-integrity failures -> 4.
+The CLI picks its exit code from the type alone: ConfigError -> 2,
+PhysicsDomainError and OverflowError (a value past float64 range) -> 3,
+OracleMismatchError and ConvergenceError -> 4; anything else is a bug.
 """
 
 

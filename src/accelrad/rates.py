@@ -56,6 +56,12 @@ def _wave_components(k: float, delta: float):
     return k * math.sin(delta), k * math.cos(delta)
 
 
+def _check_positive(name: str, value: float):
+    """Reject a model value that is not finite and positive."""
+    if not (math.isfinite(value) and value > 0):
+        raise PhysicsDomainError(f"{name} must be positive, got {value}")
+
+
 @dataclass(frozen=True)
 class AtomParams:
     """Two-level atom: transition frequency omega0 and coupling g (rad/s).
@@ -70,20 +76,18 @@ class AtomParams:
     alpha: float | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.omega0) and self.omega0 > 0):
-            raise ValueError(f"omega0 must be positive, got {self.omega0}")
+        _check_positive("omega0", self.omega0)
         if self.alpha is not None:
             derived = self.alpha * self.omega0
             if self.g is None:
                 object.__setattr__(self, "g", derived)
             elif self.g != derived:
-                raise ValueError(
+                raise PhysicsDomainError(
                     f"inconsistent coupling: g={self.g} but "
                     f"alpha*omega0={derived}")
         if self.g is None:
-            raise ValueError("either g or alpha must be given")
-        if not (math.isfinite(self.g) and self.g > 0):
-            raise ValueError(f"g must be positive, got {self.g}")
+            raise PhysicsDomainError("either g or alpha must be given")
+        _check_positive("g", self.g)
 
 
 @dataclass(frozen=True)
@@ -105,13 +109,13 @@ class ShoMotion:
 
     def __post_init__(self):
         if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
-            raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
-        if not (math.isfinite(self.Omega) and self.Omega > 0):
-            raise ValueError(f"Omega must be positive, got {self.Omega}")
+            raise PhysicsDomainError(
+                f"amplitude must be >= 0, got {self.amplitude}")
+        _check_positive("Omega", self.Omega)
         if self.orientation not in (PERPENDICULAR, PARALLEL):
             raise ValueError(f"unknown orientation {self.orientation!r}")
         if not math.isfinite(self.delta):
-            raise ValueError(f"delta must be finite, got {self.delta}")
+            raise PhysicsDomainError(f"delta must be finite, got {self.delta}")
 
     @property
     def extent(self) -> float:
@@ -147,11 +151,10 @@ class RotationMotion:
 
     def __post_init__(self):
         if not (math.isfinite(self.radius) and self.radius >= 0):
-            raise ValueError(f"radius must be >= 0, got {self.radius}")
-        if not (math.isfinite(self.Omega) and self.Omega > 0):
-            raise ValueError(f"Omega must be positive, got {self.Omega}")
+            raise PhysicsDomainError(f"radius must be >= 0, got {self.radius}")
+        _check_positive("Omega", self.Omega)
         if not math.isfinite(self.delta):
-            raise ValueError(f"delta must be finite, got {self.delta}")
+            raise PhysicsDomainError(f"delta must be finite, got {self.delta}")
 
     @property
     def extent(self) -> float:
@@ -185,14 +188,13 @@ class GeneralPeriodicMotion:
     samples: tuple
 
     def __post_init__(self):
-        if not (math.isfinite(self.Omega) and self.Omega > 0):
-            raise ValueError(f"Omega must be positive, got {self.Omega}")
+        _check_positive("Omega", self.Omega)
         samples = tuple(float(s) for s in self.samples)
         if len(samples) < 16:
-            raise ValueError(
+            raise PhysicsDomainError(
                 f"need at least 16 samples, got {len(samples)}")
         if not all(math.isfinite(s) for s in samples):
-            raise ValueError("samples must be finite")
+            raise PhysicsDomainError("samples must be finite")
         object.__setattr__(self, "samples", samples)
 
     @property
@@ -255,8 +257,7 @@ class Mirror:
     z0: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.z0) and self.z0 > 0):
-            raise ValueError(f"z0 must be positive, got {self.z0}")
+        _check_positive("z0", self.z0)
 
     @property
     def clearance(self) -> float:
@@ -293,14 +294,13 @@ class Cavity:
     n_photons: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.length) and self.length > 0):
-            raise ValueError(f"length must be positive, got {self.length}")
+        _check_positive("length", self.length)
         if not (math.isfinite(self.z0) and 0 < self.z0 < self.length):
-            raise ValueError(
+            raise PhysicsDomainError(
                 f"z0 must lie inside the cavity (0, {self.length}), "
                 f"got {self.z0}")
         if self.n_photons != int(self.n_photons) or self.n_photons < 0:
-            raise ValueError(
+            raise PhysicsDomainError(
                 f"n_photons must be a non-negative integer, "
                 f"got {self.n_photons}")
 
@@ -360,10 +360,9 @@ class Sideband:
 
     def __post_init__(self):
         if not (math.isfinite(self.rate) and self.rate >= 0):
-            raise ValueError(f"rate must be finite and >= 0, got {self.rate}")
-        if not (math.isfinite(self.omega) and self.omega > 0):
-            raise ValueError(
-                f"photon frequency must be finite and positive, got {self.omega}")
+            raise PhysicsDomainError(
+                f"rate must be finite and >= 0, got {self.rate}")
+        _check_positive("photon frequency", self.omega)
 
 
 def emission_frequency(atom: AtomParams, Omega: float, n: int) -> float:
@@ -388,11 +387,18 @@ def check_clearance(motion, geom):
             f"(clearance {clearance:g} m); require extent < clearance")
 
 
+def _check_phase(theta: float):
+    """Reject a boundary phase past float64 range: math.sin refuses it."""
+    if math.isinf(theta):
+        raise PhysicsDomainError(
+            f"boundary phase {theta} rad is beyond float64 range")
+
+
 def check_closed_form(motion, geom):
     """Reject a motion that the geometry's closed form does not cover, with
     the message the geometry declares."""
     if not geom.covers(motion):
-        raise TypeError(geom.uncovered)
+        raise PhysicsDomainError(geom.uncovered)
 
 
 def mirror_rate(atom: AtomParams, motion, geom: Mirror, n: int) -> Sideband:
@@ -408,6 +414,7 @@ def mirror_rate(atom: AtomParams, motion, geom: Mirror, n: int) -> Sideband:
     k_motion, k_normal = motion.project(omega / C)
     a_tilde = k_motion * motion.amplitude
     theta = k_normal * geom.z0 - 0.5 * math.pi * n
+    _check_phase(theta)
     rate = (8.0 * math.pi * atom.g**2 / motion.Omega
             * math.sin(theta)**2 * bessel_j(n, a_tilde)**2)
     return Sideband(n=n, omega=omega, rate=rate, branch=EMIT_EXCITE)
@@ -467,6 +474,7 @@ def cavity_rate(atom: AtomParams, motion: ShoMotion, geom: Cavity,
     check_clearance(motion, geom)
     a_tilde = math.pi * m * motion.amplitude / geom.length
     theta = math.pi * m * geom.z0 / geom.length - 0.5 * math.pi * n
+    _check_phase(theta)
     rate = (8.0 * math.pi * chi * atom.g**2 / motion.Omega
             * math.sin(theta)**2 * bessel_j(n, a_tilde)**2)
     return Sideband(n=n, omega=omega, rate=rate, branch=branch, m=m)
@@ -484,10 +492,6 @@ def allowed_sidebands(atom: AtomParams, motion, geom,
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if isinstance(motion, GeneralPeriodicMotion):
-        raise TypeError(
-            "no closed form for sampled trajectories; use "
-            "oracle.general_trajectory_spectrum")
     check_clearance(motion, geom)
     check_closed_form(motion, geom)
     return [line for n in range(1, n_max + 1)

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from ._quadrature import refine_to_tolerance
-from .errors import ConvergenceError
+from .errors import ConvergenceError, PhysicsDomainError
 
 _SERIES_CUTOFF = 12.0
 _MILLER_RESCALE = 1e250
@@ -37,7 +37,7 @@ def bessel_j(n: int, x: float) -> float:
         raise ValueError(f"order must be a non-negative integer, got {n}")
     n = int(n)
     if not math.isfinite(x):
-        raise ValueError(f"argument must be finite, got {x}")
+        raise PhysicsDomainError(f"argument must be finite, got {x}")
     x = float(x)  # numpy scalars would leak into the result and slow the loops
     if x < 0:
         return -bessel_j(n, -x) if n % 2 else bessel_j(n, -x)
@@ -57,7 +57,7 @@ def bessel_j_orders(n_max: int, x: float) -> np.ndarray:
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     if not math.isfinite(x):
-        raise ValueError(f"argument must be finite, got {x}")
+        raise PhysicsDomainError(f"argument must be finite, got {x}")
     sign = -1.0 if x < 0 else 1.0
     x = abs(float(x))
     if x == 0.0:
@@ -153,19 +153,12 @@ def _miller_range(lo: int, hi: int, x: float) -> list:
                                        norm, kept)
     up, cur, norm = _miller_pairs(bot - 1, 1, x, up, cur, norm, kept)
     # The last pair, orders 1 and 0: J_0 enters the normalization once.
-    scale = 1.0 / _MILLER_RESCALE
     j1 = (4.0 / x) * cur - up
     if abs(j1) > _MILLER_RESCALE:
-        j1 *= scale
-        cur *= scale
-        norm *= scale
-        kept[:] = [v * scale for v in kept]
+        j1, cur, norm = _rescale(j1, cur, norm, kept)
     j0 = (2.0 / x) * j1 - cur
     if abs(j0) > _MILLER_RESCALE:
-        j0 *= scale
-        j1 *= scale
-        norm *= scale
-        kept[:] = [v * scale for v in kept]
+        j0, j1, norm = _rescale(j0, j1, norm, kept)
     norm += j0
     if bot == 1:
         kept += (j1, j0)
@@ -181,22 +174,15 @@ def _miller_pairs(start: int, stop: int, x: float, up: float, cur: float,
     J_{2j-2}; ``tk`` is 2k for k = 2j, an exact float.
     """
     big = _MILLER_RESCALE
-    scale = 1.0 / big
     tk = 4.0 * start
     for _ in range(start - stop):
         # a > big or a < -big is abs(a) > big without the call.
         a = (tk / x) * cur - up
         if a > big or a < -big:
-            a *= scale
-            cur *= scale
-            norm *= scale
-            kept[:] = [v * scale for v in kept]
+            a, cur, norm = _rescale(a, cur, norm, kept)
         b = ((tk - 2.0) / x) * a - cur
         if b > big or b < -big:
-            b *= scale
-            a *= scale
-            norm *= scale
-            kept[:] = [v * scale for v in kept]
+            b, a, norm = _rescale(b, a, norm, kept)
         tk -= 4.0
         norm += 2.0 * b
         up = a
@@ -211,27 +197,29 @@ def _miller_kept_pairs(start: int, stop: int, x: float, up: float,
     A loop of its own, so that the unstored pairs pay no store test.
     """
     big = _MILLER_RESCALE
-    scale = 1.0 / big
     tk = 4.0 * start
     for _ in range(start - stop):
         a = (tk / x) * cur - up
         if a > big or a < -big:
-            a *= scale
-            cur *= scale
-            norm *= scale
-            kept[:] = [v * scale for v in kept]
+            a, cur, norm = _rescale(a, cur, norm, kept)
         b = ((tk - 2.0) / x) * a - cur
         if b > big or b < -big:
-            b *= scale
-            a *= scale
-            norm *= scale
-            kept[:] = [v * scale for v in kept]
+            b, a, norm = _rescale(b, a, norm, kept)
         kept += (a, b)
         tk -= 4.0
         norm += 2.0 * b
         up = a
         cur = b
     return up, cur, norm
+
+
+def _rescale(u: float, v: float, norm: float, kept: list):
+    """The rescale of ``_miller_range``: the two live values ``u`` and
+    ``v``, the normalization and, in place, every stored value times
+    1 / _MILLER_RESCALE."""
+    scale = 1.0 / _MILLER_RESCALE
+    kept[:] = [w * scale for w in kept]
+    return u * scale, v * scale, norm * scale
 
 
 def rational_period_integral(x: float, p: int, q: int) -> float:
@@ -244,7 +232,7 @@ def rational_period_integral(x: float, p: int, q: int) -> float:
     if p != int(p) or q != int(q) or p < 1 or q < 1:
         raise ValueError(f"p and q must be positive integers, got p={p}, q={q}")
     if not math.isfinite(x):
-        raise ValueError(f"argument must be finite, got {x}")
+        raise PhysicsDomainError(f"argument must be finite, got {x}")
     p, q = int(p), int(q)
 
     def integrand(s):

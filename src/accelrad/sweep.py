@@ -11,6 +11,7 @@ import numpy as np
 
 from . import __version__ as _version
 from .constants import SPEED_OF_LIGHT as C
+from .errors import PhysicsDomainError
 from .rates import (SMALL_AMPLITUDE_MAX, AtomParams, Cavity, ShoMotion,
                     check_clearance, small_amplitude_formula)
 from .specfun import bessel_j, bessel_j_orders
@@ -27,19 +28,17 @@ class SweepGrid:
     fixed: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name, values in ((self.axis1_name, self.axis1_values),
-                             (self.axis2_name, self.axis2_values)):
-            values = tuple(float(v) for v in values)
+        for axis in ("axis1", "axis2"):
+            name = getattr(self, f"{axis}_name")
+            values = tuple(float(v) for v in getattr(self, f"{axis}_values"))
             if len(values) == 0:
-                raise ValueError(f"axis {name!r} is empty")
+                raise PhysicsDomainError(f"axis {name!r} is empty")
             if not all(map(math.isfinite, values)):
-                raise ValueError(f"axis {name!r} must be finite")
+                raise PhysicsDomainError(f"axis {name!r} must be finite")
             if any(b <= a for a, b in zip(values, values[1:])):
-                raise ValueError(f"axis {name!r} must be strictly increasing")
-        object.__setattr__(self, "axis1_values",
-                           tuple(float(v) for v in self.axis1_values))
-        object.__setattr__(self, "axis2_values",
-                           tuple(float(v) for v in self.axis2_values))
+                raise PhysicsDomainError(
+                    f"axis {name!r} must be strictly increasing")
+            object.__setattr__(self, f"{axis}_values", values)
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,8 @@ class SweepResult:
         if (not np.issubdtype(self.values.dtype, np.floating)
                 or not np.all(np.isfinite(self.values))
                 or np.any(self.values < 0)):
-            raise ValueError("values must be finite non-negative floats")
+            raise PhysicsDomainError(
+                "values must be finite non-negative floats")
         for key, value in self.aux.items():
             if not isinstance(value, np.ndarray) or value.shape != expected:
                 raise ValueError(f"aux {key!r} must be an array of the grid "
@@ -72,8 +72,8 @@ class SweepResult:
             if value.dtype != bool and not (
                     np.issubdtype(value.dtype, np.floating)
                     and np.all(np.isfinite(value))):
-                raise ValueError(f"aux {key!r} must be bool, or float and "
-                                 f"finite")
+                raise PhysicsDomainError(
+                    f"aux {key!r} must be bool, or float and finite")
 
 
 def fig2_surface(a_tilde_values=None, n_values=None, *,
@@ -165,7 +165,7 @@ def rate_surface(atom: AtomParams, motion: ShoMotion, geom,
     amplitude row must clear the boundary.
     """
     if isinstance(geom, Cavity):
-        raise TypeError(
+        raise PhysicsDomainError(
             "custom sweeps support free-space and mirror geometries")
     amplitude_values = tuple(float(a) for a in amplitude_values)
     n_values = tuple(int(n) for n in n_values)

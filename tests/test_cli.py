@@ -766,6 +766,123 @@ class TestUnsupportedPairBeforeAnyLine:
         assert message in captured.err
 
 
+def _sampled(count):
+    return ("kind = general\nsamples = " + ",".join(
+        repr(1e-9 * math.sin(2 * math.pi * j / count))
+        for j in range(count)) + "\n")
+
+
+_CAVITY_GEOMETRY = (f"kind = cavity\nlength = {_CAVITY_LENGTH!r}\n"
+                    f"z0 = {0.3 * _CAVITY_LENGTH!r}\n")
+
+
+def _typed_route_config(atom="alpha = 0.2", frequency="5e9", drive="1e10",
+                        motion="kind = sho\namplitude = 1 nm\n",
+                        geometry="kind = free_space\n", extra=""):
+    return (f"[atom]\nfrequency_hz = {frequency}\n{atom}\n"
+            f"[motion]\ndrive_frequency_hz = {drive}\n{motion}"
+            f"[geometry]\n{geometry}{extra}")
+
+
+_MIRROR = "kind = mirror\nz0 = 1 mm\n"
+
+# (command, config, exit code, stderr fragment); "{missing}" is a directory
+# that does not exist.
+_TYPED_ROUTES = {
+    # ConfigError -> 2
+    "custom-axis-order": (
+        ["sweep", "--preset", "custom"], _typed_route_config(
+            extra="[sweep]\namplitude_min = 2e-8\namplitude_max = 1e-8\n"),
+        2, "[sweep] amplitude_min = 2e-08 m must be below amplitude_max"),
+    "unwritable-output-option": (
+        ["rate", "--output", "{missing}/out.csv"], _typed_route_config(),
+        2, "cannot write output"),
+    "unwritable-run-output": (
+        ["rate"], _typed_route_config(
+            extra="[run]\noutput = {missing}/out.csv\n"),
+        2, "cannot write output"),
+    # PhysicsDomainError -> 3
+    "sampled-motion-rate": (
+        ["rate"], _typed_route_config(motion=_sampled(16)),
+        3, "free_space_rate needs SHO motion"),
+    "cavity-custom-sweep": (
+        ["sweep", "--preset", "custom"], _typed_route_config(
+            atom="alpha = 0.2", frequency="0.9e9", drive="1e9",
+            geometry=_CAVITY_GEOMETRY),
+        3, "custom sweeps support free-space and mirror geometries"),
+    "z0-outside-cavity": (
+        ["rate"], _typed_route_config(
+            geometry="kind = cavity\nlength = 1 mm\nz0 = 2 mm\n"),
+        3, "z0 must lie inside the cavity"),
+    "fifteen-samples": (
+        ["spectrum"], _typed_route_config(motion=_sampled(15)),
+        3, "need at least 16 samples, got 15"),
+    "frequency-past-float64": (
+        ["rate"], _typed_route_config(frequency="1e308"),
+        3, "omega0 must be positive, got inf"),
+    "bessel-argument-inf": (
+        ["rate"], _typed_route_config(
+            drive="1e300", motion="kind = sho\namplitude = 1e300\n"),
+        3, "argument must be finite"),
+    "mirror-phase-inf": (
+        ["rate"], _typed_route_config(
+            drive="1e300", geometry="kind = mirror\nz0 = 1e20\n"),
+        3, "boundary phase inf rad is beyond float64 range"),
+    "sweep-axis-collapses": (
+        ["sweep", "--preset", "fig2"], _typed_route_config(
+            extra="[sweep]\na_tilde_max = 5e-324\na_tilde_count = 4\n"),
+        3, "axis 'A_tilde' must be strictly increasing"),
+    # OverflowError -> 3
+    "free-space-coupling-overflow": (
+        ["rate"], _typed_route_config(atom="coupling_hz = 1e200"),
+        3, "value beyond float64 range"),
+    "mirror-alpha-overflow": (
+        ["rate"], _typed_route_config(atom="alpha = 1e200",
+                                      geometry=_MIRROR),
+        3, "value beyond float64 range"),
+    "spectrum-coupling-overflow": (
+        ["spectrum"], _typed_route_config(atom="coupling_hz = 1e160"),
+        3, "value beyond float64 range"),
+    "verify-coupling-overflow": (
+        ["rate", "--verify"], _typed_route_config(
+            atom="coupling_hz = 1e160", geometry=_MIRROR),
+        3, "value beyond float64 range"),
+    "fig3-drive-overflow": (
+        ["sweep", "--preset", "fig3"], _typed_route_config(drive="1e120"),
+        3, "value beyond float64 range"),
+    "fig2-absolute-overflow": (
+        ["sweep", "--preset", "fig2"], _typed_route_config(
+            atom="coupling_hz = 1e200", extra="[sweep]\nabsolute = true\n"),
+        3, "value beyond float64 range"),
+}
+
+
+class TestExitCodeFollowsErrorType:
+    @pytest.mark.parametrize("route", sorted(_TYPED_ROUTES))
+    def test_typed_route(self, tmp_path, capsys, route):
+        argv, text, code, fragment = _TYPED_ROUTES[route]
+        missing = str(tmp_path / "missing")
+        path = write_cfg(tmp_path, text.replace("{missing}", missing))
+        argv = [a.replace("{missing}", missing) for a in argv]
+        assert main(argv + ["--config", path]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert fragment in captured.err
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("error", [ValueError, TypeError])
+    def test_builtin_error_is_a_bug_and_propagates(self, tmp_path,
+                                                  monkeypatch, error):
+        def broken(*args):
+            raise error("a bug, not a refusal")
+
+        monkeypatch.setattr("accelrad.cli.allowed_sidebands", broken)
+        path = write_cfg(tmp_path, FREE_SPACE_CFG)
+        with pytest.raises(error, match="a bug, not a refusal"):
+            main(["rate", "--config", path])
+
+
 class TestOrientationIsCheckedAtParse:
     @pytest.mark.parametrize("argv", [["rate"], ["spectrum"],
                                       ["sweep", "--preset", "custom"]])

@@ -324,7 +324,7 @@ class TestAllowedSidebands:
     def test_general_motion_is_directed_to_the_oracle(self):
         atom = AtomParams(omega0=1.0, g=1.0)
         motion = GeneralPeriodicMotion(Omega=2.0, samples=tuple([0.0] * 16))
-        with pytest.raises(TypeError):
+        with pytest.raises(PhysicsDomainError):
             allowed_sidebands(atom, motion, FreeSpace(), 3)
 
 
