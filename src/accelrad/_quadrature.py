@@ -1,5 +1,10 @@
 """Quadrature rules shared by the special functions and the amplitude oracle.
 
+Both rules keep one refinement contract, written once in ``_refine``: the
+node count doubles until two successive estimates agree to :data:`REL_TOL`
+relative, and no rule above :data:`MAX_PERIODIC_NODES` nodes is evaluated;
+a start with no room for one doubling raises before any node is evaluated.
+
 * ``periodic_trapezoid`` -- the N-node trapezoid rule over one full period,
   for analytic periodic integrands.  Its error is the aliasing tail (the
   integrand's Fourier coefficients at multiples of N), which decays
@@ -24,7 +29,9 @@ from .errors import ConvergenceError
 _GL_ORDER = 8
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 
-#: Most nodes ``periodic_trapezoid`` may use; it raises rather than go past.
+#: Relative agreement two successive estimates must reach.
+REL_TOL = 1e-10
+#: Most nodes either rule may use; it raises rather than go past.
 MAX_PERIODIC_NODES = 2**20
 
 #: How many Gauss-Legendre panel rules ``composite_gl`` keeps for reuse.
@@ -33,37 +40,47 @@ GL_CACHE_RULES = 128
 GL_CACHE_MAX_NODES = 4096
 
 
-def periodic_trapezoid(f, nodes: int, rel_tol: float):
-    """Integrate a 2 pi-periodic ``f`` over [-pi, pi) by the trapezoid rule.
-
-    Starts from ``nodes`` uniform nodes and doubles (adding only the
-    midpoints) until two successive estimates agree to
-    ``rel_tol * max(1, |value|)``.  Returns ``(value, error_estimate,
-    nodes_used)``; raises :class:`ConvergenceError` rather than pass
-    :data:`MAX_PERIODIC_NODES`.  ``f`` must accept an ndarray of abscissae
-    and return an ndarray of the same shape.
-    """
-    count = int(nodes)
+def _refine(estimate, nodes: int):
+    """``(value, error_estimate, nodes_used)`` of ``estimate(count)``, with
+    ``count`` doubling from ``nodes`` under the module's contract."""
+    count = nodes
     err = math.inf
     if 2 * count <= MAX_PERIODIC_NODES:
-        step = 2.0 * math.pi / count
-        total = np.sum(f(-math.pi + step * np.arange(count)))
-        value = step * total
+        value = estimate(count)
         while 2 * count <= MAX_PERIODIC_NODES:
-            total += np.sum(f(-math.pi + step * (np.arange(count) + 0.5)))
             count *= 2
-            step *= 0.5
-            refined = step * total
+            refined = estimate(count)
             err = abs(refined - value)
             value = refined
-            if err <= rel_tol * max(1.0, abs(value)):
+            if err <= REL_TOL * max(1.0, abs(value)):
                 return value, err, count
     raise ConvergenceError(
-        f"periodic trapezoid rule did not reach rel_tol={rel_tol:g} within "
-        f"the node cap MAX_PERIODIC_NODES = {MAX_PERIODIC_NODES} (started at "
-        f"{int(nodes)} nodes; error estimate {err:g})",
+        f"quadrature did not reach REL_TOL = {REL_TOL:g} within the node cap "
+        f"MAX_PERIODIC_NODES = {MAX_PERIODIC_NODES} (started at {nodes} "
+        f"nodes; error estimate {err:g})",
         error_estimate=err,
     )
+
+
+def periodic_trapezoid(f, nodes: int):
+    """Integrate a 2 pi-periodic ``f`` over [-pi, pi) by the trapezoid rule,
+    from ``nodes`` uniform nodes, each doubling adding only the midpoints.
+
+    Returns ``(value, error_estimate, nodes_used)``.  ``f`` must accept an
+    ndarray of abscissae and return an ndarray of the same shape.
+    """
+    total = None
+
+    def estimate(count):
+        nonlocal total
+        step = 2.0 * math.pi / count
+        if total is None:
+            total = np.sum(f(-math.pi + step * np.arange(count)))
+        else:  # the odd nodes, the previous rule's midpoints
+            total += np.sum(f(-math.pi + step * np.arange(1, count, 2)))
+        return step * total
+
+    return _refine(estimate, int(nodes))
 
 
 def composite_gl(f, a: float, b: float, panels: int):
@@ -94,27 +111,11 @@ def _gl_rule(a: float, b: float, panels: int):
 _cached_gl_rule = functools.lru_cache(maxsize=GL_CACHE_RULES)(_gl_rule)
 
 
-def refine_to_tolerance(f, a: float, b: float, panels: int,
-                        rel_tol: float, max_nodes: int = 10**6):
-    """Panel-doubling driver around :func:`composite_gl`, starting at
-    ``panels`` panels.
+def refine_to_tolerance(f, a: float, b: float, panels: int):
+    """Integrate ``f`` over [a, b] by :func:`composite_gl`, doubling from
+    ``panels`` panels.  Returns ``(value, error_estimate, panels_used)``."""
+    def estimate(nodes):  # a replaced composite_gl is the one used
+        return composite_gl(f, a, b, nodes // _GL_ORDER)
 
-    Returns ``(value, error_estimate, panels_used)`` where the error estimate
-    is the difference between the last two refinements.  Raises
-    :class:`ConvergenceError` when the node budget is exhausted first.
-    """
-    panels = max(1, int(panels))
-    value = composite_gl(f, a, b, panels)
-    err = math.inf
-    while panels * _GL_ORDER <= max_nodes:
-        panels *= 2
-        refined = composite_gl(f, a, b, panels)
-        err = abs(refined - value)
-        value = refined
-        if err <= rel_tol * max(1.0, abs(value)):
-            return value, err, panels
-    raise ConvergenceError(
-        f"quadrature did not reach rel_tol={rel_tol:g} within "
-        f"{max_nodes} nodes (achieved {err:g})",
-        error_estimate=err,
-    )
+    value, err, nodes = _refine(estimate, max(1, int(panels)) * _GL_ORDER)
+    return value, err, nodes // _GL_ORDER

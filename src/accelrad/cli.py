@@ -370,7 +370,9 @@ def _load_config(path: str | None) -> RunConfig | None:
     return parse_config(text)
 
 
-def _emit(text: str, output: str | None):
+def _emit(text: str, args, cfg):
+    """Write ``text`` to --output, else to [run] output, else stdout."""
+    output = args.output or (cfg.output if cfg is not None else None)
     if output is None:
         sys.stdout.write(text)
         return
@@ -413,7 +415,7 @@ def cmd_sidebands(args) -> int:
                 if args.verify or cfg.verify
                 else [(line, None, None) for line in lines])
     fmt = args.format or cfg.fmt
-    _emit(sidebands_text(rows, fmt), args.output or cfg.output)
+    _emit(sidebands_text(rows, fmt), args, cfg)
     return 0
 
 
@@ -462,8 +464,7 @@ def cmd_sweep(args) -> int:
         result = sweep.rate_surface(atom, motion, geom, amplitudes,
                                     range(1, settings.n_max + 1))
     fmt = args.format or (cfg.fmt if cfg is not None else "csv")
-    output = args.output or (cfg.output if cfg is not None else None)
-    _emit(sweep_text(result, fmt), output)
+    _emit(sweep_text(result, fmt), args, cfg)
     return 0
 
 
@@ -517,7 +518,7 @@ def cmd_oracle(args) -> int:
             f"{'PASS' if equivalence_pass else 'FAIL'}",
             f"overall: {'PASS' if ok else 'FAIL'}",
         ]) + "\n"
-    _emit(text, args.output)
+    _emit(text, args, cfg)
     return 0 if ok else 4
 
 

@@ -31,17 +31,14 @@ Fourier coefficients at nonzero multiples of N (Trefethen & Weideman,
 SIAM Review 56, 2014).  Starting from 4 (n + B + 40) nodes, B a bound on
 |dphi/dtau|, puts that tail far below float64; one doubling confirms it.
 The oracle integrates the trajectory directly and shares none of the
-Bessel or sin^2 algebra of the closed forms.  Composite Gauss-Legendre
-quadrature remains for the Gauss-Legendre route of the selection-rule scan
-(``specfun.rational_period_integral``).
+Bessel or sin^2 algebra of the closed forms.
 
 The selection-rule scan checks (1/2 pi) int e^{i(x sin(q psi) - p psi)} dpsi
 on two independent routes.  Its trapezoid route takes every p of one
 (q, x, node count) row from a single FFT of exp(i x sin(q psi_j)), so the
-300-case scan costs 29 FFTs; its Gauss-Legendre route reuses panel rules
-from a cache in ``_quadrature`` that holds at most 128 read-only rules of
-at most 4096 nodes (8 MiB).  Only those value-independent rules outlive a
-report.
+300-case scan costs 29 FFTs; its Gauss-Legendre route
+(``specfun.rational_period_integral``) reuses the bounded panel-rule cache
+of ``_quadrature``, the only state that outlives a report.
 """
 
 import math
@@ -60,10 +57,6 @@ from .rates import (EMIT_EXCITE, AtomParams, Cavity, FreeSpace,
 INTEGER_TOL = 1e-9
 
 _EPS = 2.0 ** -52  # float64 machine epsilon
-
-#: Relative agreement two successive trapezoid estimates must reach.  The
-#: node cap is :data:`accelrad._quadrature.MAX_PERIODIC_NODES`.
-REL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -147,12 +140,10 @@ def one_period_amplitude(motion, geom, omega: float, omega0: float, *,
     ``mode`` picks the right- or left-moving travelling wave in free space.
     ``g`` enters only the returned rate, not the amplitude.
 
-    The periodic trapezoid rule starts from ``4 (n + ceil(B) + 40)`` nodes,
-    B the bound on |dphi/dtau|, which puts the aliasing tail far below
-    float64; one doubling then confirms :data:`REL_TOL`.  A start above
-    half of :data:`accelrad._quadrature.MAX_PERIODIC_NODES` leaves no room
-    for that doubling and raises :class:`OracleRangeError` before any node
-    is evaluated.
+    The trapezoid rule starts from ``4 (n + ceil(B) + 40)`` nodes, B the
+    bound on |dphi/dtau|.  A start with no room for one doubling under
+    :data:`accelrad._quadrature.MAX_PERIODIC_NODES` raises
+    :class:`OracleRangeError` before any node is evaluated.
     """
     line = _line_integral(motion, geom, omega, omega0, mode)
     nodes = 4 * (line.n + math.ceil(line.bandwidth) + 40)
@@ -161,7 +152,7 @@ def one_period_amplitude(motion, geom, omega: float, omega0: float, *,
             f"sideband n={line.n} needs a trapezoid start of {nodes} nodes, "
             f"more than half of the oracle's node cap MAX_PERIODIC_NODES = "
             f"{MAX_PERIODIC_NODES}; it is beyond the oracle's range")
-    value, err, used = periodic_trapezoid(line.integrand, nodes, REL_TOL)
+    value, err, used = periodic_trapezoid(line.integrand, nodes)
     rate = _rate(line.chi, motion.Omega, g, abs(value))
     return OracleResult(amplitude=complex(value), rate=float(rate),
                         error_estimate=float(err), panels_used=used)
@@ -386,11 +377,9 @@ def selection_rule_report() -> dict:
 
     Runs both quadrature routes over q in [2, 7], p in [1, 20] coprime,
     x in {0.3, 1.0, 2.5, 7.0}: Gauss-Legendre panels
-    (``specfun.rational_period_integral``, whose panel rules composite_gl
-    reuses from its bounded cache) and the trapezoid rule of
-    :func:`verify_selection_rule`, computed as one FFT per distinct
-    (q, x, node count) row: 29 FFTs for the 300 cases.  The rows live only
-    for the one report.
+    (``specfun.rational_period_integral``) and the trapezoid rule of
+    :func:`verify_selection_rule`, one FFT per distinct (q, x, node count)
+    row: 29 FFTs for the 300 cases, kept only for the one report.
     """
     from .specfun import rational_period_integral
 

@@ -22,10 +22,12 @@ from .errors import ConvergenceError, PhysicsDomainError
 _SERIES_CUTOFF = 12.0
 _MILLER_RESCALE = 1e250
 
-#: Relative accuracy of the Bessel series and of the quadrature refinement.
+#: Relative accuracy of the Bessel series.
 _REL_TOL = 1e-10
-#: Most terms the Bessel series, and most nodes the quadrature, may use.
+#: Most terms the Bessel series may use.
 _MAX_TERMS = 10**6
+#: Largest |x| the Bessel evaluators accept; a Miller pass there takes ~1 s.
+MAX_ARGUMENT = 1e7
 
 
 def bessel_j(n: int, x: float) -> float:
@@ -36,8 +38,7 @@ def bessel_j(n: int, x: float) -> float:
     if n != int(n) or n < 0:
         raise ValueError(f"order must be a non-negative integer, got {n}")
     n = int(n)
-    if not math.isfinite(x):
-        raise PhysicsDomainError(f"argument must be finite, got {x}")
+    _check_argument(x)
     x = float(x)  # numpy scalars would leak into the result and slow the loops
     if x < 0:
         return -bessel_j(n, -x) if n % 2 else bessel_j(n, -x)
@@ -56,8 +57,7 @@ def bessel_j_orders(n_max: int, x: float) -> np.ndarray:
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    if not math.isfinite(x):
-        raise PhysicsDomainError(f"argument must be finite, got {x}")
+    _check_argument(x)
     sign = -1.0 if x < 0 else 1.0
     x = abs(float(x))
     if x == 0.0:
@@ -71,6 +71,14 @@ def bessel_j_orders(n_max: int, x: float) -> np.ndarray:
     if sign < 0:
         out[1::2] *= -1.0
     return out
+
+
+def _check_argument(x: float) -> None:
+    if not math.isfinite(x):
+        raise PhysicsDomainError(f"argument must be finite, got {x}")
+    if abs(x) > MAX_ARGUMENT:
+        raise PhysicsDomainError(f"Bessel argument |x| = {abs(x):g} is "
+                                 f"above MAX_ARGUMENT = {MAX_ARGUMENT:g}")
 
 
 def _leading_terms(n_max: int, x: float) -> list:
@@ -239,8 +247,7 @@ def rational_period_integral(x: float, p: int, q: int) -> float:
         return np.exp(1j * (x * np.sin(q * s) - p * s))
 
     panels = max(16, math.ceil(4.0 * (abs(x) + p)))
-    value, _, _ = refine_to_tolerance(
-        integrand, -math.pi, math.pi, panels, _REL_TOL, _MAX_TERMS)
+    value, _, _ = refine_to_tolerance(integrand, -math.pi, math.pi, panels)
     value /= 2.0 * math.pi
     if abs(value.imag) >= 1e-12:
         raise ConvergenceError(

@@ -104,7 +104,8 @@ def fig2_surface(a_tilde_values=None, n_values=None, *,
         values[i, :] = [orders[n] ** 2 for n in n_values]
     normalization = "prefactor-omitted"
     if g is not None:
-        values *= 2.0 * math.pi * g**2 / Omega
+        with np.errstate(over="ignore", invalid="ignore"):  # see SweepResult
+            values *= 2.0 * math.pi * g**2 / Omega
         normalization = "hz"
     grid = SweepGrid("A_tilde", a_tilde_values, "n", n_values,
                      fixed={} if g is None else {"g": g, "Omega": Omega})
@@ -139,13 +140,14 @@ def fig3_surface(amplitude_values=None, alpha_values=None, *,
 
     amps = np.asarray(amplitude_values)
     alphas = np.asarray(alpha_values)
-    values = small_amplitude_formula(np.outer(amps, alphas), Omega)
-    # Exact rate for comparison: omega0 = Omega/2, g = alpha*omega0,
-    # a_tilde = Omega*A/(2c).
-    a_tilde = 0.5 * Omega * amps / C
-    j1_sq = np.array([bessel_j(1, a) ** 2 for a in a_tilde])
-    g_sq = (alphas * 0.5 * Omega) ** 2
-    exact = 2.0 * math.pi / Omega * np.outer(j1_sq, g_sq)
+    # An overflow is left to SweepResult's check.  Exact rate for
+    # comparison: omega0 = Omega/2, g = alpha*omega0, a_tilde = Omega*A/(2c).
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = small_amplitude_formula(np.outer(amps, alphas), Omega)
+        a_tilde = 0.5 * Omega * amps / C
+        j1_sq = np.array([bessel_j(1, a) ** 2 for a in a_tilde])
+        g_sq = (alphas * 0.5 * Omega) ** 2
+        exact = 2.0 * math.pi / Omega * np.outer(j1_sq, g_sq)
     approx_valid = np.broadcast_to((a_tilde < SMALL_AMPLITUDE_MAX)[:, None],
                                    values.shape).copy()
     grid = SweepGrid("amplitude_m", amplitude_values, "alpha", alpha_values,

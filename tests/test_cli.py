@@ -6,6 +6,8 @@ import math
 import os
 import pathlib
 import string
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import MISSING
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import accelrad
 from accelrad import AtomParams, ShoMotion, free_space_rate
 from accelrad.cli import (CONFIG_SECTIONS, AtomConfig, GeometryConfig,
                           MotionConfig, RunConfig, SweepSettings, main,
@@ -471,6 +474,26 @@ class TestOracleCommand:
         assert main(["oracle", "--draws", "3", "--format", "text"]) == 0
         assert capsys.readouterr().out == default
 
+    def test_run_output_key_is_honoured(self, tmp_path, capsys):
+        assert main(["oracle", "--draws", "3"]) == 0
+        report = capsys.readouterr().out
+        target = tmp_path / "report.txt"
+        path = write_cfg(tmp_path, FREE_SPACE_CFG
+                         + f"\n[run]\noutput = {target}\n")
+        assert main(["oracle", "--config", path, "--draws", "3"]) == 0
+        assert capsys.readouterr().out == ""
+        assert target.read_text(encoding="utf-8") == report
+
+    def test_unwritable_run_output_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "report.txt"
+        path = write_cfg(tmp_path, FREE_SPACE_CFG
+                         + f"\n[run]\noutput = {target}\n")
+        assert main(["oracle", "--config", path, "--draws", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot write output" in captured.err
+        assert not target.parent.exists()
+
     def test_integrity_failure_exit_code(self, capsys, monkeypatch):
         import accelrad.oracle as oracle_module
 
@@ -881,6 +904,47 @@ class TestExitCodeFollowsErrorType:
         path = write_cfg(tmp_path, FREE_SPACE_CFG)
         with pytest.raises(error, match="a bug, not a refusal"):
             main(["rate", "--config", path])
+
+
+# (command, config, one stderr line); each ran for minutes or printed numpy
+# RuntimeWarnings ahead of its refusal.
+_FRESH_PROCESS_REFUSALS = {
+    "rate-bessel-argument-cap": (
+        ["rate"], _typed_route_config(drive="2.8e307"),
+        "physics-domain error: Bessel argument |x| = 5.86837e+290 is above "
+        "MAX_ARGUMENT = 1e+07"),
+    "fig2-bessel-argument-cap": (
+        ["sweep", "--preset", "fig2"], _typed_route_config(
+            extra="[sweep]\na_tilde_max = 1e308\n"),
+        "physics-domain error: Bessel argument |x| = 1.95695e+305 is above "
+        "MAX_ARGUMENT = 1e+07"),
+    "fig3-overflowing-cells": (
+        ["sweep", "--preset", "fig3"], _typed_route_config(
+            extra="[sweep]\nalpha_max = 1e200\n"),
+        "physics-domain error: values must be finite non-negative floats"),
+    "fig2-overflowing-cells": (
+        ["sweep", "--preset", "fig2"], _typed_route_config(
+            atom="coupling_hz = 1.5e153",
+            extra="[sweep]\nabsolute = true\n"),
+        "physics-domain error: values must be finite non-negative floats"),
+}
+
+
+class TestRefusalInAFreshProcess:
+    @pytest.mark.parametrize("route", sorted(_FRESH_PROCESS_REFUSALS))
+    def test_refusal_is_prompt_and_alone_on_stderr(self, tmp_path, route):
+        argv, text, message = _FRESH_PROCESS_REFUSALS[route]
+        path = write_cfg(tmp_path, text)
+        src = str(pathlib.Path(accelrad.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "accelrad.cli", *argv, "--config", path],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=60)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == message + "\n"
 
 
 class TestOrientationIsCheckedAtParse:

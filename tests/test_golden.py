@@ -18,6 +18,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 COMMANDS = {
     "rate": ["rate"],
+    "rate-verify": ["rate", "--verify"],
     "spectrum": ["spectrum"],
     "sweep-fig2": ["sweep", "--preset", "fig2"],
     "sweep-fig3": ["sweep", "--preset", "fig3"],
@@ -30,6 +31,10 @@ GOLDEN = {
         0, "7fb5b778316f74fdde194b84385586961cb441fdfa5c95242da763f84110b6b0"),
     ("cavity", "rate", "json"): (
         0, "e63b9f6960ee3110e8d46047f060bc13f6e9895fc6969df2d407676a98e90d2f"),
+    ("cavity", "rate-verify", "csv"): (
+        0, "db351fc84db59beb57998927929776bab196e61b401caf1559252a5677c0d804"),
+    ("cavity", "rate-verify", "json"): (
+        0, "20d84751b04a1adf131299ca1f7b635662c4c47a79891f178d9017219839c650"),
     ("cavity", "spectrum", "csv"): (
         0, "7fb5b778316f74fdde194b84385586961cb441fdfa5c95242da763f84110b6b0"),
     ("cavity", "spectrum", "json"): (
@@ -50,6 +55,10 @@ GOLDEN = {
         0, "fa0fa1c2706391a33e5bbe77b7adef9af408799ffc525588d6f83375ff243a58"),
     ("free_space", "rate", "json"): (
         0, "2b5294643f6ea3f6d047bb1893bf3cf11f2b531254cd70a5f0c3243f3e226fff"),
+    ("free_space", "rate-verify", "csv"): (
+        0, "13f6bc0750dbd33bce62229cca93021346eb57ec872be2a5448c331a266a8925"),
+    ("free_space", "rate-verify", "json"): (
+        0, "5757da376d3b76e460534431317199093a110e0899052c209babc68eddca39a8"),
     ("free_space", "spectrum", "csv"): (
         0, "7c707d8c98e50f19b5ec0749a750ed609f1c20c45977d3999c6f633ecd24a3e1"),
     ("free_space", "spectrum", "json"): (
@@ -70,6 +79,10 @@ GOLDEN = {
         0, "623cad973f7ee37f326233d16bc0cc1ea87ce2869fbd35284421c23ead96cf7b"),
     ("mirror", "rate", "json"): (
         0, "0b4a955451b0fbb97155994bb6883e17c0330e6a1cc10ecbe7a85c81152c6be9"),
+    ("mirror", "rate-verify", "csv"): (
+        0, "623cad973f7ee37f326233d16bc0cc1ea87ce2869fbd35284421c23ead96cf7b"),
+    ("mirror", "rate-verify", "json"): (
+        0, "0b4a955451b0fbb97155994bb6883e17c0330e6a1cc10ecbe7a85c81152c6be9"),
     ("mirror", "spectrum", "csv"): (
         0, "561c15e1172cea943f9e4883887662f863bb12f7fc3a598902a3dc3d9536752a"),
     ("mirror", "spectrum", "json"): (
@@ -88,6 +101,14 @@ GOLDEN = {
         0, "306455d2001d85726873e6af3e433efb9b734bdd8db47baf806e9b11ed5d3aaa"),
 }
 
+# ``oracle --seed 0`` in each format: the quadrature behind both report lines.
+ORACLE_GOLDEN = {
+    "text": (
+        0, "e4488d28497f78fa7b4b7b26d97665aca1196a565e6af62718db59f780e35367"),
+    "json": (
+        0, "5ba5351bde18bc00c86abd3a0bad00d0fbb3ca7e1fa5b5e052cea7a566794d7a"),
+}
+
 
 def test_every_config_and_command_is_pinned():
     configs = {path.stem for path in CONFIGS.glob("*.cfg")}
@@ -101,5 +122,13 @@ def test_stdout_matches_golden(capsys, config, command, fmt):
     argv = COMMANDS[command] + ["--config", str(CONFIGS / f"{config}.cfg"),
                                 "--format", fmt]
     assert main(argv) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt", sorted(ORACLE_GOLDEN))
+def test_oracle_report_matches_golden(capsys, fmt):
+    code, digest = ORACLE_GOLDEN[fmt]
+    assert main(["oracle", "--seed", "0", "--format", fmt]) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

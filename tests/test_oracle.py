@@ -368,15 +368,16 @@ class TestPeriodicKernel:
                                                   + n * tau)))
         assert abs(res.amplitude - trapezoid) < 1e-13
 
-    def test_node_cap_raises_convergence_error(self):
+    def test_node_cap_raises_convergence_error(self, monkeypatch):
         # The oracle's free-space integrand at k A = 1.8412, n = 1, from
         # its start of 4 (n + ceil(k A) + 40) nodes; no float64 sum meets
-        # rel_tol = 1e-30, so the doubling runs into the node cap.
+        # REL_TOL = 1e-30, so the doubling runs into the node cap.
         def integrand(tau):
             return np.exp(1j * (-1.8412 * np.sin(tau) + tau))
 
+        monkeypatch.setattr(quadrature, "REL_TOL", 1e-30)
         with pytest.raises(ConvergenceError) as info:
-            periodic_trapezoid(integrand, 4 * (1 + 2 + 40), rel_tol=1e-30)
+            periodic_trapezoid(integrand, 4 * (1 + 2 + 40))
         assert str(MAX_PERIODIC_NODES) in str(info.value)
         assert 0.0 < info.value.error_estimate < 1e-12
 
@@ -435,6 +436,37 @@ class TestNodeCapRange:
         assert result.panels_used == 8 * (10 + 120000 + 40)
         closed = free_space_rate(atom, motion, 10).rate
         assert result.rate == pytest.approx(closed, rel=1e-8)
+
+
+class TestGaussLegendreNodeCap:
+    """The Gauss-Legendre route keeps the trapezoid's node cap."""
+
+    @pytest.fixture
+    def built_panels(self, monkeypatch):
+        panels = []
+        original = quadrature.composite_gl
+
+        def recording(f, a, b, count):
+            panels.append(count)
+            return original(f, a, b, count)
+
+        monkeypatch.setattr(quadrature, "composite_gl", recording)
+        return panels
+
+    @pytest.mark.parametrize("x", [5e4, 2e4])
+    def test_start_without_room_to_double_builds_no_rule(self, x,
+                                                         built_panels):
+        # 4 (x + 1) panels of 8 nodes: 1600032 nodes at 5e4, 640032 at
+        # 2e4, whose one doubling would pass the cap.
+        with pytest.raises(ConvergenceError) as info:
+            rational_period_integral(x, 1, 2)
+        assert built_panels == []
+        assert str(MAX_PERIODIC_NODES) in str(info.value)
+
+    def test_rules_within_the_cap_double_from_the_start(self, built_panels):
+        value = rational_period_integral(1e3, 1, 2)
+        assert abs(value) < 1e-10
+        assert built_panels == [4004, 8008]
 
 
 def dense_selection_rule(p, q, x):
@@ -528,8 +560,8 @@ class TestGaussLegendreRuleCache:
                 return np.cos(x * np.sin(t) - nu * t)
 
             panels = max(16, math.ceil(4.0 * (abs(x) + abs(nu))))
-            return refine_to_tolerance(integrand, 0.0, math.pi, panels,
-                                       1e-10)[0] / math.pi
+            return refine_to_tolerance(integrand, 0.0, math.pi,
+                                       panels)[0] / math.pi
 
         pairs = [(0.5, 1.0), (2.3, 7.5), (10.0, 3.0), (-1.5, 20.0),
                  (3.0, 0.0), (0.25, 150.0)]

@@ -24,7 +24,7 @@ from accelrad import (ABSORB_DEEXCITE, EMIT_EXCITE, PARALLEL, AtomParams,
                       one_period_amplitude, rate_surface)
 from accelrad._quadrature import MAX_PERIODIC_NODES, periodic_trapezoid
 from accelrad.constants import SPEED_OF_LIGHT as C
-from accelrad.oracle import INTEGER_TOL, REL_TOL, rate_floor
+from accelrad.oracle import INTEGER_TOL, rate_floor
 from accelrad.rates import RESONANCE_TOL
 
 _EPS = 2.0 ** -52
@@ -234,7 +234,7 @@ def frozen_one_period_amplitude(motion, geom, omega, omega0, g):
                                                            omega, omega0)
     nodes = max(16, 4 * (n + math.ceil(bandwidth) + 40))
     assert 2 * nodes <= MAX_PERIODIC_NODES
-    value, err, used = periodic_trapezoid(integrand, nodes, REL_TOL)
+    value, err, used = periodic_trapezoid(integrand, nodes)
     return (complex(value), float(frozen_rate(chi, motion.Omega, g,
                                               abs(value))),
             float(err), used)

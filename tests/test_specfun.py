@@ -18,8 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import accelrad.specfun as specfun
-from accelrad import (ConvergenceError, bessel_j, bessel_j_orders,
-                      rational_period_integral)
+from accelrad import (ConvergenceError, PhysicsDomainError, bessel_j,
+                      bessel_j_orders, rational_period_integral)
+from accelrad import _quadrature as quadrature
 from accelrad._quadrature import refine_to_tolerance
 
 # Frozen from the fsum power-series oracle below.
@@ -86,15 +87,14 @@ def miller_grid(seed, count):
     return pairs
 
 
-def anger_gl(nu, x, max_nodes=10**6):
+def anger_gl(nu, x):
     """Anger J_nu(x) = (1/pi) int_0^pi cos(x sin t - nu t) dt, integrated by
     the Gauss-Legendre route that backs rational_period_integral."""
     def integrand(t):
         return np.cos(x * np.sin(t) - nu * t)
 
     panels = max(16, math.ceil(4.0 * (abs(x) + abs(nu))))
-    value, _, _ = refine_to_tolerance(
-        integrand, 0.0, math.pi, panels, 1e-10, max_nodes)
+    value, _, _ = refine_to_tolerance(integrand, 0.0, math.pi, panels)
     return value / math.pi
 
 
@@ -145,6 +145,15 @@ class TestBessel:
         lhs = bessel_j(n - 1, x) + bessel_j(n + 1, x)
         rhs = (2.0 * n / x) * bessel_j(n, x)
         assert abs(lhs - rhs) < 1e-10
+
+    @pytest.mark.parametrize("x", [math.nextafter(1e7, math.inf), -2e7])
+    def test_argument_above_the_cap_is_refused(self, x):
+        # A Miller pass costs O(|x|); the huge arguments that would run for
+        # hours are covered in a subprocess by tests/test_cli.py.
+        for evaluate in (bessel_j, bessel_j_orders):
+            with pytest.raises(PhysicsDomainError,
+                               match=r"above MAX_ARGUMENT = 1e\+07"):
+                evaluate(3, x)
 
     def test_orders_array_matches_scalar(self):
         for x in (0.0, 0.02, 0.8, 7.5, 11.99, 12.5, 29.7, 55.0):
@@ -273,9 +282,10 @@ class TestAnger:
         assert anger_gl(0.5, 1.0) == pytest.approx(ANGER_HALF_AT_ONE,
                                                    abs=1e-10)
 
-    def test_infeasible_budget_raises_with_estimate(self):
+    def test_infeasible_budget_raises_with_estimate(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "MAX_PERIODIC_NODES", 40)
         with pytest.raises(ConvergenceError) as excinfo:
-            anger_gl(0.5, 40.0, max_nodes=40)
+            anger_gl(0.5, 40.0)
         assert excinfo.value.error_estimate >= 0.0
 
 
