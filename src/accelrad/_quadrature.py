@@ -22,12 +22,10 @@ a start with no room for one doubling raises before any node is evaluated.
 import functools
 import math
 
-import numpy as np
-
+from ._lazy import np
 from .errors import ConvergenceError
 
 _GL_ORDER = 8
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 
 #: Relative agreement two successive estimates must reach.
 REL_TOL = 1e-10
@@ -98,14 +96,21 @@ def composite_gl(f, a: float, b: float, panels: int):
 
 def _gl_rule(a: float, b: float, panels: int):
     """Read-only nodes and weights of ``panels`` GL panels over [a, b]."""
+    nodes, weights = _gl_panel_rule()
     edges = np.linspace(a, b, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
-    x = (mid[:, None] + half * _GL_NODES[None, :]).ravel()
-    w = np.broadcast_to(half * _GL_WEIGHTS, (panels, _GL_ORDER)).ravel()
+    x = (mid[:, None] + half * nodes[None, :]).ravel()
+    w = np.broadcast_to(half * weights, (panels, _GL_ORDER)).ravel()
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
+
+
+@functools.cache
+def _gl_panel_rule():
+    """Nodes and weights of the ``_GL_ORDER``-point rule on [-1, 1]."""
+    return np.polynomial.legendre.leggauss(_GL_ORDER)
 
 
 _cached_gl_rule = functools.lru_cache(maxsize=GL_CACHE_RULES)(_gl_rule)

@@ -19,9 +19,8 @@ import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 
-import numpy as np
-
 from . import __version__, oracle, sweep
+from ._lazy import np
 from .constants import angular_to_hz, hz_to_angular
 from .errors import (ConfigError, ConvergenceError, OracleMismatchError,
                      PhysicsDomainError)

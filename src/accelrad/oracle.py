@@ -44,8 +44,7 @@ of ``_quadrature``, the only state that outlives a report.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from ._quadrature import MAX_PERIODIC_NODES, periodic_trapezoid
 from .constants import SPEED_OF_LIGHT as C
 from .errors import OracleMismatchError, OracleRangeError, PhysicsDomainError

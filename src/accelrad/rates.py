@@ -27,8 +27,7 @@ and nowhere else.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .constants import SPEED_OF_LIGHT as C
 from .errors import (ApproximationDomainError, NoSidebandError,
                      OffResonanceError, PhysicsDomainError)

@@ -14,8 +14,7 @@ Two evaluators, both self-contained (no scipy):
 
 import math
 
-import numpy as np
-
+from ._lazy import np
 from ._quadrature import refine_to_tolerance
 from .errors import ConvergenceError, PhysicsDomainError
 
@@ -49,7 +48,7 @@ def bessel_j(n: int, x: float) -> float:
     return _miller_range(n, n, x)[0]
 
 
-def bessel_j_orders(n_max: int, x: float) -> np.ndarray:
+def bessel_j_orders(n_max: int, x: float) -> "np.ndarray":
     """All of J_0(x) .. J_{n_max}(x) from a single downward recurrence.
 
     One Miller pass yields every order at once, which is what the sweep

@@ -7,9 +7,8 @@ are deterministic regardless of evaluation order.
 import math
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from . import __version__ as _version
+from ._lazy import np
 from .constants import SPEED_OF_LIGHT as C
 from .errors import PhysicsDomainError
 from .rates import (SMALL_AMPLITUDE_MAX, AtomParams, Cavity, ShoMotion,
@@ -51,7 +50,7 @@ class SweepResult:
     """
 
     grid: SweepGrid
-    values: np.ndarray
+    values: "np.ndarray"
     metadata: dict
     aux: dict = field(default_factory=dict)
 

@@ -31,3 +31,22 @@ def test_every_traced_function_is_bound_and_wrapped():
         assert tracer.coverage_problems() == []
     finally:
         tracer.uninstall()
+
+
+# Lists the SPANS names (argv) that a fresh ``import accelrad.cli`` leaves
+# unresolved: the tracer reads each module from ``sys.modules`` right after
+# that import, so no traced module may be imported later, on first use.
+_UNRESOLVED_AFTER_IMPORT = """\
+import sys
+import accelrad.cli
+for name in sys.argv[1:]:
+    module, attr = name.rsplit(".", 1)
+    if not callable(getattr(sys.modules.get("accelrad." + module), attr, None)):
+        print(name)
+"""
+
+
+def test_importing_cli_loads_every_traced_module(fresh_python):
+    proc = fresh_python("-c", _UNRESOLVED_AFTER_IMPORT, *tracing.SPANS)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""

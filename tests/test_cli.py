@@ -6,8 +6,6 @@ import math
 import os
 import pathlib
 import string
-import subprocess
-import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import MISSING
@@ -16,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import accelrad
 from accelrad import AtomParams, ShoMotion, free_space_rate
 from accelrad.cli import (CONFIG_SECTIONS, AtomConfig, GeometryConfig,
                           MotionConfig, RunConfig, SweepSettings, main,
@@ -932,16 +929,11 @@ _FRESH_PROCESS_REFUSALS = {
 
 class TestRefusalInAFreshProcess:
     @pytest.mark.parametrize("route", sorted(_FRESH_PROCESS_REFUSALS))
-    def test_refusal_is_prompt_and_alone_on_stderr(self, tmp_path, route):
+    def test_refusal_is_prompt_and_alone_on_stderr(self, tmp_path,
+                                                   fresh_python, route):
         argv, text, message = _FRESH_PROCESS_REFUSALS[route]
         path = write_cfg(tmp_path, text)
-        src = str(pathlib.Path(accelrad.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "accelrad.cli", *argv, "--config", path],
-            cwd=tmp_path, env=env, capture_output=True, text=True,
-            timeout=60)
+        proc = fresh_python("-m", "accelrad.cli", *argv, "--config", path)
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert proc.stderr == message + "\n"

@@ -132,3 +132,26 @@ def test_oracle_report_matches_golden(capsys, fmt):
     assert main(["oracle", "--seed", "0", "--format", fmt]) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# Commands that load numpy partway through the run, each in a new
+# interpreter: in this process pytest has imported numpy before accelrad.
+FRESH_PROCESS = {
+    **{f"{command}-{fmt}": (COMMANDS[command] + [
+        "--config", str(CONFIGS / "free_space.cfg"), "--format", fmt],
+        GOLDEN["free_space", command, fmt])
+       for command in ("rate-verify", "sweep-fig2", "sweep-fig3",
+                       "sweep-custom")
+       for fmt in ("csv", "json")},
+    **{f"oracle-{fmt}": (["oracle", "--seed", "0", "--format", fmt],
+                         ORACLE_GOLDEN[fmt])
+       for fmt in ORACLE_GOLDEN},
+}
+
+
+@pytest.mark.parametrize("case", sorted(FRESH_PROCESS))
+def test_fresh_process_matches_golden(fresh_python, case):
+    argv, (code, digest) = FRESH_PROCESS[case]
+    proc = fresh_python("-m", "accelrad.cli", *argv)
+    assert proc.returncode == code, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == digest

@@ -481,12 +481,12 @@ def dense_selection_rule(p, q, x):
 def uncached_composite_gl(f, a, b, panels):
     """Composite Gauss-Legendre rule built on every call, frozen from the
     original ``composite_gl`` before it reused its panel rules."""
+    nodes, weights = np.polynomial.legendre.leggauss(quadrature._GL_ORDER)
     edges = np.linspace(a, b, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
-    x = (mid[:, None] + half * quadrature._GL_NODES[None, :]).ravel()
-    w = np.broadcast_to(half * quadrature._GL_WEIGHTS,
-                        (panels, quadrature._GL_ORDER)).ravel()
+    x = (mid[:, None] + half * nodes[None, :]).ravel()
+    w = np.broadcast_to(half * weights, (panels, quadrature._GL_ORDER)).ravel()
     return np.sum(w * f(x))
 
 
