@@ -438,14 +438,14 @@ def cmd_sweep(args) -> int:
         else:
             result = sweep.fig2_surface(a_values, n_values)
     elif preset == "fig3":
-        Omega = (hz_to_angular(cfg.motion.drive_frequency_hz)
-                 if cfg is not None else 2.0 * math.pi * 1e10)
+        drive = {} if cfg is None else {
+            "Omega": hz_to_angular(cfg.motion.drive_frequency_hz)}
         amplitudes = np.linspace(
             settings.amplitude_max_m / settings.amplitude_count,
             settings.amplitude_max_m, settings.amplitude_count)
         alphas = np.linspace(settings.alpha_max / settings.alpha_count,
                              settings.alpha_max, settings.alpha_count)
-        result = sweep.fig3_surface(amplitudes, alphas, Omega=Omega)
+        result = sweep.fig3_surface(amplitudes, alphas, **drive)
     else:
         if cfg is None:
             raise ConfigError("custom sweep needs --config")

@@ -50,10 +50,7 @@ from .constants import SPEED_OF_LIGHT as C
 from .errors import OracleMismatchError, OracleRangeError, PhysicsDomainError
 from .rates import (EMIT_EXCITE, AtomParams, Cavity, FreeSpace,
                     GeneralPeriodicMotion, Mirror, ShoMotion, Sideband,
-                    check_clearance)
-
-#: Relative tolerance for recognizing (omega + omega0) / Omega as an integer.
-INTEGER_TOL = 1e-9
+                    check_clearance, off_resonance)
 
 _EPS = 2.0 ** -52  # float64 machine epsilon
 
@@ -79,6 +76,17 @@ class _LineIntegral:
     chi: float         # cavity photon-number factor, 1 otherwise
 
 
+def _resonance(geom, motion, omega: float, omega0: float):
+    """``(n, field_mode)`` of the emission line at ``omega``, or None unless
+    its mode meets n Omega = omega + omega0 (``rates.off_resonance``)."""
+    n = round((omega + omega0) / motion.Omega)
+    field = geom.field_mode(omega)
+    if n < 1 or field is None or off_resonance(n, motion.Omega, omega0,
+                                               field[3], EMIT_EXCITE):
+        return None
+    return n, field
+
+
 def _line_integral(motion, geom, omega: float, omega0: float,
                    mode: str) -> _LineIntegral:
     """Check that (omega, omega0) is a resonant line and build its integral."""
@@ -86,20 +94,13 @@ def _line_integral(motion, geom, omega: float, omega0: float,
         raise PhysicsDomainError(f"omega must be positive, got {omega}")
     if not omega0 > 0:
         raise PhysicsDomainError(f"omega0 must be positive, got {omega0}")
-    n_float = (omega + omega0) / motion.Omega
-    n = round(n_float)
-    if n < 1 or abs(n_float - n) > INTEGER_TOL * n_float:
+    line = _resonance(geom, motion, omega, omega0)
+    if line is None:
         raise PhysicsDomainError(
-            f"(omega + omega0)/Omega = {n_float!r} is not a positive "
-            f"integer; use rational_period_integral to verify the "
-            f"off-resonant amplitude vanishes")
-
-    field = geom.field_mode(omega)
-    if field is None:
-        raise PhysicsDomainError(
-            f"omega={omega:g} rad/s is not a cavity mode of "
-            f"length {geom.length:g} m")
-    k, z0, chi = field
+            f"omega={omega!r}, omega0={omega0!r}: no field mode meets "
+            f"n*Omega = omega + omega0; use rational_period_integral to "
+            f"verify the off-resonant amplitude vanishes")
+    n, (k, z0, chi, _) = line
     check_clearance(motion, geom)
 
     if mode not in ("right", "left"):
@@ -133,8 +134,8 @@ def one_period_amplitude(motion, geom, omega: float, omega0: float, *,
                          g: float = 1.0, mode: str = "right") -> OracleResult:
     """Direct quadrature of the one-period emission amplitude.
 
-    Requires (omega + omega0) / Omega to be an integer within
-    :data:`INTEGER_TOL` relative: off-resonant one-period integrals do not
+    Requires n Omega = omega + omega0 at a field mode, by the closed forms'
+    rule ``rates.off_resonance``: off-resonant one-period integrals do not
     represent a steady rate (use the selection-rule checks for those).
     ``mode`` picks the right- or left-moving travelling wave in free space.
     ``g`` enters only the returned rate, not the amplitude.
@@ -239,7 +240,7 @@ def general_trajectory_spectrum(traj: GeneralPeriodicMotion, geom,
                                 n_max: int) -> list[Sideband]:
     """Emission spectrum of a sampled periodic trajectory, by quadrature.
 
-    Scans n in [1, n_max]; for a cavity only mode-matched sidebands survive.
+    Scans n in [1, n_max]; only lines whose mode meets the resonance survive.
     For samples of a pure sinusoid this reproduces the closed-form SHO rates.
     """
     if not isinstance(traj, GeneralPeriodicMotion):
@@ -250,7 +251,7 @@ def general_trajectory_spectrum(traj: GeneralPeriodicMotion, geom,
     out = []
     for n in range(1, n_max + 1):
         omega = n * traj.Omega - atom.omega0
-        if omega <= 0 or geom.field_mode(omega) is None:
+        if omega <= 0 or not _resonance(geom, traj, omega, atom.omega0):
             continue
         result = one_period_amplitude(traj, geom, omega, atom.omega0,
                                       g=atom.g)

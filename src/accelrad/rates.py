@@ -39,9 +39,9 @@ PARALLEL = "parallel"
 EMIT_EXCITE = "emit-excite"
 ABSORB_DEEXCITE = "absorb-deexcite"
 
-#: Relative tolerance (scaled by Omega) for cavity resonance matching.  The
-#: idealized model is exactly resonant; the tolerance only absorbs floating
-#: point noise from constructing matched parameters.
+#: Relative tolerance (scaled by Omega) of every sideband resonance, on every
+#: route (off_resonance).  The idealized model is exactly resonant; the
+#: tolerance only absorbs floating point noise from matched parameters.
 RESONANCE_TOL = 1e-9
 
 #: Validity bound on the dimensionless amplitude for the small-amplitude
@@ -238,10 +238,10 @@ class FreeSpace:
         return isinstance(motion, ShoMotion)
 
     def field_mode(self, omega: float):
-        """``(k, z0, chi)`` of the mode a photon at ``omega`` occupies: its
-        wavenumber, the mirror offset of a standing wave (None for a
-        travelling one) and the emission factor N + 1."""
-        return omega / C, None, 1.0
+        """``(k, z0, chi, omega_m)`` of the mode a photon at ``omega`` fills:
+        its wavenumber, standing-wave mirror offset (None if travelling),
+        emission factor N + 1 and own frequency (``omega`` in a continuum)."""
+        return omega / C, None, 1.0, omega
 
     def sidebands(self, atom, motion, n: int) -> list:
         """Closed-form lines of index n: the emission line, once open."""
@@ -272,7 +272,7 @@ class Mirror:
 
     def field_mode(self, omega: float):
         """See FreeSpace.field_mode."""
-        return omega / C, self.z0, 1.0
+        return omega / C, self.z0, 1.0, omega
 
     def sidebands(self, atom, motion, n: int) -> list:
         """See FreeSpace.sidebands."""
@@ -322,28 +322,25 @@ class Cavity:
         return m if m >= 1 else None
 
     def field_mode(self, omega: float):
-        """See FreeSpace.field_mode; None unless ``omega`` lies within
-        RESONANCE_TOL relative of a cavity mode, whose k is pi m / L."""
+        """See FreeSpace.field_mode: the mode nearest ``omega``, k = pi m / L,
+        or None below mode 1; off_resonance judges whether a line meets it."""
         m = self.mode_index(omega)
-        if m is None or (abs(omega - cavity_mode_frequency(self, m))
-                         > RESONANCE_TOL * omega):
-            return None
-        return math.pi * m / self.length, self.z0, self.n_photons + 1.0
+        return None if m is None else (math.pi * m / self.length, self.z0,
+                                       self.n_photons + 1.0,
+                                       cavity_mode_frequency(self, m))
 
     def sidebands(self, atom, motion, n: int) -> list:
         """Closed-form lines of index n: each photon-number branch whose
-        frequency matches a cavity mode within RESONANCE_TOL."""
+        nearest cavity mode meets the resonance (off_resonance)."""
         out = []
         for branch, omega in ((EMIT_EXCITE, n * motion.Omega - atom.omega0),
                               (ABSORB_DEEXCITE,
                                atom.omega0 - n * motion.Omega)):
             m = self.mode_index(omega)
-            if m is None:
-                continue
-            try:
+            if m is not None and not off_resonance(
+                    n, motion.Omega, atom.omega0,
+                    cavity_mode_frequency(self, m), branch):
                 out.append(cavity_rate(atom, motion, self, n, m, branch))
-            except OffResonanceError:
-                continue
         return out
 
 
@@ -362,6 +359,19 @@ class Sideband:
             raise PhysicsDomainError(
                 f"rate must be finite and >= 0, got {self.rate}")
         _check_positive("photon frequency", self.omega)
+
+
+def off_resonance(n: int, Omega: float, omega0: float, omega: float,
+                  branch: str) -> float:
+    """The one resonance rule: n Omega - (omega0 +- omega), - on the
+    ``absorb-deexcite`` branch, or 0.0 within RESONANCE_TOL * Omega."""
+    if branch == EMIT_EXCITE:
+        mismatch = n * Omega - (omega + omega0)
+    elif branch == ABSORB_DEEXCITE:
+        mismatch = n * Omega - (omega0 - omega)
+    else:
+        raise ValueError(f"unknown branch {branch!r}")
+    return mismatch if abs(mismatch) > RESONANCE_TOL * Omega else 0.0
 
 
 def emission_frequency(atom: AtomParams, Omega: float, n: int) -> float:
@@ -448,28 +458,22 @@ def cavity_rate(atom: AtomParams, motion: ShoMotion, geom: Cavity,
     * ``emit-excite``:    requires n*Omega = omega + omega0, factor N + 1
     * ``absorb-deexcite``: requires n*Omega = omega0 - omega, factor N
 
-    Both resonance conditions are checked to RESONANCE_TOL relative to
-    Omega; a violation raises OffResonanceError carrying the mismatch.
+    A line off resonance (off_resonance) raises OffResonanceError carrying
+    the mismatch.
     """
     check_closed_form(motion, geom)
     if n != int(n) or n < 1:
         raise ValueError(f"sideband index must be a positive integer, got {n}")
     omega = cavity_mode_frequency(geom, m)
-    if branch == EMIT_EXCITE:
-        mismatch = n * motion.Omega - (omega + atom.omega0)
-        chi = geom.n_photons + 1
-    elif branch == ABSORB_DEEXCITE:
-        mismatch = n * motion.Omega - (atom.omega0 - omega)
-        chi = geom.n_photons
-    else:
-        raise ValueError(f"unknown branch {branch!r}")
-    if abs(mismatch) > RESONANCE_TOL * motion.Omega:
+    mismatch = off_resonance(n, motion.Omega, atom.omega0, omega, branch)
+    if mismatch:
         raise OffResonanceError(
             f"cavity branch {branch}: resonance violated by "
             f"{mismatch:g} rad/s (n*Omega={n * motion.Omega:g}, "
             f"omega={omega:g}, omega0={atom.omega0:g})",
             mismatch=mismatch,
         )
+    chi = geom.n_photons + 1 if branch == EMIT_EXCITE else geom.n_photons
     check_clearance(motion, geom)
     a_tilde = math.pi * m * motion.amplitude / geom.length
     theta = math.pi * m * geom.z0 / geom.length - 0.5 * math.pi * n
@@ -483,8 +487,8 @@ def allowed_sidebands(atom: AtomParams, motion, geom,
                       n_max: int) -> list[Sideband]:
     """All sidebands with n in [1, n_max] open in the given geometry.
 
-    For a cavity, only (n, m) pairs meeting the resonance condition within
-    RESONANCE_TOL survive; both photon-number branches are scanned.
+    For a cavity, only (n, m) pairs meeting the resonance (off_resonance)
+    survive; both photon-number branches are scanned.
     An empty list is a valid result.  A motion the geometry's closed form
     does not cover, or one that reaches the boundary, is rejected before
     any line, so the outcome does not depend on which lines are open.

@@ -1,8 +1,11 @@
-"""The benchmark's tracer must find every function it traces.
+"""The benchmark's tracer must find every function it traces, and its
+checker must judge resonance with the program's tolerance.
 
 ``bench/tracing.py`` wraps a fixed list of ``accelrad`` functions, by
 module and name; renaming or deleting one breaks ``bench/run.py --trace``.
-This test reads ``bench/`` and changes nothing there.
+``bench/check.py`` scales its band of ambiguous cavity lines from its own
+copy of ``RESONANCE_TOL``.  These tests read ``bench/`` and change nothing
+there.
 """
 
 import importlib.util
@@ -10,12 +13,25 @@ import pathlib
 import sys
 
 import accelrad.cli  # noqa: F401  (the tracer expects it imported)
+from accelrad.rates import RESONANCE_TOL
 
-_PATH = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
-_SPEC = importlib.util.spec_from_file_location("bench_tracing", _PATH)
-tracing = importlib.util.module_from_spec(_SPEC)
-sys.modules[_SPEC.name] = tracing  # dataclasses look their module up
-_SPEC.loader.exec_module(tracing)
+_BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
+
+
+def _load(name, filename):
+    spec = importlib.util.spec_from_file_location(name, _BENCH / filename)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = _load("bench_tracing", "tracing.py")
+check = _load("bench_check", "check.py")
+
+
+def test_checker_resonance_tolerance_is_the_programs():
+    assert check.RESONANCE_TOL == RESONANCE_TOL
 
 
 def test_every_traced_span_resolves():

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 import accelrad._quadrature as quadrature
 import accelrad.oracle as oracle_module
-from accelrad import (PARALLEL, AtomParams, Cavity, ConvergenceError,
-                      FreeSpace, GeneralPeriodicMotion, Mirror,
+from accelrad import (EMIT_EXCITE, PARALLEL, RESONANCE_TOL, AtomParams,
+                      Cavity, ConvergenceError, FreeSpace,
+                      GeneralPeriodicMotion, Mirror, OffResonanceError,
                       OracleRangeError, PhysicsDomainError, ShoMotion,
-                      bessel_j, cavity_rate, free_space_rate,
+                      allowed_sidebands, bessel_j, cavity_mode_frequency,
+                      cavity_rate, free_space_rate,
                       general_trajectory_spectrum, mirror_rate,
                       one_period_amplitude, rational_period_integral,
                       selection_rule_report, verify_selection_rule)
@@ -127,6 +129,25 @@ class TestOnePeriodAmplitude:
                 a.rate, a.error_estimate, a.panels_used)
         assert (rate_floor(parallel, FreeSpace(), omega, omega0, 1.0, 1e-6)
                 == rate_floor(motion, FreeSpace(), omega, omega0, 1.0, 1e-6))
+
+    @pytest.mark.parametrize("offset", [0.9, -0.9, 1.1, -1.1])
+    def test_cavity_line_opens_exactly_where_the_closed_form_does(self,
+                                                                  offset):
+        # n = 5: a rule relative to n Omega would open every offset here.
+        Omega, n, m = 2.0e9, 5, 3
+        geom = Cavity(length=1.0, z0=0.3)
+        omega = cavity_mode_frequency(geom, m)
+        atom = AtomParams(omega0=n * Omega - omega
+                          - offset * RESONANCE_TOL * Omega, g=1.0)
+        motion = ShoMotion(amplitude=0.05, Omega=Omega)
+        if abs(offset) < 1.0:
+            cavity_rate(atom, motion, geom, n, m)
+            one_period_amplitude(motion, geom, omega, atom.omega0)
+        else:
+            with pytest.raises(OffResonanceError):
+                cavity_rate(atom, motion, geom, n, m)
+            with pytest.raises(PhysicsDomainError):
+                one_period_amplitude(motion, geom, omega, atom.omega0)
 
     def test_unknown_mode_rejected(self):
         motion, omega, omega0 = make_free_case(1.0, 1)
@@ -289,9 +310,49 @@ class TestGeneralTrajectorySpectrum:
         assert lines[0].rate == pytest.approx(
             cavity_rate(atom, motion, geom, n, m).rate, rel=1e-8)
 
+    # (omega0 / Omega, n, shift / omega): a mode shift within 1e-9 of omega
+    # but not of Omega, and one within 1e-9 of Omega but not of omega.
+    @pytest.mark.parametrize("omega0_ratio,n,shift,opens", [
+        (0.9, 1, 5e-9, True), (0.5, 10, 5.3e-10, False)])
+    def test_cavity_shift_opens_the_same_line_on_both_routes(
+            self, omega0_ratio, n, shift, opens):
+        Omega = TWO_PI * 1e10
+        omega = n * Omega - omega0_ratio * Omega
+        sampled, closed = _cavity_lines(omega0_ratio, n, shift * omega, n)
+        assert sampled == closed
+        assert (n in closed) is opens
+
+    @given(st.floats(0.05, 0.95), st.integers(1, 8), st.floats(-3.0, 3.0))
+    @settings(max_examples=40, deadline=None)
+    def test_sampled_cavity_lines_match_the_closed_form(self, omega0_ratio,
+                                                        n, shift):
+        Omega = TWO_PI * 1e10
+        sampled, closed = _cavity_lines(omega0_ratio, n,
+                                        shift * RESONANCE_TOL * Omega, 8)
+        assert sampled == closed
+
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
             GeneralPeriodicMotion(Omega=1.0, samples=(0.0,) * 8)
+
+
+def _cavity_lines(omega0_ratio, n, shift, n_max):
+    """Emission line indices opened for 64 samples of A sin(tau) and for the
+    same SHO, in an m = 3 cavity whose mode lies ``shift`` rad/s above the
+    photon of line n, at Omega = 2 pi 10 GHz."""
+    Omega = TWO_PI * 1e10
+    atom = AtomParams(omega0=omega0_ratio * Omega, g=1.0e3)
+    omega = n * Omega - atom.omega0
+    length = math.pi * 3 * C / (omega + shift)
+    geom = Cavity(length=length, z0=0.37 * length)
+    amplitude = 0.05 * length
+    ts = TWO_PI * np.arange(64) / 64
+    sampled = GeneralPeriodicMotion(
+        Omega=Omega, samples=tuple(amplitude * np.sin(ts)))
+    closed = allowed_sidebands(atom, ShoMotion(amplitude, Omega), geom, n_max)
+    return ([line.n for line in
+             general_trajectory_spectrum(sampled, geom, atom, n_max)],
+            [line.n for line in closed if line.branch == EMIT_EXCITE])
 
 
 def _sho_cases():

@@ -24,10 +24,11 @@ from accelrad import (ABSORB_DEEXCITE, EMIT_EXCITE, PARALLEL, AtomParams,
                       one_period_amplitude, rate_surface)
 from accelrad._quadrature import MAX_PERIODIC_NODES, periodic_trapezoid
 from accelrad.constants import SPEED_OF_LIGHT as C
-from accelrad.oracle import INTEGER_TOL, rate_floor
+from accelrad.oracle import rate_floor
 from accelrad.rates import RESONANCE_TOL
 
 _EPS = 2.0 ** -52
+INTEGER_TOL = 1e-9  # the frozen oracle's own integer test
 
 
 # --- frozen closed forms ---------------------------------------------------

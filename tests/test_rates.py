@@ -367,10 +367,20 @@ class TestMotionGeometryProtocol:
     def test_field_mode_of_a_cavity_needs_a_mode_match(self):
         geom = Cavity(length=1.0, z0=0.5, n_photons=2)
         omega = cavity_mode_frequency(geom, 3)
-        assert geom.field_mode(omega) == (3.0 * math.pi, 0.5, 3.0)
-        assert geom.field_mode(omega * (1.0 + 1e-6)) is None
-        assert Mirror(z0=2.0).field_mode(C) == (1.0, 2.0, 1.0)
-        assert FreeSpace().field_mode(C) == (1.0, None, 1.0)
+        assert geom.field_mode(omega) == (3.0 * math.pi, 0.5, 3.0, omega)
+        assert geom.field_mode(0.4 * math.pi * C) is None  # below mode 1
+        assert Mirror(z0=2.0).field_mode(C) == (1.0, 2.0, 1.0, C)
+        assert FreeSpace().field_mode(C) == (1.0, None, 1.0, C)
+        # The field mode only names the nearest mode; the resonance rule,
+        # which compares n Omega with that mode's own frequency, refuses a
+        # photon a millionth off it even where n Omega = omega + omega0.
+        omega0 = 0.5 * omega
+        motion = ShoMotion(amplitude=0.01, Omega=omega + omega0)
+        assert one_period_amplitude(motion, geom, omega, omega0).panels_used
+        off = omega * (1.0 + 1e-6)
+        with pytest.raises(PhysicsDomainError):
+            one_period_amplitude(replace(motion, Omega=off + omega0), geom,
+                                 off, omega0)
 
 
 class TestClearance:
