@@ -438,14 +438,14 @@ def cmd_sweep(args) -> int:
         else:
             result = sweep.fig2_surface(a_values, n_values)
     elif preset == "fig3":
-        drive = {} if cfg is None else {
-            "Omega": hz_to_angular(cfg.motion.drive_frequency_hz)}
         amplitudes = np.linspace(
             settings.amplitude_max_m / settings.amplitude_count,
             settings.amplitude_max_m, settings.amplitude_count)
         alphas = np.linspace(settings.alpha_max / settings.alpha_count,
                              settings.alpha_max, settings.alpha_count)
-        result = sweep.fig3_surface(amplitudes, alphas, **drive)
+        result = (sweep.fig3_surface(amplitudes, alphas) if cfg is None else
+                  sweep.fig3_surface(amplitudes, alphas, Omega=hz_to_angular(
+                      cfg.motion.drive_frequency_hz)))
     else:
         if cfg is None:
             raise ConfigError("custom sweep needs --config")

@@ -78,11 +78,12 @@ class _LineIntegral:
 
 def _resonance(geom, motion, omega: float, omega0: float):
     """``(n, field_mode)`` of the emission line at ``omega``, or None unless
-    its mode meets n Omega = omega + omega0 (``rates.off_resonance``)."""
+    omega and its mode both meet n Omega = omega + omega0 (off_resonance)."""
     n = round((omega + omega0) / motion.Omega)
     field = geom.field_mode(omega)
-    if n < 1 or field is None or off_resonance(n, motion.Omega, omega0,
-                                               field[3], EMIT_EXCITE):
+    if n < 1 or field is None or any(
+            off_resonance(n, motion.Omega, omega0, w, EMIT_EXCITE)
+            for w in (omega, field[3])):
         return None
     return n, field
 
@@ -134,8 +135,8 @@ def one_period_amplitude(motion, geom, omega: float, omega0: float, *,
                          g: float = 1.0, mode: str = "right") -> OracleResult:
     """Direct quadrature of the one-period emission amplitude.
 
-    Requires n Omega = omega + omega0 at a field mode, by the closed forms'
-    rule ``rates.off_resonance``: off-resonant one-period integrals do not
+    Requires n Omega = omega + omega0 of omega and its field mode (the closed
+    forms' ``rates.off_resonance``): off-resonant one-period integrals do not
     represent a steady rate (use the selection-rule checks for those).
     ``mode`` picks the right- or left-moving travelling wave in free space.
     ``g`` enters only the returned rate, not the amplitude.

@@ -458,8 +458,7 @@ def cavity_rate(atom: AtomParams, motion: ShoMotion, geom: Cavity,
     * ``emit-excite``:    requires n*Omega = omega + omega0, factor N + 1
     * ``absorb-deexcite``: requires n*Omega = omega0 - omega, factor N
 
-    A line off resonance (off_resonance) raises OffResonanceError carrying
-    the mismatch.
+    A line off resonance (off_resonance) raises OffResonanceError.
     """
     check_closed_form(motion, geom)
     if n != int(n) or n < 1:

@@ -16,6 +16,7 @@ from accelrad import (ABSORB_DEEXCITE, EMIT_EXCITE, PARALLEL,
                       one_period_amplitude, rate_surface,
                       small_amplitude_rate)
 from accelrad.constants import SPEED_OF_LIGHT as C
+from accelrad.oracle import rate_floor
 
 # Frozen from the fsum series oracle (tests/test_specfun.py):
 # 8*pi*sin^2(pi/4 - pi/2)*J1(1.8412)^2 with g = 1, Omega = 1.
@@ -371,16 +372,19 @@ class TestMotionGeometryProtocol:
         assert geom.field_mode(0.4 * math.pi * C) is None  # below mode 1
         assert Mirror(z0=2.0).field_mode(C) == (1.0, 2.0, 1.0, C)
         assert FreeSpace().field_mode(C) == (1.0, None, 1.0, C)
-        # The field mode only names the nearest mode; the resonance rule,
-        # which compares n Omega with that mode's own frequency, refuses a
-        # photon a millionth off it even where n Omega = omega + omega0.
+        # The field mode only names the nearest mode; the resonance rule
+        # holds both the photon and that mode's own frequency to
+        # n Omega = omega + omega0, so a photon a millionth off the mode is
+        # refused whether Omega is tuned to the mode or to the photon.
         omega0 = 0.5 * omega
         motion = ShoMotion(amplitude=0.01, Omega=omega + omega0)
         assert one_period_amplitude(motion, geom, omega, omega0).panels_used
         off = omega * (1.0 + 1e-6)
-        with pytest.raises(PhysicsDomainError):
-            one_period_amplitude(replace(motion, Omega=off + omega0), geom,
-                                 off, omega0)
+        for drive in (motion, replace(motion, Omega=off + omega0)):
+            with pytest.raises(PhysicsDomainError):
+                one_period_amplitude(drive, geom, off, omega0)
+            with pytest.raises(PhysicsDomainError):
+                rate_floor(drive, geom, off, omega0, 1.0, 1e-6)
 
 
 class TestClearance:
