@@ -391,28 +391,27 @@ def _n_max_option(args, default: int) -> int:
 
 
 def cmd_sidebands(args) -> int:
-    """``rate`` and ``spectrum``.  ``spectrum`` raises the config's n_max to
-    at least 10 and takes sampled motion through the oracle quadrature,
-    which leaves nothing for ``--verify`` to check."""
+    """``rate`` and ``spectrum``; ``spectrum`` raises the config's n_max to
+    at least 10.  The motion alone picks the route: sampled motion goes
+    through the oracle quadrature, which leaves nothing for ``--verify`` to
+    check, and every other motion through the closed forms."""
     cfg = _load_config(args.config)
     atom = build_atom(cfg.atom)
     motion = build_motion(cfg.motion)
     geom = build_geometry(cfg.geometry)
-    spectrum = args.command == "spectrum"
-    n_max = _n_max_option(args, max(cfg.n_max, 10) if spectrum
-                          else cfg.n_max)
-    if spectrum and cfg.motion.kind == "general":
-        if args.verify or cfg.verify:
+    n_max = _n_max_option(args, max(cfg.n_max, 10)
+                          if args.command == "spectrum" else cfg.n_max)
+    verify = args.verify or cfg.verify
+    if cfg.motion.kind == "general":
+        if verify:
             raise ConfigError(
                 "--verify does not apply to sampled motion: its spectrum is "
                 "oracle output, with no closed form to check it against")
         lines = oracle.general_trajectory_spectrum(motion, geom, atom, n_max)
-        rows = [(line, None, None) for line in lines]
     else:
         lines = allowed_sidebands(atom, motion, geom, n_max)
-        rows = (oracle.verified_lines(atom, motion, geom, lines, VERIFY_TOL)
-                if args.verify or cfg.verify
-                else [(line, None, None) for line in lines])
+    rows = (oracle.verified_lines(atom, motion, geom, lines, VERIFY_TOL)
+            if verify else [(line, None, None) for line in lines])
     fmt = args.format or cfg.fmt
     _emit(sidebands_text(rows, fmt), args, cfg)
     return 0
@@ -452,8 +451,6 @@ def cmd_sweep(args) -> int:
         atom = build_atom(cfg.atom)
         motion = build_motion(cfg.motion)
         geom = build_geometry(cfg.geometry)
-        if not isinstance(motion, ShoMotion):
-            raise ConfigError("custom sweep needs sho motion")
         lo, hi = settings.amplitude_min_m, settings.amplitude_max_m
         count = settings.amplitude_count
         if 0 < lo and hi <= lo and count > 1:

@@ -48,9 +48,8 @@ from ._lazy import np
 from ._quadrature import MAX_PERIODIC_NODES, periodic_trapezoid
 from .constants import SPEED_OF_LIGHT as C
 from .errors import OracleMismatchError, OracleRangeError, PhysicsDomainError
-from .rates import (EMIT_EXCITE, AtomParams, Cavity, FreeSpace,
-                    GeneralPeriodicMotion, Mirror, ShoMotion, Sideband,
-                    check_clearance, off_resonance)
+from .rates import (EMIT_EXCITE, AtomParams, Cavity, FreeSpace, Mirror,
+                    ShoMotion, Sideband, check_clearance, off_resonance)
 
 _EPS = 2.0 ** -52  # float64 machine epsilon
 
@@ -65,17 +64,6 @@ class OracleResult:
     panels_used: int
 
 
-@dataclass(frozen=True)
-class _LineIntegral:
-    """The one-period integrand of a resonant line and what bounds it."""
-
-    integrand: object
-    n: int
-    bandwidth: float   # bounds |dphi/dtau|
-    peak_phase: float  # bounds every phase the integrand evaluates
-    chi: float         # cavity photon-number factor, 1 otherwise
-
-
 def _resonance(geom, motion, omega: float, omega0: float):
     """``(n, field_mode)`` of the emission line at ``omega``, or None unless
     omega and its mode both meet n Omega = omega + omega0 (off_resonance)."""
@@ -88,9 +76,11 @@ def _resonance(geom, motion, omega: float, omega0: float):
     return n, field
 
 
-def _line_integral(motion, geom, omega: float, omega0: float,
-                   mode: str) -> _LineIntegral:
-    """Check that (omega, omega0) is a resonant line and build its integral."""
+def _line_integral(motion, geom, omega: float, omega0: float, mode: str):
+    """Check that (omega, omega0) is a resonant line and build its integral:
+    ``(integrand, n, bandwidth, peak_phase, chi)``, with bandwidth bounding
+    |dphi/dtau|, peak_phase every phase the integrand evaluates and chi the
+    cavity photon-number factor (1 otherwise)."""
     if not omega > 0:
         raise PhysicsDomainError(f"omega must be positive, got {omega}")
     if not omega0 > 0:
@@ -121,9 +111,7 @@ def _line_integral(motion, geom, omega: float, omega0: float,
         def integrand(tau):
             return 2j * np.sin(phi(tau) - theta0) * np.exp(1j * n * tau)
 
-    return _LineIntegral(integrand=integrand, n=n, bandwidth=bandwidth,
-                         peak_phase=n * math.pi + peak + abs(theta0),
-                         chi=chi)
+    return integrand, n, bandwidth, n * math.pi + peak + abs(theta0), chi
 
 
 def _rate(chi: float, Omega: float, g: float, amplitude: float) -> float:
@@ -146,15 +134,16 @@ def one_period_amplitude(motion, geom, omega: float, omega0: float, *,
     :data:`accelrad._quadrature.MAX_PERIODIC_NODES` raises
     :class:`OracleRangeError` before any node is evaluated.
     """
-    line = _line_integral(motion, geom, omega, omega0, mode)
-    nodes = 4 * (line.n + math.ceil(line.bandwidth) + 40)
+    integrand, n, bandwidth, _, chi = _line_integral(motion, geom, omega,
+                                                     omega0, mode)
+    nodes = 4 * (n + math.ceil(bandwidth) + 40)
     if 2 * nodes > MAX_PERIODIC_NODES:
         raise OracleRangeError(
-            f"sideband n={line.n} needs a trapezoid start of {nodes} nodes, "
+            f"sideband n={n} needs a trapezoid start of {nodes} nodes, "
             f"more than half of the oracle's node cap MAX_PERIODIC_NODES = "
             f"{MAX_PERIODIC_NODES}; it is beyond the oracle's range")
-    value, err, used = periodic_trapezoid(line.integrand, nodes)
-    rate = _rate(line.chi, motion.Omega, g, abs(value))
+    value, err, used = periodic_trapezoid(integrand, nodes)
+    rate = _rate(chi, motion.Omega, g, abs(value))
     return OracleResult(amplitude=complex(value), rate=float(rate),
                         error_estimate=float(err), panels_used=used)
 
@@ -170,9 +159,10 @@ def rate_floor(motion, geom, omega: float, omega0: float, g: float,
     |amplitude|^2, so its relative deviation stays under ``tol`` once
     |amplitude| >= 2 (4 pi eps peak_phase) / tol.
     """
-    line = _line_integral(motion, geom, omega, omega0, "right")
-    amplitude = 8.0 * math.pi * _EPS * line.peak_phase / tol
-    return _rate(line.chi, motion.Omega, g, amplitude)
+    *_, peak_phase, chi = _line_integral(motion, geom, omega, omega0,
+                                         "right")
+    amplitude = 8.0 * math.pi * _EPS * peak_phase / tol
+    return _rate(chi, motion.Omega, g, amplitude)
 
 
 def verified_lines(atom: AtomParams, motion, geom, lines, tol: float) -> list:
@@ -236,16 +226,14 @@ def verify_selection_rule(p: int, q: int, x: float) -> float:
     return float(_selection_row(q, x, _selection_nodes(p, q, x))[p])
 
 
-def general_trajectory_spectrum(traj: GeneralPeriodicMotion, geom,
-                                atom: AtomParams,
+def general_trajectory_spectrum(traj, geom, atom: AtomParams,
                                 n_max: int) -> list[Sideband]:
-    """Emission spectrum of a sampled periodic trajectory, by quadrature.
+    """Emission spectrum of a periodic trajectory, by quadrature: the route
+    of sampled motion, which has no closed form.  Any motion is accepted.
 
     Scans n in [1, n_max]; only lines whose mode meets the resonance survive.
     For samples of a pure sinusoid this reproduces the closed-form SHO rates.
     """
-    if not isinstance(traj, GeneralPeriodicMotion):
-        raise TypeError("general_trajectory_spectrum needs sampled motion")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     check_clearance(traj, geom)

@@ -18,10 +18,11 @@ with k = omega / c.  All frequencies are angular (rad/s), all lengths are
 meters, all rates are Hz.
 
 Each motion type declares its extent toward a boundary, its wave-vector
-projection and its phase k z(tau); each geometry its clearance, the field
-mode a photon occupies and the motions its closed form covers.  The closed
-forms here and the quadrature oracle both read these facts from the types
-and nowhere else.
+projection and its phase k z(tau); each geometry its clearance and the field
+mode a photon occupies.  The closed forms here and the quadrature oracle
+both read these facts from the types and nowhere else.  Which pairs have a
+closed form is stated once, in check_closed_form; the oracle integrates
+every pair that clears its boundary.
 """
 
 import math
@@ -196,46 +197,48 @@ class GeneralPeriodicMotion:
             raise PhysicsDomainError("samples must be finite")
         object.__setattr__(self, "samples", samples)
 
+    def _fourier(self):
+        """``(c_h, h, sum_h |h| |c_h|)``: the samples' Fourier coefficients
+        of z(tau) = Re sum_h c_h exp(i h tau), their harmonics, and the
+        bound on |dz/dtau| that they give."""
+        z = np.asarray(self.samples, dtype=float)
+        m = len(z)
+        coef, freqs = np.fft.fft(z) / m, np.fft.fftfreq(m, d=1.0 / m)
+        return coef, freqs, float(np.abs(freqs) @ np.abs(coef))
+
     @property
     def extent(self) -> float:
-        """Reach toward a boundary: max |z| over the samples."""
-        return max(abs(s) for s in self.samples)
+        """Reach toward a boundary of the interpolated z(tau), which
+        overshoots the samples: max |z| on a zero-padded FFT grid of
+        N = 64 M points, plus (pi / N) max |dz/dtau| for the gaps."""
+        coef, freqs, slope = self._fourier()
+        nodes = 64 * len(coef)
+        padded = np.zeros(nodes, dtype=complex)
+        padded[freqs.astype(int)] = coef
+        dense = (nodes * np.fft.ifft(padded)).real
+        return float(np.max(np.abs(dense))) + math.pi / nodes * slope
 
     def project(self, k: float):
         """(k_motion, k_normal) = (k, k); see ShoMotion.project."""
         return k, k
 
     def phase(self, k: float):
-        """See ShoMotion.phase; z(tau) = Re sum_h c_h exp(i h tau) over the
-        samples' Fourier coefficients c_h, which bound |dphi/dtau| by
-        k sum_h |h| |c_h| and |phi| by k sum_h |c_h|."""
-        z = np.asarray(self.samples, dtype=float)
-        m = len(z)
-        coef, freqs = np.fft.fft(z) / m, np.fft.fftfreq(m, d=1.0 / m)
+        """See ShoMotion.phase; z(tau) = Re sum_h c_h exp(i h tau) bounds
+        |dphi/dtau| by k sum_h |h| |c_h| and |phi| by k sum_h |c_h|."""
+        coef, freqs, slope = self._fourier()
 
         def phi(tau):
             tau = np.asarray(tau, dtype=float)
             phases = np.exp(1j * np.multiply.outer(tau, freqs))
             return k * (phases @ coef).real
 
-        size = np.abs(coef)
-        return (phi, k * float(np.abs(freqs) @ size),
-                k * float(np.sum(size)))
+        return phi, k * slope, k * float(np.sum(np.abs(coef)))
 
 
-@dataclass(frozen=True)
 class FreeSpace:
     """Unbounded vacuum; travelling-wave modes."""
 
     clearance = math.inf
-    #: Why the closed form rejects a motion that ``covers`` refuses.
-    uncovered = "free_space_rate needs SHO motion"
-
-    @staticmethod
-    def covers(motion) -> bool:
-        """Whether the closed form covers ``motion``: SHO of either
-        orientation."""
-        return isinstance(motion, ShoMotion)
 
     def field_mode(self, omega: float):
         """``(k, z0, chi, omega_m)`` of the mode a photon at ``omega`` fills:
@@ -261,14 +264,6 @@ class Mirror:
     @property
     def clearance(self) -> float:
         return self.z0
-
-    uncovered = ("mirror_rate needs SHO or rotation motion; for sampled "
-                 "trajectories use oracle.general_trajectory_spectrum")
-
-    @staticmethod
-    def covers(motion) -> bool:
-        """See FreeSpace.covers: SHO of either orientation, or rotation."""
-        return isinstance(motion, (ShoMotion, RotationMotion))
 
     def field_mode(self, omega: float):
         """See FreeSpace.field_mode."""
@@ -307,14 +302,6 @@ class Cavity:
     def clearance(self) -> float:
         """Distance from z0 to the nearer cavity mirror."""
         return min(self.z0, self.length - self.z0)
-
-    uncovered = "cavity_rate needs SHO motion along the cavity axis"
-
-    @staticmethod
-    def covers(motion) -> bool:
-        """See FreeSpace.covers: perpendicular SHO only."""
-        return (isinstance(motion, ShoMotion)
-                and motion.orientation == PERPENDICULAR)
 
     def mode_index(self, omega: float) -> int | None:
         """Index m of the mode nearest ``omega``, or None below mode 1."""
@@ -404,10 +391,18 @@ def _check_phase(theta: float):
 
 
 def check_closed_form(motion, geom):
-    """Reject a motion that the geometry's closed form does not cover, with
-    the message the geometry declares."""
-    if not geom.covers(motion):
-        raise PhysicsDomainError(geom.uncovered)
+    """The one statement of closed-form coverage: SHO of either orientation
+    and rotation in free space and at a mirror, SHO along the axis in a
+    cavity, and sampled motion nowhere."""
+    if isinstance(geom, Cavity):
+        if not (isinstance(motion, ShoMotion)
+                and motion.orientation == PERPENDICULAR):
+            raise PhysicsDomainError(
+                "cavity_rate needs SHO motion along the cavity axis")
+    elif not isinstance(motion, (ShoMotion, RotationMotion)):
+        raise PhysicsDomainError(
+            "sampled motion has no closed form; "
+            "oracle.general_trajectory_spectrum integrates it")
 
 
 def mirror_rate(atom: AtomParams, motion, geom: Mirror, n: int) -> Sideband:
@@ -429,10 +424,11 @@ def mirror_rate(atom: AtomParams, motion, geom: Mirror, n: int) -> Sideband:
     return Sideband(n=n, omega=omega, rate=rate, branch=EMIT_EXCITE)
 
 
-def free_space_rate(atom: AtomParams, motion: ShoMotion, n: int) -> Sideband:
-    """Emission sideband of an atom oscillating in free space.
+def free_space_rate(atom: AtomParams, motion, n: int) -> Sideband:
+    """Emission sideband of an atom oscillating or rotating in free space.
 
-    rate = (2 pi g^2 / Omega) * J_n((n Omega - omega0) A / c)^2.
+    rate = (2 pi g^2 / Omega) * J_n((n Omega - omega0) A / c)^2, A the
+    amplitude or the radius.
     """
     check_closed_form(motion, FreeSpace)
     omega = emission_frequency(atom, motion.Omega, n)
@@ -488,9 +484,9 @@ def allowed_sidebands(atom: AtomParams, motion, geom,
 
     For a cavity, only (n, m) pairs meeting the resonance (off_resonance)
     survive; both photon-number branches are scanned.
-    An empty list is a valid result.  A motion the geometry's closed form
-    does not cover, or one that reaches the boundary, is rejected before
-    any line, so the outcome does not depend on which lines are open.
+    An empty list is a valid result.  A pair with no closed form
+    (check_closed_form), or a motion that reaches the boundary, is rejected
+    before any line, so the outcome does not depend on which lines are open.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")

@@ -163,11 +163,13 @@ def rate_surface(atom: AtomParams, motion: ShoMotion, geom,
     """Custom sweep: closed-form rate over oscillation amplitude and n.
 
     Cells with no open sideband (n*Omega <= omega0) are zero.  Each
-    amplitude row must clear the boundary.
+    amplitude row must clear the boundary.  The one place that refuses a
+    pair it cannot sweep: a cavity, or any motion but SHO.
     """
-    if isinstance(geom, Cavity):
+    if isinstance(geom, Cavity) or not isinstance(motion, ShoMotion):
         raise PhysicsDomainError(
-            "custom sweeps support free-space and mirror geometries")
+            "custom sweeps support free-space and mirror geometries with "
+            "SHO motion")
     amplitude_values = tuple(float(a) for a in amplitude_values)
     n_values = tuple(int(n) for n in n_values)
     values = np.zeros((len(amplitude_values), len(n_values)))

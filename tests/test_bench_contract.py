@@ -1,5 +1,6 @@
-"""The benchmark's tracer must find every function it traces, and its
-checker must judge resonance with the program's tolerance.
+"""The benchmark's tracer must find every function it traces, its checker
+must judge resonance with the program's tolerance, and the closed forms
+must call ``bessel_j`` once per line, as a traced run counts them.
 
 ``bench/tracing.py`` wraps a fixed list of ``accelrad`` functions, by
 module and name; renaming or deleting one breaks ``bench/run.py --trace``.
@@ -9,11 +10,17 @@ there.
 """
 
 import importlib.util
+import math
 import pathlib
 import sys
 
+import pytest
+
 import accelrad.cli  # noqa: F401  (the tracer expects it imported)
-from accelrad.rates import RESONANCE_TOL
+import accelrad.rates
+from accelrad.rates import (PARALLEL, RESONANCE_TOL, AtomParams, FreeSpace,
+                            Mirror, RotationMotion, ShoMotion,
+                            allowed_sidebands)
 
 _BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
@@ -66,3 +73,28 @@ def test_importing_cli_loads_every_traced_module(fresh_python):
     proc = fresh_python("-c", _UNRESOLVED_AFTER_IMPORT, *tracing.SPANS)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ""
+
+
+# ``bench/run.py`` asserts, on every traced request tagged
+# ``bessel-per-line``, one ``specfun.bessel_j`` call per emitted line.
+@pytest.mark.parametrize("geom", [FreeSpace(), Mirror(z0=0.05)],
+                         ids=["free_space", "mirror"])
+@pytest.mark.parametrize("motion", [
+    ShoMotion(amplitude=0.01, Omega=2 * math.pi * 1e10),
+    ShoMotion(amplitude=0.01, Omega=2 * math.pi * 1e10,
+              orientation=PARALLEL, delta=0.6),
+    RotationMotion(radius=0.01, Omega=2 * math.pi * 1e10, delta=0.6)],
+    ids=["sho", "parallel", "rotation"])
+def test_one_bessel_call_per_emitted_line(monkeypatch, motion, geom):
+    calls = []
+    bessel_j = accelrad.rates.bessel_j
+
+    def counted(n, x):
+        calls.append(n)
+        return bessel_j(n, x)
+
+    monkeypatch.setattr(accelrad.rates, "bessel_j", counted)
+    atom = AtomParams(omega0=2 * math.pi * 2.5e10, g=1e6)
+    lines = allowed_sidebands(atom, motion, geom, 40)
+    assert len(lines) == 38
+    assert calls == [line.n for line in lines]

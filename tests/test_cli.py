@@ -14,10 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from accelrad import AtomParams, ShoMotion, free_space_rate
-from accelrad.cli import (CONFIG_SECTIONS, AtomConfig, GeometryConfig,
-                          MotionConfig, RunConfig, SweepSettings, main,
-                          parse_config, parse_length, serialize_config)
+from accelrad import (AtomParams, ShoMotion, allowed_sidebands,
+                      free_space_rate, general_trajectory_spectrum,
+                      rate_surface)
+from accelrad.cli import (CONFIG_SECTIONS, VERIFY_TOL, AtomConfig,
+                          GeometryConfig, MotionConfig, RunConfig,
+                          SweepSettings, build_atom, build_geometry,
+                          build_motion, main, parse_config, parse_length,
+                          serialize_config, sidebands_text, sweep_text)
+from accelrad.oracle import verified_lines
 
 FREE_SPACE_CFG = """\
 [atom]
@@ -760,30 +765,35 @@ class TestClearanceBeforeAnyLine:
 class TestUnsupportedPairBeforeAnyLine:
     # Free space opens its first line at n = 6 (5 GHz atom, 1 GHz drive);
     # the cavity (0.9 GHz atom) has a mode near a branch from n = 2 on.
-    @pytest.mark.parametrize("motion,geometry,atom_hz,n_max,message", [
+    # Free-space rotation has a closed form and is accepted either way.
+    @pytest.mark.parametrize("motion,geometry,atom_hz,n_max,code,message", [
         ("kind = rotation\nradius = 1 nm\n", "kind = free_space\n", 5e9,
-         3, "free_space_rate needs SHO motion"),
+         3, 0, "n,branch,m,omega_rad_per_s,photon_frequency_hz,rate_hz\n"),
         ("kind = rotation\nradius = 1 nm\n", "kind = free_space\n", 5e9,
-         6, "free_space_rate needs SHO motion"),
+         6, 0, "\n6,emit-excite,,"),
         ("kind = sho\namplitude = 1 nm\norientation = parallel\n",
-         _COLLIDING_GEOMETRY["cavity"], 0.9e9, 1,
+         _COLLIDING_GEOMETRY["cavity"], 0.9e9, 1, 3,
          "cavity_rate needs SHO motion along the cavity axis"),
         ("kind = rotation\nradius = 1 nm\n",
-         _COLLIDING_GEOMETRY["cavity"], 0.9e9, 1,
+         _COLLIDING_GEOMETRY["cavity"], 0.9e9, 1, 3,
          "cavity_rate needs SHO motion along the cavity axis"),
     ], ids=["rotation-free_space-closed", "rotation-free_space-open",
             "parallel-cavity", "rotation-cavity"])
     def test_uncovered_pair_exits_3_whether_or_not_a_line_is_open(
-            self, tmp_path, capsys, motion, geometry, atom_hz, n_max,
+            self, tmp_path, capsys, motion, geometry, atom_hz, n_max, code,
             message):
         text = (f"[atom]\nfrequency_hz = {atom_hz!r}\nalpha = 0.2\n"
                 f"[motion]\ndrive_frequency_hz = 1e9\n{motion}"
                 f"[geometry]\n{geometry}")
         path = write_cfg(tmp_path, text)
-        assert main(["rate", "--config", path, "--n-max", str(n_max)]) == 3
+        assert main(["rate", "--config", path, "--n-max", str(n_max)]) == code
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert message in captured.err
+        if code == 0:
+            assert captured.err == ""
+            assert message in captured.out
+        else:
+            assert captured.out == ""
+            assert message in captured.err
 
 
 def _sampled(count):
@@ -806,8 +816,8 @@ def _typed_route_config(atom="alpha = 0.2", frequency="5e9", drive="1e10",
 
 _MIRROR = "kind = mirror\nz0 = 1 mm\n"
 
-# (command, config, exit code, stderr fragment); "{missing}" is a directory
-# that does not exist.
+# (command, config, exit code, fragment of stderr, or of stdout on exit 0);
+# "{missing}" is a directory that does not exist.
 _TYPED_ROUTES = {
     # ConfigError -> 2
     "custom-axis-order": (
@@ -824,7 +834,7 @@ _TYPED_ROUTES = {
     # PhysicsDomainError -> 3
     "sampled-motion-rate": (
         ["rate"], _typed_route_config(motion=_sampled(16)),
-        3, "free_space_rate needs SHO motion"),
+        0, "\n1,emit-excite,,31415926535.89793,5000000000.0,1.0838223"),
     "cavity-custom-sweep": (
         ["sweep", "--preset", "custom"], _typed_route_config(
             atom="alpha = 0.2", frequency="0.9e9", drive="1e9",
@@ -886,8 +896,10 @@ class TestExitCodeFollowsErrorType:
         argv = [a.replace("{missing}", missing) for a in argv]
         assert main(argv + ["--config", path]) == code
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert fragment in captured.err
+        stream, silent = ((captured.out, captured.err) if code == 0
+                          else (captured.err, captured.out))
+        assert silent == ""
+        assert fragment in stream
         assert "Traceback" not in captured.err
         assert not (tmp_path / "missing").exists()
 
@@ -901,6 +913,91 @@ class TestExitCodeFollowsErrorType:
         path = write_cfg(tmp_path, FREE_SPACE_CFG)
         with pytest.raises(error, match="a bug, not a refusal"):
             main(["rate", "--config", path])
+
+
+# The route table.  A 0.9 GHz atom under a 1 GHz drive opens every line in
+# free space and at the mirror, and line n = 2 on mode 1 of the cavity.
+_ROUTE_MOTIONS = {
+    "sho": "kind = sho\namplitude = 10 mm\n",
+    "parallel": "kind = sho\namplitude = 10 mm\norientation = parallel\n"
+                "delta_rad = 0.4\n",
+    "rotation": "kind = rotation\nradius = 10 mm\ndelta_rad = 0.4\n",
+    "sampled": "kind = general\nsamples = " + ",".join(
+        repr(1e-2 * math.sin(2 * math.pi * j / 32)) for j in range(32)) + "\n",
+}
+_ROUTE_GEOMETRIES = {"free_space": "kind = free_space\n",
+                     "mirror": "kind = mirror\nz0 = 15 mm\n",
+                     "cavity": _CAVITY_GEOMETRY}
+_ROUTE_COMMANDS = {"rate": ["rate", "--n-max", "12"],
+                   "spectrum": ["spectrum", "--n-max", "12"],
+                   "rate-verify": ["rate", "--n-max", "12", "--verify"],
+                   "sweep-custom": ["sweep", "--preset", "custom"]}
+
+
+def _route_config(motion, geometry):
+    return (f"[atom]\nfrequency_hz = 0.9e9\nalpha = 0.2\n"
+            f"[motion]\ndrive_frequency_hz = 1e9\n{_ROUTE_MOTIONS[motion]}"
+            f"[geometry]\n{_ROUTE_GEOMETRIES[geometry]}"
+            "[sweep]\nn_max = 12\namplitude_max = 10 mm\n"
+            "amplitude_count = 4\n")
+
+
+def _route_outcome(motion, geometry, command):
+    """(exit code, stderr fragment) of a request; (0, "") when served."""
+    if command == "sweep-custom":
+        if motion in ("sho", "parallel") and geometry != "cavity":
+            return 0, ""
+        return 3, "custom sweeps support free-space and mirror geometries"
+    if motion == "sampled" and command == "rate-verify":
+        return 2, "--verify does not apply to sampled motion"
+    if geometry == "cavity" and motion in ("parallel", "rotation"):
+        return 3, "cavity_rate needs SHO motion along the cavity axis"
+    return 0, ""
+
+
+class TestRouteTable:
+    """Every motion x geometry x command ends in the route's exit code, and
+    on exit 0 in the bytes of the route that serves it: the oracle for
+    sampled motion, so ``rate`` prints what ``spectrum`` prints at the same
+    n_max, and the closed forms for the rest."""
+
+    @pytest.mark.parametrize("command", sorted(_ROUTE_COMMANDS))
+    @pytest.mark.parametrize("geometry", sorted(_ROUTE_GEOMETRIES))
+    @pytest.mark.parametrize("motion", sorted(_ROUTE_MOTIONS))
+    def test_route(self, tmp_path, capsys, motion, geometry, command):
+        text = _route_config(motion, geometry)
+        path = write_cfg(tmp_path, text)
+        code, fragment = _route_outcome(motion, geometry, command)
+        assert main(_ROUTE_COMMANDS[command] + ["--config", path]) == code
+        captured = capsys.readouterr()
+        assert fragment in captured.err
+        if code:
+            assert captured.out == ""
+            return
+        assert captured.err == ""
+        cfg = parse_config(text)
+        atom, geom = build_atom(cfg.atom), build_geometry(cfg.geometry)
+        moving = build_motion(cfg.motion)
+        if command == "sweep-custom":
+            result = rate_surface(atom, moving, geom,
+                                  [2.5e-3, 5e-3, 7.5e-3, 1e-2], range(1, 13))
+            assert captured.out == sweep_text(result, "csv")
+            return
+        if motion == "sampled":
+            lines = general_trajectory_spectrum(moving, geom, atom, 12)
+        else:
+            lines = allowed_sidebands(atom, moving, geom, 12)
+        rows = (verified_lines(atom, moving, geom, lines, VERIFY_TOL)
+                if command == "rate-verify"
+                else [(line, None, None) for line in lines])
+        assert lines
+        assert captured.out == sidebands_text(rows, "csv")
+        if (motion, geometry) == ("rotation", "free_space"):
+            # Rotation of radius R has the closed form of SHO of amplitude R.
+            sho = ShoMotion(amplitude=moving.radius, Omega=moving.Omega)
+            assert [line.rate.hex() for line in lines] == [
+                free_space_rate(atom, sho, n).rate.hex()
+                for n in range(1, 13)]
 
 
 # (command, config, one stderr line); each ran for minutes or printed numpy

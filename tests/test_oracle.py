@@ -12,9 +12,9 @@ import accelrad.oracle as oracle_module
 from accelrad import (EMIT_EXCITE, PARALLEL, RESONANCE_TOL, AtomParams,
                       Cavity, ConvergenceError, FreeSpace,
                       GeneralPeriodicMotion, Mirror, OffResonanceError,
-                      OracleRangeError, PhysicsDomainError, ShoMotion,
-                      allowed_sidebands, bessel_j, cavity_mode_frequency,
-                      cavity_rate, free_space_rate,
+                      OracleRangeError, PhysicsDomainError, RotationMotion,
+                      ShoMotion, allowed_sidebands, bessel_j,
+                      cavity_mode_frequency, cavity_rate, free_space_rate,
                       general_trajectory_spectrum, mirror_rate,
                       one_period_amplitude, rational_period_integral,
                       selection_rule_report, verify_selection_rule)
@@ -247,6 +247,17 @@ class TestGeneralTrajectorySpectrum:
         for line in lines:
             closed = free_space_rate(atom, sho, line.n).rate
             assert abs(line.rate - closed) / closed < 1e-8
+
+    def test_closed_form_motions_are_integrated_too(self):
+        atom = AtomParams(omega0=1.0, g=0.5)
+        sho = ShoMotion(amplitude=1.3 * C, Omega=2.0)
+        for motion in (sho, RotationMotion(radius=1.3 * C, Omega=2.0,
+                                           delta=0.7)):
+            lines = general_trajectory_spectrum(motion, FreeSpace(), atom, 5)
+            assert [line.n for line in lines] == [1, 2, 3, 4, 5]
+            for line in lines:
+                closed = free_space_rate(atom, sho, line.n).rate
+                assert abs(line.rate - closed) / closed < 1e-8
 
     def test_odd_sample_count_sinusoid(self):
         # trig interpolation has no Nyquist bin for odd M; must stay exact

@@ -67,8 +67,8 @@ def frozen_mirror_rate(atom, motion, geom, n):
 
 
 def frozen_free_space_rate(atom, motion, n):
-    if not isinstance(motion, ShoMotion):
-        raise PhysicsDomainError("free_space_rate needs SHO motion")
+    if not isinstance(motion, (ShoMotion, RotationMotion)):
+        raise PhysicsDomainError("free_space_rate needs SHO or rotation")
     omega = emission_frequency(atom, motion.Omega, n)
     a_tilde = omega * motion.amplitude / C
     rate = (2.0 * math.pi * atom.g**2 / motion.Omega

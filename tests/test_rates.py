@@ -338,8 +338,28 @@ class TestMotionGeometryProtocol:
         assert ShoMotion(2.0, 1.0).extent == 2.0
         assert ShoMotion(2.0, 1.0, orientation=PARALLEL).extent == 0.0
         assert RotationMotion(radius=3.0, Omega=1.0).extent == 3.0
-        assert GeneralPeriodicMotion(Omega=1.0, samples=samples).extent \
-            == max(abs(z) for z in samples)
+        sampled = GeneralPeriodicMotion(Omega=1.0, samples=samples)
+        phi = sampled.phase(1.0)[0]
+        dense = float(np.max(np.abs(phi(np.linspace(0.0, 2 * math.pi,
+                                                     20001)))))
+        assert sampled.extent >= max(max(abs(z) for z in samples), dense)
+        assert sampled.extent <= 1.01 * dense
+
+    def test_extent_of_a_trajectory_that_overshoots_its_samples(self):
+        # 64 samples of a +-1 mm square wave, 0 at the two jumps: the
+        # interpolant the oracle integrates reaches 1.0655 mm between them.
+        samples = (0.0,) + (1e-3,) * 31 + (0.0,) + (-1e-3,) * 31
+        motion = GeneralPeriodicMotion(Omega=2 * math.pi * 1e9,
+                                       samples=samples)
+        dense = np.abs(motion.phase(1.0)[0](
+            np.linspace(0.0, 2 * math.pi, 200001)))
+        assert float(np.max(dense)) == pytest.approx(1.0655e-3, abs=1e-7)
+        assert float(np.max(dense)) <= motion.extent < 1.08e-3
+        atom = AtomParams(omega0=2 * math.pi * 0.5e9, g=1e6)
+        with pytest.raises(PhysicsDomainError, match="reaches the boundary"):
+            general_trajectory_spectrum(motion, Mirror(z0=1.05e-3), atom, 5)
+        assert len(general_trajectory_spectrum(motion, Mirror(z0=1.1e-3),
+                                               atom, 5)) == 5
 
     def test_projection(self):
         k, delta = 3.0, 0.7
@@ -423,7 +443,8 @@ class TestClearance:
             with pytest.raises(PhysicsDomainError) as info:
                 route()
             assert str(info.value) == (
-                f"motion extent 2 m reaches the boundary (clearance "
+                f"motion extent {motion.extent:g} m reaches the boundary "
+                f"(clearance "
                 f"{geom.clearance:g} m); require extent < clearance")
 
 

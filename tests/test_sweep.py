@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from accelrad import (AtomParams, FreeSpace, Mirror, OracleMismatchError,
+from accelrad import (AtomParams, FreeSpace, GeneralPeriodicMotion, Mirror,
+                      OracleMismatchError, PhysicsDomainError, RotationMotion,
                       ShoMotion, SweepGrid, SweepResult, allowed_sidebands,
                       bessel_j, fig2_surface, fig3_surface, free_space_rate,
                       mirror_rate, rate_surface)
@@ -215,6 +216,19 @@ class TestRateSurface:
         res = rate_surface(atom, motion, FreeSpace(), [1.0], [1, 2, 3, 4])
         assert list(res.values[0, :2]) == [0.0, 0.0]
         assert res.values[0, 3] > 0.0
+
+
+    @pytest.mark.parametrize("motion", [
+        RotationMotion(radius=1.0, Omega=1.0),
+        GeneralPeriodicMotion(Omega=1.0, samples=(0.0,) * 16)],
+        ids=["rotation", "sampled"])
+    @pytest.mark.parametrize("geom", [FreeSpace(), Mirror(z0=2.0)],
+                             ids=["free_space", "mirror"])
+    def test_motion_other_than_sho_is_refused(self, motion, geom):
+        atom = AtomParams(omega0=0.5, g=1.0)
+        with pytest.raises(PhysicsDomainError, match="custom sweeps support "
+                           "free-space and mirror geometries"):
+            rate_surface(atom, motion, geom, [0.5], [1, 2])
 
 
 class TestSpectrum:
