@@ -14,6 +14,7 @@ the code; any other exception is a bug and propagates.
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import sys
@@ -518,7 +519,10 @@ def cmd_oracle(args) -> int:
     return 0 if ok else 4
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and shared by every ``main`` call;
+    it binds the ``cmd_*`` functions as they are when it is built."""
     parser = argparse.ArgumentParser(
         prog="accelrad",
         description="Photon-emission rates for mechanically driven "

@@ -25,6 +25,7 @@ closed form is stated once, in check_closed_form; the oracle integrates
 every pair that clears its boundary.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -197,6 +198,7 @@ class GeneralPeriodicMotion:
             raise PhysicsDomainError("samples must be finite")
         object.__setattr__(self, "samples", samples)
 
+    @functools.cached_property
     def _fourier(self):
         """``(c_h, h, sum_h |h| |c_h|)``: the samples' Fourier coefficients
         of z(tau) = Re sum_h c_h exp(i h tau), their harmonics, and the
@@ -206,12 +208,12 @@ class GeneralPeriodicMotion:
         coef, freqs = np.fft.fft(z) / m, np.fft.fftfreq(m, d=1.0 / m)
         return coef, freqs, float(np.abs(freqs) @ np.abs(coef))
 
-    @property
+    @functools.cached_property
     def extent(self) -> float:
         """Reach toward a boundary of the interpolated z(tau), which
         overshoots the samples: max |z| on a zero-padded FFT grid of
         N = 64 M points, plus (pi / N) max |dz/dtau| for the gaps."""
-        coef, freqs, slope = self._fourier()
+        coef, freqs, slope = self._fourier
         nodes = 64 * len(coef)
         padded = np.zeros(nodes, dtype=complex)
         padded[freqs.astype(int)] = coef
@@ -225,7 +227,7 @@ class GeneralPeriodicMotion:
     def phase(self, k: float):
         """See ShoMotion.phase; z(tau) = Re sum_h c_h exp(i h tau) bounds
         |dphi/dtau| by k sum_h |h| |c_h| and |phi| by k sum_h |c_h|."""
-        coef, freqs, slope = self._fourier()
+        coef, freqs, slope = self._fourier
 
         def phi(tau):
             tau = np.asarray(tau, dtype=float)

@@ -1036,6 +1036,73 @@ class TestRefusalInAFreshProcess:
         assert proc.stderr == message + "\n"
 
 
+# Runs ``main(argv[2:])`` as ``python -m accelrad.cli`` would, with the
+# terminal width argv[1].
+_MAIN_AT_WIDTH = """\
+import os, sys
+os.environ["COLUMNS"] = sys.argv[1]
+from accelrad.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+# Counts ArgumentParser constructions at import and in two main() calls.
+_PARSERS_BUILT = """\
+import argparse, contextlib, io, json, sys
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+import accelrad.cli
+counts = [len(built)]
+for _ in range(2):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert accelrad.cli.main(sys.argv[1:]) == 0
+    counts.append(len(built) - sum(counts))
+print(json.dumps(counts))
+"""
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process and reuses it."""
+
+    def test_requests_in_one_process_match_fresh_processes(
+            self, tmp_path, fresh_python, monkeypatch):
+        path = write_cfg(tmp_path, FREE_SPACE_CFG)
+        sequence = [
+            ("80", ["rate", "--config", path, "--format", "csv"]),
+            ("80", ["rate", "--config", path, "--n-max", "two"]),
+            ("80", ["oracle", "--seed", "1", "--format", "json"]),
+            ("80", ["sweep", "--preset", "fig2"]),
+            ("80", ["rate", "--config", path, "--verify", "--format", "json"]),
+            ("60", ["--help"]),
+        ]
+        codes = []
+        for columns, argv in sequence:
+            monkeypatch.setenv("COLUMNS", columns)
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            fresh = fresh_python("-c", _MAIN_AT_WIDTH, columns, *argv)
+            assert (code, out.getvalue(), err.getvalue()) == (
+                fresh.returncode, fresh.stdout, fresh.stderr), argv
+            codes.append(code)
+        assert codes == [0, 2, 0, 0, 0, 0]
+
+    def test_parser_is_built_on_the_first_call_only(self, tmp_path,
+                                                    fresh_python):
+        path = write_cfg(tmp_path, FREE_SPACE_CFG)
+        proc = fresh_python("-c", _PARSERS_BUILT, "rate", "--config", path)
+        assert proc.returncode == 0, proc.stderr
+        # none at import, the parser and its four subparsers on the first
+        # call, none on the second
+        assert json.loads(proc.stdout) == [0, 5, 0]
+
+
 class TestOrientationIsCheckedAtParse:
     @pytest.mark.parametrize("argv", [["rate"], ["spectrum"],
                                       ["sweep", "--preset", "custom"]])

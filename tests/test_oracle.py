@@ -342,6 +342,25 @@ class TestGeneralTrajectorySpectrum:
                                         shift * RESONANCE_TOL * Omega, 8)
         assert sampled == closed
 
+    def test_fourier_data_is_computed_once_per_motion(self, monkeypatch):
+        # The samples are transformed once and zero-padded once per motion,
+        # not again for every line's phase and clearance check.
+        calls = {"fft": 0, "ifft": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(np.fft, name),
+                        **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        atom = AtomParams(omega0=1.0, g=0.5)
+        ts = TWO_PI * np.arange(32) / 32
+        sampled = GeneralPeriodicMotion(
+            Omega=2.0, samples=tuple(0.3 * C * np.sin(ts)))
+        lines = general_trajectory_spectrum(sampled, Mirror(z0=2.0 * C),
+                                            atom, 10)
+        assert len(lines) == 10
+        assert calls == {"fft": 1, "ifft": 1}
+
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
             GeneralPeriodicMotion(Omega=1.0, samples=(0.0,) * 8)
