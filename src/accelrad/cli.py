@@ -32,7 +32,6 @@ _LENGTH_UNITS = (("nm", 1e-9), ("um", 1e-6), ("mm", 1e-3), ("m", 1.0))
 
 SELECTION_RULE_TOL = 1e-10
 EQUIVALENCE_TOL = 1e-8
-VERIFY_TOL = 1e-6
 
 
 def parse_length(text: str) -> float:
@@ -272,9 +271,9 @@ def build_geometry(cfg: GeometryConfig):
     return Cavity(length=cfg.length_m, z0=cfg.z0_m, n_photons=cfg.photons)
 
 
-def sidebands_text(rows, fmt: str) -> str:
-    """Serialize (sideband, oracle_rate, deviation) rows as CSV or JSON."""
-    verified = any(orate is not None for _, orate, _ in rows)
+def sidebands_text(rows, fmt: str, verified: bool) -> str:
+    """Serialize (sideband, oracle_rate, deviation) rows as CSV or JSON; a
+    ``verified`` request carries both oracle fields on every line."""
     if fmt == "json":
         payload = {"kind": "sidebands", "version": __version__,
                    "sidebands": []}
@@ -411,10 +410,10 @@ def cmd_sidebands(args) -> int:
         lines = oracle.general_trajectory_spectrum(motion, geom, atom, n_max)
     else:
         lines = allowed_sidebands(atom, motion, geom, n_max)
-    rows = (oracle.verified_lines(atom, motion, geom, lines, VERIFY_TOL)
+    rows = (oracle.verified_lines(atom, motion, geom, lines)
             if verify else [(line, None, None) for line in lines])
     fmt = args.format or cfg.fmt
-    _emit(sidebands_text(rows, fmt), args, cfg)
+    _emit(sidebands_text(rows, fmt, verify), args, cfg)
     return 0
 
 

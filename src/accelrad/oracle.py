@@ -52,16 +52,20 @@ from .rates import (EMIT_EXCITE, AtomParams, Cavity, FreeSpace, Mirror,
                     ShoMotion, Sideband, check_clearance, off_resonance)
 
 _EPS = 2.0 ** -52  # float64 machine epsilon
+#: Relative deviation ``--verify`` allows between a closed form and the oracle.
+VERIFY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class OracleResult:
-    """One-period amplitude with its per-cycle rate and quadrature metadata."""
+    """One-period amplitude with its per-cycle rate, quadrature metadata and
+    the rate floor under which float64 cannot resolve it to VERIFY_TOL."""
 
     amplitude: complex
     rate: float
     error_estimate: float
     panels_used: int
+    floor: float
 
 
 def _resonance(geom, motion, omega: float, omega0: float):
@@ -76,7 +80,7 @@ def _resonance(geom, motion, omega: float, omega0: float):
     return n, field
 
 
-def _line_integral(motion, geom, omega: float, omega0: float, mode: str):
+def _line_integral(motion, geom, omega: float, omega0: float):
     """Check that (omega, omega0) is a resonant line and build its integral:
     ``(integrand, n, bandwidth, peak_phase, chi)``, with bandwidth bounding
     |dphi/dtau|, peak_phase every phase the integrand evaluates and chi the
@@ -94,15 +98,12 @@ def _line_integral(motion, geom, omega: float, omega0: float, mode: str):
     n, (k, z0, chi, _) = line
     check_clearance(motion, geom)
 
-    if mode not in ("right", "left"):
-        raise ValueError(f"mode must be 'right' or 'left', got {mode!r}")
     if z0 is None:
         phi, bandwidth, peak = motion.phase(k)
-        sign = -1.0 if mode == "right" else 1.0
         theta0 = 0.0
 
         def integrand(tau):
-            return np.exp(1j * (sign * phi(tau) + n * tau))
+            return np.exp(1j * (-phi(tau) + n * tau))
     else:
         k_motion, k_normal = motion.project(k)
         theta0 = k_normal * z0
@@ -120,22 +121,30 @@ def _rate(chi: float, Omega: float, g: float, amplitude: float) -> float:
 
 
 def one_period_amplitude(motion, geom, omega: float, omega0: float, *,
-                         g: float = 1.0, mode: str = "right") -> OracleResult:
+                         g: float = 1.0) -> OracleResult:
     """Direct quadrature of the one-period emission amplitude.
 
     Requires n Omega = omega + omega0 of omega and its field mode (the closed
     forms' ``rates.off_resonance``): off-resonant one-period integrals do not
     represent a steady rate (use the selection-rule checks for those).
-    ``mode`` picks the right- or left-moving travelling wave in free space.
-    ``g`` enters only the returned rate, not the amplitude.
+    Free space takes the right-moving travelling wave.  ``g`` enters only
+    the returned rates, not the amplitude.
 
     The trapezoid rule starts from ``4 (n + ceil(B) + 40)`` nodes, B the
     bound on |dphi/dtau|.  A start with no room for one doubling under
     :data:`accelrad._quadrature.MAX_PERIODIC_NODES` raises
     :class:`OracleRangeError` before any node is evaluated.
+
+    ``floor`` is the smallest rate whose integral float64 resolves to
+    :data:`VERIFY_TOL`.  Each integrand value has modulus at most 2 and is
+    an exp or sin of a phase no larger than ``peak_phase``, which float64
+    rounds to about eps * peak_phase; so the amplitude over the 2 pi period
+    carries an absolute rounding error of at most 4 pi eps peak_phase.  A
+    rate goes as |amplitude|^2, so its relative deviation stays under
+    VERIFY_TOL once |amplitude| >= 2 (4 pi eps peak_phase) / VERIFY_TOL.
     """
-    integrand, n, bandwidth, _, chi = _line_integral(motion, geom, omega,
-                                                     omega0, mode)
+    integrand, n, bandwidth, peak_phase, chi = _line_integral(
+        motion, geom, omega, omega0)
     nodes = 4 * (n + math.ceil(bandwidth) + 40)
     if 2 * nodes > MAX_PERIODIC_NODES:
         raise OracleRangeError(
@@ -144,34 +153,21 @@ def one_period_amplitude(motion, geom, omega: float, omega0: float, *,
             f"{MAX_PERIODIC_NODES}; it is beyond the oracle's range")
     value, err, used = periodic_trapezoid(integrand, nodes)
     rate = _rate(chi, motion.Omega, g, abs(value))
+    floor = _rate(chi, motion.Omega, g,
+                  8.0 * math.pi * _EPS * peak_phase / VERIFY_TOL)
     return OracleResult(amplitude=complex(value), rate=float(rate),
-                        error_estimate=float(err), panels_used=used)
+                        error_estimate=float(err), panels_used=used,
+                        floor=floor)
 
 
-def rate_floor(motion, geom, omega: float, omega0: float, g: float,
-               tol: float) -> float:
-    """Smallest rate whose one-period integral float64 resolves to ``tol``.
-
-    Each integrand value has modulus at most 2 and is an exp or sin of a
-    phase no larger than ``peak_phase``, which float64 rounds to about
-    eps * peak_phase; so the amplitude over the 2 pi period carries an
-    absolute rounding error of at most 4 pi eps peak_phase.  A rate goes as
-    |amplitude|^2, so its relative deviation stays under ``tol`` once
-    |amplitude| >= 2 (4 pi eps peak_phase) / tol.
-    """
-    *_, peak_phase, chi = _line_integral(motion, geom, omega, omega0,
-                                         "right")
-    amplitude = 8.0 * math.pi * _EPS * peak_phase / tol
-    return _rate(chi, motion.Omega, g, amplitude)
-
-
-def verified_lines(atom: AtomParams, motion, geom, lines, tol: float) -> list:
+def verified_lines(atom: AtomParams, motion, geom, lines) -> list:
     """Pair each sideband with its oracle rate and relative deviation.
 
     Returns ``(line, oracle_rate, deviation)`` rows; absorption-branch lines
     get ``(line, None, None)`` since the oracle models emission only.  Lines
-    whose larger rate lies under :func:`rate_floor` get deviation 0.0; any
-    other deviation above ``tol`` raises :class:`OracleMismatchError`.
+    whose larger rate lies under the oracle's ``floor`` get deviation 0.0;
+    any other deviation above :data:`VERIFY_TOL` raises
+    :class:`OracleMismatchError`.
     """
     rows = []
     for line in lines:
@@ -182,14 +178,13 @@ def verified_lines(atom: AtomParams, motion, geom, lines, tol: float) -> list:
         result = one_period_amplitude(motion, geom, line.omega, atom.omega0,
                                       g=atom.g)
         scale = max(line.rate, result.rate)
-        floor = rate_floor(motion, geom, line.omega, atom.omega0, atom.g, tol)
-        deviation = (0.0 if scale <= floor
+        deviation = (0.0 if scale <= result.floor
                      else abs(result.rate - line.rate) / scale)
-        if deviation > tol:
+        if deviation > VERIFY_TOL:
             raise OracleMismatchError(
                 f"sideband n={line.n}: closed form {line.rate!r} Hz vs "
                 f"oracle {result.rate!r} Hz (relative deviation "
-                f"{deviation:g} > {tol:g})",
+                f"{deviation:g} > {VERIFY_TOL:g})",
                 relative_deviation=deviation,
             )
         rows.append((line, result.rate, deviation))
@@ -298,35 +293,29 @@ def equivalence_cases(seed: int = 0, count: int = 200) -> list[EquivalenceCase]:
         omega0 = n * Omega - omega
         k = omega / C
         if kind == "free":
-            a_tilde = float(rng.uniform(0.05, 25.0))
-            if abs(bessel_j(n, a_tilde)) < 1e-5:
-                continue
-            motion = ShoMotion(amplitude=a_tilde / k, Omega=Omega)
-            geom = FreeSpace()
+            hi, theta = 25.0, 0.5 * math.pi
         elif kind == "mirror":
             z_tilde = float(rng.uniform(0.1, 2.0 * math.pi))
             hi = min(25.0, 0.98 * z_tilde)
-            if hi <= 0.05:
-                continue
-            a_tilde = float(rng.uniform(0.05, hi))
             theta = z_tilde - 0.5 * math.pi * n
-            if abs(math.sin(theta) * bessel_j(n, a_tilde)) < 1e-5:
-                continue
-            motion = ShoMotion(amplitude=a_tilde / k, Omega=Omega)
-            geom = Mirror(z0=z_tilde / k)
         else:
             m = int(rng.integers(1, 9))
             length = math.pi * m * C / omega
             z_frac = float(rng.uniform(0.15, 0.85))
             z0 = z_frac * length
             hi = min(25.0, 0.98 * k * min(z0, length - z0))
-            if hi <= 0.05:
-                continue
-            a_tilde = float(rng.uniform(0.05, hi))
             theta = math.pi * m * z_frac - 0.5 * math.pi * n
-            if abs(math.sin(theta) * bessel_j(n, a_tilde)) < 1e-5:
-                continue
-            motion = ShoMotion(amplitude=a_tilde / k, Omega=Omega)
+        if hi <= 0.05:
+            continue
+        a_tilde = float(rng.uniform(0.05, hi))
+        if abs(math.sin(theta) * bessel_j(n, a_tilde)) < 1e-5:
+            continue
+        motion = ShoMotion(amplitude=a_tilde / k, Omega=Omega)
+        if kind == "free":
+            geom = FreeSpace()
+        elif kind == "mirror":
+            geom = Mirror(z0=z_tilde / k)
+        else:
             geom = Cavity(length=length, z0=z0,
                           n_photons=int(rng.integers(0, 4)))
         atom = AtomParams(omega0=omega0, g=g)

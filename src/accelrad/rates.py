@@ -205,20 +205,27 @@ class GeneralPeriodicMotion:
         bound on |dz/dtau| that they give."""
         z = np.asarray(self.samples, dtype=float)
         m = len(z)
-        coef, freqs = np.fft.fft(z) / m, np.fft.fftfreq(m, d=1.0 / m)
-        return coef, freqs, float(np.abs(freqs) @ np.abs(coef))
+        with np.errstate(over="ignore", invalid="ignore"):
+            coef, freqs = np.fft.fft(z) / m, np.fft.fftfreq(m, d=1.0 / m)
+            return coef, freqs, float(np.abs(freqs) @ np.abs(coef))
 
     @functools.cached_property
     def extent(self) -> float:
         """Reach toward a boundary of the interpolated z(tau), which
         overshoots the samples: max |z| on a zero-padded FFT grid of
-        N = 64 M points, plus (pi / N) max |dz/dtau| for the gaps."""
+        N = 64 M points, plus (pi / N) max |dz/dtau| for the gaps.  Raises
+        PhysicsDomainError where that bound is past float64 range."""
         coef, freqs, slope = self._fourier
         nodes = 64 * len(coef)
         padded = np.zeros(nodes, dtype=complex)
         padded[freqs.astype(int)] = coef
-        dense = (nodes * np.fft.ifft(padded)).real
-        return float(np.max(np.abs(dense))) + math.pi / nodes * slope
+        with np.errstate(over="ignore", invalid="ignore"):
+            dense = (nodes * np.fft.ifft(padded)).real
+            extent = float(np.max(np.abs(dense))) + math.pi / nodes * slope
+        if not math.isfinite(extent):
+            raise PhysicsDomainError(
+                "sampled trajectory is beyond float64 range")
+        return extent
 
     def project(self, k: float):
         """(k_motion, k_normal) = (k, k); see ShoMotion.project."""

@@ -41,8 +41,6 @@ def bessel_j(n: int, x: float) -> float:
     x = float(x)  # numpy scalars would leak into the result and slow the loops
     if x < 0:
         return -bessel_j(n, -x) if n % 2 else bessel_j(n, -x)
-    if x == 0.0:
-        return 1.0 if n == 0 else 0.0
     if x <= _SERIES_CUTOFF:
         return _bessel_series(n, x)
     return _miller_range(n, n, x)[0]
@@ -63,10 +61,16 @@ def bessel_j_orders(n_max: int, x: float) -> "np.ndarray":
         out = np.zeros(n_max + 1)
         out[0] = 1.0
         return out
-    out = _miller_range(0, n_max, x)
+    out = np.array(_miller_range(0, n_max, x))
     if not math.isfinite(out[0]):
-        out = _leading_terms(n_max, x)
-    out = np.array(out)
+        # A Miller step (2k/x) J_k overflows only for x < 1e-50.  There the
+        # series is exact from its first term, and past the first order
+        # whose leading term underflows to 0.0 every order is 0.0.
+        out[:] = 0.0
+        for k in range(n_max + 1):
+            out[k] = _bessel_series(k, x)
+            if out[k] == 0.0:
+                break
     if sign < 0:
         out[1::2] *= -1.0
     return out
@@ -78,28 +82,6 @@ def _check_argument(x: float) -> None:
     if abs(x) > MAX_ARGUMENT:
         raise PhysicsDomainError(f"Bessel argument |x| = {abs(x):g} is "
                                  f"above MAX_ARGUMENT = {MAX_ARGUMENT:g}")
-
-
-def _leading_terms(n_max: int, x: float) -> list:
-    """(x/2)^k / k! for k = 0 .. n_max: J_k(x) wherever Miller overflows.
-
-    A Miller step (2k/x) J_k with |J_k| just under the 1e250 rescale limit
-    overflows once 2k/x exceeds about 1.8e58, and the overflow turns the
-    normalization, hence every order, into NaN.  That needs
-    2 * _miller_start / x > 1.8e58, so x < 1e-50 for any order a float
-    recurrence can reach.  There (x/2)^2 < 1e-100, so the series
-    J_k = (x/2)^k / k! (1 - (x/2)^2 / (k+1) + ...) equals its leading term
-    far below float64 resolution.  The terms are built as
-    ``_bessel_series`` builds them, so they underflow to 0 instead of
-    overflowing k!.
-    """
-    half = 0.5 * x
-    term = 1.0
-    out = [term]
-    for k in range(1, n_max + 1):
-        term *= half / k
-        out.append(term)
-    return out
 
 
 def _bessel_series(n: int, x: float) -> float:

@@ -5,7 +5,8 @@ must call ``bessel_j`` once per line, as a traced run counts them.
 ``bench/tracing.py`` wraps a fixed list of ``accelrad`` functions, by
 module and name; renaming or deleting one breaks ``bench/run.py --trace``.
 ``bench/check.py`` scales its band of ambiguous cavity lines from its own
-copy of ``RESONANCE_TOL``.  These tests read ``bench/`` and change nothing
+copy of ``RESONANCE_TOL`` and bounds every ``oracle_rel_dev`` by its own
+copy of ``VERIFY_TOL``.  These tests read ``bench/`` and change nothing
 there.
 """
 
@@ -18,6 +19,7 @@ import pytest
 
 import accelrad.cli  # noqa: F401  (the tracer expects it imported)
 import accelrad.rates
+from accelrad.oracle import VERIFY_TOL
 from accelrad.rates import (PARALLEL, RESONANCE_TOL, AtomParams, FreeSpace,
                             Mirror, RotationMotion, ShoMotion,
                             allowed_sidebands)
@@ -39,6 +41,10 @@ check = _load("bench_check", "check.py")
 
 def test_checker_resonance_tolerance_is_the_programs():
     assert check.RESONANCE_TOL == RESONANCE_TOL
+
+
+def test_checker_verify_tolerance_is_the_programs():
+    assert check.VERIFY_TOL == VERIFY_TOL
 
 
 def test_every_traced_span_resolves():

@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 from accelrad import (AtomParams, ShoMotion, allowed_sidebands,
                       free_space_rate, general_trajectory_spectrum,
                       rate_surface)
-from accelrad.cli import (CONFIG_SECTIONS, VERIFY_TOL, AtomConfig,
-                          GeometryConfig, MotionConfig, RunConfig,
-                          SweepSettings, build_atom, build_geometry,
-                          build_motion, main, parse_config, parse_length,
-                          serialize_config, sidebands_text, sweep_text)
+from accelrad.cli import (CONFIG_SECTIONS, AtomConfig, GeometryConfig,
+                          MotionConfig, RunConfig, SweepSettings, build_atom,
+                          build_geometry, build_motion, main, parse_config,
+                          parse_length, serialize_config, sidebands_text,
+                          sweep_text)
 from accelrad.oracle import verified_lines
 
 FREE_SPACE_CFG = """\
@@ -915,6 +915,71 @@ class TestExitCodeFollowsErrorType:
             main(["rate", "--config", path])
 
 
+# Samples whose interpolant bound is past float64 range: alternating
+# +-1e308 and sixteen 1e308 overflow the FFT, 1.7e308 overflows the slope.
+_HUGE_SAMPLES = {
+    "alternating": ",".join(["1e308", "-1e308"] * 8),
+    "constant": ",".join(["1e308"] * 16),
+    "spike": ",".join(["1.7e308"] + ["0"] * 15),
+}
+
+
+class TestSamplesPastFloat64:
+    """Each exits 3 from the clearance check, before any line and without
+    a numpy warning (warnings are errors under pytest)."""
+
+    @pytest.mark.parametrize("samples", sorted(_HUGE_SAMPLES))
+    @pytest.mark.parametrize("geometry", [
+        "kind = free_space\n", _MIRROR,
+        "kind = cavity\nz0 = 1 mm\nlength = 2 mm\n"],
+        ids=["free_space", "mirror", "cavity"])
+    @pytest.mark.parametrize("command", ["rate", "spectrum"])
+    def test_refused_as_physics_domain(self, tmp_path, capsys, command,
+                                       geometry, samples):
+        text = _typed_route_config(
+            motion=f"kind = general\nsamples = {_HUGE_SAMPLES[samples]}\n",
+            geometry=geometry)
+        assert main([command, "--config", write_cfg(tmp_path, text)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("physics-domain error: sampled trajectory "
+                                "is beyond float64 range\n")
+
+
+# A cavity request whose verified lines are all absorb-deexcite (n = 1, 3, 5
+# on modes 3, 2, 1): the oracle models none of them.
+_ABSORB_ONLY_CAVITY = (
+    "[atom]\nfrequency_hz = 7e9\ncoupling_hz = 1e6\n"
+    "[motion]\nkind = sho\ndrive_frequency_hz = 1e9\namplitude = 1 mm\n"
+    "[geometry]\nkind = cavity\nlength = 0.0749481145\nz0 = 0.03\n"
+    "photons = 2\n[run]\nn_max = 5\n")
+
+
+class TestVerifiedSchema:
+    """A verified request prints both oracle fields on every line, blank
+    (CSV) or null (JSON) where the oracle models no emission."""
+
+    def test_csv_header_has_the_oracle_columns(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, _ABSORB_ONLY_CAVITY)
+        assert main(["rate", "--verify", "--config", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == ("n,branch,m,omega_rad_per_s,photon_frequency_hz,"
+                            "rate_hz,oracle_rate_hz,oracle_rel_dev")
+        assert [line.split(",")[:3] for line in lines[1:]] == [
+            ["1", "absorb-deexcite", "3"], ["3", "absorb-deexcite", "2"],
+            ["5", "absorb-deexcite", "1"]]
+        assert all(line.endswith(",,") for line in lines[1:])
+
+    def test_json_entries_carry_null_oracle_fields(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, _ABSORB_ONLY_CAVITY)
+        assert main(["rate", "--verify", "--format", "json",
+                     "--config", path]) == 0
+        entries = json.loads(capsys.readouterr().out)["sidebands"]
+        assert len(entries) == 3
+        assert all(entry["oracle_rate_hz"] is None
+                   and entry["oracle_rel_dev"] is None for entry in entries)
+
+
 # The route table.  A 0.9 GHz atom under a 1 GHz drive opens every line in
 # free space and at the mirror, and line n = 2 on mode 1 of the cavity.
 _ROUTE_MOTIONS = {
@@ -987,11 +1052,12 @@ class TestRouteTable:
             lines = general_trajectory_spectrum(moving, geom, atom, 12)
         else:
             lines = allowed_sidebands(atom, moving, geom, 12)
-        rows = (verified_lines(atom, moving, geom, lines, VERIFY_TOL)
+        rows = (verified_lines(atom, moving, geom, lines)
                 if command == "rate-verify"
                 else [(line, None, None) for line in lines])
         assert lines
-        assert captured.out == sidebands_text(rows, "csv")
+        assert captured.out == sidebands_text(rows, "csv",
+                                              command == "rate-verify")
         if (motion, geometry) == ("rotation", "free_space"):
             # Rotation of radius R has the closed form of SHO of amplitude R.
             sho = ShoMotion(amplitude=moving.radius, Omega=moving.Omega)

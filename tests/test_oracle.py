@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 import accelrad._quadrature as quadrature
 import accelrad.oracle as oracle_module
+import accelrad.rates as rates_module
+import accelrad.specfun as specfun_module
 from accelrad import (EMIT_EXCITE, PARALLEL, RESONANCE_TOL, AtomParams,
                       Cavity, ConvergenceError, FreeSpace,
                       GeneralPeriodicMotion, Mirror, OffResonanceError,
@@ -20,7 +22,8 @@ from accelrad import (EMIT_EXCITE, PARALLEL, RESONANCE_TOL, AtomParams,
                       selection_rule_report, verify_selection_rule)
 from accelrad._quadrature import (MAX_PERIODIC_NODES, composite_gl,
                                   periodic_trapezoid, refine_to_tolerance)
-from accelrad.oracle import equivalence_cases, equivalence_report, rate_floor
+from accelrad.oracle import (equivalence_cases, equivalence_report,
+                             verified_lines)
 from accelrad.constants import SPEED_OF_LIGHT as C
 
 TWO_PI = 2.0 * math.pi
@@ -119,16 +122,11 @@ class TestOnePeriodAmplitude:
         motion, omega, omega0 = make_free_case(2.7, 3)
         parallel = ShoMotion(amplitude=motion.amplitude, Omega=motion.Omega,
                              orientation=PARALLEL, delta=delta)
-        for mode in ("right", "left"):
-            a = one_period_amplitude(motion, FreeSpace(), omega, omega0,
-                                     mode=mode)
-            b = one_period_amplitude(parallel, FreeSpace(), omega, omega0,
-                                     mode=mode)
-            assert repr(b.amplitude) == repr(a.amplitude)
-            assert (b.rate, b.error_estimate, b.panels_used) == (
-                a.rate, a.error_estimate, a.panels_used)
-        assert (rate_floor(parallel, FreeSpace(), omega, omega0, 1.0, 1e-6)
-                == rate_floor(motion, FreeSpace(), omega, omega0, 1.0, 1e-6))
+        a = one_period_amplitude(motion, FreeSpace(), omega, omega0)
+        b = one_period_amplitude(parallel, FreeSpace(), omega, omega0)
+        assert repr(b.amplitude) == repr(a.amplitude)
+        assert (b.rate, b.error_estimate, b.panels_used, b.floor) == (
+            a.rate, a.error_estimate, a.panels_used, a.floor)
 
     @pytest.mark.parametrize("offset", [0.9, -0.9, 1.1, -1.1])
     def test_cavity_line_opens_exactly_where_the_closed_form_does(self,
@@ -148,12 +146,6 @@ class TestOnePeriodAmplitude:
                 cavity_rate(atom, motion, geom, n, m)
             with pytest.raises(PhysicsDomainError):
                 one_period_amplitude(motion, geom, omega, atom.omega0)
-
-    def test_unknown_mode_rejected(self):
-        motion, omega, omega0 = make_free_case(1.0, 1)
-        with pytest.raises(ValueError):
-            one_period_amplitude(motion, FreeSpace(), omega, omega0,
-                                 mode="sideways")
 
 
 class TestInvariances:
@@ -185,16 +177,6 @@ class TestInvariances:
                                       samples=tuple(np.roll(z, shift))),
                 FreeSpace(), omega, omega0)
             assert abs(abs(rolled.amplitude) - abs(base.amplitude)) < 1e-10
-
-    def test_left_right_mode_parity_for_odd_trajectories(self):
-        ts = TWO_PI * np.arange(64) / 64
-        z = 0.4 * np.sin(ts) + 0.15 * np.sin(2 * ts)  # z(-t) = -z(t)
-        motion = GeneralPeriodicMotion(Omega=2.0, samples=tuple(z))
-        right = one_period_amplitude(motion, FreeSpace(), 3.0, 1.0,
-                                     mode="right")
-        left = one_period_amplitude(motion, FreeSpace(), 3.0, 1.0,
-                                    mode="left")
-        assert abs(abs(right.amplitude) - abs(left.amplitude)) < 1e-10
 
     def test_composite_rule_convergence_order(self):
         # Halving the panel width must cut the error by at least 4x while
@@ -479,7 +461,8 @@ class TestRateFloor:
         # with k A = 400, stays compared down to 1e-12 of 8 pi g^2 / Omega.
         n, a_tilde, g = 200, 400.0, 0.5
         motion, omega, omega0 = make_free_case(a_tilde, n)
-        floor = rate_floor(motion, FreeSpace(), omega, omega0, g, 1e-6)
+        floor = one_period_amplitude(motion, FreeSpace(), omega, omega0,
+                                     g=g).floor
         assert floor < 1e-12 * 8.0 * math.pi * g**2 / motion.Omega
 
     def test_floor_bounds_the_oracle_rounding(self):
@@ -490,13 +473,89 @@ class TestRateFloor:
                                             (6, 0.5, True), (3, 0.5, True)):
             motion, omega, _ = make_free_case(a_tilde, n)
             closed = free_space_rate(atom, motion, n).rate
-            oracle_rate = one_period_amplitude(
-                motion, FreeSpace(), omega, atom.omega0, g=atom.g).rate
-            floor = rate_floor(motion, FreeSpace(), omega, atom.omega0,
-                               atom.g, 1e-6)
+            result = one_period_amplitude(motion, FreeSpace(), omega,
+                                          atom.omega0, g=atom.g)
+            oracle_rate, floor = result.rate, result.floor
             deviation = abs(oracle_rate - closed) / closed
             assert (closed > floor) == expect_resolved
             assert (deviation < 1e-6) == expect_resolved
+
+
+# Cavity of length 1 m with two photons, atom at 3 omega_1 driven at
+# omega_1: lines n = 1, 2 absorb and n = 4..8 emit on modes 1..5.
+_CAVITY = Cavity(length=1.0, z0=0.3, n_photons=2)
+_OMEGA_1 = cavity_mode_frequency(_CAVITY, 1)
+_ATOM = AtomParams(omega0=3.0 * _OMEGA_1, g=1e3)
+
+
+def _independent_motions():
+    tau = TWO_PI * np.arange(32) / 32
+    shape = np.sin(tau) + 0.3 * np.cos(2.0 * tau) + 0.1 * np.sin(5 * tau)
+    return {
+        "sho": ShoMotion(amplitude=0.05, Omega=_OMEGA_1),
+        "parallel": ShoMotion(amplitude=0.05, Omega=_OMEGA_1,
+                              orientation=PARALLEL, delta=0.4),
+        "rotation": RotationMotion(radius=0.05, Omega=_OMEGA_1, delta=0.4),
+        "sampled": GeneralPeriodicMotion(
+            Omega=_OMEGA_1, samples=tuple(0.05 * shape / 1.4)),
+    }
+
+
+class TestOneSetUpPerLine:
+    @pytest.mark.parametrize("geom", [FreeSpace(), Mirror(z0=0.3), _CAVITY],
+                             ids=["free_space", "mirror", "cavity"])
+    def test_verified_lines_builds_one_integral_per_emission_line(
+            self, monkeypatch, geom):
+        real = oracle_module._line_integral
+        built = []
+
+        def counted(motion, geom, omega, omega0):
+            built.append(omega)
+            return real(motion, geom, omega, omega0)
+
+        monkeypatch.setattr(oracle_module, "_line_integral", counted)
+        motion = ShoMotion(amplitude=0.05, Omega=_OMEGA_1)
+        lines = allowed_sidebands(_ATOM, motion, geom, 8)
+        rows = verified_lines(_ATOM, motion, geom, lines)
+        emitted = [line.omega for line in lines
+                   if line.branch == EMIT_EXCITE]
+        assert len(emitted) == 5
+        assert built == emitted
+        assert [row[1] is None for row in rows] == [
+            line.branch != EMIT_EXCITE for line in lines]
+
+
+class TestIndependenceFromTheClosedForms:
+    """The oracle shares the description of the trajectory, never the
+    Bessel or sin^2 algebra of the closed forms it checks."""
+
+    @pytest.fixture(autouse=True)
+    def no_closed_forms(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("the oracle reached the closed-form algebra")
+
+        for module, name in ((specfun_module, "bessel_j"),
+                             (specfun_module, "bessel_j_orders"),
+                             (rates_module, "bessel_j"),
+                             (rates_module, "free_space_rate"),
+                             (rates_module, "mirror_rate"),
+                             (rates_module, "cavity_rate")):
+            monkeypatch.setattr(module, name, refused)
+
+    @pytest.mark.parametrize("motion_kind",
+                             ["sho", "parallel", "rotation", "sampled"])
+    @pytest.mark.parametrize("geom", [FreeSpace(), Mirror(z0=0.3), _CAVITY],
+                             ids=["free_space", "mirror", "cavity"])
+    def test_oracle_routes_run_without_them(self, motion_kind, geom):
+        motion = _independent_motions()[motion_kind]
+        omega = 5 * _OMEGA_1 - _ATOM.omega0
+        result = one_period_amplitude(motion, geom, omega, _ATOM.omega0,
+                                      g=_ATOM.g)
+        assert math.isfinite(result.rate) and result.rate >= 0.0
+        assert math.isfinite(result.floor) and result.floor > 0.0
+        lines = general_trajectory_spectrum(motion, geom, _ATOM, 8)
+        assert [line.n for line in lines] == [4, 5, 6, 7, 8]
+        assert all(math.isfinite(line.rate) for line in lines)
 
 
 class TestNodeCapRange:

@@ -16,7 +16,6 @@ from accelrad import (ABSORB_DEEXCITE, EMIT_EXCITE, PARALLEL,
                       one_period_amplitude, rate_surface,
                       small_amplitude_rate)
 from accelrad.constants import SPEED_OF_LIGHT as C
-from accelrad.oracle import rate_floor
 
 # Frozen from the fsum series oracle (tests/test_specfun.py):
 # 8*pi*sin^2(pi/4 - pi/2)*J1(1.8412)^2 with g = 1, Omega = 1.
@@ -403,8 +402,6 @@ class TestMotionGeometryProtocol:
         for drive in (motion, replace(motion, Omega=off + omega0)):
             with pytest.raises(PhysicsDomainError):
                 one_period_amplitude(drive, geom, off, omega0)
-            with pytest.raises(PhysicsDomainError):
-                rate_floor(drive, geom, off, omega0, 1.0, 1e-6)
 
 
 class TestClearance:

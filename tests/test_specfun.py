@@ -250,6 +250,52 @@ class TestBessel:
                 assert np.isfinite(got).all() and got[0] == 1.0, (n_max, x)
         assert finite >= 5 and overflowed >= 200
 
+    def test_tiny_argument_fallback_is_the_leading_term_bit_for_bit(self):
+        # Where Miller overflows, the series gives the leading term
+        # (x/2)^k / k! unchanged, as the former dedicated loop did.
+        def frozen_leading_terms(n_max, x):
+            half = 0.5 * x
+            term = 1.0
+            out = [term]
+            for k in range(1, n_max + 1):
+                term *= half / k
+                out.append(term)
+            return out
+
+        rng = random.Random(18)
+        overflowed = 0
+        for _ in range(400):
+            n_max = rng.randint(0, 300)
+            x = 10.0 ** rng.uniform(-323.5, -50.0)
+            if np.isfinite(miller_reference(n_max, x)).all():
+                continue
+            overflowed += 1
+            ref = np.array(frozen_leading_terms(n_max, x))
+            for sign in (1.0, -1.0):
+                got = bessel_j_orders(n_max, sign * x)
+                want = ref.copy()
+                if sign < 0:
+                    want[1::2] *= -1.0
+                assert ([v.hex() for v in got.tolist()]
+                        == [v.hex() for v in want.tolist()]), (n_max, x)
+        assert overflowed >= 300
+
+    def test_tiny_argument_fallback_stops_at_the_first_zero_order(
+            self, monkeypatch):
+        # Orders past the first underflowed leading term are 0.0; the
+        # fallback must not sum a series per order up to n_max.
+        real = specfun._bessel_series
+        orders = []
+
+        def counted(n, x):
+            orders.append(n)
+            return real(n, x)
+
+        monkeypatch.setattr(specfun, "_bessel_series", counted)
+        out = bessel_j_orders(30000, 1e-60)
+        assert orders == list(range(7))
+        assert out[5] > 0.0 and not out[6:].any()
+
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
             bessel_j(-1, 1.0)
