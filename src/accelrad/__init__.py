@@ -22,8 +22,7 @@ from .rates import (ABSORB_DEEXCITE, EMIT_EXCITE, PARALLEL, PERPENDICULAR,
 from .oracle import (OracleResult, equivalence_cases, equivalence_report,
                      general_trajectory_spectrum, one_period_amplitude,
                      selection_rule_report, verify_selection_rule)
-from .sweep import (SweepGrid, SweepResult, fig2_surface, fig3_surface,
-                    rate_surface)
+from .sweep import SweepResult, fig2_surface, fig3_surface, rate_surface
 
 __all__ = [
     "__version__",
@@ -45,6 +44,5 @@ __all__ = [
     "general_trajectory_spectrum", "one_period_amplitude",
     "selection_rule_report", "verify_selection_rule",
     # sweeps
-    "SweepGrid", "SweepResult", "fig2_surface", "fig3_surface",
-    "rate_surface",
+    "SweepResult", "fig2_surface", "fig3_surface", "rate_surface",
 ]

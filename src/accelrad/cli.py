@@ -105,7 +105,7 @@ class SweepSettings:
     n_max: int = _key("n_max", "int", 30, ">= 1")
     a_tilde_max: float = _key("a_tilde_max", "float", 30.0, "> 0")
     a_tilde_count: int = _key("a_tilde_count", "int", 512, ">= 1")
-    # 0 starts the custom sweep at amplitude_max / amplitude_count
+    # 0 starts the fig3 and custom sweeps at amplitude_max / amplitude_count
     amplitude_min_m: float = _key("amplitude_min", "length", 0.0, ">= 0")
     amplitude_max_m: float = _key("amplitude_max", "length", 1e-8, "> 0")
     amplitude_count: int = _key("amplitude_count", "int", 128, ">= 1")
@@ -314,9 +314,8 @@ def sweep_text(result, fmt: str) -> str:
     """Serialize a SweepResult: matrix CSV, long CSV when aux data exist, or
     JSON laid out exactly as ``json.dumps(payload, sort_keys=True, indent=2)``.
     Every float is written as its shortest ``repr``, formatted once."""
-    grid = result.grid
-    axis1 = list(map(repr, grid.axis1_values))
-    axis2 = list(map(repr, grid.axis2_values))
+    axis1 = list(map(repr, result.axis1_values))
+    axis2 = list(map(repr, result.axis2_values))
     aux_keys = sorted(result.aux)
     true, false = ("true", "false") if fmt == "json" else ("1", "0")
 
@@ -333,10 +332,10 @@ def sweep_text(result, fmt: str) -> str:
                for key in aux_keys]
         axes = [_json_join([f'"name": {json.dumps(name)}',
                             f'"values": {_json_join(values, 2)}'], 1, "{}")
-                for name, values in ((grid.axis1_name, axis1),
-                                     (grid.axis2_name, axis2))]
+                for name, values in ((result.axis1_name, axis1),
+                                     (result.axis2_name, axis2))]
         # The members that sort between "axis2" and "values", unbraced.
-        small = json.dumps({"fixed": grid.fixed, "kind": "sweep",
+        small = json.dumps({"fixed": result.fixed, "kind": "sweep",
                             "metadata": result.metadata},
                            sort_keys=True, indent=2)[4:-2]
         return _json_join([f'"aux": {_json_join(aux, 1, "{}")}',
@@ -344,15 +343,15 @@ def sweep_text(result, fmt: str) -> str:
                            f'"values": {matrix(result.values, 1)}'],
                           0, "{}") + "\n"
     if aux_keys:
-        out = [f"{grid.axis1_name},{grid.axis2_name},value,"
+        out = [f"{result.axis1_name},{result.axis2_name},value,"
                + ",".join(aux_keys)]
         rows = zip(texts(result.values),
                    *(texts(result.aux[key]) for key in aux_keys))
         for a, row in zip(axis1, rows):
             out.extend(f"{a},{','.join(cells)}" for cells in zip(axis2, *row))
     else:
-        out = [grid.axis1_name + "," + ",".join(
-            f"{grid.axis2_name}={v:g}" for v in grid.axis2_values)]
+        out = [result.axis1_name + "," + ",".join(
+            f"{result.axis2_name}={v:g}" for v in result.axis2_values)]
         out.extend(f"{a},{','.join(row)}"
                    for a, row in zip(axis1, texts(result.values)))
     return "\n".join(out) + "\n"
@@ -407,14 +406,27 @@ def cmd_sidebands(args) -> int:
             raise ConfigError(
                 "--verify does not apply to sampled motion: its spectrum is "
                 "oracle output, with no closed form to check it against")
-        lines = oracle.general_trajectory_spectrum(motion, geom, atom, n_max)
+        route = oracle.general_trajectory_spectrum
     else:
-        lines = allowed_sidebands(atom, motion, geom, n_max)
+        route = allowed_sidebands
+    lines = route(atom, motion, geom, n_max)
     rows = (oracle.verified_lines(atom, motion, geom, lines)
             if verify else [(line, None, None) for line in lines])
     fmt = args.format or cfg.fmt
     _emit(sidebands_text(rows, fmt, verify), args, cfg)
     return 0
+
+
+def _amplitude_axis(settings: SweepSettings):
+    """The fig3 and custom amplitude axis: amplitude_count points up to
+    amplitude_max, from amplitude_min, or from amplitude_max / count when
+    amplitude_min is 0."""
+    lo, hi = settings.amplitude_min_m, settings.amplitude_max_m
+    count = settings.amplitude_count
+    if 0 < lo and hi <= lo and count > 1:
+        raise ConfigError(f"[sweep] amplitude_min = {lo!r} m must be "
+                          f"below amplitude_max = {hi!r} m")
+    return np.linspace(lo if lo > 0 else hi / count, hi, count)
 
 
 def cmd_sweep(args) -> int:
@@ -425,21 +437,18 @@ def cmd_sweep(args) -> int:
     if preset == "fig2":
         a_values = np.linspace(0.0, settings.a_tilde_max,
                                settings.a_tilde_count)
-        n_values = range(1, settings.n_max + 1)
         if settings.absolute:
             if cfg is None:
                 raise ConfigError("absolute fig2 sweep needs a config "
                                   "with [atom] and [motion]")
             atom = build_atom(cfg.atom)
             motion = build_motion(cfg.motion)
-            result = sweep.fig2_surface(a_values, n_values, g=atom.g,
+            result = sweep.fig2_surface(a_values, settings.n_max, g=atom.g,
                                         Omega=motion.Omega)
         else:
-            result = sweep.fig2_surface(a_values, n_values)
+            result = sweep.fig2_surface(a_values, settings.n_max)
     elif preset == "fig3":
-        amplitudes = np.linspace(
-            settings.amplitude_max_m / settings.amplitude_count,
-            settings.amplitude_max_m, settings.amplitude_count)
+        amplitudes = _amplitude_axis(settings)
         alphas = np.linspace(settings.alpha_max / settings.alpha_count,
                              settings.alpha_max, settings.alpha_count)
         result = (sweep.fig3_surface(amplitudes, alphas) if cfg is None else
@@ -451,14 +460,8 @@ def cmd_sweep(args) -> int:
         atom = build_atom(cfg.atom)
         motion = build_motion(cfg.motion)
         geom = build_geometry(cfg.geometry)
-        lo, hi = settings.amplitude_min_m, settings.amplitude_max_m
-        count = settings.amplitude_count
-        if 0 < lo and hi <= lo and count > 1:
-            raise ConfigError(f"[sweep] amplitude_min = {lo!r} m must be "
-                              f"below amplitude_max = {hi!r} m")
-        amplitudes = np.linspace(lo if lo > 0 else hi / count, hi, count)
-        result = sweep.rate_surface(atom, motion, geom, amplitudes,
-                                    range(1, settings.n_max + 1))
+        result = sweep.rate_surface(atom, motion, geom,
+                                    _amplitude_axis(settings), settings.n_max)
     fmt = args.format or (cfg.fmt if cfg is not None else "csv")
     _emit(sweep_text(result, fmt), args, cfg)
     return 0

@@ -221,7 +221,7 @@ def verify_selection_rule(p: int, q: int, x: float) -> float:
     return float(_selection_row(q, x, _selection_nodes(p, q, x))[p])
 
 
-def general_trajectory_spectrum(traj, geom, atom: AtomParams,
+def general_trajectory_spectrum(atom: AtomParams, motion, geom,
                                 n_max: int) -> list[Sideband]:
     """Emission spectrum of a periodic trajectory, by quadrature: the route
     of sampled motion, which has no closed form.  Any motion is accepted.
@@ -231,13 +231,13 @@ def general_trajectory_spectrum(traj, geom, atom: AtomParams,
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    check_clearance(traj, geom)
+    check_clearance(motion, geom)
     out = []
     for n in range(1, n_max + 1):
-        omega = n * traj.Omega - atom.omega0
-        if omega <= 0 or not _resonance(geom, traj, omega, atom.omega0):
+        omega = n * motion.Omega - atom.omega0
+        if omega <= 0 or not _resonance(geom, motion, omega, atom.omega0):
             continue
-        result = one_period_amplitude(traj, geom, omega, atom.omega0,
+        result = one_period_amplitude(motion, geom, omega, atom.omega0,
                                       g=atom.g)
         out.append(Sideband(n=n, omega=omega, rate=result.rate,
                             branch=EMIT_EXCITE))

@@ -12,19 +12,28 @@ from ._lazy import np
 from .constants import SPEED_OF_LIGHT as C
 from .errors import PhysicsDomainError
 from .rates import (SMALL_AMPLITUDE_MAX, AtomParams, Cavity, ShoMotion,
-                    check_clearance, small_amplitude_formula)
+                    allowed_sidebands, small_amplitude_formula)
 from .specfun import bessel_j, bessel_j_orders
 
 
 @dataclass(frozen=True)
-class SweepGrid:
-    """Two named, strictly monotone axes plus the held-fixed parameters."""
+class SweepResult:
+    """Rate matrix over two named, strictly monotone axes plus the
+    held-fixed parameters; values[i, j] pairs axis1[i] with axis2[j].
+
+    ``values`` holds finite non-negative floats.  Each ``aux`` entry is an
+    array of the grid's shape, either bool or finite float, so no serialized
+    number is ever NaN or infinite.
+    """
 
     axis1_name: str
     axis1_values: tuple
     axis2_name: str
     axis2_values: tuple
+    values: "np.ndarray"
+    metadata: dict
     fixed: dict = field(default_factory=dict)
+    aux: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for axis in ("axis1", "axis2"):
@@ -38,24 +47,7 @@ class SweepGrid:
                 raise PhysicsDomainError(
                     f"axis {name!r} must be strictly increasing")
             object.__setattr__(self, f"{axis}_values", values)
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    """Rate matrix over a grid; values[i, j] pairs axis1[i] with axis2[j].
-
-    ``values`` holds finite non-negative floats.  Each ``aux`` entry is an
-    array of the grid's shape, either bool or finite float, so no serialized
-    number is ever NaN or infinite.
-    """
-
-    grid: SweepGrid
-    values: "np.ndarray"
-    metadata: dict
-    aux: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        expected = (len(self.grid.axis1_values), len(self.grid.axis2_values))
+        expected = (len(self.axis1_values), len(self.axis2_values))
         if self.values.shape != expected:
             raise ValueError(
                 f"values shape {self.values.shape} != grid shape {expected}")
@@ -75,45 +67,39 @@ class SweepResult:
                     f"aux {key!r} must be bool, or float and finite")
 
 
-def fig2_surface(a_tilde_values=None, n_values=None, *,
-                 g: float | None = None, Omega: float | None = None) -> SweepResult:
-    """Free-space rate surface over dimensionless amplitude and sideband index.
+def fig2_surface(a_tilde_values, n_max: int, *, g: float | None = None,
+                 Omega: float | None = None) -> SweepResult:
+    """Free-space rate surface over dimensionless amplitude and sideband
+    index n = 1..n_max.
 
     Default normalization omits the 2 pi g^2 / Omega prefactor, so cells are
-    J_n(a_tilde)^2; pass ``g`` and ``Omega`` for absolute rates in Hz.  The
-    grid maximum sits at n = 1, a_tilde ~ 1.84.
+    J_n(a_tilde)^2; pass ``g`` and ``Omega`` for absolute rates in Hz.  Over
+    a_tilde in [0, 30] the maximum sits at n = 1, a_tilde ~ 1.84.
     """
-    if a_tilde_values is None:
-        a_tilde_values = np.linspace(0.0, 30.0, 512)
-    if n_values is None:
-        n_values = range(1, 31)
     a_tilde_values = tuple(float(a) for a in a_tilde_values)
-    n_values = tuple(int(n) for n in n_values)
     if any(a < 0 for a in a_tilde_values):
         raise ValueError("a_tilde must be >= 0")
-    if any(n < 1 for n in n_values):
-        raise ValueError("sideband indices must be >= 1")
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     if (g is None) != (Omega is None):
         raise ValueError("pass both g and Omega for absolute rates, or neither")
 
-    n_max = max(n_values)
-    values = np.empty((len(a_tilde_values), len(n_values)))
+    values = np.empty((len(a_tilde_values), n_max))
     for i, a in enumerate(a_tilde_values):
-        orders = bessel_j_orders(n_max, a)
-        values[i, :] = [orders[n] ** 2 for n in n_values]
+        values[i, :] = [j ** 2 for j in bessel_j_orders(n_max, a)[1:]]
     normalization = "prefactor-omitted"
     if g is not None:
         with np.errstate(over="ignore", invalid="ignore"):  # see SweepResult
             values *= 2.0 * math.pi * g**2 / Omega
         normalization = "hz"
-    grid = SweepGrid("A_tilde", a_tilde_values, "n", n_values,
-                     fixed={} if g is None else {"g": g, "Omega": Omega})
     metadata = {"surface": "fig2", "normalization": normalization,
                 "version": _version}
-    return SweepResult(grid=grid, values=values, metadata=metadata)
+    return SweepResult("A_tilde", a_tilde_values, "n", range(1, n_max + 1),
+                       values, metadata,
+                       fixed={} if g is None else {"g": g, "Omega": Omega})
 
 
-def fig3_surface(amplitude_values=None, alpha_values=None, *,
+def fig3_surface(amplitude_values, alpha_values, *,
                  Omega: float = 2.0 * math.pi * 1e10) -> SweepResult:
     """Small-amplitude cQED rate surface over oscillation amplitude and alpha.
 
@@ -126,10 +112,6 @@ def fig3_surface(amplitude_values=None, alpha_values=None, *,
     dimensionless amplitude must stay below SMALL_AMPLITUDE_MAX = 0.1;
     violating cells are flagged, not fatal).
     """
-    if amplitude_values is None:
-        amplitude_values = np.linspace(1e-8 / 128, 1e-8, 128)
-    if alpha_values is None:
-        alpha_values = np.linspace(1.0 / 128, 1.0, 128)
     amplitude_values = tuple(float(a) for a in amplitude_values)
     alpha_values = tuple(float(a) for a in alpha_values)
     if any(a < 0 for a in amplitude_values) or any(a < 0 for a in alpha_values):
@@ -149,18 +131,19 @@ def fig3_surface(amplitude_values=None, alpha_values=None, *,
         exact = 2.0 * math.pi / Omega * np.outer(j1_sq, g_sq)
     approx_valid = np.broadcast_to((a_tilde < SMALL_AMPLITUDE_MAX)[:, None],
                                    values.shape).copy()
-    grid = SweepGrid("amplitude_m", amplitude_values, "alpha", alpha_values,
-                     fixed={"Omega": Omega, "omega0": 0.5 * Omega})
     metadata = {"surface": "fig3", "normalization": "hz",
                 "version": _version}
-    return SweepResult(grid=grid, values=values, metadata=metadata,
+    return SweepResult("amplitude_m", amplitude_values, "alpha", alpha_values,
+                       values, metadata,
+                       fixed={"Omega": Omega, "omega0": 0.5 * Omega},
                        aux={"exact_rate_hz": exact,
                             "approx_valid": approx_valid})
 
 
 def rate_surface(atom: AtomParams, motion: ShoMotion, geom,
-                 amplitude_values, n_values) -> SweepResult:
-    """Custom sweep: closed-form rate over oscillation amplitude and n.
+                 amplitude_values, n_max: int) -> SweepResult:
+    """Custom sweep: closed-form rate over oscillation amplitude and
+    n = 1..n_max, one ``allowed_sidebands`` row per amplitude.
 
     Cells with no open sideband (n*Omega <= omega0) are zero.  Each
     amplitude row must clear the boundary.  The one place that refuses a
@@ -171,17 +154,14 @@ def rate_surface(atom: AtomParams, motion: ShoMotion, geom,
             "custom sweeps support free-space and mirror geometries with "
             "SHO motion")
     amplitude_values = tuple(float(a) for a in amplitude_values)
-    n_values = tuple(int(n) for n in n_values)
-    values = np.zeros((len(amplitude_values), len(n_values)))
+    values = np.zeros((len(amplitude_values), n_max))
     for i, amplitude in enumerate(amplitude_values):
-        cell_motion = replace(motion, amplitude=amplitude)
-        check_clearance(cell_motion, geom)
-        for j, n in enumerate(n_values):
-            for line in geom.sidebands(atom, cell_motion, n):
-                values[i, j] = line.rate
-    grid = SweepGrid("amplitude_m", amplitude_values, "n", n_values,
-                     fixed={"omega0": atom.omega0, "g": atom.g,
-                            "Omega": motion.Omega})
+        row = replace(motion, amplitude=amplitude)
+        for line in allowed_sidebands(atom, row, geom, n_max):
+            values[i, line.n - 1] = line.rate
     metadata = {"surface": "custom", "normalization": "hz",
                 "version": _version}
-    return SweepResult(grid=grid, values=values, metadata=metadata)
+    return SweepResult("amplitude_m", amplitude_values, "n",
+                       range(1, n_max + 1), values, metadata,
+                       fixed={"omega0": atom.omega0, "g": atom.g,
+                              "Omega": motion.Omega})

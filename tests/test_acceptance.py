@@ -183,11 +183,11 @@ def test_criterion_07_fig2_structure():
     t0 = time.perf_counter()
     a_values = np.linspace(0.0, 30.0, 3001)  # step 0.01
     orders = range(1, 31)
-    surface = fig2_surface(a_values, orders)
+    surface = fig2_surface(a_values, len(orders))
     values = surface.values
     i, j = np.unravel_index(np.argmax(values), values.shape)
-    peak_a = surface.grid.axis1_values[i]
-    peak_n = int(surface.grid.axis2_values[j])
+    peak_a = surface.axis1_values[i]
+    peak_n = int(surface.axis2_values[j])
     global_max = values[i, j]
     elapsed = time.perf_counter() - t0
     assert peak_n == 1, f"grid maximum at n = {peak_n}"
@@ -254,9 +254,11 @@ def test_criterion_08_cqed_order_of_magnitude():
     """Default fig3 surface reaches the 1e-4 Hz decade within A <= 10 nm,
     alpha <= 1; the small-amplitude form tracks the exact Bessel formula to
     < 1% wherever a_tilde < 0.05."""
-    surface = fig3_surface()  # Omega/2pi = 10 GHz, omega0 = Omega/2
-    assert max(surface.grid.axis1_values) <= 1e-8
-    assert max(surface.grid.axis2_values) <= 1.0
+    # Omega/2pi = 10 GHz, omega0 = Omega/2
+    surface = fig3_surface(np.linspace(1e-8 / 128, 1e-8, 128),
+                           np.linspace(1 / 128, 1.0, 128))
+    assert max(surface.axis1_values) <= 1e-8
+    assert max(surface.axis2_values) <= 1.0
     decade = (surface.values >= 1e-4) & (surface.values < 1e-3)
     assert np.any(decade), "no cells in the 1e-4 Hz decade"
 
@@ -321,7 +323,7 @@ def test_criterion_10_general_trajectory_regression():
         Omega=Omega, samples=tuple(float(amplitude * math.sin(t))
                                    for t in ts))
     sho = ShoMotion(amplitude=amplitude, Omega=Omega)
-    lines = general_trajectory_spectrum(sampled, FreeSpace(), atom, 6)
+    lines = general_trajectory_spectrum(atom, sampled, FreeSpace(), 6)
     assert [line.n for line in lines] == [1, 2, 3, 4, 5, 6]
     worst = 0.0
     for line in lines:

@@ -427,6 +427,25 @@ absolute = true
     def test_custom_sweep_needs_config(self):
         assert main(["sweep", "--preset", "custom"]) == 2
 
+    def test_fig3_reads_amplitude_min_as_custom_does(self, tmp_path, capsys):
+        text = FREE_SPACE_CFG + """
+[sweep]
+n_max = 1
+amplitude_min = 2 nm
+amplitude_max = 4 nm
+amplitude_count = 3
+alpha_count = 1
+"""
+        path = write_cfg(tmp_path, text)
+        axes = {}
+        for preset in ("fig3", "custom"):
+            assert main(["sweep", "--config", path, "--preset", preset,
+                         "--format", "json"]) == 0
+            axes[preset] = json.loads(capsys.readouterr().out)["axis1"]
+        assert axes["fig3"] == axes["custom"]
+        assert axes["fig3"]["values"][0] == 2e-9
+        assert axes["fig3"]["values"][-1] == 4e-9
+
     def test_custom_sweep_runs(self, tmp_path, capsys):
         text = FREE_SPACE_CFG + """
 [sweep]
@@ -824,6 +843,10 @@ _TYPED_ROUTES = {
         ["sweep", "--preset", "custom"], _typed_route_config(
             extra="[sweep]\namplitude_min = 2e-8\namplitude_max = 1e-8\n"),
         2, "[sweep] amplitude_min = 2e-08 m must be below amplitude_max"),
+    "fig3-axis-order": (
+        ["sweep", "--preset", "fig3"], _typed_route_config(
+            extra="[sweep]\namplitude_min = 2e-8\namplitude_max = 1e-8\n"),
+        2, "[sweep] amplitude_min = 2e-08 m must be below amplitude_max"),
     "unwritable-output-option": (
         ["rate", "--output", "{missing}/out.csv"], _typed_route_config(),
         2, "cannot write output"),
@@ -1045,11 +1068,11 @@ class TestRouteTable:
         moving = build_motion(cfg.motion)
         if command == "sweep-custom":
             result = rate_surface(atom, moving, geom,
-                                  [2.5e-3, 5e-3, 7.5e-3, 1e-2], range(1, 13))
+                                  [2.5e-3, 5e-3, 7.5e-3, 1e-2], 12)
             assert captured.out == sweep_text(result, "csv")
             return
         if motion == "sampled":
-            lines = general_trajectory_spectrum(moving, geom, atom, 12)
+            lines = general_trajectory_spectrum(atom, moving, geom, 12)
         else:
             lines = allowed_sidebands(atom, moving, geom, 12)
         rows = (verified_lines(atom, moving, geom, lines)
@@ -1186,14 +1209,13 @@ class TestOrientationIsCheckedAtParse:
 def frozen_sweep_text(result, fmt: str) -> str:
     """``cli.sweep_text`` as it was before it formatted each float once."""
     import numpy as np
-    grid = result.grid
     if fmt == "json":
         payload = {
             "kind": "sweep",
             "metadata": result.metadata,
-            "axis1": {"name": grid.axis1_name, "values": list(grid.axis1_values)},
-            "axis2": {"name": grid.axis2_name, "values": list(grid.axis2_values)},
-            "fixed": grid.fixed,
+            "axis1": {"name": result.axis1_name, "values": list(result.axis1_values)},
+            "axis2": {"name": result.axis2_name, "values": list(result.axis2_values)},
+            "fixed": result.fixed,
             "values": result.values.tolist(),
             "aux": {key: np.asarray(value).tolist()
                     for key, value in result.aux.items()},
@@ -1201,11 +1223,11 @@ def frozen_sweep_text(result, fmt: str) -> str:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if result.aux:
         aux_keys = sorted(result.aux)
-        header = (f"{grid.axis1_name},{grid.axis2_name},value,"
+        header = (f"{result.axis1_name},{result.axis2_name},value,"
                   + ",".join(aux_keys))
         out = [header]
-        for i, a in enumerate(grid.axis1_values):
-            for j, b in enumerate(grid.axis2_values):
+        for i, a in enumerate(result.axis1_values):
+            for j, b in enumerate(result.axis2_values):
                 cells = [repr(a), repr(b), repr(float(result.values[i, j]))]
                 for key in aux_keys:
                     cell = result.aux[key][i, j]
@@ -1213,10 +1235,10 @@ def frozen_sweep_text(result, fmt: str) -> str:
                                  else repr(float(cell)))
                 out.append(",".join(cells))
         return "\n".join(out) + "\n"
-    header = grid.axis1_name + "," + ",".join(
-        f"{grid.axis2_name}={v:g}" for v in grid.axis2_values)
+    header = result.axis1_name + "," + ",".join(
+        f"{result.axis2_name}={v:g}" for v in result.axis2_values)
     out = [header]
-    for i, a in enumerate(grid.axis1_values):
+    for i, a in enumerate(result.axis1_values):
         row = [repr(a)] + [repr(float(v)) for v in result.values[i]]
         out.append(",".join(row))
     return "\n".join(out) + "\n"
@@ -1230,19 +1252,18 @@ REPR_SWITCHES = (0.0, -0.0, 5e-324, 1e-05, 9.999999999999999e-05, 1e16,
 
 def _switch_result(with_aux):
     import numpy as np
-    from accelrad import SweepGrid, SweepResult
+    from accelrad import SweepResult
     count = len(REPR_SWITCHES)
     values = np.array([[REPR_SWITCHES[(i + j) % count] for j in range(count)]
                        for i in range(count)])
-    grid = SweepGrid('axis "one" é', (-1.0, 0.0) + REPR_SWITCHES[2:],
-                     "n", (-2.0,) + REPR_SWITCHES[1:],
-                     fixed={"Omega": 1e16, "tag": "line\nbreak Ω"})
     aux = {}
     if with_aux:
         aux = {"zeta": -values[::-1], "flag": values > 1e-5,
                "all_false": np.zeros(values.shape, dtype=bool)}
-    return SweepResult(grid=grid, values=values,
+    return SweepResult('axis "one" é', (-1.0, 0.0) + REPR_SWITCHES[2:],
+                       "n", (-2.0,) + REPR_SWITCHES[1:], values=values,
                        metadata={"surface": "switches", "version": "x"},
+                       fixed={"Omega": 1e16, "tag": "line\nbreak Ω"},
                        aux=aux)
 
 
@@ -1254,21 +1275,22 @@ def _sweep_cases():
     motion = ShoMotion(amplitude=1e-9, Omega=2 * math.pi * 1e10)
     amplitudes = np.linspace(1e-9, 4e-3, 24)
     return {
-        "fig2-relative": lambda: fig2_surface(),
+        "fig2-relative": lambda: fig2_surface(np.linspace(0.0, 30.0, 512),
+                                              30),
         "fig2-absolute": lambda: fig2_surface(
-            np.linspace(0.0, 30.0, 512), range(1, 31),
-            g=atom.g, Omega=motion.Omega),
-        "fig3": lambda: fig3_surface(),
+            np.linspace(0.0, 30.0, 512), 30, g=atom.g, Omega=motion.Omega),
+        "fig3": lambda: fig3_surface(np.linspace(1e-8 / 128, 1e-8, 128),
+                                     np.linspace(1 / 128, 1.0, 128)),
         "custom-free-space": lambda: rate_surface(
-            atom, motion, FreeSpace(), amplitudes, range(1, 31)),
+            atom, motion, FreeSpace(), amplitudes, 30),
         "custom-mirror": lambda: rate_surface(
-            atom, motion, Mirror(z0=4e-3), amplitudes[:-1], range(1, 31)),
-        "grid-1x1": lambda: fig2_surface([1.8412], [1]),
-        "a-tilde-count-1": lambda: fig2_surface([7.5], range(1, 31)),
+            atom, motion, Mirror(z0=4e-3), amplitudes[:-1], 30),
+        "grid-1x1": lambda: fig2_surface([1.8412], 1),
+        "a-tilde-count-1": lambda: fig2_surface([7.5], 30),
         "amplitude-count-1": lambda: fig3_surface(
             [5e-9], np.linspace(1 / 128, 1.0, 128)),
         "custom-amplitude-count-1": lambda: rate_surface(
-            atom, motion, FreeSpace(), [2e-3], range(1, 31)),
+            atom, motion, FreeSpace(), [2e-3], 30),
         "repr-switches": lambda: _switch_result(False),
         "repr-switches-aux": lambda: _switch_result(True),
     }

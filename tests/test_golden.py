@@ -109,6 +109,19 @@ ORACLE_GOLDEN = {
         0, "5ba5351bde18bc00c86abd3a0bad00d0fbb3ca7e1fa5b5e052cea7a566794d7a"),
 }
 
+# Config-less ``sweep --preset fig2|fig3``: the grids of the ``[sweep]``
+# defaults, and fig3 at its default 10 GHz drive.
+CONFIGLESS_GOLDEN = {
+    ("sweep-fig2", "csv"): (
+        0, "7911ab633604a425fb844d4e70920b3b05684bf6982df51a67874ae115cafc8f"),
+    ("sweep-fig2", "json"): (
+        0, "19a794faf1f6a0e12804c2dbb1cd0834556132c66a6421df61e4d1bb84c1635f"),
+    ("sweep-fig3", "csv"): (
+        0, "f64d54a01e4d1aecd2c60ccb95d5ef45dfe216b6978776c4e46ef9de24ed2e7f"),
+    ("sweep-fig3", "json"): (
+        0, "62f602e284fe6ebefd82646d357d3d0a18f28c7e61ac54858b08939234f64d21"),
+}
+
 
 def test_every_config_and_command_is_pinned():
     configs = {path.stem for path in CONFIGS.glob("*.cfg")}
@@ -130,6 +143,14 @@ def test_stdout_matches_golden(capsys, config, command, fmt):
 def test_oracle_report_matches_golden(capsys, fmt):
     code, digest = ORACLE_GOLDEN[fmt]
     assert main(["oracle", "--seed", "0", "--format", fmt]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command,fmt", sorted(CONFIGLESS_GOLDEN))
+def test_configless_sweep_matches_golden(capsys, command, fmt):
+    code, digest = CONFIGLESS_GOLDEN[command, fmt]
+    assert main(COMMANDS[command] + ["--format", fmt]) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 

@@ -224,7 +224,7 @@ class TestGeneralTrajectorySpectrum:
         sampled = GeneralPeriodicMotion(
             Omega=Omega, samples=tuple(amplitude * np.sin(ts)))
         sho = ShoMotion(amplitude=amplitude, Omega=Omega)
-        lines = general_trajectory_spectrum(sampled, FreeSpace(), atom, 5)
+        lines = general_trajectory_spectrum(atom, sampled, FreeSpace(), 5)
         assert [line.n for line in lines] == [1, 2, 3, 4, 5]
         for line in lines:
             closed = free_space_rate(atom, sho, line.n).rate
@@ -235,7 +235,7 @@ class TestGeneralTrajectorySpectrum:
         sho = ShoMotion(amplitude=1.3 * C, Omega=2.0)
         for motion in (sho, RotationMotion(radius=1.3 * C, Omega=2.0,
                                            delta=0.7)):
-            lines = general_trajectory_spectrum(motion, FreeSpace(), atom, 5)
+            lines = general_trajectory_spectrum(atom, motion, FreeSpace(), 5)
             assert [line.n for line in lines] == [1, 2, 3, 4, 5]
             for line in lines:
                 closed = free_space_rate(atom, sho, line.n).rate
@@ -250,7 +250,7 @@ class TestGeneralTrajectorySpectrum:
         sampled = GeneralPeriodicMotion(
             Omega=Omega, samples=tuple(amplitude * np.sin(ts)))
         sho = ShoMotion(amplitude=amplitude, Omega=Omega)
-        lines = general_trajectory_spectrum(sampled, FreeSpace(), atom, 3)
+        lines = general_trajectory_spectrum(atom, sampled, FreeSpace(), 3)
         for line in lines:
             closed = free_space_rate(atom, sho, line.n).rate
             assert abs(line.rate - closed) / closed < 1e-8
@@ -258,7 +258,7 @@ class TestGeneralTrajectorySpectrum:
     def test_motionless_samples_give_zero_rates(self):
         atom = AtomParams(omega0=1.0, g=0.5)
         still = GeneralPeriodicMotion(Omega=2.0, samples=(0.0,) * 32)
-        for line in general_trajectory_spectrum(still, FreeSpace(), atom, 4):
+        for line in general_trajectory_spectrum(atom, still, FreeSpace(), 4):
             assert line.rate < 1e-25
 
     def test_two_harmonic_trajectory_against_dense_trapezoid(self):
@@ -272,7 +272,7 @@ class TestGeneralTrajectorySpectrum:
         ts = TWO_PI * np.arange(64) / 64
         z = amplitude * np.sin(ts) + (amplitude / 3.0) * np.sin(2 * ts)
         sampled = GeneralPeriodicMotion(Omega=Omega, samples=tuple(z))
-        lines = general_trajectory_spectrum(sampled, FreeSpace(), atom, 1)
+        lines = general_trajectory_spectrum(atom, sampled, FreeSpace(), 1)
         assert len(lines) == 1
 
         # dense trapezoid on the analytic trajectory, ~10x oracle nodes
@@ -297,7 +297,7 @@ class TestGeneralTrajectorySpectrum:
             Omega=Omega, samples=tuple(0.05 * length * np.sin(ts)))
         # n_max = 3: higher n would hit further commensurate modes of this
         # rationally constructed cavity.
-        lines = general_trajectory_spectrum(sampled, geom, atom, 3)
+        lines = general_trajectory_spectrum(atom, sampled, geom, 3)
         assert [line.n for line in lines] == [n]
         motion = ShoMotion(amplitude=0.05 * length, Omega=Omega)
         assert lines[0].rate == pytest.approx(
@@ -338,8 +338,8 @@ class TestGeneralTrajectorySpectrum:
         ts = TWO_PI * np.arange(32) / 32
         sampled = GeneralPeriodicMotion(
             Omega=2.0, samples=tuple(0.3 * C * np.sin(ts)))
-        lines = general_trajectory_spectrum(sampled, Mirror(z0=2.0 * C),
-                                            atom, 10)
+        lines = general_trajectory_spectrum(atom, sampled,
+                                            Mirror(z0=2.0 * C), 10)
         assert len(lines) == 10
         assert calls == {"fft": 1, "ifft": 1}
 
@@ -363,7 +363,7 @@ def _cavity_lines(omega0_ratio, n, shift, n_max):
         Omega=Omega, samples=tuple(amplitude * np.sin(ts)))
     closed = allowed_sidebands(atom, ShoMotion(amplitude, Omega), geom, n_max)
     return ([line.n for line in
-             general_trajectory_spectrum(sampled, geom, atom, n_max)],
+             general_trajectory_spectrum(atom, sampled, geom, n_max)],
             [line.n for line in closed if line.branch == EMIT_EXCITE])
 
 
@@ -553,7 +553,7 @@ class TestIndependenceFromTheClosedForms:
                                       g=_ATOM.g)
         assert math.isfinite(result.rate) and result.rate >= 0.0
         assert math.isfinite(result.floor) and result.floor > 0.0
-        lines = general_trajectory_spectrum(motion, geom, _ATOM, 8)
+        lines = general_trajectory_spectrum(_ATOM, motion, geom, 8)
         assert [line.n for line in lines] == [4, 5, 6, 7, 8]
         assert all(math.isfinite(line.rate) for line in lines)
 

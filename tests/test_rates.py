@@ -356,9 +356,9 @@ class TestMotionGeometryProtocol:
         assert float(np.max(dense)) <= motion.extent < 1.08e-3
         atom = AtomParams(omega0=2 * math.pi * 0.5e9, g=1e6)
         with pytest.raises(PhysicsDomainError, match="reaches the boundary"):
-            general_trajectory_spectrum(motion, Mirror(z0=1.05e-3), atom, 5)
-        assert len(general_trajectory_spectrum(motion, Mirror(z0=1.1e-3),
-                                               atom, 5)) == 5
+            general_trajectory_spectrum(atom, motion, Mirror(z0=1.05e-3), 5)
+        assert len(general_trajectory_spectrum(atom, motion,
+                                               Mirror(z0=1.1e-3), 5)) == 5
 
     def test_projection(self):
         k, delta = 3.0, 0.7
@@ -425,7 +425,7 @@ class TestClearance:
     def test_one_message_for_both_routes(self, motion, geom):
         atom = AtomParams(omega0=0.5, g=1.0)
         if isinstance(motion, GeneralPeriodicMotion):
-            routes = [lambda: general_trajectory_spectrum(motion, geom, atom,
+            routes = [lambda: general_trajectory_spectrum(atom, motion, geom,
                                                           3)]
         else:
             routes = [lambda: allowed_sidebands(atom, motion, geom, 3)]
@@ -435,7 +435,7 @@ class TestClearance:
                                                        0.5))
             if isinstance(motion, ShoMotion):
                 routes.append(lambda: rate_surface(
-                    atom, motion, geom, [motion.amplitude], [1]))
+                    atom, motion, geom, [motion.amplitude], 1))
         for route in routes:
             with pytest.raises(PhysicsDomainError) as info:
                 route()

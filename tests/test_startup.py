@@ -1,7 +1,8 @@
-"""Start-up: numpy is loaded on first use, never at import time.
+"""Start-up: numpy is loaded on first use, never at import time, and the
+package builds few dataclasses as it loads.
 
-Each test runs a new interpreter, because pytest has imported numpy long
-before any test here runs.
+Each test runs a new interpreter, because pytest has imported numpy and
+accelrad long before any test here runs.
 """
 
 import json
@@ -66,3 +67,25 @@ def test_numpy_imported_after_accelrad_works(fresh_python):
     assert seen["same"] is True
     assert seen["norm"] == 5.0
     assert seen["accelrad"] == pytest.approx(seen["scipy"], rel=0, abs=1e-15)
+
+
+# Building a dataclass costs about a millisecond of import time each.
+MAX_IMPORT_DATACLASSES = 16
+
+_DATACLASSES = """\
+import dataclasses, json, sys
+import accelrad.cli
+print(json.dumps(sorted({f"{cls.__module__}.{cls.__qualname__}"
+    for name, module in list(sys.modules.items())
+    if name == "accelrad" or name.startswith("accelrad.")
+    for cls in vars(module).values()
+    if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+    and cls.__module__.startswith("accelrad")})))
+"""
+
+
+def test_cli_import_builds_few_dataclasses(fresh_python):
+    proc = fresh_python("-c", _DATACLASSES)
+    assert proc.returncode == 0, proc.stderr
+    built = json.loads(proc.stdout)
+    assert len(built) <= MAX_IMPORT_DATACLASSES, built

@@ -9,11 +9,16 @@ import pytest
 
 from accelrad import (AtomParams, FreeSpace, GeneralPeriodicMotion, Mirror,
                       OracleMismatchError, PhysicsDomainError, RotationMotion,
-                      ShoMotion, SweepGrid, SweepResult, allowed_sidebands,
+                      ShoMotion, SweepResult, allowed_sidebands,
                       bessel_j, fig2_surface, fig3_surface, free_space_rate,
                       mirror_rate, rate_surface)
 from accelrad.constants import SPEED_OF_LIGHT as C
 from accelrad.oracle import verified_lines
+
+# The axes of the config-less ``sweep --preset fig2`` and ``fig3``.
+FIG2_A_TILDE = np.linspace(0.0, 30.0, 512)
+FIG3_AMPLITUDES = np.linspace(1e-8 / 128, 1e-8, 128)
+FIG3_ALPHAS = np.linspace(1 / 128, 1.0, 128)
 
 
 def verified_spectrum(atom, motion, geom, n_max):
@@ -26,29 +31,29 @@ def verified_spectrum(atom, motion, geom, n_max):
 
 class TestFig2Surface:
     def test_peak_cell_value(self):
-        res = fig2_surface([1.8412], [1])
+        res = fig2_surface([1.8412], 1)
         assert res.values[0, 0] == pytest.approx(0.33856713916548536,
                                                  rel=1e-10)
 
     def test_zero_amplitude_column(self):
-        res = fig2_surface([0.0], range(1, 31))
+        res = fig2_surface([0.0], 30)
         assert np.all(res.values == 0.0)
 
     def test_below_threshold_suppression_cell(self):
-        res = fig2_surface([5.0], [12])
-        assert res.values[0, 0] < 1e-5
+        res = fig2_surface([5.0], 12)
+        assert res.values[0, 11] < 1e-5
 
     def test_default_grid_maximum_location(self):
-        res = fig2_surface()
+        res = fig2_surface(FIG2_A_TILDE, 30)
         i, j = np.unravel_index(np.argmax(res.values), res.values.shape)
-        assert res.grid.axis2_values[j] == 1.0
-        assert 1.7 < res.grid.axis1_values[i] < 2.0
+        assert res.axis2_values[j] == 1.0
+        assert 1.7 < res.axis1_values[i] < 2.0
 
     def test_monotone_activation_threshold(self):
         # The smallest a_tilde where J_n^2 exceeds 1e-3 of its own peak
         # is nondecreasing in n.
         a = np.linspace(0.0, 30.0, 3001)
-        res = fig2_surface(a, range(1, 31))
+        res = fig2_surface(a, 30)
         thresholds = []
         for j in range(res.values.shape[1]):
             col = res.values[:, j]
@@ -57,22 +62,22 @@ class TestFig2Surface:
         assert all(b >= a_ for a_, b in zip(thresholds, thresholds[1:]))
 
     def test_cells_match_single_point_calls(self):
-        res = fig2_surface()
+        res = fig2_surface(FIG2_A_TILDE, 30)
         rng = np.random.default_rng(11)
         n_cells = res.values.size
         for flat in rng.choice(n_cells, size=max(1, n_cells // 100),
                                replace=False):
             i, j = np.unravel_index(flat, res.values.shape)
-            a = res.grid.axis1_values[i]
-            n = int(res.grid.axis2_values[j])
+            a = res.axis1_values[i]
+            n = int(res.axis2_values[j])
             direct = bessel_j(n, a) ** 2
             assert abs(res.values[i, j] - direct) \
                 <= 1e-12 * max(res.values[i, j], direct) + 1e-14
 
     def test_absolute_mode_restores_prefactor(self):
         g, Omega = 0.3, 2.0
-        rel = fig2_surface([1.8412], [1])
-        absolute = fig2_surface([1.8412], [1], g=g, Omega=Omega)
+        rel = fig2_surface([1.8412], 1)
+        absolute = fig2_surface([1.8412], 1, g=g, Omega=Omega)
         assert absolute.metadata["normalization"] == "hz"
         assert rel.metadata["normalization"] == "prefactor-omitted"
         assert absolute.values[0, 0] == pytest.approx(
@@ -80,7 +85,7 @@ class TestFig2Surface:
 
     def test_requires_both_prefactor_parameters(self):
         with pytest.raises(ValueError):
-            fig2_surface([1.0], [1], g=0.3)
+            fig2_surface([1.0], 1, g=0.3)
 
 
 class TestFig3Surface:
@@ -97,15 +102,15 @@ class TestFig3Surface:
     def test_cells_match_single_point_calls(self):
         from accelrad import small_amplitude_rate
 
-        res = fig3_surface()
-        Omega = res.grid.fixed["Omega"]
+        res = fig3_surface(FIG3_AMPLITUDES, FIG3_ALPHAS)
+        Omega = res.fixed["Omega"]
         rng = np.random.default_rng(5)
         n_cells = res.values.size
         for flat in rng.choice(n_cells, size=n_cells // 100, replace=False):
             i, j = np.unravel_index(flat, res.values.shape)
             atom = AtomParams(omega0=0.5 * Omega,
-                              alpha=res.grid.axis2_values[j])
-            motion = ShoMotion(amplitude=res.grid.axis1_values[i],
+                              alpha=res.axis2_values[j])
+            motion = ShoMotion(amplitude=res.axis1_values[i],
                                Omega=Omega)
             direct = small_amplitude_rate(atom, motion)
             assert res.values[i, j] == pytest.approx(direct, rel=1e-12)
@@ -116,12 +121,12 @@ class TestFig3Surface:
                                                  rel=1e-12)
 
     def test_default_surface_reaches_the_reported_decade(self):
-        res = fig3_surface()
+        res = fig3_surface(FIG3_AMPLITUDES, FIG3_ALPHAS)
         decade = (res.values >= 1e-4) & (res.values < 1e-3)
         assert np.any(decade)
 
     def test_exact_rate_tracks_approximation_where_valid(self):
-        res = fig3_surface()
+        res = fig3_surface(FIG3_AMPLITUDES, FIG3_ALPHAS)
         exact = res.aux["exact_rate_hz"]
         valid = res.aux["approx_valid"]
         assert np.all(valid)  # nm amplitudes at GHz drives are deep in domain
@@ -135,66 +140,59 @@ class TestFig3Surface:
         assert not res.aux["approx_valid"][1, 0]
 
 
-class TestGridTypes:
+def _result(axis1, axis2, values, **kwargs):
+    return SweepResult("a", axis1, "b", axis2, values, metadata={}, **kwargs)
+
+
+class TestSweepResult:
     def test_axes_must_be_monotone(self):
         with pytest.raises(ValueError):
-            SweepGrid("a", (1.0, 1.0), "b", (1.0, 2.0))
+            _result((1.0, 1.0), (1.0, 2.0), np.zeros((2, 2)))
 
     def test_axes_must_be_non_empty(self):
         with pytest.raises(ValueError):
-            SweepGrid("a", (), "b", (1.0,))
+            _result((), (1.0,), np.zeros((0, 1)))
 
     def test_values_shape_is_checked(self):
-        grid = SweepGrid("a", (1.0, 2.0), "b", (1.0,))
         with pytest.raises(ValueError):
-            SweepResult(grid=grid, values=np.zeros((3, 3)), metadata={})
+            _result((1.0, 2.0), (1.0,), np.zeros((3, 3)))
 
     def test_values_must_be_finite_non_negative(self):
-        grid = SweepGrid("a", (1.0,), "b", (1.0,))
         with pytest.raises(ValueError):
-            SweepResult(grid=grid, values=np.array([[-1.0]]), metadata={})
+            _result((1.0,), (1.0,), np.array([[-1.0]]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_axes_must_be_finite(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            SweepGrid("a", (0.0, bad), "b", (1.0,))
+            _result((0.0, bad), (1.0,), np.zeros((2, 1)))
 
     def test_values_must_be_float(self):
-        grid = SweepGrid("a", (1.0,), "b", (1.0,))
         with pytest.raises(ValueError):
-            SweepResult(grid=grid, values=np.array([[1]]), metadata={})
+            _result((1.0,), (1.0,), np.array([[1]]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_aux_is_rejected(self, bad):
-        grid = SweepGrid("a", (1.0, 2.0), "b", (1.0,))
         aux = np.array([[0.5], [bad]])
         with pytest.raises(ValueError, match="aux 'extra'"):
-            SweepResult(grid=grid, values=np.zeros((2, 1)), metadata={},
-                        aux={"extra": aux})
+            _result((1.0, 2.0), (1.0,), np.zeros((2, 1)), aux={"extra": aux})
 
     @pytest.mark.parametrize("aux", [np.zeros((1, 2)), np.zeros(2),
                                      np.zeros((2, 1, 1), dtype=bool),
                                      [[0.5], [1.5]]])
     def test_misshaped_aux_is_rejected(self, aux):
-        grid = SweepGrid("a", (1.0, 2.0), "b", (1.0,))
         with pytest.raises(ValueError, match="aux 'extra'"):
-            SweepResult(grid=grid, values=np.zeros((2, 1)), metadata={},
-                        aux={"extra": aux})
+            _result((1.0, 2.0), (1.0,), np.zeros((2, 1)), aux={"extra": aux})
 
     @pytest.mark.parametrize("aux", [np.array([[1], [2]]),
                                      np.array([["a"], ["b"]])])
     def test_aux_must_be_bool_or_float(self, aux):
-        grid = SweepGrid("a", (1.0, 2.0), "b", (1.0,))
         with pytest.raises(ValueError, match="aux 'extra'"):
-            SweepResult(grid=grid, values=np.zeros((2, 1)), metadata={},
-                        aux={"extra": aux})
+            _result((1.0, 2.0), (1.0,), np.zeros((2, 1)), aux={"extra": aux})
 
     def test_bool_and_finite_float_aux_are_accepted(self):
-        grid = SweepGrid("a", (1.0, 2.0), "b", (1.0,))
         aux = {"flag": np.array([[True], [False]]),
                "signed": np.array([[-1.5], [0.0]], dtype=np.float32)}
-        res = SweepResult(grid=grid, values=np.zeros((2, 1)), metadata={},
-                          aux=aux)
+        res = _result((1.0, 2.0), (1.0,), np.zeros((2, 1)), aux=aux)
         assert res.aux is aux
 
 
@@ -203,17 +201,17 @@ class TestRateSurface:
         atom = AtomParams(omega0=1.0, g=0.4)
         motion = ShoMotion(amplitude=1.0, Omega=2.0)
         amplitudes = [1e-3 * C, 2e-3 * C]
-        res = rate_surface(atom, motion, FreeSpace(), amplitudes, [1, 2, 3])
+        res = rate_surface(atom, motion, FreeSpace(), amplitudes, 3)
         for i, amplitude in enumerate(amplitudes):
             cell_motion = ShoMotion(amplitude=amplitude, Omega=2.0)
-            for j, n in enumerate((1, 2, 3)):
-                assert res.values[i, j] == free_space_rate(
+            for n in (1, 2, 3):
+                assert res.values[i, n - 1] == free_space_rate(
                     atom, cell_motion, n).rate
 
     def test_closed_channels_are_zero(self):
         atom = AtomParams(omega0=3.0, g=0.4)
         motion = ShoMotion(amplitude=1.0, Omega=1.0)
-        res = rate_surface(atom, motion, FreeSpace(), [1.0], [1, 2, 3, 4])
+        res = rate_surface(atom, motion, FreeSpace(), [1.0], 4)
         assert list(res.values[0, :2]) == [0.0, 0.0]
         assert res.values[0, 3] > 0.0
 
@@ -228,7 +226,7 @@ class TestRateSurface:
         atom = AtomParams(omega0=0.5, g=1.0)
         with pytest.raises(PhysicsDomainError, match="custom sweeps support "
                            "free-space and mirror geometries"):
-            rate_surface(atom, motion, geom, [0.5], [1, 2])
+            rate_surface(atom, motion, geom, [0.5], 2)
 
 
 class TestSpectrum:
