@@ -18,7 +18,8 @@ import functools
 import json
 import math
 import sys
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING
+from types import SimpleNamespace
 
 from . import __version__, oracle, sweep
 from ._lazy import np
@@ -50,91 +51,55 @@ def parse_length(text: str) -> float:
         raise ConfigError(f"bad length value {text!r}") from None
 
 
-@dataclass(frozen=True)
-class ConfigKey:
-    """One INI config key, declared on the dataclass field it fills.
-
-    ``kind`` is ``float``, ``length`` (meters, unit suffix allowed), ``int``,
-    ``bool``, ``str`` or ``tuple`` (comma-separated floats); every float must
-    be finite.  ``bound`` is ``"> 0"``, ``">= 0"`` or ``">= 1"``.
-    """
-    name: str
-    kind: str
-    bound: str | None = None
-    choices: tuple | None = None
-
-
-def _key(name, kind, default=MISSING, bound=None, choices=None):
-    return field(default=default,
-                 metadata={"key": ConfigKey(name, kind, bound, choices)})
-
-
-@dataclass(frozen=True)
-class AtomConfig:
-    frequency_hz: float = _key("frequency_hz", "float", bound="> 0")
-    alpha: float | None = _key("alpha", "float", None, "> 0")
-    coupling_hz: float | None = _key("coupling_hz", "float", None, "> 0")
-
-
-@dataclass(frozen=True)
-class MotionConfig:
-    kind: str = _key("kind", "str", choices=("sho", "rotation", "general"))
-    drive_frequency_hz: float = _key("drive_frequency_hz", "float",
-                                     bound="> 0")
-    amplitude_m: float | None = _key("amplitude", "length", None, ">= 0")
-    orientation: str = _key("orientation", "str", "perpendicular",
-                            choices=("perpendicular", "parallel"))
-    delta_rad: float = _key("delta_rad", "float", 0.0)
-    radius_m: float | None = _key("radius", "length", None, ">= 0")
-    samples_m: tuple | None = _key("samples", "tuple", None)
-
-
-@dataclass(frozen=True)
-class GeometryConfig:
-    kind: str = _key("kind", "str",
-                     choices=("free_space", "mirror", "cavity"))
-    z0_m: float | None = _key("z0", "length", None, "> 0")
-    length_m: float | None = _key("length", "length", None, "> 0")
-    photons: int = _key("photons", "int", 0, ">= 0")
-
-
-@dataclass(frozen=True)
-class SweepSettings:
-    preset: str = _key("preset", "str", "fig2",
-                       choices=("fig2", "fig3", "custom"))
-    n_max: int = _key("n_max", "int", 30, ">= 1")
-    a_tilde_max: float = _key("a_tilde_max", "float", 30.0, "> 0")
-    a_tilde_count: int = _key("a_tilde_count", "int", 512, ">= 1")
-    # 0 starts the fig3 and custom sweeps at amplitude_max / amplitude_count
-    amplitude_min_m: float = _key("amplitude_min", "length", 0.0, ">= 0")
-    amplitude_max_m: float = _key("amplitude_max", "length", 1e-8, "> 0")
-    amplitude_count: int = _key("amplitude_count", "int", 128, ">= 1")
-    alpha_max: float = _key("alpha_max", "float", 1.0, "> 0")
-    alpha_count: int = _key("alpha_count", "int", 128, ">= 1")
-    absolute: bool = _key("absolute", "bool", False)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    atom: AtomConfig
-    motion: MotionConfig
-    geometry: GeometryConfig
-    sweep: SweepSettings | None = None
-    output: str | None = _key("output", "str", None)
-    fmt: str = _key("format", "str", "csv", choices=("csv", "json"))
-    verify: bool = _key("verify", "bool", False)
-    seed: int = _key("seed", "int", 0, ">= 0")
-    n_max: int = _key("n_max", "int", 1, ">= 1")
-
-
-# section -> (dataclass, {INI key: (field name, ConfigKey, default)})
+# section -> {INI key: (kind, default, bound, choices)}, the one
+# declaration of every config key.  kind is "float", "length" (meters, unit
+# suffix allowed), "int", "bool", "str" or "tuple" (comma-separated
+# floats); every float must be finite.  A MISSING default marks a required
+# key, a None default a key that is absent unless given.  bound is "> 0",
+# ">= 0" or ">= 1".
 CONFIG_SECTIONS = {
-    section: (cls, {f.metadata["key"].name: (f.name, f.metadata["key"],
-                                              f.default)
-                    for f in fields(cls) if "key" in f.metadata})
-    for section, cls in (("atom", AtomConfig), ("motion", MotionConfig),
-                         ("geometry", GeometryConfig),
-                         ("sweep", SweepSettings), ("run", RunConfig))}
+    "atom": {
+        "frequency_hz": ("float", MISSING, "> 0", None),
+        "alpha": ("float", None, "> 0", None),
+        "coupling_hz": ("float", None, "> 0", None),
+    },
+    "motion": {
+        "kind": ("str", MISSING, None, ("sho", "rotation", "general")),
+        "drive_frequency_hz": ("float", MISSING, "> 0", None),
+        "amplitude": ("length", None, ">= 0", None),
+        "orientation": ("str", "perpendicular", None,
+                        ("perpendicular", "parallel")),
+        "delta_rad": ("float", 0.0, None, None),
+        "radius": ("length", None, ">= 0", None),
+        "samples": ("tuple", None, None, None),
+    },
+    "geometry": {
+        "kind": ("str", MISSING, None, ("free_space", "mirror", "cavity")),
+        "z0": ("length", None, "> 0", None),
+        "length": ("length", None, "> 0", None),
+        "photons": ("int", 0, ">= 0", None),
+    },
+    "sweep": {
+        "preset": ("str", "fig2", None, ("fig2", "fig3", "custom")),
+        "n_max": ("int", 30, ">= 1", None),
+        "a_tilde_max": ("float", 30.0, "> 0", None),
+        "a_tilde_count": ("int", 512, ">= 1", None),
+        # 0 starts fig3 and custom sweeps at amplitude_max / amplitude_count
+        "amplitude_min": ("length", 0.0, ">= 0", None),
+        "amplitude_max": ("length", 1e-8, "> 0", None),
+        "amplitude_count": ("int", 128, ">= 1", None),
+        "alpha_max": ("float", 1.0, "> 0", None),
+        "alpha_count": ("int", 128, ">= 1", None),
+        "absolute": ("bool", False, None, None),
+    },
+    "run": {
+        "output": ("str", None, None, None),
+        "format": ("str", "csv", None, ("csv", "json")),
+        "verify": ("bool", False, None, None),
+        "seed": ("int", 0, ">= 0", None),
+        "n_max": ("int", 1, ">= 1", None),
+    },
+}
 
 # kind -> (reader, what a text it cannot read is not)
 _KINDS = {
@@ -151,42 +116,47 @@ _BOUNDS = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0,
            ">= 1": lambda v: v >= 1}
 
 
-def _read_value(section, key: ConfigKey, text):
-    reader, noun = _KINDS[key.kind]
+def _read_value(section, name, text):
+    kind, _, bound, choices = CONFIG_SECTIONS[section][name]
+    reader, noun = _KINDS[kind]
     try:
         value = reader(text)
     except (ValueError, KeyError, ConfigError):
-        raise ConfigError(f"[{section}] {key.name} = {text!r} is not "
+        raise ConfigError(f"[{section}] {name} = {text!r} is not "
                           f"{noun}") from None
-    if (key.kind in ("float", "length") and not math.isfinite(value)
-            or key.kind == "tuple" and not all(map(math.isfinite, value))):
-        raise ConfigError(f"[{section}] {key.name} must be finite, "
+    if (kind in ("float", "length") and not math.isfinite(value)
+            or kind == "tuple" and not all(map(math.isfinite, value))):
+        raise ConfigError(f"[{section}] {name} must be finite, "
                           f"got {text!r}")
-    if key.bound is not None and not _BOUNDS[key.bound](value):
-        raise ConfigError(f"[{section}] {key.name} must be {key.bound}, "
+    if bound is not None and not _BOUNDS[bound](value):
+        raise ConfigError(f"[{section}] {name} must be {bound}, "
                           f"got {text!r}")
-    if key.choices is not None and value not in key.choices:
-        raise ConfigError(f"[{section}] {key.name} must be one of "
-                          f"{', '.join(key.choices)}; got {value!r}")
+    if choices is not None and value not in choices:
+        raise ConfigError(f"[{section}] {name} must be one of "
+                          f"{', '.join(choices)}; got {value!r}")
     return value
 
 
-def _read_section(cp, section, **values):
-    cls, table = CONFIG_SECTIONS[section]
-    for name, text in cp.items(section, raw=True):
+def _read_section(section, items=(), **values):
+    """The namespace of one section: its ``(key, text)`` items read over
+    the table's defaults, plus ``values``."""
+    table = CONFIG_SECTIONS[section]
+    values.update((name, row[1]) for name, row in table.items())
+    for name, text in items:
         if name not in table:
             raise ConfigError(f"[{section}] {name} is not a known key; "
                               f"allowed: {', '.join(sorted(table))}")
-        attr, key, _ = table[name]
-        values[attr] = _read_value(section, key, text)
-    for name, (attr, _, default) in table.items():
-        if default is MISSING and attr not in values:
+        values[name] = _read_value(section, name, text)
+    for name in table:
+        if values[name] is MISSING:
             raise ConfigError(f"[{section}] {name} is required")
-    return cls(**values)
+    return SimpleNamespace(**values)
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse configuration text into a :class:`RunConfig`."""
+def parse_config(text: str) -> SimpleNamespace:
+    """Parse configuration text into the ``[run]`` namespace, which holds
+    the ``atom``, ``motion``, ``geometry`` and ``sweep`` namespaces; an
+    absent ``[sweep]`` or ``[run]`` reads as its defaults."""
     cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(text)
@@ -198,41 +168,38 @@ def parse_config(text: str) -> RunConfig:
     for section in cp.sections():
         if section not in CONFIG_SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
-    parts = {section: _read_section(cp, section)
-             for section in ("atom", "motion", "geometry", "sweep")
-             if cp.has_section(section)}
-    if not cp.has_section("run"):
-        return RunConfig(**parts)
-    return _read_section(cp, "run", **parts)
+    items = {section: cp.items(section, raw=True)
+             for section in cp.sections()}
+    parts = {section: _read_section(section, items.get(section, ()))
+             for section in ("atom", "motion", "geometry", "sweep")}
+    return _read_section("run", items.get("run", ()), **parts)
 
 
-def _write_value(key: ConfigKey, value) -> str:
-    if key.kind == "str":
+def _write_value(kind, value) -> str:
+    if kind == "str":
         return value
-    if key.kind == "bool":
+    if kind == "bool":
         return "true" if value else "false"
-    if key.kind == "tuple":
+    if kind == "tuple":
         return ",".join(map(repr, value))
     return repr(value)
 
 
-def serialize_config(cfg: RunConfig) -> str:
-    """Canonical text form of a RunConfig; parse(serialize(c)) == c."""
+def serialize_config(cfg: SimpleNamespace) -> str:
+    """Canonical text form of a parsed config; parse(serialize(c)) == c."""
     out = []
-    for section, (_, table) in CONFIG_SECTIONS.items():
-        obj = cfg if section == "run" else getattr(cfg, section)
-        if obj is None:
-            continue
+    for section, table in CONFIG_SECTIONS.items():
+        values = cfg if section == "run" else getattr(cfg, section)
         out.append(f"[{section}]")
-        for name, (attr, key, _) in table.items():
-            value = getattr(obj, attr)
+        for name, (kind, *_) in table.items():
+            value = getattr(values, name)
             if value is not None:
-                out.append(f"{name} = {_write_value(key, value)}")
+                out.append(f"{name} = {_write_value(kind, value)}")
         out.append("")
     return "\n".join(out) + "\n"
 
 
-def build_atom(cfg: AtomConfig) -> AtomParams:
+def build_atom(cfg) -> AtomParams:
     if (cfg.alpha is None) == (cfg.coupling_hz is None):
         raise ConfigError(
             "[atom] needs exactly one of alpha or coupling_hz")
@@ -242,33 +209,33 @@ def build_atom(cfg: AtomConfig) -> AtomParams:
     return AtomParams(omega0=omega0, g=hz_to_angular(cfg.coupling_hz))
 
 
-def build_motion(cfg: MotionConfig):
+def build_motion(cfg):
     Omega = hz_to_angular(cfg.drive_frequency_hz)
     if cfg.kind == "sho":
-        if cfg.amplitude_m is None:
+        if cfg.amplitude is None:
             raise ConfigError("[motion] sho needs amplitude")
-        return ShoMotion(amplitude=cfg.amplitude_m, Omega=Omega,
+        return ShoMotion(amplitude=cfg.amplitude, Omega=Omega,
                          orientation=cfg.orientation, delta=cfg.delta_rad)
     if cfg.kind == "rotation":
-        if cfg.radius_m is None:
+        if cfg.radius is None:
             raise ConfigError("[motion] rotation needs radius")
-        return RotationMotion(radius=cfg.radius_m, Omega=Omega,
+        return RotationMotion(radius=cfg.radius, Omega=Omega,
                               delta=cfg.delta_rad)
-    if cfg.samples_m is None:
+    if cfg.samples is None:
         raise ConfigError("[motion] general needs samples")
-    return GeneralPeriodicMotion(Omega=Omega, samples=cfg.samples_m)
+    return GeneralPeriodicMotion(Omega=Omega, samples=cfg.samples)
 
 
-def build_geometry(cfg: GeometryConfig):
+def build_geometry(cfg):
     if cfg.kind == "free_space":
         return FreeSpace()
     if cfg.kind == "mirror":
-        if cfg.z0_m is None:
+        if cfg.z0 is None:
             raise ConfigError("[geometry] mirror needs z0")
-        return Mirror(z0=cfg.z0_m)
-    if cfg.length_m is None or cfg.z0_m is None:
+        return Mirror(z0=cfg.z0)
+    if cfg.length is None or cfg.z0 is None:
         raise ConfigError("[geometry] cavity needs length and z0")
-    return Cavity(length=cfg.length_m, z0=cfg.z0_m, n_photons=cfg.photons)
+    return Cavity(length=cfg.length, z0=cfg.z0, n_photons=cfg.photons)
 
 
 def sidebands_text(rows, fmt: str, verified: bool) -> str:
@@ -357,7 +324,7 @@ def sweep_text(result, fmt: str) -> str:
     return "\n".join(out) + "\n"
 
 
-def _load_config(path: str | None) -> RunConfig | None:
+def _load_config(path: str | None) -> SimpleNamespace | None:
     if path is None:
         return None
     try:
@@ -412,48 +379,59 @@ def cmd_sidebands(args) -> int:
     lines = route(atom, motion, geom, n_max)
     rows = (oracle.verified_lines(atom, motion, geom, lines)
             if verify else [(line, None, None) for line in lines])
-    fmt = args.format or cfg.fmt
+    fmt = args.format or cfg.format
     _emit(sidebands_text(rows, fmt, verify), args, cfg)
     return 0
 
 
-def _amplitude_axis(settings: SweepSettings):
+def _amplitude_axis(settings):
     """The fig3 and custom amplitude axis: amplitude_count points up to
     amplitude_max, from amplitude_min, or from amplitude_max / count when
     amplitude_min is 0."""
-    lo, hi = settings.amplitude_min_m, settings.amplitude_max_m
+    lo, hi = settings.amplitude_min, settings.amplitude_max
     count = settings.amplitude_count
-    if 0 < lo and hi <= lo and count > 1:
+    if 0 < lo and hi <= lo:
         raise ConfigError(f"[sweep] amplitude_min = {lo!r} m must be "
                           f"below amplitude_max = {hi!r} m")
     return np.linspace(lo if lo > 0 else hi / count, hi, count)
 
 
+def _free_space_only(surface, cfg):
+    """fig3 (which sets ``omega0 = Omega / 2`` and sweeps alpha, so it
+    reads only the drive) and absolute fig2 (the drive and the atom) are
+    free-space surfaces: after the config's own checks, refuse any other
+    geometry before any cell."""
+    if not isinstance(build_geometry(cfg.geometry), FreeSpace):
+        raise PhysicsDomainError(
+            f"{surface} sweeps support free-space geometry only, got "
+            f"[geometry] kind = {cfg.geometry.kind}")
+
+
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    settings = cfg.sweep if cfg is not None and cfg.sweep is not None \
-        else SweepSettings()
+    settings = cfg.sweep if cfg is not None else _read_section("sweep")
     preset = args.preset or settings.preset
     if preset == "fig2":
         a_values = np.linspace(0.0, settings.a_tilde_max,
                                settings.a_tilde_count)
         if settings.absolute:
-            if cfg is None:
-                raise ConfigError("absolute fig2 sweep needs a config "
-                                  "with [atom] and [motion]")
             atom = build_atom(cfg.atom)
             motion = build_motion(cfg.motion)
+            _free_space_only("absolute fig2", cfg)
             result = sweep.fig2_surface(a_values, settings.n_max, g=atom.g,
                                         Omega=motion.Omega)
-        else:
+        else:  # reads nothing of the config but [sweep]
             result = sweep.fig2_surface(a_values, settings.n_max)
     elif preset == "fig3":
         amplitudes = _amplitude_axis(settings)
         alphas = np.linspace(settings.alpha_max / settings.alpha_count,
                              settings.alpha_max, settings.alpha_count)
-        result = (sweep.fig3_surface(amplitudes, alphas) if cfg is None else
-                  sweep.fig3_surface(amplitudes, alphas, Omega=hz_to_angular(
-                      cfg.motion.drive_frequency_hz)))
+        if cfg is None:
+            result = sweep.fig3_surface(amplitudes, alphas)
+        else:
+            _free_space_only("fig3", cfg)
+            result = sweep.fig3_surface(amplitudes, alphas, Omega=hz_to_angular(
+                cfg.motion.drive_frequency_hz))
     else:
         if cfg is None:
             raise ConfigError("custom sweep needs --config")
@@ -462,7 +440,7 @@ def cmd_sweep(args) -> int:
         geom = build_geometry(cfg.geometry)
         result = sweep.rate_surface(atom, motion, geom,
                                     _amplitude_axis(settings), settings.n_max)
-    fmt = args.format or (cfg.fmt if cfg is not None else "csv")
+    fmt = args.format or (cfg.format if cfg is not None else "csv")
     _emit(sweep_text(result, fmt), args, cfg)
     return 0
 

@@ -9,6 +9,7 @@ import string
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import MISSING
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -17,11 +18,9 @@ from hypothesis import strategies as st
 from accelrad import (AtomParams, ShoMotion, allowed_sidebands,
                       free_space_rate, general_trajectory_spectrum,
                       rate_surface)
-from accelrad.cli import (CONFIG_SECTIONS, AtomConfig, GeometryConfig,
-                          MotionConfig, RunConfig, SweepSettings, build_atom,
-                          build_geometry, build_motion, main, parse_config,
-                          parse_length, serialize_config, sidebands_text,
-                          sweep_text)
+from accelrad.cli import (CONFIG_SECTIONS, build_atom, build_geometry,
+                          build_motion, main, parse_config, parse_length,
+                          serialize_config, sidebands_text, sweep_text)
 from accelrad.oracle import verified_lines
 
 FREE_SPACE_CFG = """\
@@ -41,6 +40,13 @@ kind = free_space
 # Exact n = 1 free-space rate for the config above, frozen from
 # pi*(A*alpha)^2*Omega^3/(32 c^2) (the sub-0.1%-of-percent-regime value).
 FREE_SPACE_CFG_RATE = 1.0838223059911484e-05
+
+
+def config_section(section, **values):
+    """A parsed section as the key table states it: its defaults, then
+    ``values``."""
+    defaults = {name: row[1] for name, row in CONFIG_SECTIONS[section].items()}
+    return SimpleNamespace(**(defaults | values))
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -120,15 +126,17 @@ n_max = 4
     def test_generated_configs_round_trip(self, frequency, alpha, drive,
                                           amplitude, z0, kind, orientation,
                                           seed, verify):
-        cfg = RunConfig(
-            atom=AtomConfig(frequency_hz=frequency, alpha=alpha),
-            motion=MotionConfig(kind="sho", drive_frequency_hz=drive,
-                                amplitude_m=amplitude,
-                                orientation=orientation),
-            geometry=GeometryConfig(kind=kind,
-                                    z0_m=z0 if kind == "mirror" else None),
-            sweep=SweepSettings(),
-            fmt="csv", verify=verify, seed=seed, n_max=3,
+        cfg = config_section(
+            "run",
+            atom=config_section("atom", frequency_hz=frequency, alpha=alpha),
+            motion=config_section("motion", kind="sho",
+                                  drive_frequency_hz=drive,
+                                  amplitude=amplitude,
+                                  orientation=orientation),
+            geometry=config_section("geometry", kind=kind,
+                                    z0=z0 if kind == "mirror" else None),
+            sweep=config_section("sweep"),
+            format="csv", verify=verify, seed=seed, n_max=3,
         )
         assert parse_config(serialize_config(cfg)) == cfg
 
@@ -639,7 +647,7 @@ class TestConfigValueErrors:
                            "amplitude_max = 3 nm\n")
         assert cfg.sweep.a_tilde_max == 0.5
         assert cfg.sweep.alpha_max == 0.25
-        assert cfg.sweep.amplitude_max_m == pytest.approx(3e-9, rel=1e-15)
+        assert cfg.sweep.amplitude_max == pytest.approx(3e-9, rel=1e-15)
 
     @pytest.mark.parametrize("argv,edits", [
         (["sweep"], [("sweep", "absolute", "true"),
@@ -670,10 +678,10 @@ class TestConfigValueErrors:
                                    "radius = 0\ndelta_rad = -0.3")
             + "photons = 0\n[sweep]\namplitude_min = 0\n"
               "[run]\nseed = 0\nn_max = 1\n")
-        assert cfg.motion.amplitude_m == 0.0 and cfg.motion.radius_m == 0.0
+        assert cfg.motion.amplitude == 0.0 and cfg.motion.radius == 0.0
         assert cfg.motion.delta_rad == -0.3
         assert cfg.geometry.photons == 0 and cfg.seed == 0
-        assert cfg.sweep.amplitude_min_m == 0.0
+        assert cfg.sweep.amplitude_min == 0.0
 
     def test_zero_amplitude_min_starts_at_max_over_count(self, tmp_path,
                                                          capsys):
@@ -847,6 +855,16 @@ _TYPED_ROUTES = {
         ["sweep", "--preset", "fig3"], _typed_route_config(
             extra="[sweep]\namplitude_min = 2e-8\namplitude_max = 1e-8\n"),
         2, "[sweep] amplitude_min = 2e-08 m must be below amplitude_max"),
+    "custom-axis-order-one-point": (
+        ["sweep", "--preset", "custom"], _typed_route_config(
+            extra="[sweep]\namplitude_min = 5 nm\namplitude_max = 1 nm\n"
+                  "amplitude_count = 1\n"),
+        2, "[sweep] amplitude_min = 5e-09 m must be below amplitude_max"),
+    "fig3-axis-order-one-point": (
+        ["sweep", "--preset", "fig3"], _typed_route_config(
+            extra="[sweep]\namplitude_min = 5 nm\namplitude_max = 1 nm\n"
+                  "amplitude_count = 1\n"),
+        2, "[sweep] amplitude_min = 5e-09 m must be below amplitude_max"),
     "unwritable-output-option": (
         ["rate", "--output", "{missing}/out.csv"], _typed_route_config(),
         2, "cannot write output"),
@@ -863,6 +881,16 @@ _TYPED_ROUTES = {
             atom="alpha = 0.2", frequency="0.9e9", drive="1e9",
             geometry=_CAVITY_GEOMETRY),
         3, "custom sweeps support free-space and mirror geometries"),
+    "fig3-mirror": (
+        ["sweep", "--preset", "fig3"], _typed_route_config(geometry=_MIRROR),
+        3, "fig3 sweeps support free-space geometry only, got [geometry] "
+           "kind = mirror"),
+    "absolute-fig2-cavity": (
+        ["sweep", "--preset", "fig2"], _typed_route_config(
+            atom="alpha = 0.2", frequency="0.9e9", drive="1e9",
+            geometry=_CAVITY_GEOMETRY, extra="[sweep]\nabsolute = true\n"),
+        3, "absolute fig2 sweeps support free-space geometry only, got "
+           "[geometry] kind = cavity"),
     "z0-outside-cavity": (
         ["rate"], _typed_route_config(
             geometry="kind = cavity\nlength = 1 mm\nz0 = 2 mm\n"),
@@ -1307,62 +1335,61 @@ class TestSweepTextMatchesFrozenReference:
 
 # Every key of every section, drawn from the key table in accelrad.cli.
 
-def _table_value(key):
+def _table_value(row):
     """Any value a key accepts."""
-    if key.choices is not None:
-        return st.sampled_from(key.choices)
-    if key.kind == "bool":
+    kind, _, bound, choices = row
+    if choices is not None:
+        return st.sampled_from(choices)
+    if kind == "bool":
         return st.booleans()
-    if key.kind == "int":
-        return st.integers(int(key.bound.split()[1]), 2**63)
-    if key.kind == "str":
+    if kind == "int":
+        return st.integers(int(bound.split()[1]), 2**63)
+    if kind == "str":
         return st.text(string.ascii_letters + string.digits + "._-/",
                        min_size=1, max_size=12)
     finite = st.floats(allow_nan=False, allow_infinity=False)
-    if key.kind == "tuple":
+    if kind == "tuple":
         return st.lists(finite, min_size=1, max_size=20).map(tuple)
-    if key.bound is None:
+    if bound is None:
         return finite
-    return st.floats(min_value=0.0, exclude_min=key.bound == "> 0",
+    return st.floats(min_value=0.0, exclude_min=bound == "> 0",
                      allow_infinity=False)
 
 
 def _table_section(section):
-    _, table = CONFIG_SECTIONS[section]
-    return {attr: (_table_value(key) if default is not None
-                   else st.none() | _table_value(key))
-            for attr, key, default in table.values()}
+    return {name: (_table_value(row) if row[1] is not None
+                   else st.none() | _table_value(row))
+            for name, row in CONFIG_SECTIONS[section].items()}
 
 
 def _table_run_config():
     return st.builds(
-        RunConfig,
-        atom=st.builds(AtomConfig, **_table_section("atom")),
-        motion=st.builds(MotionConfig, **_table_section("motion")),
-        geometry=st.builds(GeometryConfig, **_table_section("geometry")),
-        sweep=st.none() | st.builds(SweepSettings, **_table_section("sweep")),
+        SimpleNamespace,
+        **{section: st.builds(SimpleNamespace, **_table_section(section))
+           for section in ("atom", "motion", "geometry", "sweep")},
         **_table_section("run"))
 
 
 # Values a request can afford: n_max <= 20, sweep counts <= 16, and
 # frequencies and lengths that keep k*A in the hundreds.
-def _fuzz_text(key):
-    if key.choices is not None:
-        return st.sampled_from(key.choices)
-    if key.kind == "bool":
+def _fuzz_text(name, row):
+    kind, _, bound, choices = row
+    if choices is not None:
+        return st.sampled_from(choices)
+    if kind == "bool":
         return st.sampled_from(["true", "false"])
-    if key.kind == "int":
-        low = int(key.bound.split()[1])
-        return st.integers(low, 16 if key.name.endswith("count") else
-                           20 if key.name == "n_max" else 4).map(str)
-    if key.kind == "tuple":   # a sampled trajectory needs 16 samples
+    if kind == "int":
+        low = int(bound.split()[1])
+        return st.integers(low, 16 if name.endswith("count") else
+                           20 if name == "n_max" else 4).map(str)
+    if kind == "tuple":   # a sampled trajectory needs 16 samples
         return st.lists(st.floats(-1e-6, 1e-6), min_size=16,
                         max_size=20).map(lambda s: ",".join(map(repr, s)))
-    if key.kind == "length":
+    if kind == "length":
         return st.floats(1e-10, 1e-3).map(repr)
-    if key.name.endswith("_hz"):
+    if name.endswith("_hz"):
         return st.floats(1e8, 1e11).map(repr)
-    if key.bound is None:
+    if bound is None:
         return st.floats(-7.0, 7.0).map(repr)
     return st.floats(0.01, 30.0).map(repr)
 
@@ -1378,21 +1405,22 @@ def _corrupted_config(draw):
     # so that most uncorrupted configs run; any other optional key may be
     # left out.  output is never written: it names a file to write.
     coupling = draw(st.sampled_from(["alpha", "coupling_hz"]))
-    entries = []    # [section, key, text, ConfigKey, required]
-    for section, (_, table) in CONFIG_SECTIONS.items():
+    entries = []    # [section, key, text, (kind, bound), required]
+    for section, table in CONFIG_SECTIONS.items():
         if section == "sweep" and command != "sweep" and draw(st.booleans()):
             continue
-        for name, (_, key, default) in table.items():
+        for name, row in table.items():
+            kind, default, bound, _ = row
             required = default is MISSING
             if name in ("alpha", "coupling_hz"):
                 keep = name == coupling
             else:
-                keep = (required or key.kind in ("length", "tuple")
-                        or section == "sweep" and key.kind == "int"
+                keep = (required or kind in ("length", "tuple")
+                        or section == "sweep" and kind == "int"
                         or name != "output" and draw(st.booleans()))
             if keep:
-                entries.append([section, name, draw(_fuzz_text(key)), key,
-                                required])
+                entries.append([section, name, draw(_fuzz_text(name, row)),
+                                (kind, bound), required])
     corruption = draw(st.sampled_from(
         ["none", "drop", "unknown", "bad value", "bad choice"]))
     named = None
@@ -1408,10 +1436,11 @@ def _corrupted_config(draw):
         kinds = (("str",) if corruption == "bad choice" else
                  ("float", "length", "int", "bool", "tuple"))
         entry = draw(st.sampled_from([e for e in entries
-                                      if e[3].kind in kinds]))
-        bad = _BAD_TEXTS[:4] if entry[3].bound is None else _BAD_TEXTS
+                                      if e[3][0] in kinds]))
+        kind, bound = entry[3]
+        bad = _BAD_TEXTS[:4] if bound is None else _BAD_TEXTS
         entry[2] = (f"no_{entry[2]}" if corruption == "bad choice"
-                    else draw(st.sampled_from(bad if entry[3].kind != "bool"
+                    else draw(st.sampled_from(bad if kind != "bool"
                                               else ("abc", "2", "nan"))))
         named = entry[:2]
     sections = ["atom", "motion", "geometry"] + [
@@ -1453,11 +1482,11 @@ class TestConfigTable:
                 for line in readme.splitlines()
                 if line.startswith("| `[")}
         expected = set()
-        for section, (_, table) in CONFIG_SECTIONS.items():
-            for name, (_, key, default) in table.items():
+        for section, table in CONFIG_SECTIONS.items():
+            for name, (kind, default, bound, choices) in table.items():
                 shown = ("required" if default is MISSING else "none"
                          if default is None else str(default).lower()
                          if isinstance(default, bool) else str(default))
-                expected.add((f"[{section}]", name, key.kind, key.bound or "",
-                              shown, ", ".join(key.choices or ())))
+                expected.add((f"[{section}]", name, kind, bound or "",
+                              shown, ", ".join(choices or ())))
         assert {row[:3] + row[4:] for row in rows} == expected

@@ -44,9 +44,9 @@ GOLDEN = {
     ("cavity", "sweep-fig2", "json"): (
         0, "19a794faf1f6a0e12804c2dbb1cd0834556132c66a6421df61e4d1bb84c1635f"),
     ("cavity", "sweep-fig3", "csv"): (
-        0, "5cfb7dffa15802dbc84e790a2ee6ea923dc1444face7353cef91941790f25c74"),
+        3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("cavity", "sweep-fig3", "json"): (
-        0, "92a1a07ead53c7c15d5aa3f0724cfe60ed75300064cb25fab1b32e7f8ca4a3c8"),
+        3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("cavity", "sweep-custom", "csv"): (
         3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("cavity", "sweep-custom", "json"): (
@@ -92,9 +92,9 @@ GOLDEN = {
     ("mirror", "sweep-fig2", "json"): (
         0, "19a794faf1f6a0e12804c2dbb1cd0834556132c66a6421df61e4d1bb84c1635f"),
     ("mirror", "sweep-fig3", "csv"): (
-        0, "f64d54a01e4d1aecd2c60ccb95d5ef45dfe216b6978776c4e46ef9de24ed2e7f"),
+        3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("mirror", "sweep-fig3", "json"): (
-        0, "62f602e284fe6ebefd82646d357d3d0a18f28c7e61ac54858b08939234f64d21"),
+        3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("mirror", "sweep-custom", "csv"): (
         0, "103778cb07e8159dd57147fe5f393cdec861b197283c893a9b7e34e2be2a6344"),
     ("mirror", "sweep-custom", "json"): (
