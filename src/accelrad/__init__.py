@@ -10,15 +10,12 @@ and a reproducible CLI.
 __version__ = "0.1.0"
 
 from .errors import (ApproximationDomainError, ConfigError, ConvergenceError,
-                     NoSidebandError, OffResonanceError, OracleMismatchError,
-                     OracleRangeError, PhysicsDomainError)
+                     OracleMismatchError, OracleRangeError, PhysicsDomainError)
 from .specfun import bessel_j, bessel_j_orders, rational_period_integral
 from .rates import (ABSORB_DEEXCITE, EMIT_EXCITE, PARALLEL, PERPENDICULAR,
                     RESONANCE_TOL, AtomParams, Cavity, FreeSpace,
                     GeneralPeriodicMotion, Mirror, RotationMotion, ShoMotion,
-                    Sideband, allowed_sidebands, cavity_mode_frequency,
-                    cavity_rate, emission_frequency, free_space_rate,
-                    mirror_rate, small_amplitude_rate)
+                    Sideband, allowed_sidebands, small_amplitude_rate)
 from .oracle import (OracleResult, equivalence_cases, equivalence_report,
                      general_trajectory_spectrum, one_period_amplitude,
                      selection_rule_report, verify_selection_rule)
@@ -28,17 +25,14 @@ __all__ = [
     "__version__",
     # errors
     "ApproximationDomainError", "ConfigError", "ConvergenceError",
-    "NoSidebandError", "OffResonanceError", "OracleMismatchError",
-    "OracleRangeError", "PhysicsDomainError",
+    "OracleMismatchError", "OracleRangeError", "PhysicsDomainError",
     # special functions
     "bessel_j", "bessel_j_orders", "rational_period_integral",
     # domain model and rates
     "ABSORB_DEEXCITE", "EMIT_EXCITE", "PARALLEL", "PERPENDICULAR",
     "RESONANCE_TOL", "AtomParams", "Cavity", "FreeSpace",
     "GeneralPeriodicMotion", "Mirror", "RotationMotion", "ShoMotion",
-    "Sideband", "allowed_sidebands", "cavity_mode_frequency", "cavity_rate",
-    "emission_frequency", "free_space_rate", "mirror_rate",
-    "small_amplitude_rate",
+    "Sideband", "allowed_sidebands", "small_amplitude_rate",
     # oracle
     "OracleResult", "equivalence_cases", "equivalence_report",
     "general_trajectory_spectrum", "one_period_amplitude",

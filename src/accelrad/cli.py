@@ -26,13 +26,11 @@ from ._lazy import np
 from .constants import angular_to_hz, hz_to_angular
 from .errors import (ConfigError, ConvergenceError, OracleMismatchError,
                      PhysicsDomainError)
+from .oracle import EQUIVALENCE_TOL, SELECTION_RULE_TOL
 from .rates import (AtomParams, Cavity, FreeSpace, GeneralPeriodicMotion,
                     Mirror, RotationMotion, ShoMotion, allowed_sidebands)
 
 _LENGTH_UNITS = (("nm", 1e-9), ("um", 1e-6), ("mm", 1e-3), ("m", 1.0))
-
-SELECTION_RULE_TOL = 1e-10
-EQUIVALENCE_TOL = 1e-8
 
 
 def parse_length(text: str) -> float:

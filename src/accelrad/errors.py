@@ -7,25 +7,7 @@ OracleMismatchError and ConvergenceError -> 4; anything else is a bug.
 
 
 class PhysicsDomainError(ValueError):
-    """A physically invalid request (negative frequency, closed channel, ...)."""
-
-
-class NoSidebandError(PhysicsDomainError):
-    """Requested sideband has no positive-frequency photon (n*Omega <= omega0)."""
-
-
-class OffResonanceError(PhysicsDomainError):
-    """Cavity resonance condition violated beyond tolerance.
-
-    Attributes
-    ----------
-    mismatch : float
-        Signed resonance mismatch in rad/s.
-    """
-
-    def __init__(self, message: str, mismatch: float):
-        super().__init__(message)
-        self.mismatch = mismatch
+    """A physically invalid request (negative frequency, collision, ...)."""
 
 
 class ApproximationDomainError(PhysicsDomainError):

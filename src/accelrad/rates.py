@@ -18,10 +18,13 @@ with k = omega / c.  All frequencies are angular (rad/s), all lengths are
 meters, all rates are Hz.
 
 Each motion type declares its extent toward a boundary, its wave-vector
-projection and its phase k z(tau); each geometry its clearance and the field
-mode a photon occupies.  The closed forms here and the quadrature oracle
-both read these facts from the types and nowhere else.  Which pairs have a
-closed form is stated once, in check_closed_form; the oracle integrates
+projection and its phase k z(tau); each geometry its clearance, the field
+mode a photon occupies and, in ``sidebands(atom, motion, n)``, its own
+closed-form lines of index n.  The closed forms here and the quadrature
+oracle both read these facts from the types and nowhere else.
+allowed_sidebands is the one public closed-form entry point: it checks the
+request once (check_closed_form, which alone states which pairs have a
+closed form, and check_clearance) before any line.  The oracle integrates
 every pair that clears its boundary.
 """
 
@@ -31,8 +34,7 @@ from dataclasses import dataclass
 
 from ._lazy import np
 from .constants import SPEED_OF_LIGHT as C
-from .errors import (ApproximationDomainError, NoSidebandError,
-                     OffResonanceError, PhysicsDomainError)
+from .errors import ApproximationDomainError, PhysicsDomainError
 from .specfun import bessel_j
 
 PERPENDICULAR = "perpendicular"
@@ -256,9 +258,17 @@ class FreeSpace:
         return omega / C, None, 1.0, omega
 
     def sidebands(self, atom, motion, n: int) -> list:
-        """Closed-form lines of index n: the emission line, once open."""
-        return ([free_space_rate(atom, motion, n)]
-                if n * motion.Omega > atom.omega0 else [])
+        """Closed-form lines of index n: the emission line, once open, at
+        rate (2 pi g^2 / Omega) J_n(omega A / c)^2, A the amplitude or the
+        radius.  Relies on allowed_sidebands's request checks
+        (check_closed_form, check_clearance)."""
+        omega = n * motion.Omega - atom.omega0
+        if not omega > 0:
+            return []
+        a_tilde = omega * motion.amplitude / C
+        rate = (2.0 * math.pi * atom.g**2 / motion.Omega
+                * bessel_j(n, a_tilde)**2)
+        return [Sideband(n=n, omega=omega, rate=rate, branch=EMIT_EXCITE)]
 
 
 @dataclass(frozen=True)
@@ -279,9 +289,18 @@ class Mirror:
         return omega / C, self.z0, 1.0, omega
 
     def sidebands(self, atom, motion, n: int) -> list:
-        """See FreeSpace.sidebands."""
-        return ([mirror_rate(atom, motion, self, n)]
-                if n * motion.Omega > atom.omega0 else [])
+        """The emission line of index n, once open, at rate
+        (8 pi g^2 / Omega) sin^2(k_normal z0 - pi n / 2) J_n(k_motion A)^2,
+        the wave vector projected by the motion.  Relies on
+        allowed_sidebands's request checks, as FreeSpace.sidebands does."""
+        omega = n * motion.Omega - atom.omega0
+        if not omega > 0:
+            return []
+        k_motion, k_normal = motion.project(omega / C)
+        return [_boundary_line(atom, motion, n, omega,
+                               k_motion * motion.amplitude,
+                               k_normal * self.z0 - 0.5 * math.pi * n,
+                               1.0, EMIT_EXCITE)]
 
 
 @dataclass(frozen=True)
@@ -317,26 +336,41 @@ class Cavity:
         m = round(omega * self.length / (math.pi * C))
         return m if m >= 1 else None
 
+    def mode_frequency(self, m: int) -> float:
+        """Angular frequency omega_m = pi m c / L of mode m >= 1."""
+        return math.pi * m * C / self.length
+
     def field_mode(self, omega: float):
         """See FreeSpace.field_mode: the mode nearest ``omega``, k = pi m / L,
         or None below mode 1; off_resonance judges whether a line meets it."""
         m = self.mode_index(omega)
         return None if m is None else (math.pi * m / self.length, self.z0,
                                        self.n_photons + 1.0,
-                                       cavity_mode_frequency(self, m))
+                                       self.mode_frequency(m))
 
     def sidebands(self, atom, motion, n: int) -> list:
         """Closed-form lines of index n: each photon-number branch whose
-        nearest cavity mode meets the resonance (off_resonance)."""
+        nearest mode m meets the resonance (off_resonance), at the mirror
+        rate with k = pi m / L times chi = N + 1 (emit-excite) or N
+        (absorb-deexcite).  Relies on allowed_sidebands's request checks,
+        as FreeSpace.sidebands does."""
         out = []
-        for branch, omega in ((EMIT_EXCITE, n * motion.Omega - atom.omega0),
-                              (ABSORB_DEEXCITE,
-                               atom.omega0 - n * motion.Omega)):
+        for branch, omega, chi in (
+                (EMIT_EXCITE, n * motion.Omega - atom.omega0,
+                 self.n_photons + 1),
+                (ABSORB_DEEXCITE, atom.omega0 - n * motion.Omega,
+                 self.n_photons)):
             m = self.mode_index(omega)
-            if m is not None and not off_resonance(
-                    n, motion.Omega, atom.omega0,
-                    cavity_mode_frequency(self, m), branch):
-                out.append(cavity_rate(atom, motion, self, n, m, branch))
+            if m is None:
+                continue
+            omega_m = self.mode_frequency(m)
+            if not off_resonance(n, motion.Omega, atom.omega0, omega_m,
+                                 branch):
+                out.append(_boundary_line(
+                    atom, motion, n, omega_m,
+                    math.pi * m * motion.amplitude / self.length,
+                    math.pi * m * self.z0 / self.length - 0.5 * math.pi * n,
+                    chi, branch, m))
         return out
 
 
@@ -357,6 +391,19 @@ class Sideband:
         _check_positive("photon frequency", self.omega)
 
 
+def _boundary_line(atom, motion, n: int, omega: float, a_tilde: float,
+                   theta: float, chi: float, branch: str,
+                   m: int | None = None):
+    """Line at a boundary: (8 pi chi g^2 / Omega) sin^2(theta) J_n(a_tilde)^2.
+    A phase theta past float64 range is refused: math.sin refuses it."""
+    if math.isinf(theta):
+        raise PhysicsDomainError(
+            f"boundary phase {theta} rad is beyond float64 range")
+    rate = (8.0 * math.pi * chi * atom.g**2 / motion.Omega
+            * math.sin(theta)**2 * bessel_j(n, a_tilde)**2)
+    return Sideband(n=n, omega=omega, rate=rate, branch=branch, m=m)
+
+
 def off_resonance(n: int, Omega: float, omega0: float, omega: float,
                   branch: str) -> float:
     """The one resonance rule: n Omega - (omega0 +- omega), - on the
@@ -370,18 +417,6 @@ def off_resonance(n: int, Omega: float, omega0: float, omega: float,
     return mismatch if abs(mismatch) > RESONANCE_TOL * Omega else 0.0
 
 
-def emission_frequency(atom: AtomParams, Omega: float, n: int) -> float:
-    """Photon angular frequency omega = n*Omega - omega0 of the n-th sideband."""
-    if n != int(n) or n < 1:
-        raise ValueError(f"sideband index must be a positive integer, got {n}")
-    omega = n * Omega - atom.omega0
-    if omega <= 0:
-        raise NoSidebandError(
-            f"sideband n={n}: photon frequency n*Omega - omega0 = "
-            f"{omega:g} rad/s is not positive")
-    return omega
-
-
 def check_clearance(motion, geom):
     """Reject a trajectory that reaches the boundary: the motion's extent
     toward it must stay below the geometry's clearance."""
@@ -392,13 +427,6 @@ def check_clearance(motion, geom):
             f"(clearance {clearance:g} m); require extent < clearance")
 
 
-def _check_phase(theta: float):
-    """Reject a boundary phase past float64 range: math.sin refuses it."""
-    if math.isinf(theta):
-        raise PhysicsDomainError(
-            f"boundary phase {theta} rad is beyond float64 range")
-
-
 def check_closed_form(motion, geom):
     """The one statement of closed-form coverage: SHO of either orientation
     and rotation in free space and at a mirror, SHO along the axis in a
@@ -406,90 +434,18 @@ def check_closed_form(motion, geom):
     if isinstance(geom, Cavity):
         if not (isinstance(motion, ShoMotion)
                 and motion.orientation == PERPENDICULAR):
-            raise PhysicsDomainError(
-                "cavity_rate needs SHO motion along the cavity axis")
+            raise PhysicsDomainError("the cavity closed form needs SHO "
+                                     "motion along the cavity axis")
     elif not isinstance(motion, (ShoMotion, RotationMotion)):
         raise PhysicsDomainError(
             "sampled motion has no closed form; "
             "oracle.general_trajectory_spectrum integrates it")
 
 
-def mirror_rate(atom: AtomParams, motion, geom: Mirror, n: int) -> Sideband:
-    """Emission sideband of an atom oscillating next to a mirror.
-
-    rate = (8 pi g^2 / Omega) * sin^2(theta) * J_n(a_tilde)^2 with
-    theta = k z0 - pi n / 2 for perpendicular SHO; parallel SHO and rotation
-    substitute the projected wave-vector components (see the motion types).
-    """
-    omega = emission_frequency(atom, motion.Omega, n)
-    check_closed_form(motion, geom)
-    check_clearance(motion, geom)
-    k_motion, k_normal = motion.project(omega / C)
-    a_tilde = k_motion * motion.amplitude
-    theta = k_normal * geom.z0 - 0.5 * math.pi * n
-    _check_phase(theta)
-    rate = (8.0 * math.pi * atom.g**2 / motion.Omega
-            * math.sin(theta)**2 * bessel_j(n, a_tilde)**2)
-    return Sideband(n=n, omega=omega, rate=rate, branch=EMIT_EXCITE)
-
-
-def free_space_rate(atom: AtomParams, motion, n: int) -> Sideband:
-    """Emission sideband of an atom oscillating or rotating in free space.
-
-    rate = (2 pi g^2 / Omega) * J_n((n Omega - omega0) A / c)^2, A the
-    amplitude or the radius.
-    """
-    check_closed_form(motion, FreeSpace)
-    omega = emission_frequency(atom, motion.Omega, n)
-    a_tilde = omega * motion.amplitude / C
-    rate = (2.0 * math.pi * atom.g**2 / motion.Omega
-            * bessel_j(n, a_tilde)**2)
-    return Sideband(n=n, omega=omega, rate=rate, branch=EMIT_EXCITE)
-
-
-def cavity_mode_frequency(geom: Cavity, m: int) -> float:
-    """Angular frequency omega_m = pi m c / L of the m-th cavity mode."""
-    if m != int(m) or m < 1:
-        raise ValueError(f"mode index must be a positive integer, got {m}")
-    return math.pi * m * C / geom.length
-
-
-def cavity_rate(atom: AtomParams, motion: ShoMotion, geom: Cavity,
-                n: int, m: int, branch: str = EMIT_EXCITE) -> Sideband:
-    """Sideband rate for an atom oscillating along the axis of a cavity.
-
-    Branches (photon frequency omega = pi m c / L):
-
-    * ``emit-excite``:    requires n*Omega = omega + omega0, factor N + 1
-    * ``absorb-deexcite``: requires n*Omega = omega0 - omega, factor N
-
-    A line off resonance (off_resonance) raises OffResonanceError.
-    """
-    check_closed_form(motion, geom)
-    if n != int(n) or n < 1:
-        raise ValueError(f"sideband index must be a positive integer, got {n}")
-    omega = cavity_mode_frequency(geom, m)
-    mismatch = off_resonance(n, motion.Omega, atom.omega0, omega, branch)
-    if mismatch:
-        raise OffResonanceError(
-            f"cavity branch {branch}: resonance violated by "
-            f"{mismatch:g} rad/s (n*Omega={n * motion.Omega:g}, "
-            f"omega={omega:g}, omega0={atom.omega0:g})",
-            mismatch=mismatch,
-        )
-    chi = geom.n_photons + 1 if branch == EMIT_EXCITE else geom.n_photons
-    check_clearance(motion, geom)
-    a_tilde = math.pi * m * motion.amplitude / geom.length
-    theta = math.pi * m * geom.z0 / geom.length - 0.5 * math.pi * n
-    _check_phase(theta)
-    rate = (8.0 * math.pi * chi * atom.g**2 / motion.Omega
-            * math.sin(theta)**2 * bessel_j(n, a_tilde)**2)
-    return Sideband(n=n, omega=omega, rate=rate, branch=branch, m=m)
-
-
 def allowed_sidebands(atom: AtomParams, motion, geom,
                       n_max: int) -> list[Sideband]:
-    """All sidebands with n in [1, n_max] open in the given geometry.
+    """All sidebands with n in [1, n_max] open in the given geometry: the
+    one public closed-form entry point.
 
     For a cavity, only (n, m) pairs meeting the resonance (off_resonance)
     survive; both photon-number branches are scanned.

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import accelrad
+from accelrad import EMIT_EXCITE
 
 
 @pytest.fixture
@@ -23,3 +24,17 @@ def fresh_python(tmp_path):
                               capture_output=True, text=True, timeout=60)
 
     return run
+
+
+@pytest.fixture
+def cavity_line():
+    """``line(atom, motion, geom, n, m, branch=EMIT_EXCITE)``: the line of
+    ``geom.sidebands`` at index n, mode m and branch, or None if that
+    (n, m) has no line on it."""
+    def line(atom, motion, geom, n, m, branch=EMIT_EXCITE):
+        found = [s for s in geom.sidebands(atom, motion, n)
+                 if (s.m, s.branch) == (m, branch)]
+        assert len(found) <= 1
+        return found[0] if found else None
+
+    return line

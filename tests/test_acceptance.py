@@ -15,10 +15,9 @@ import pytest
 
 from accelrad import (ABSORB_DEEXCITE, EMIT_EXCITE, PARALLEL, AtomParams,
                       Cavity, FreeSpace, GeneralPeriodicMotion, Mirror,
-                      RotationMotion, ShoMotion, bessel_j, cavity_rate,
-                      equivalence_cases, fig2_surface, fig3_surface,
-                      free_space_rate, general_trajectory_spectrum,
-                      mirror_rate, one_period_amplitude,
+                      RotationMotion, ShoMotion, bessel_j, equivalence_cases,
+                      fig2_surface, fig3_surface,
+                      general_trajectory_spectrum, one_period_amplitude,
                       rational_period_integral, small_amplitude_rate)
 from accelrad.oracle import closed_form_rate
 from accelrad.constants import SPEED_OF_LIGHT as C
@@ -27,16 +26,17 @@ TWO_PI = 2.0 * math.pi
 
 
 def test_criterion_01_free_space_peak_rate():
-    """free_space_rate(n=1, a_tilde=1.8412) = 2.13 g^2/Omega to 1%, < 1 ms."""
+    """Free-space line n=1 at a_tilde=1.8412 = 2.13 g^2/Omega to 1%, < 1 ms."""
     atom = AtomParams(omega0=1.0, g=0.37)
     Omega = 2.0
     omega = 1 * Omega - atom.omega0
     motion = ShoMotion(amplitude=1.8412 * C / omega, Omega=Omega)
-    free_space_rate(atom, motion, 1)  # warm-up
+    free = FreeSpace()
+    free.sidebands(atom, motion, 1)  # warm-up
     best = math.inf
     for _ in range(5):
         t0 = time.perf_counter()
-        line = free_space_rate(atom, motion, 1)
+        (line,) = free.sidebands(atom, motion, 1)
         best = min(best, time.perf_counter() - t0)
     ratio = line.rate / (atom.g**2 / Omega)
     assert abs(ratio - 2.13) <= 0.01 * 2.13, f"got {ratio} g^2/Omega"
@@ -89,7 +89,7 @@ def test_criterion_03_oracle_equivalence():
           f"over {len(cases)} draws in {elapsed:.2f} s")
 
 
-def test_criterion_04_static_atom_null_result():
+def test_criterion_04_static_atom_null_result(cavity_line):
     """A = 0 gives exactly zero rate for n in [1, 20] in every geometry."""
     atom = AtomParams(omega0=0.5, g=1.0)
     Omega = 1.0
@@ -97,14 +97,14 @@ def test_criterion_04_static_atom_null_result():
     still_rot = RotationMotion(radius=0.0, Omega=Omega)
     mirror = Mirror(z0=1.0)
     for n in range(1, 21):
-        assert free_space_rate(atom, still_sho, n).rate == 0.0
-        assert mirror_rate(atom, still_sho, mirror, n).rate == 0.0
-        assert mirror_rate(atom, still_rot, mirror, n).rate == 0.0
+        assert FreeSpace().sidebands(atom, still_sho, n)[0].rate == 0.0
+        assert mirror.sidebands(atom, still_sho, n)[0].rate == 0.0
+        assert mirror.sidebands(atom, still_rot, n)[0].rate == 0.0
         # cavity resonant at this n, mode m = 2
         omega = 0.6 * n * Omega
         cavity_atom = AtomParams(omega0=n * Omega - omega, g=1.0)
         geom = Cavity(length=2.0 * math.pi * C / omega, z0=math.pi * C / omega)
-        assert cavity_rate(cavity_atom, still_sho, geom, n, 2).rate == 0.0
+        assert cavity_line(cavity_atom, still_sho, geom, n, 2).rate == 0.0
     for n in (1, 3, 20):
         res = one_period_amplitude(still_sho, mirror, n * Omega - 0.5, 0.5)
         assert abs(res.amplitude) < 1e-12
@@ -124,13 +124,13 @@ def test_criterion_05_mirror_node_zeros():
         for j in range(4):
             z0 = (0.5 * math.pi * n + j * math.pi) / k
             motion = ShoMotion(amplitude=1.2 / k, Omega=Omega)
-            rate = mirror_rate(atom, motion, Mirror(z0=z0), n).rate
+            rate = Mirror(z0=z0).sidebands(atom, motion, n)[0].rate
             worst = max(worst, rate / (atom.g**2 / Omega))
     assert worst < 1e-14, f"largest normalized node rate {worst:g}"
     print(f"criterion 5: PASS - largest normalized node rate {worst:.2e}")
 
 
-def test_criterion_06_cavity_photon_number_scaling():
+def test_criterion_06_cavity_photon_number_scaling(cavity_line):
     """Emit rate at N = 3 is exactly 4x the N = 0 rate; absorb at N = 0 is
     exactly zero."""
     Omega = 2.0e9
@@ -143,15 +143,15 @@ def test_criterion_06_cavity_photon_number_scaling():
     def cavity(n_photons):
         return Cavity(length=length, z0=0.3 * length, n_photons=n_photons)
 
-    r0 = cavity_rate(atom, motion, cavity(0), n, m, EMIT_EXCITE).rate
-    r3 = cavity_rate(atom, motion, cavity(3), n, m, EMIT_EXCITE).rate
+    r0 = cavity_line(atom, motion, cavity(0), n, m, EMIT_EXCITE).rate
+    r3 = cavity_line(atom, motion, cavity(3), n, m, EMIT_EXCITE).rate
     assert r3 / r0 == 4.0
 
     omega_abs = 1.5 * n * Omega
     absorb_atom = AtomParams(omega0=n * Omega + omega_abs, g=1.0e3)
     absorb_length = math.pi * m * C / omega_abs
     absorb_motion = ShoMotion(amplitude=0.05 * absorb_length, Omega=Omega)
-    absorbed = cavity_rate(absorb_atom, absorb_motion,
+    absorbed = cavity_line(absorb_atom, absorb_motion,
                            Cavity(length=absorb_length,
                                   z0=0.3 * absorb_length, n_photons=0),
                            n, m, ABSORB_DEEXCITE).rate
@@ -268,7 +268,7 @@ def test_criterion_08_cqed_order_of_magnitude():
     for a_tilde in np.linspace(1e-4, 0.0499, 60):
         motion = ShoMotion(amplitude=a_tilde * C / 2.0, Omega=Omega)
         approx = small_amplitude_rate(atom, motion)
-        exact = free_space_rate(atom, motion, 1).rate
+        exact = FreeSpace().sidebands(atom, motion, 1)[0].rate
         worst = max(worst, abs(approx - exact) / exact)
     assert worst < 1e-2, f"approximation error {worst:g}"
     print(f"criterion 8: PASS - {int(decade.sum())} cells in the 1e-4 Hz "
@@ -294,17 +294,17 @@ def test_criterion_09_rotation_and_parallel_reductions():
         expected = prefactor \
             * math.sin(k * math.cos(delta) * z0 - 0.5 * math.pi * n) ** 2 \
             * bessel_j(n, a_tilde) ** 2
-        rot = mirror_rate(atom, RotationMotion(radius=a_tilde / k,
-                                               Omega=Omega, delta=delta),
-                          Mirror(z0=z0), n).rate
+        rot = Mirror(z0=z0).sidebands(
+            atom, RotationMotion(radius=a_tilde / k, Omega=Omega,
+                                 delta=delta), n)[0].rate
         assert rot == pytest.approx(expected, rel=1e-12, abs=1e-290)
 
         par_expected = prefactor \
             * math.sin(k * math.cos(delta) * z0 - 0.5 * math.pi * n) ** 2 \
             * bessel_j(n, k * math.sin(delta) * (a_tilde / k)) ** 2
-        par = mirror_rate(atom, ShoMotion(amplitude=a_tilde / k, Omega=Omega,
-                                          orientation=PARALLEL, delta=delta),
-                          Mirror(z0=z0), n).rate
+        par = Mirror(z0=z0).sidebands(
+            atom, ShoMotion(amplitude=a_tilde / k, Omega=Omega,
+                            orientation=PARALLEL, delta=delta), n)[0].rate
         assert par == pytest.approx(par_expected, rel=1e-12, abs=1e-290)
         checked += 1
     assert checked == 100
@@ -327,7 +327,7 @@ def test_criterion_10_general_trajectory_regression():
     assert [line.n for line in lines] == [1, 2, 3, 4, 5, 6]
     worst = 0.0
     for line in lines:
-        closed = free_space_rate(atom, sho, line.n).rate
+        closed = FreeSpace().sidebands(atom, sho, line.n)[0].rate
         worst = max(worst, abs(line.rate - closed) / closed)
     assert worst <= 1e-6, f"max relative deviation {worst:g}"
     print(f"criterion 10: PASS - sampled sinusoid matches closed form to "

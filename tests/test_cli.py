@@ -15,9 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from accelrad import (AtomParams, ShoMotion, allowed_sidebands,
-                      free_space_rate, general_trajectory_spectrum,
-                      rate_surface)
+from accelrad import (AtomParams, FreeSpace, ShoMotion, allowed_sidebands,
+                      general_trajectory_spectrum, rate_surface)
 from accelrad.cli import (CONFIG_SECTIONS, build_atom, build_geometry,
                           build_motion, main, parse_config, parse_length,
                           serialize_config, sidebands_text, sweep_text)
@@ -180,8 +179,8 @@ class TestRateCommand:
             capsys.readouterr().out.strip().splitlines()[1].split(",")[5])
         atom = AtomParams(omega0=2.0 * math.pi * 5e9, alpha=0.2)
         motion = ShoMotion(amplitude=1e-9, Omega=2.0 * math.pi * 1e10)
-        assert abs(cli_rate - free_space_rate(atom, motion, 1).rate) \
-            <= 1e-12 * cli_rate
+        (line,) = allowed_sidebands(atom, motion, FreeSpace(), 1)
+        assert abs(cli_rate - line.rate) <= 1e-12 * cli_rate
 
     def test_mirror_collision_exits_with_physics_code(self, tmp_path):
         text = """\
@@ -361,7 +360,7 @@ kind = free_space
 class TestRotationConfig:
     def test_rotation_rate_through_cli(self, tmp_path, capsys):
         # rotation in front of a mirror; compare to the library value
-        from accelrad import Mirror, RotationMotion, mirror_rate
+        from accelrad import Mirror, RotationMotion
 
         text = """\
 [atom]
@@ -385,8 +384,8 @@ z0 = 2 mm
         atom = AtomParams(omega0=2 * math.pi * 5e9, alpha=0.2)
         motion = RotationMotion(radius=1e-9, Omega=2 * math.pi * 1e10,
                                 delta=0.4)
-        expected = mirror_rate(atom, motion, Mirror(z0=2e-3), 1).rate
-        assert cli_rate == pytest.approx(expected, rel=1e-12)
+        (expected,) = allowed_sidebands(atom, motion, Mirror(z0=2e-3), 1)
+        assert cli_rate == pytest.approx(expected.rate, rel=1e-12)
 
 
 class TestSweepCommand:
@@ -800,10 +799,10 @@ class TestUnsupportedPairBeforeAnyLine:
          6, 0, "\n6,emit-excite,,"),
         ("kind = sho\namplitude = 1 nm\norientation = parallel\n",
          _COLLIDING_GEOMETRY["cavity"], 0.9e9, 1, 3,
-         "cavity_rate needs SHO motion along the cavity axis"),
+         "the cavity closed form needs SHO motion along the cavity axis"),
         ("kind = rotation\nradius = 1 nm\n",
          _COLLIDING_GEOMETRY["cavity"], 0.9e9, 1, 3,
-         "cavity_rate needs SHO motion along the cavity axis"),
+         "the cavity closed form needs SHO motion along the cavity axis"),
     ], ids=["rotation-free_space-closed", "rotation-free_space-open",
             "parallel-cavity", "rotation-cavity"])
     def test_uncovered_pair_exits_3_whether_or_not_a_line_is_open(
@@ -1067,7 +1066,8 @@ def _route_outcome(motion, geometry, command):
     if motion == "sampled" and command == "rate-verify":
         return 2, "--verify does not apply to sampled motion"
     if geometry == "cavity" and motion in ("parallel", "rotation"):
-        return 3, "cavity_rate needs SHO motion along the cavity axis"
+        return 3, ("the cavity closed form needs SHO motion along the "
+                   "cavity axis")
     return 0, ""
 
 
@@ -1112,9 +1112,10 @@ class TestRouteTable:
         if (motion, geometry) == ("rotation", "free_space"):
             # Rotation of radius R has the closed form of SHO of amplitude R.
             sho = ShoMotion(amplitude=moving.radius, Omega=moving.Omega)
+            assert len(lines) == 12
             assert [line.rate.hex() for line in lines] == [
-                free_space_rate(atom, sho, n).rate.hex()
-                for n in range(1, 13)]
+                line.rate.hex()
+                for line in allowed_sidebands(atom, sho, geom, 12)]
 
 
 # (command, config, one stderr line); each ran for minutes or printed numpy

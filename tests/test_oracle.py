@@ -13,13 +13,12 @@ import accelrad.rates as rates_module
 import accelrad.specfun as specfun_module
 from accelrad import (EMIT_EXCITE, PARALLEL, RESONANCE_TOL, AtomParams,
                       Cavity, ConvergenceError, FreeSpace,
-                      GeneralPeriodicMotion, Mirror, OffResonanceError,
-                      OracleRangeError, PhysicsDomainError, RotationMotion,
-                      ShoMotion, allowed_sidebands, bessel_j,
-                      cavity_mode_frequency, cavity_rate, free_space_rate,
-                      general_trajectory_spectrum, mirror_rate,
-                      one_period_amplitude, rational_period_integral,
-                      selection_rule_report, verify_selection_rule)
+                      GeneralPeriodicMotion, Mirror, OracleRangeError,
+                      PhysicsDomainError, RotationMotion, ShoMotion,
+                      allowed_sidebands, bessel_j,
+                      general_trajectory_spectrum, one_period_amplitude,
+                      rational_period_integral, selection_rule_report,
+                      verify_selection_rule)
 from accelrad._quadrature import (MAX_PERIODIC_NODES, composite_gl,
                                   periodic_trapezoid, refine_to_tolerance)
 from accelrad.oracle import (equivalence_cases, equivalence_report,
@@ -56,7 +55,7 @@ class TestOnePeriodAmplitude:
         res = one_period_amplitude(motion, FreeSpace(), omega, atom.omega0,
                                    g=atom.g)
         assert res.rate == pytest.approx(
-            free_space_rate(atom, motion, 1).rate, rel=1e-10)
+            FreeSpace().sidebands(atom, motion, 1)[0].rate, rel=1e-10)
 
     def test_mirror_amplitude_closed_form(self):
         # a_tilde = 1, k z0 = pi/3, n = 2:
@@ -80,9 +79,9 @@ class TestOnePeriodAmplitude:
         res = one_period_amplitude(motion, geom, omega, atom.omega0,
                                    g=atom.g)
         assert res.rate == pytest.approx(
-            mirror_rate(atom, motion, geom, n).rate, rel=1e-10)
+            geom.sidebands(atom, motion, n)[0].rate, rel=1e-10)
 
-    def test_cavity_rate_includes_photon_factor(self):
+    def test_cavity_rate_includes_photon_factor(self, cavity_line):
         Omega = 2.0e9
         n, m = 2, 3
         omega = 0.6 * n * Omega
@@ -93,7 +92,7 @@ class TestOnePeriodAmplitude:
         motion = ShoMotion(amplitude=0.05 * length, Omega=Omega)
         res = one_period_amplitude(motion, geom, omega, omega0, g=atom.g)
         assert res.rate == pytest.approx(
-            cavity_rate(atom, motion, geom, n, m).rate, rel=1e-9)
+            cavity_line(atom, motion, geom, n, m).rate, rel=1e-9)
 
     def test_rate_invariant(self):
         motion, omega, omega0 = make_free_case(3.3, 2)
@@ -129,21 +128,20 @@ class TestOnePeriodAmplitude:
             a.rate, a.error_estimate, a.panels_used, a.floor)
 
     @pytest.mark.parametrize("offset", [0.9, -0.9, 1.1, -1.1])
-    def test_cavity_line_opens_exactly_where_the_closed_form_does(self,
-                                                                  offset):
+    def test_cavity_line_opens_exactly_where_the_closed_form_does(
+            self, offset, cavity_line):
         # n = 5: a rule relative to n Omega would open every offset here.
         Omega, n, m = 2.0e9, 5, 3
         geom = Cavity(length=1.0, z0=0.3)
-        omega = cavity_mode_frequency(geom, m)
+        omega = geom.mode_frequency(m)
         atom = AtomParams(omega0=n * Omega - omega
                           - offset * RESONANCE_TOL * Omega, g=1.0)
         motion = ShoMotion(amplitude=0.05, Omega=Omega)
         if abs(offset) < 1.0:
-            cavity_rate(atom, motion, geom, n, m)
+            assert cavity_line(atom, motion, geom, n, m) is not None
             one_period_amplitude(motion, geom, omega, atom.omega0)
         else:
-            with pytest.raises(OffResonanceError):
-                cavity_rate(atom, motion, geom, n, m)
+            assert cavity_line(atom, motion, geom, n, m) is None
             with pytest.raises(PhysicsDomainError):
                 one_period_amplitude(motion, geom, omega, atom.omega0)
 
@@ -227,7 +225,7 @@ class TestGeneralTrajectorySpectrum:
         lines = general_trajectory_spectrum(atom, sampled, FreeSpace(), 5)
         assert [line.n for line in lines] == [1, 2, 3, 4, 5]
         for line in lines:
-            closed = free_space_rate(atom, sho, line.n).rate
+            closed = FreeSpace().sidebands(atom, sho, line.n)[0].rate
             assert abs(line.rate - closed) / closed < 1e-8
 
     def test_closed_form_motions_are_integrated_too(self):
@@ -238,7 +236,7 @@ class TestGeneralTrajectorySpectrum:
             lines = general_trajectory_spectrum(atom, motion, FreeSpace(), 5)
             assert [line.n for line in lines] == [1, 2, 3, 4, 5]
             for line in lines:
-                closed = free_space_rate(atom, sho, line.n).rate
+                closed = FreeSpace().sidebands(atom, sho, line.n)[0].rate
                 assert abs(line.rate - closed) / closed < 1e-8
 
     def test_odd_sample_count_sinusoid(self):
@@ -252,7 +250,7 @@ class TestGeneralTrajectorySpectrum:
         sho = ShoMotion(amplitude=amplitude, Omega=Omega)
         lines = general_trajectory_spectrum(atom, sampled, FreeSpace(), 3)
         for line in lines:
-            closed = free_space_rate(atom, sho, line.n).rate
+            closed = FreeSpace().sidebands(atom, sho, line.n)[0].rate
             assert abs(line.rate - closed) / closed < 1e-8
 
     def test_motionless_samples_give_zero_rates(self):
@@ -284,7 +282,7 @@ class TestGeneralTrajectorySpectrum:
         rate = (Omega / TWO_PI) * (atom.g / Omega) ** 2 * abs(amp) ** 2
         assert lines[0].rate == pytest.approx(rate, rel=1e-8)
 
-    def test_cavity_keeps_only_mode_matched_lines(self):
+    def test_cavity_keeps_only_mode_matched_lines(self, cavity_line):
         Omega = 2.0e9
         n, m = 2, 3
         omega = 0.6 * n * Omega
@@ -301,7 +299,7 @@ class TestGeneralTrajectorySpectrum:
         assert [line.n for line in lines] == [n]
         motion = ShoMotion(amplitude=0.05 * length, Omega=Omega)
         assert lines[0].rate == pytest.approx(
-            cavity_rate(atom, motion, geom, n, m).rate, rel=1e-8)
+            cavity_line(atom, motion, geom, n, m).rate, rel=1e-8)
 
     # (omega0 / Omega, n, shift / omega): a mode shift within 1e-9 of omega
     # but not of Omega, and one within 1e-9 of Omega but not of omega.
@@ -472,7 +470,7 @@ class TestRateFloor:
         for n, a_tilde, expect_resolved in ((8, 0.25, False),
                                             (6, 0.5, True), (3, 0.5, True)):
             motion, omega, _ = make_free_case(a_tilde, n)
-            closed = free_space_rate(atom, motion, n).rate
+            closed = FreeSpace().sidebands(atom, motion, n)[0].rate
             result = one_period_amplitude(motion, FreeSpace(), omega,
                                           atom.omega0, g=atom.g)
             oracle_rate, floor = result.rate, result.floor
@@ -484,7 +482,7 @@ class TestRateFloor:
 # Cavity of length 1 m with two photons, atom at 3 omega_1 driven at
 # omega_1: lines n = 1, 2 absorb and n = 4..8 emit on modes 1..5.
 _CAVITY = Cavity(length=1.0, z0=0.3, n_photons=2)
-_OMEGA_1 = cavity_mode_frequency(_CAVITY, 1)
+_OMEGA_1 = _CAVITY.mode_frequency(1)
 _ATOM = AtomParams(omega0=3.0 * _OMEGA_1, g=1e3)
 
 
@@ -536,10 +534,7 @@ class TestIndependenceFromTheClosedForms:
 
         for module, name in ((specfun_module, "bessel_j"),
                              (specfun_module, "bessel_j_orders"),
-                             (rates_module, "bessel_j"),
-                             (rates_module, "free_space_rate"),
-                             (rates_module, "mirror_rate"),
-                             (rates_module, "cavity_rate")):
+                             (rates_module, "bessel_j")):
             monkeypatch.setattr(module, name, refused)
 
     @pytest.mark.parametrize("motion_kind",
@@ -584,7 +579,7 @@ class TestNodeCapRange:
         result = one_period_amplitude(motion, FreeSpace(), omega, omega0,
                                       g=atom.g)
         assert result.panels_used == 8 * (10 + 120000 + 40)
-        closed = free_space_rate(atom, motion, 10).rate
+        closed = FreeSpace().sidebands(atom, motion, 10)[0].rate
         assert result.rate == pytest.approx(closed, rel=1e-8)
 
 

@@ -18,9 +18,8 @@ import pytest
 
 from accelrad import (ABSORB_DEEXCITE, EMIT_EXCITE, PARALLEL, AtomParams,
                       Cavity, FreeSpace, GeneralPeriodicMotion, Mirror,
-                      OffResonanceError, PhysicsDomainError, RotationMotion,
-                      ShoMotion, Sideband, allowed_sidebands, bessel_j,
-                      cavity_mode_frequency, emission_frequency,
+                      PhysicsDomainError, RotationMotion, ShoMotion,
+                      Sideband, allowed_sidebands, bessel_j,
                       one_period_amplitude, rate_surface)
 from accelrad._quadrature import MAX_PERIODIC_NODES, periodic_trapezoid
 from accelrad.constants import SPEED_OF_LIGHT as C
@@ -31,6 +30,21 @@ INTEGER_TOL = 1e-9  # the frozen oracle's own integer test
 
 
 # --- frozen closed forms ---------------------------------------------------
+
+class FrozenOffResonance(Exception):
+    """The frozen cavity form's refusal of an off-resonant (n, m)."""
+
+
+def frozen_emission_frequency(atom, Omega, n):
+    omega = n * Omega - atom.omega0
+    if omega <= 0:
+        raise PhysicsDomainError(f"sideband n={n} is closed")
+    return omega
+
+
+def frozen_mode_frequency(geom, m):
+    return math.pi * m * C / geom.length
+
 
 def frozen_check_clearance(extent, clearance, what):
     if extent >= clearance:
@@ -57,7 +71,7 @@ def frozen_mirror_geometry_factors(motion, geom, n, k):
 
 
 def frozen_mirror_rate(atom, motion, geom, n):
-    omega = emission_frequency(atom, motion.Omega, n)
+    omega = frozen_emission_frequency(atom, motion.Omega, n)
     k = omega / C
     a_tilde, theta = frozen_mirror_geometry_factors(motion, geom, n, k)
     rate = (8.0 * math.pi * atom.g**2 / motion.Omega
@@ -68,7 +82,7 @@ def frozen_mirror_rate(atom, motion, geom, n):
 def frozen_free_space_rate(atom, motion, n):
     if not isinstance(motion, (ShoMotion, RotationMotion)):
         raise PhysicsDomainError("free_space_rate needs SHO or rotation")
-    omega = emission_frequency(atom, motion.Omega, n)
+    omega = frozen_emission_frequency(atom, motion.Omega, n)
     a_tilde = omega * motion.amplitude / C
     rate = (2.0 * math.pi * atom.g**2 / motion.Omega
             * bessel_j(n, a_tilde)**2)
@@ -79,7 +93,7 @@ def frozen_cavity_rate(atom, motion, geom, n, m, branch):
     if not isinstance(motion, ShoMotion) or motion.orientation == PARALLEL:
         raise PhysicsDomainError(
             "cavity_rate needs SHO motion along the cavity axis")
-    omega = cavity_mode_frequency(geom, m)
+    omega = frozen_mode_frequency(geom, m)
     if branch == EMIT_EXCITE:
         mismatch = n * motion.Omega - (omega + atom.omega0)
         chi = geom.n_photons + 1
@@ -87,7 +101,7 @@ def frozen_cavity_rate(atom, motion, geom, n, m, branch):
         mismatch = n * motion.Omega - (atom.omega0 - omega)
         chi = geom.n_photons
     if abs(mismatch) > RESONANCE_TOL * motion.Omega:
-        raise OffResonanceError("off resonance", mismatch=mismatch)
+        raise FrozenOffResonance(mismatch)
     frozen_check_clearance(motion.amplitude,
                            min(geom.z0, geom.length - geom.z0),
                            "cavity mirror")
@@ -123,7 +137,7 @@ def frozen_allowed_sidebands(atom, motion, geom, n_max):
                 try:
                     out.append(frozen_cavity_rate(atom, motion, geom, n, m,
                                                   branch))
-                except OffResonanceError:
+                except FrozenOffResonance:
                     continue
     return out
 
@@ -204,7 +218,7 @@ def frozen_line_integral(motion, geom, omega, omega0):
         frozen_require_clearance(motion, geom.z0)
     else:
         m = round(omega * geom.length / (math.pi * C))
-        if (m < 1 or abs(omega - cavity_mode_frequency(geom, m))
+        if (m < 1 or abs(omega - frozen_mode_frequency(geom, m))
                 > RESONANCE_TOL * omega):
             raise PhysicsDomainError("not a cavity mode")
         k = math.pi * m / geom.length

@@ -1,18 +1,18 @@
 """Closed-form rate tests: frozen examples, reductions, scaling laws."""
 
 import math
+import pathlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import accelrad.rates
 from accelrad import (ABSORB_DEEXCITE, EMIT_EXCITE, PARALLEL,
                       ApproximationDomainError, AtomParams, Cavity, FreeSpace,
-                      GeneralPeriodicMotion, Mirror, NoSidebandError,
-                      OffResonanceError, PhysicsDomainError, RotationMotion,
-                      ShoMotion, Sideband, allowed_sidebands, bessel_j,
-                      cavity_mode_frequency, cavity_rate, free_space_rate,
-                      general_trajectory_spectrum, mirror_rate,
+                      GeneralPeriodicMotion, Mirror, PhysicsDomainError,
+                      RotationMotion, ShoMotion, Sideband, allowed_sidebands,
+                      bessel_j, general_trajectory_spectrum,
                       one_period_amplitude, rate_surface,
                       small_amplitude_rate)
 from accelrad.constants import SPEED_OF_LIGHT as C
@@ -64,7 +64,7 @@ class TestMirrorRate:
         k = omega / C
         motion = sho_with_a_tilde(1.8412, 1.0, omega)
         geom = Mirror(z0=(math.pi / 4 + 2.0 * math.pi) / k)
-        line = mirror_rate(atom, motion, geom, 1)
+        line = geom.sidebands(atom, motion, 1)[0]
         assert line.omega == pytest.approx(0.5)
         assert line.rate == pytest.approx(MIRROR_EXAMPLE_RATE, rel=1e-10)
 
@@ -72,7 +72,7 @@ class TestMirrorRate:
         atom = AtomParams(omega0=0.5, g=1.0)
         motion = ShoMotion(amplitude=0.0, Omega=1.0)
         for n in (1, 2, 5):
-            assert mirror_rate(atom, motion, Mirror(z0=1.0), n).rate == 0.0
+            assert Mirror(z0=1.0).sidebands(atom, motion, n)[0].rate == 0.0
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_field_node_kills_rate(self, n):
@@ -81,19 +81,18 @@ class TestMirrorRate:
         k = omega / C
         z0 = (math.pi * n / 2) / k
         motion = ShoMotion(amplitude=min(1.0 / k, 0.5 * z0), Omega=1.0)
-        assert mirror_rate(atom, motion, Mirror(z0=z0), n).rate < 1e-14
+        assert Mirror(z0=z0).sidebands(atom, motion, n)[0].rate < 1e-14
 
-    def test_closed_channel_raises(self):
+    def test_closed_channel_has_no_line(self):
         atom = AtomParams(omega0=5.0, g=1.0)
         motion = ShoMotion(amplitude=1.0, Omega=1.0)
-        with pytest.raises(NoSidebandError):
-            mirror_rate(atom, motion, Mirror(z0=1e9), 3)
+        assert Mirror(z0=1e9).sidebands(atom, motion, 3) == []
 
     def test_collision_course_rejected(self):
         atom = AtomParams(omega0=0.5, g=1.0)
         motion = ShoMotion(amplitude=2.0, Omega=1.0)
         with pytest.raises(PhysicsDomainError):
-            mirror_rate(atom, motion, Mirror(z0=1.0), 1)
+            allowed_sidebands(atom, motion, Mirror(z0=1.0), 1)
 
     def test_equals_four_sine_squared_times_free_space(self):
         atom = AtomParams(omega0=0.7, g=0.4)
@@ -110,8 +109,9 @@ class TestMirrorRate:
             motion = sho_with_a_tilde(a_tilde, Omega, omega)
             geom = Mirror(z0=z_tilde / k)
             ratio = 4.0 * math.sin(k * geom.z0 - math.pi * n / 2) ** 2
-            assert mirror_rate(atom, motion, geom, n).rate == pytest.approx(
-                ratio * free_space_rate(atom, motion, n).rate, rel=1e-12)
+            free = FreeSpace().sidebands(atom, motion, n)[0]
+            assert geom.sidebands(atom, motion, n)[0].rate == pytest.approx(
+                ratio * free.rate, rel=1e-12)
 
 
 class TestRotationAndParallel:
@@ -125,8 +125,8 @@ class TestRotationAndParallel:
             geom = Mirror(z0=z_tilde / k)
             rot = RotationMotion(radius=a_tilde / k, Omega=1.5, delta=0.0)
             sho = ShoMotion(amplitude=a_tilde / k, Omega=1.5)
-            assert mirror_rate(atom, rot, geom, n).rate == pytest.approx(
-                mirror_rate(atom, sho, geom, n).rate, rel=1e-12)
+            assert geom.sidebands(atom, rot, n)[0].rate == pytest.approx(
+                geom.sidebands(atom, sho, n)[0].rate, rel=1e-12)
 
     def test_rotation_matches_substituted_formula(self):
         atom = AtomParams(omega0=0.6, g=0.9)
@@ -139,7 +139,7 @@ class TestRotationAndParallel:
                     * math.sin(k * math.cos(delta) * geom.z0
                                - math.pi * n / 2) ** 2
                     * bessel_j(n, k * rot.radius) ** 2)
-        assert mirror_rate(atom, rot, geom, n).rate == pytest.approx(
+        assert geom.sidebands(atom, rot, n)[0].rate == pytest.approx(
             expected, rel=1e-12)
 
     def test_parallel_matches_substituted_formula(self):
@@ -154,7 +154,7 @@ class TestRotationAndParallel:
                     * math.sin(k * math.cos(delta) * geom.z0
                                - math.pi * n / 2) ** 2
                     * bessel_j(n, k * math.sin(delta) * par.amplitude) ** 2)
-        assert mirror_rate(atom, par, geom, n).rate == pytest.approx(
+        assert geom.sidebands(atom, par, n)[0].rate == pytest.approx(
             expected, rel=1e-12)
 
 
@@ -163,25 +163,24 @@ class TestFreeSpaceRate:
         atom = AtomParams(omega0=1.0, g=0.37)
         omega = 1.0  # n = 1 at Omega = 2
         motion = sho_with_a_tilde(1.8412, 2.0, omega)
-        rate = free_space_rate(atom, motion, 1).rate
+        rate = FreeSpace().sidebands(atom, motion, 1)[0].rate
         assert rate / (atom.g**2 / motion.Omega) == pytest.approx(2.1, rel=0.02)
 
     def test_static_atom_emits_nothing(self):
         atom = AtomParams(omega0=1.0, g=1.0)
         motion = ShoMotion(amplitude=0.0, Omega=2.0)
-        assert free_space_rate(atom, motion, 1).rate == 0.0
+        assert FreeSpace().sidebands(atom, motion, 1)[0].rate == 0.0
 
     def test_frozen_small_argument_example(self):
         atom = AtomParams(omega0=1.0, g=1.0)
         omega = 2 * 1.0 - 1.0
         motion = sho_with_a_tilde(0.1, 1.0, omega)
-        assert free_space_rate(atom, motion, 2).rate == pytest.approx(
-            FREE_N2_SMALL_RATE, rel=1e-10)
+        line = FreeSpace().sidebands(atom, motion, 2)[0]
+        assert line.rate == pytest.approx(FREE_N2_SMALL_RATE, rel=1e-10)
 
-    def test_closed_channel_raises(self):
+    def test_closed_channel_has_no_line(self):
         atom = AtomParams(omega0=5.0, g=1.0)
-        with pytest.raises(NoSidebandError):
-            free_space_rate(atom, ShoMotion(1.0, 1.0), 2)
+        assert FreeSpace().sidebands(atom, ShoMotion(1.0, 1.0), 2) == []
 
     def test_rates_are_non_negative(self):
         atom = AtomParams(omega0=0.3, g=0.8)
@@ -190,7 +189,7 @@ class TestFreeSpaceRate:
             n = int(rng.integers(1, 15))
             motion = sho_with_a_tilde(float(rng.uniform(0, 24)), 1.0,
                                       n * 1.0 - 0.3)
-            line = free_space_rate(atom, motion, n)
+            line = FreeSpace().sidebands(atom, motion, n)[0]
             assert line.rate >= 0.0
             assert line.omega > 0.0
 
@@ -206,16 +205,16 @@ def resonant_cavity(n, m, Omega, omega_fraction, z_frac=0.3, photons=0):
 
 
 class TestCavityRate:
-    def test_photon_number_enhancement_is_exact(self):
+    def test_photon_number_enhancement_is_exact(self, cavity_line):
         Omega = 2.0e9
         atom, geom0, omega = resonant_cavity(2, 3, Omega, 0.6)
         motion = ShoMotion(amplitude=0.05 * geom0.length, Omega=Omega)
         geom3 = Cavity(length=geom0.length, z0=geom0.z0, n_photons=3)
-        r0 = cavity_rate(atom, motion, geom0, 2, 3, EMIT_EXCITE).rate
-        r3 = cavity_rate(atom, motion, geom3, 2, 3, EMIT_EXCITE).rate
+        r0 = cavity_line(atom, motion, geom0, 2, 3, EMIT_EXCITE).rate
+        r3 = cavity_line(atom, motion, geom3, 2, 3, EMIT_EXCITE).rate
         assert r3 / r0 == 4.0
 
-    def test_no_photon_to_absorb(self):
+    def test_no_photon_to_absorb(self, cavity_line):
         # absorb branch: n*Omega = omega0 - omega; chi- = N = 0.
         Omega = 1.0e9
         n, m = 2, 3
@@ -225,11 +224,11 @@ class TestCavityRate:
         atom = AtomParams(omega0=omega0, g=1.0e3)
         geom = Cavity(length=length, z0=0.3 * length, n_photons=0)
         motion = ShoMotion(amplitude=0.05 * length, Omega=Omega)
-        line = cavity_rate(atom, motion, geom, n, m, ABSORB_DEEXCITE)
+        line = cavity_line(atom, motion, geom, n, m, ABSORB_DEEXCITE)
         assert line.rate == 0.0
         assert line.branch == ABSORB_DEEXCITE
 
-    def test_absorb_branch_rate_linear_in_photon_number(self):
+    def test_absorb_branch_rate_linear_in_photon_number(self, cavity_line):
         Omega = 1.0e9
         n, m = 2, 3
         omega = 1.5 * n * Omega
@@ -237,7 +236,7 @@ class TestCavityRate:
         length = math.pi * m * C / omega
         atom = AtomParams(omega0=omega0, g=1.0e3)
         motion = ShoMotion(amplitude=0.05 * length, Omega=Omega)
-        rates = [cavity_rate(atom, motion,
+        rates = [cavity_line(atom, motion,
                              Cavity(length=length, z0=0.3 * length,
                                     n_photons=N),
                              n, m, ABSORB_DEEXCITE).rate
@@ -246,11 +245,11 @@ class TestCavityRate:
         for N in (2, 3):
             assert rates[N] == pytest.approx(N * rates[1], rel=1e-12)
 
-    def test_emit_branch_rate_affine_in_photon_number(self):
+    def test_emit_branch_rate_affine_in_photon_number(self, cavity_line):
         Omega = 2.0e9
         atom, geom, _ = resonant_cavity(2, 3, Omega, 0.6)
         motion = ShoMotion(amplitude=0.05 * geom.length, Omega=Omega)
-        rates = [cavity_rate(atom, motion,
+        rates = [cavity_line(atom, motion,
                              Cavity(length=geom.length, z0=geom.z0,
                                     n_photons=N),
                              2, 3, EMIT_EXCITE).rate for N in range(5)]
@@ -260,22 +259,21 @@ class TestCavityRate:
             assert rates[N] == pytest.approx((N + 1) * rates[0], rel=1e-12)
 
     @pytest.mark.parametrize("n,m", [(1, 1), (2, 3), (3, 2)])
-    def test_antinode_parity_zeros(self, n, m):
+    def test_antinode_parity_zeros(self, n, m, cavity_line):
         # z0/L = n/(2m) puts the sine factor on a zero.
         Omega = 2.0e9
         atom, geom, omega = resonant_cavity(n, m, Omega, 0.5,
                                             z_frac=n / (2.0 * m))
         motion = ShoMotion(amplitude=0.01 * geom.z0, Omega=Omega)
         base = 8.0 * math.pi * atom.g**2 / Omega
-        assert cavity_rate(atom, motion, geom, n, m).rate / base < 1e-28
+        assert cavity_line(atom, motion, geom, n, m).rate / base < 1e-28
 
-    def test_off_resonance_reports_mismatch(self):
+    def test_off_resonance_has_no_line(self, cavity_line):
         Omega = 2.0e9
         atom, geom, _ = resonant_cavity(2, 3, Omega, 0.6)
         motion = ShoMotion(amplitude=0.05 * geom.length, Omega=Omega)
-        with pytest.raises(OffResonanceError) as excinfo:
-            cavity_rate(atom, motion, geom, 2, 4, EMIT_EXCITE)
-        assert abs(excinfo.value.mismatch) > 0.0
+        assert cavity_line(atom, motion, geom, 2, 3, EMIT_EXCITE) is not None
+        assert cavity_line(atom, motion, geom, 2, 4, EMIT_EXCITE) is None
 
     def test_atom_must_sit_inside_cavity(self):
         with pytest.raises(ValueError):
@@ -299,6 +297,24 @@ class TestSideband:
         assert Sideband(n=1, omega=1.0, rate=0.0).rate == 0.0
 
 
+_DRIVE = 2 * math.pi * 1e10
+_CAVITY_ATOM, _CAVITY, _ = resonant_cavity(2, 3, 2.0e9, 0.6)
+#: One request with open lines at n_max = 40 per closed-form pair.
+CHECKED_REQUESTS = [
+    pytest.param(AtomParams(omega0=2 * math.pi * 2.5e10, g=1e6), motion,
+                 geom, id=f"{geom_id}-{motion_id}")
+    for geom_id, geom in (("free_space", FreeSpace()),
+                          ("mirror", Mirror(z0=0.05)))
+    for motion_id, motion in (
+        ("sho", ShoMotion(amplitude=0.01, Omega=_DRIVE)),
+        ("parallel", ShoMotion(amplitude=0.01, Omega=_DRIVE,
+                               orientation=PARALLEL, delta=0.6)),
+        ("rotation", RotationMotion(radius=0.01, Omega=_DRIVE, delta=0.6)))
+] + [pytest.param(_CAVITY_ATOM,
+                  ShoMotion(amplitude=0.05 * _CAVITY.length, Omega=2.0e9),
+                  _CAVITY, id="cavity-sho")]
+
+
 class TestAllowedSidebands:
     def test_closed_channels_yield_empty_list(self):
         atom = AtomParams(omega0=10.0, g=1.0)
@@ -320,6 +336,24 @@ class TestAllowedSidebands:
         lines = allowed_sidebands(atom, motion, geom, 6)
         assert [(line.n, line.m, line.branch) for line in lines] == [
             (2, 1, EMIT_EXCITE)]
+
+    @pytest.mark.parametrize("atom,motion,geom", CHECKED_REQUESTS)
+    def test_request_checks_run_once(self, monkeypatch, atom, motion, geom):
+        # allowed_sidebands checks the pair and the clearance once for the
+        # request; no line checks them again.
+        calls = []
+
+        def counted(check):
+            def call(*args):
+                calls.append(check.__name__)
+                return check(*args)
+            return call
+
+        for name in ("check_clearance", "check_closed_form"):
+            monkeypatch.setattr(accelrad.rates, name,
+                                counted(getattr(accelrad.rates, name)))
+        assert allowed_sidebands(atom, motion, geom, 40)
+        assert sorted(calls) == ["check_clearance", "check_closed_form"]
 
     def test_general_motion_is_directed_to_the_oracle(self):
         atom = AtomParams(omega0=1.0, g=1.0)
@@ -386,7 +420,7 @@ class TestMotionGeometryProtocol:
 
     def test_field_mode_of_a_cavity_needs_a_mode_match(self):
         geom = Cavity(length=1.0, z0=0.5, n_photons=2)
-        omega = cavity_mode_frequency(geom, 3)
+        omega = geom.mode_frequency(3)
         assert geom.field_mode(omega) == (3.0 * math.pi, 0.5, 3.0, omega)
         assert geom.field_mode(0.4 * math.pi * C) is None  # below mode 1
         assert Mirror(z0=2.0).field_mode(C) == (1.0, 2.0, 1.0, C)
@@ -471,7 +505,7 @@ class TestSmallAmplitudeRate:
         for a_tilde in (0.001, 0.01, 0.04):
             motion = ShoMotion(amplitude=a_tilde * C / 2.0, Omega=Omega)
             approx = small_amplitude_rate(atom, motion)
-            exact = free_space_rate(atom, motion, 1).rate
+            exact = FreeSpace().sidebands(atom, motion, 1)[0].rate
             assert abs(approx - exact) / exact < 1e-2
 
     def test_outside_validity_domain(self):
@@ -490,6 +524,17 @@ class TestSmallAmplitudeRate:
         atom = AtomParams(omega0=2.0, g=0.5)
         with pytest.raises(ValueError):
             small_amplitude_rate(atom, ShoMotion(1.0e-9, 4.0))
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (pathlib.Path(__file__).resolve().parent.parent
+              / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    printed = [line.split()[0] for line in
+               capsys.readouterr().out.splitlines()]
+    assert printed == ["1", "1", "2", "3"]
 
 
 def test_speed_of_light_value():
