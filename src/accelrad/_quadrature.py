@@ -11,15 +11,11 @@ a start with no room for one doubling raises before any node is evaluated.
   exponentially once N exceeds the integrand's bandwidth, so the caller
   sets the node count from that bandwidth and one doubling confirms it.
 * ``composite_gl`` / ``refine_to_tolerance`` -- composite Gauss-Legendre
-  panels with panel doubling, for the second, independent route of the
-  selection-rule scan (``specfun.rational_period_integral``).  The panel
-  rules depend on ``(a, b, panels)`` only, so the most recent
-  :data:`GL_CACHE_RULES` rules of at most :data:`GL_CACHE_MAX_NODES` nodes
-  are kept, read-only, for reuse: at most 128 x 4096 nodes x 16 bytes =
-  8 MiB.  Larger rules are built per call.
+  panels with panel doubling, behind ``specfun.rational_period_integral``.
+  Library API only: no command reaches them.  Each call builds its panel
+  rule afresh.
 """
 
-import functools
 import math
 
 from ._lazy import np
@@ -31,11 +27,6 @@ _GL_ORDER = 8
 REL_TOL = 1e-10
 #: Most nodes either rule may use; it raises rather than go past.
 MAX_PERIODIC_NODES = 2**20
-
-#: How many Gauss-Legendre panel rules ``composite_gl`` keeps for reuse.
-GL_CACHE_RULES = 128
-#: Largest rule, in nodes, that ``composite_gl`` keeps for reuse.
-GL_CACHE_MAX_NODES = 4096
 
 
 def _refine(estimate, nodes: int):
@@ -85,35 +76,15 @@ def composite_gl(f, a: float, b: float, panels: int):
     """Integrate ``f`` over [a, b] with ``panels`` Gauss-Legendre panels.
 
     ``f`` must accept an ndarray of abscissae and return an ndarray (real or
-    complex) of the same shape; the abscissae it gets are read-only.
+    complex) of the same shape.
     """
-    if panels * _GL_ORDER <= GL_CACHE_MAX_NODES:
-        x, w = _cached_gl_rule(a, b, panels)
-    else:
-        x, w = _gl_rule(a, b, panels)
-    return np.sum(w * f(x))
-
-
-def _gl_rule(a: float, b: float, panels: int):
-    """Read-only nodes and weights of ``panels`` GL panels over [a, b]."""
-    nodes, weights = _gl_panel_rule()
+    nodes, weights = np.polynomial.legendre.leggauss(_GL_ORDER)
     edges = np.linspace(a, b, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
     x = (mid[:, None] + half * nodes[None, :]).ravel()
     w = np.broadcast_to(half * weights, (panels, _GL_ORDER)).ravel()
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
-
-
-@functools.cache
-def _gl_panel_rule():
-    """Nodes and weights of the ``_GL_ORDER``-point rule on [-1, 1]."""
-    return np.polynomial.legendre.leggauss(_GL_ORDER)
-
-
-_cached_gl_rule = functools.lru_cache(maxsize=GL_CACHE_RULES)(_gl_rule)
+    return np.sum(w * f(x))
 
 
 def refine_to_tolerance(f, a: float, b: float, panels: int):

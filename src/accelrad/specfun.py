@@ -10,6 +10,9 @@ Two evaluators, both self-contained (no scipy):
                        which vanishes unless q divides p; this is the
                        mathematical form of the sideband selection rule,
                        by adaptive composite Gauss-Legendre quadrature.
+                       Library API: the ``oracle`` command's scan runs on
+                       the trapezoid route alone, and the tests keep this
+                       one as its independent check.
 """
 
 import math

@@ -76,9 +76,10 @@ def test_criterion_03_oracle_equivalence():
     worst_case = None
     cases = equivalence_cases(seed=20260808, count=200)
     for case in cases:
-        reference = closed_form_rate(case)
-        result = one_period_amplitude(case.motion, case.geom, case.omega,
-                                      case.atom.omega0, g=case.atom.g)
+        atom, motion, geom, n, omega = case
+        reference = closed_form_rate(atom, motion, geom, n)
+        result = one_period_amplitude(motion, geom, omega, atom.omega0,
+                                      g=atom.g)
         deviation = abs(result.rate - reference) / reference
         if deviation > worst:
             worst, worst_case = deviation, case

@@ -104,9 +104,9 @@ GOLDEN = {
 # ``oracle --seed 0`` in each format: the quadrature behind both report lines.
 ORACLE_GOLDEN = {
     "text": (
-        0, "e4488d28497f78fa7b4b7b26d97665aca1196a565e6af62718db59f780e35367"),
+        0, "20dc544122f580e8166c2bac8426447b266bfd2c27a9c67857928fb3e149debe"),
     "json": (
-        0, "5ba5351bde18bc00c86abd3a0bad00d0fbb3ca7e1fa5b5e052cea7a566794d7a"),
+        0, "d903ec0ea2953c07d94deafc480f1c360f461e8d331412977507ff72b1ccf008"),
 }
 
 # Config-less ``sweep --preset fig2|fig3``: the grids of the ``[sweep]``

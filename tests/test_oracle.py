@@ -20,7 +20,7 @@ from accelrad import (EMIT_EXCITE, PARALLEL, RESONANCE_TOL, AtomParams,
                       rational_period_integral, selection_rule_report,
                       verify_selection_rule)
 from accelrad._quadrature import (MAX_PERIODIC_NODES, composite_gl,
-                                  periodic_trapezoid, refine_to_tolerance)
+                                  periodic_trapezoid)
 from accelrad.oracle import (equivalence_cases, equivalence_report,
                              verified_lines)
 from accelrad.constants import SPEED_OF_LIGHT as C
@@ -624,8 +624,8 @@ def dense_selection_rule(p, q, x):
 
 
 def uncached_composite_gl(f, a, b, panels):
-    """Composite Gauss-Legendre rule built on every call, frozen from the
-    original ``composite_gl`` before it reused its panel rules."""
+    """Composite Gauss-Legendre rule, frozen: the reference that
+    ``composite_gl`` must match bit for bit."""
     nodes, weights = np.polynomial.legendre.leggauss(quadrature._GL_ORDER)
     edges = np.linspace(a, b, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
@@ -641,16 +641,32 @@ SCAN_GRID = [(p, q, x) for q in range(2, 8) for p in range(1, 21)
 
 
 def reference_selection_report():
-    """The selection-rule scan as it read before the FFT rows: the dense
-    trapezoid sum per case next to ``rational_period_integral``."""
+    """The selection-rule scan as a frozen loop: each case's FFT row built
+    afresh and read at p, with no row shared between cases."""
     worst, worst_case = 0.0, None
     for p, q, x in SCAN_GRID:
-        value = max(abs(rational_period_integral(x, p, q)),
-                    dense_selection_rule(p, q, x))
+        n_samples = max(4096, 64 * math.ceil(abs(x) * q + p))
+        psi = -math.pi + 2.0 * math.pi * np.arange(n_samples) / n_samples
+        row = np.abs(np.fft.fft(np.exp(1j * x * np.sin(q * psi)))) / n_samples
+        value = float(row[p])
         if value > worst:
             worst, worst_case = value, (x, p, q)
     return {"count": len(SCAN_GRID), "max_abs_value": worst,
             "worst_case": worst_case}
+
+
+def log_aliasing_bound(p, q, x, nodes):
+    """Natural log of 2 sum_{j >= j0} (|x|/2)^j / j!, j0 = ceil((N - p)/q):
+    the most the N-node trapezoid sum of exp(i(x sin(q psi) - p psi)) can
+    differ from the exact average (DLMF 10.14.4).  From j0 on, each term is
+    at most r = (|x|/2) / (j0 + 1) times the one before, so the tail is at
+    most its first term over 1 - r."""
+    j0 = math.ceil((nodes - p) / q)
+    half = abs(x) / 2.0
+    ratio = half / (j0 + 1)
+    assert ratio < 1.0
+    return (math.log(2.0) + j0 * math.log(half) - math.lgamma(j0 + 1)
+            - math.log1p(-ratio))
 
 
 class TestSelectionRuleRows:
@@ -682,75 +698,67 @@ class TestSelectionRuleRows:
             assert abs(fft - dense_selection_rule(p, 1, x)) <= 1e-15, p
             assert abs(fft - abs(bessel_j(p, x))) <= 1e-13, p
 
-    def test_report_equals_the_frozen_reference_loop(self, monkeypatch):
+    def test_report_equals_the_frozen_fft_row_loop(self):
         report = selection_rule_report()
-        monkeypatch.setattr(quadrature, "composite_gl", uncached_composite_gl)
-        reference = reference_selection_report()
-        assert report == reference
+        assert report == reference_selection_report()
+        assert report["worst_case"] == (7.0, 19, 4)
         assert type(report["max_abs_value"]) is float
 
+    def test_aliasing_bound_is_below_float64_on_the_grid(self):
+        worst = max(log_aliasing_bound(p, q, x,
+                                       oracle_module._selection_nodes(p, q, x))
+                    for p, q, x in SCAN_GRID)
+        assert worst < math.log(1e-300), math.exp(worst)
 
-class TestGaussLegendreRuleCache:
+    def test_report_runs_without_the_gauss_legendre_route(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Gauss-Legendre route was reached")
+
+        for module, name in ((quadrature, "composite_gl"),
+                             (quadrature, "refine_to_tolerance"),
+                             (specfun_module, "refine_to_tolerance"),
+                             (specfun_module, "rational_period_integral")):
+            monkeypatch.setattr(module, name, refuse)
+        report = selection_rule_report()
+        assert report["count"] == len(SCAN_GRID)
+        assert report["max_abs_value"] < oracle_module.SELECTION_RULE_TOL
+
+
+class TestSelectionRuleRange:
+    """The trapezoid route refuses, before building any array, what it
+    cannot evaluate; the refusals are checked on the node estimate."""
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_argument_is_a_physics_domain_error(self, x):
+        with pytest.raises(PhysicsDomainError, match="finite"):
+            oracle_module._selection_nodes(1, 2, x)
+        with pytest.raises(PhysicsDomainError, match="finite"):
+            verify_selection_rule(1, 2, x)
+
+    def test_node_count_at_the_cap_is_accepted(self):
+        assert oracle_module._selection_nodes(1, 1, 16383.0) \
+            == MAX_PERIODIC_NODES
+
+    @pytest.mark.parametrize("p,q,x", [(1, 1, 16383.5), (1, 7, 1e6)])
+    def test_node_count_past_the_cap_builds_no_row(self, monkeypatch,
+                                                   p, q, x):
+        built = []
+        monkeypatch.setattr(oracle_module, "_selection_row",
+                            lambda *args: built.append(args))
+        with pytest.raises(OracleRangeError, match="MAX_PERIODIC_NODES"):
+            oracle_module._selection_nodes(p, q, x)
+        with pytest.raises(OracleRangeError):
+            verify_selection_rule(p, q, x)
+        assert built == []
+
+
+class TestGaussLegendreRule:
     def test_rational_period_integral_bit_equal_to_uncached(self,
                                                             monkeypatch):
-        cached = [rational_period_integral(x, p, q) for p, q, x in SCAN_GRID]
+        values = [rational_period_integral(x, p, q) for p, q, x in SCAN_GRID]
         monkeypatch.setattr(quadrature, "composite_gl", uncached_composite_gl)
-        uncached = [rational_period_integral(x, p, q)
-                    for p, q, x in SCAN_GRID]
-        assert cached == uncached
-
-    def test_anger_j_bit_equal_to_uncached(self, monkeypatch):
-        def anger_j(nu, x):
-            def integrand(t):
-                return np.cos(x * np.sin(t) - nu * t)
-
-            panels = max(16, math.ceil(4.0 * (abs(x) + abs(nu))))
-            return refine_to_tolerance(integrand, 0.0, math.pi,
-                                       panels)[0] / math.pi
-
-        pairs = [(0.5, 1.0), (2.3, 7.5), (10.0, 3.0), (-1.5, 20.0),
-                 (3.0, 0.0), (0.25, 150.0)]
-        cached = [anger_j(nu, x) for nu, x in pairs]
-        monkeypatch.setattr(quadrature, "composite_gl", uncached_composite_gl)
-        assert cached == [anger_j(nu, x) for nu, x in pairs]
-
-    def test_cached_rule_arrays_are_read_only(self):
-        seen = []
-
-        def integrand(x):
-            seen.append(x)
-            return np.cos(x)
-
-        composite_gl(integrand, 0.0, 1.0, 7)
-        composite_gl(integrand, 0.0, 1.0, 7)
-        assert seen[0] is seen[1]
-        assert not seen[0].flags.writeable
-        x, w = quadrature._cached_gl_rule(0.0, 1.0, 7)
-        assert not x.flags.writeable and not w.flags.writeable
-        with pytest.raises(ValueError):
-            x[0] = 0.0
-
-    def test_rule_above_the_node_limit_is_not_cached(self):
-        panels = quadrature.GL_CACHE_MAX_NODES // quadrature._GL_ORDER + 1
-        before = quadrature._cached_gl_rule.cache_info()
-        value = composite_gl(np.cos, 0.0, 2.0, panels)
-        assert quadrature._cached_gl_rule.cache_info() == before
-        assert value == uncached_composite_gl(np.cos, 0.0, 2.0, panels)
-
-    def test_rule_at_the_node_limit_is_cached(self):
-        panels = quadrature.GL_CACHE_MAX_NODES // quadrature._GL_ORDER
-        composite_gl(np.cos, 0.0, 3.0, panels)
-        hits = quadrature._cached_gl_rule.cache_info().hits
-        composite_gl(np.cos, 0.0, 3.0, panels)
-        assert quadrature._cached_gl_rule.cache_info().hits == hits + 1
-
-    def test_cache_never_holds_more_than_its_entry_cap(self):
-        cap = quadrature.GL_CACHE_RULES
-        assert cap * quadrature.GL_CACHE_MAX_NODES * 16 <= 8 * 2**20
-        for i in range(cap + 40):
-            composite_gl(np.cos, 0.0, 1.0 + i, 3)
-            info = quadrature._cached_gl_rule.cache_info()
-            assert info.currsize <= info.maxsize == cap
+        frozen = [rational_period_integral(x, p, q) for p, q, x in SCAN_GRID]
+        assert values == frozen
 
 
 class TestEquivalenceDrawCount:

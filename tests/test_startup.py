@@ -70,7 +70,7 @@ def test_numpy_imported_after_accelrad_works(fresh_python):
 
 
 # Building a dataclass costs about a millisecond of import time each.
-MAX_IMPORT_DATACLASSES = 10
+MAX_IMPORT_DATACLASSES = 9
 
 _DATACLASSES = """\
 import dataclasses, json, sys
