@@ -15,9 +15,10 @@ with phi(tau) = k * z(tau) the position phase in scaled time tau = Omega t
 and theta0 = k * z0 the mirror offset.  Next to a boundary the k of phi and
 of theta0 are the wave-vector components along the motion and along the
 mirror normal (``project`` of the motion types); free space takes the full
-k.  The trajectory and the field mode come from the motion and geometry
-types in ``rates``, as the closed forms read them.  The per-cycle
-transition rate follows as
+k.  The trajectory comes from the motion types in ``rates`` and the field
+mode from ``field_mode(omega, branch) -> (k, z0, chi, omega_m, m)`` of the
+geometry types, the one tuple the closed-form line builder reads too.  The
+per-cycle transition rate follows as
 
     rate = chi * (Omega / 2 pi) * (g / Omega)^2 * |amplitude|^2
 
@@ -30,8 +31,8 @@ converges exponentially: its error is the aliasing tail, the integrand's
 Fourier coefficients at nonzero multiples of N (Trefethen & Weideman,
 SIAM Review 56, 2014).  Starting from 4 (n + B + 40) nodes, B a bound on
 |dphi/dtau|, puts that tail far below float64; one doubling confirms it.
-The oracle integrates the trajectory directly and shares none of the
-Bessel or sin^2 algebra of the closed forms.
+The oracle integrates the trajectory directly and shares only that
+description with the closed forms, none of their Bessel or sin^2 algebra.
 
 The selection-rule scan checks (1/2 pi) int e^{i(x sin(q psi) - p psi)} dpsi
 by the N-node trapezoid rule alone, taking every p of one (q, x, N) row
@@ -77,7 +78,7 @@ def _resonance(geom, motion, omega: float, omega0: float):
     """``(n, field_mode)`` of the emission line at ``omega``, or None unless
     omega and its mode both meet n Omega = omega + omega0 (off_resonance)."""
     n = round((omega + omega0) / motion.Omega)
-    field = geom.field_mode(omega)
+    field = geom.field_mode(omega, EMIT_EXCITE)
     if n < 1 or field is None or any(
             off_resonance(n, motion.Omega, omega0, w, EMIT_EXCITE)
             for w in (omega, field[3])):
@@ -98,9 +99,9 @@ def _line_integral(motion, geom, omega: float, omega0: float):
     if line is None:
         raise PhysicsDomainError(
             f"omega={omega!r}, omega0={omega0!r}: no field mode meets "
-            f"n*Omega = omega + omega0; use rational_period_integral to "
-            f"verify the off-resonant amplitude vanishes")
-    n, (k, z0, chi, _) = line
+            f"n*Omega = omega + omega0; verify_selection_rule checks that "
+            f"the off-resonant amplitude vanishes")
+    n, (k, z0, chi, _, _) = line
     check_clearance(motion, geom)
 
     if z0 is None:

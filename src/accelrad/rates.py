@@ -6,22 +6,26 @@ prescribed periodic trajectory.  At the sideband resonance
     omega + omega0 = n * Omega        (emission with excitation)
 
 the atom is excited out of its ground state while emitting a photon of
-angular frequency omega = n*Omega - omega0.  Closed forms:
+angular frequency omega = n*Omega - omega0.  One closed form serves every
+geometry, written over the field mode the photon fills:
 
-    free space:  rate_n = (2 pi g^2 / Omega) * J_n(k A)^2
-    mirror:      rate_n = (8 pi g^2 / Omega) * sin^2(k z0 - pi n / 2)
-                          * J_n(k A)^2
-    cavity:      mirror form with k = pi m / L and a photon-number factor
-                 chi+ = N + 1 (emit/excite) or chi- = N (absorb/de-excite)
+    rate_n = (2 pi g^2 / Omega) * chi * S * J_n(k_motion A)^2
 
-with k = omega / c.  All frequencies are angular (rad/s), all lengths are
-meters, all rates are Hz.
+    free space:  chi = 1, S = 1, k_motion = k = omega / c (no projection)
+    mirror:      chi = 1, S = 4 sin^2(k_normal z0 - pi n / 2), k = omega / c
+    cavity:      the mirror form at the mode k = pi m / L, with the
+                 photon-number factor chi = N + 1 (emit/excite) or N
+                 (absorb/de-excite)
+
+All frequencies are angular (rad/s), all lengths are meters, all rates
+are Hz.
 
 Each motion type declares its extent toward a boundary, its wave-vector
-projection and its phase k z(tau); each geometry its clearance, the field
-mode a photon occupies and, in ``sidebands(atom, motion, n)``, its own
-closed-form lines of index n.  The closed forms here and the quadrature
-oracle both read these facts from the types and nowhere else.
+projection (k_motion, k_normal) and its phase k z(tau); each geometry its
+clearance, its photon-number branches and, in ``field_mode``, the mode a
+photon occupies.  The one line builder, ``sidebands(atom, motion, n)`` of
+the geometries' common base, and the quadrature oracle both read these
+facts from the types and nowhere else.
 allowed_sidebands is the one public closed-form entry point: it checks the
 request once (check_closed_form, which alone states which pairs have a
 closed form, and check_clearance) before any line.  The oracle integrates
@@ -246,33 +250,71 @@ class GeneralPeriodicMotion:
         return phi, k * slope, k * float(np.sum(np.abs(coef)))
 
 
-class FreeSpace:
+class _Geometry:
+    """Base of the geometries: the one closed form, over the field mode.
+
+    Each geometry declares its clearance, the photon-number ``branches``
+    whose lines it scans and, in ``field_mode(omega, branch)``, the mode a
+    photon of that branch at ``omega`` fills:
+    ``(k, z0, chi, omega_m, m)``, its wavenumber, standing-wave mirror
+    offset (None if travelling), photon-number factor (N + 1 to emit,
+    N to absorb), own frequency (``omega`` in a continuum) and index
+    (None in a continuum); or None if no mode is there.
+    """
+
+    branches = (EMIT_EXCITE,)
+
+    def sidebands(self, atom, motion, n: int) -> list:
+        """Closed-form lines of index n, one per branch whose photon is
+        positive and whose field mode, if discrete, meets the resonance
+        (off_resonance), at rate
+
+            (2 pi g^2 / Omega) chi S J_n(k_motion A)^2,
+
+        A the amplitude or the radius.  S is 1 in free space (z0 None, the
+        full k) and 4 sin^2(k_normal z0 - pi n / 2) at a boundary, the wave
+        vector projected by the motion; a phase past float64 range is
+        refused, as math.sin refuses it.  Relies on allowed_sidebands's
+        request checks (check_closed_form, check_clearance)."""
+        detuning = n * motion.Omega - atom.omega0
+        out = []
+        for branch in self.branches:
+            omega = detuning if branch == EMIT_EXCITE else -detuning
+            field = self.field_mode(omega, branch) if omega > 0 else None
+            if field is None:
+                continue
+            k, z0, chi, omega_m, m = field
+            if m is not None and off_resonance(n, motion.Omega, atom.omega0,
+                                               omega_m, branch):
+                continue
+            if z0 is None:
+                a_tilde, s = k * motion.amplitude, 1.0
+            else:
+                k_motion, k_normal = motion.project(k)
+                theta = k_normal * z0 - 0.5 * math.pi * n
+                if math.isinf(theta):
+                    raise PhysicsDomainError(
+                        f"boundary phase {theta} rad is beyond float64 range")
+                a_tilde = k_motion * motion.amplitude
+                s = 4.0 * math.sin(theta)**2
+            rate = (2.0 * math.pi * chi * atom.g**2 / motion.Omega
+                    * s * bessel_j(n, a_tilde)**2)
+            out.append(Sideband(n, omega_m, rate, branch, m))
+        return out
+
+
+class FreeSpace(_Geometry):
     """Unbounded vacuum; travelling-wave modes."""
 
     clearance = math.inf
 
-    def field_mode(self, omega: float):
-        """``(k, z0, chi, omega_m)`` of the mode a photon at ``omega`` fills:
-        its wavenumber, standing-wave mirror offset (None if travelling),
-        emission factor N + 1 and own frequency (``omega`` in a continuum)."""
-        return omega / C, None, 1.0, omega
-
-    def sidebands(self, atom, motion, n: int) -> list:
-        """Closed-form lines of index n: the emission line, once open, at
-        rate (2 pi g^2 / Omega) J_n(omega A / c)^2, A the amplitude or the
-        radius.  Relies on allowed_sidebands's request checks
-        (check_closed_form, check_clearance)."""
-        omega = n * motion.Omega - atom.omega0
-        if not omega > 0:
-            return []
-        a_tilde = omega * motion.amplitude / C
-        rate = (2.0 * math.pi * atom.g**2 / motion.Omega
-                * bessel_j(n, a_tilde)**2)
-        return [Sideband(n=n, omega=omega, rate=rate, branch=EMIT_EXCITE)]
+    def field_mode(self, omega: float, branch: str):
+        """The travelling wave k = omega / c; see _Geometry."""
+        return omega / C, None, 1.0, omega, None
 
 
 @dataclass(frozen=True)
-class Mirror:
+class Mirror(_Geometry):
     """Half-line with a perfect mirror at z = z0 > 0; standing-wave modes."""
 
     z0: float
@@ -284,27 +326,13 @@ class Mirror:
     def clearance(self) -> float:
         return self.z0
 
-    def field_mode(self, omega: float):
-        """See FreeSpace.field_mode."""
-        return omega / C, self.z0, 1.0, omega
-
-    def sidebands(self, atom, motion, n: int) -> list:
-        """The emission line of index n, once open, at rate
-        (8 pi g^2 / Omega) sin^2(k_normal z0 - pi n / 2) J_n(k_motion A)^2,
-        the wave vector projected by the motion.  Relies on
-        allowed_sidebands's request checks, as FreeSpace.sidebands does."""
-        omega = n * motion.Omega - atom.omega0
-        if not omega > 0:
-            return []
-        k_motion, k_normal = motion.project(omega / C)
-        return [_boundary_line(atom, motion, n, omega,
-                               k_motion * motion.amplitude,
-                               k_normal * self.z0 - 0.5 * math.pi * n,
-                               1.0, EMIT_EXCITE)]
+    def field_mode(self, omega: float, branch: str):
+        """The standing wave k = omega / c; see _Geometry."""
+        return omega / C, self.z0, 1.0, omega, None
 
 
 @dataclass(frozen=True)
-class Cavity:
+class Cavity(_Geometry):
     """Cavity of length L with modes omega_m = pi m c / L.
 
     ``z0`` is the equilibrium position of the atom inside the cavity and
@@ -314,6 +342,8 @@ class Cavity:
     length: float
     z0: float
     n_photons: int = 0
+
+    branches = (EMIT_EXCITE, ABSORB_DEEXCITE)
 
     def __post_init__(self):
         _check_positive("length", self.length)
@@ -331,47 +361,20 @@ class Cavity:
         """Distance from z0 to the nearer cavity mirror."""
         return min(self.z0, self.length - self.z0)
 
-    def mode_index(self, omega: float) -> int | None:
-        """Index m of the mode nearest ``omega``, or None below mode 1."""
-        m = round(omega * self.length / (math.pi * C))
-        return m if m >= 1 else None
-
     def mode_frequency(self, m: int) -> float:
         """Angular frequency omega_m = pi m c / L of mode m >= 1."""
         return math.pi * m * C / self.length
 
-    def field_mode(self, omega: float):
-        """See FreeSpace.field_mode: the mode nearest ``omega``, k = pi m / L,
-        or None below mode 1; off_resonance judges whether a line meets it."""
-        m = self.mode_index(omega)
-        return None if m is None else (math.pi * m / self.length, self.z0,
-                                       self.n_photons + 1.0,
-                                       self.mode_frequency(m))
-
-    def sidebands(self, atom, motion, n: int) -> list:
-        """Closed-form lines of index n: each photon-number branch whose
-        nearest mode m meets the resonance (off_resonance), at the mirror
-        rate with k = pi m / L times chi = N + 1 (emit-excite) or N
-        (absorb-deexcite).  Relies on allowed_sidebands's request checks,
-        as FreeSpace.sidebands does."""
-        out = []
-        for branch, omega, chi in (
-                (EMIT_EXCITE, n * motion.Omega - atom.omega0,
-                 self.n_photons + 1),
-                (ABSORB_DEEXCITE, atom.omega0 - n * motion.Omega,
-                 self.n_photons)):
-            m = self.mode_index(omega)
-            if m is None:
-                continue
-            omega_m = self.mode_frequency(m)
-            if not off_resonance(n, motion.Omega, atom.omega0, omega_m,
-                                 branch):
-                out.append(_boundary_line(
-                    atom, motion, n, omega_m,
-                    math.pi * m * motion.amplitude / self.length,
-                    math.pi * m * self.z0 / self.length - 0.5 * math.pi * n,
-                    chi, branch, m))
-        return out
+    def field_mode(self, omega: float, branch: str):
+        """The mode m nearest ``omega``, k = pi m / L, or None below mode 1;
+        see _Geometry.  Whether a line meets it is off_resonance's call."""
+        m = round(omega * self.length / (math.pi * C))
+        if m < 1:
+            return None
+        chi = (self.n_photons + 1.0 if branch == EMIT_EXCITE
+               else float(self.n_photons))
+        return (math.pi * m / self.length, self.z0, chi,
+                self.mode_frequency(m), m)
 
 
 @dataclass(frozen=True)
@@ -389,19 +392,6 @@ class Sideband:
             raise PhysicsDomainError(
                 f"rate must be finite and >= 0, got {self.rate}")
         _check_positive("photon frequency", self.omega)
-
-
-def _boundary_line(atom, motion, n: int, omega: float, a_tilde: float,
-                   theta: float, chi: float, branch: str,
-                   m: int | None = None):
-    """Line at a boundary: (8 pi chi g^2 / Omega) sin^2(theta) J_n(a_tilde)^2.
-    A phase theta past float64 range is refused: math.sin refuses it."""
-    if math.isinf(theta):
-        raise PhysicsDomainError(
-            f"boundary phase {theta} rad is beyond float64 range")
-    rate = (8.0 * math.pi * chi * atom.g**2 / motion.Omega
-            * math.sin(theta)**2 * bessel_j(n, a_tilde)**2)
-    return Sideband(n=n, omega=omega, rate=rate, branch=branch, m=m)
 
 
 def off_resonance(n: int, Omega: float, omega0: float, omega: float,

@@ -19,8 +19,10 @@ import pytest
 
 import accelrad.cli  # noqa: F401  (the tracer expects it imported)
 import accelrad.rates
+from accelrad.constants import SPEED_OF_LIGHT as C
 from accelrad.oracle import VERIFY_TOL
-from accelrad.rates import (PARALLEL, RESONANCE_TOL, AtomParams, FreeSpace,
+from accelrad.rates import (ABSORB_DEEXCITE, EMIT_EXCITE, PARALLEL,
+                            RESONANCE_TOL, AtomParams, Cavity, FreeSpace,
                             Mirror, RotationMotion, ShoMotion,
                             allowed_sidebands)
 
@@ -83,15 +85,9 @@ def test_importing_cli_loads_every_traced_module(fresh_python):
 
 # ``bench/run.py`` asserts, on every traced request tagged
 # ``bessel-per-line``, one ``specfun.bessel_j`` call per emitted line.
-@pytest.mark.parametrize("geom", [FreeSpace(), Mirror(z0=0.05)],
-                         ids=["free_space", "mirror"])
-@pytest.mark.parametrize("motion", [
-    ShoMotion(amplitude=0.01, Omega=2 * math.pi * 1e10),
-    ShoMotion(amplitude=0.01, Omega=2 * math.pi * 1e10,
-              orientation=PARALLEL, delta=0.6),
-    RotationMotion(radius=0.01, Omega=2 * math.pi * 1e10, delta=0.6)],
-    ids=["sho", "parallel", "rotation"])
-def test_one_bessel_call_per_emitted_line(monkeypatch, motion, geom):
+@pytest.fixture
+def bessel_calls(monkeypatch):
+    """The order of every ``bessel_j`` call the closed forms make."""
     calls = []
     bessel_j = accelrad.rates.bessel_j
 
@@ -100,7 +96,36 @@ def test_one_bessel_call_per_emitted_line(monkeypatch, motion, geom):
         return bessel_j(n, x)
 
     monkeypatch.setattr(accelrad.rates, "bessel_j", counted)
+    return calls
+
+
+@pytest.mark.parametrize("geom", [FreeSpace(), Mirror(z0=0.05)],
+                         ids=["free_space", "mirror"])
+@pytest.mark.parametrize("motion", [
+    ShoMotion(amplitude=0.01, Omega=2 * math.pi * 1e10),
+    ShoMotion(amplitude=0.01, Omega=2 * math.pi * 1e10,
+              orientation=PARALLEL, delta=0.6),
+    RotationMotion(radius=0.01, Omega=2 * math.pi * 1e10, delta=0.6)],
+    ids=["sho", "parallel", "rotation"])
+def test_one_bessel_call_per_emitted_line(bessel_calls, motion, geom):
     atom = AtomParams(omega0=2 * math.pi * 2.5e10, g=1e6)
     lines = allowed_sidebands(atom, motion, geom, 40)
     assert len(lines) == 38
-    assert calls == [line.n for line in lines]
+    assert bessel_calls == [line.n for line in lines]
+
+
+def test_one_bessel_call_per_emitted_cavity_line(bessel_calls):
+    # Driven at the mode spacing with omega0 = 5 Omega, mode n - 5 meets the
+    # emit-excite line of n > 5 and mode 5 - n the absorb-deexcite line of
+    # n < 5; with N = 2 photons both branches carry a nonzero rate.
+    length = 0.1
+    Omega = math.pi * C / length
+    geom = Cavity(length=length, z0=0.037, n_photons=2)
+    atom = AtomParams(omega0=5 * Omega, g=1e6)
+    lines = allowed_sidebands(atom, ShoMotion(amplitude=0.01, Omega=Omega),
+                              geom, 40)
+    assert [(line.branch, line.m) for line in lines] == (
+        [(ABSORB_DEEXCITE, 5 - n) for n in range(1, 5)]
+        + [(EMIT_EXCITE, n - 5) for n in range(6, 41)])
+    assert all(line.rate > 0 for line in lines)
+    assert bessel_calls == [line.n for line in lines]

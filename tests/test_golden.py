@@ -60,9 +60,9 @@ GOLDEN = {
     ("free_space", "rate-verify", "json"): (
         0, "5757da376d3b76e460534431317199093a110e0899052c209babc68eddca39a8"),
     ("free_space", "spectrum", "csv"): (
-        0, "7c707d8c98e50f19b5ec0749a750ed609f1c20c45977d3999c6f633ecd24a3e1"),
+        0, "37935791e8070ef70bdef59f09b89ee9cc0c0a8379260f4430b28ef0bef8a44b"),
     ("free_space", "spectrum", "json"): (
-        0, "ca8fc092766ec9a26b09978286f6349ebb666bdb36fd593124399af927f2a24c"),
+        0, "280d1b14a4d4530f4a913a925cca22beda99912a206f8c126e98bb7b8d5a7bb0"),
     ("free_space", "sweep-fig2", "csv"): (
         0, "7911ab633604a425fb844d4e70920b3b05684bf6982df51a67874ae115cafc8f"),
     ("free_space", "sweep-fig2", "json"): (
@@ -72,9 +72,9 @@ GOLDEN = {
     ("free_space", "sweep-fig3", "json"): (
         0, "62f602e284fe6ebefd82646d357d3d0a18f28c7e61ac54858b08939234f64d21"),
     ("free_space", "sweep-custom", "csv"): (
-        0, "d23fa78af186582b30e34e3c701f1a2dfc5140ec4d8ff004adc1672eee38b84d"),
+        0, "2453f31f4aee5dab95d66c34576a10b92719f8657f5dcb2d51f701fff524072b"),
     ("free_space", "sweep-custom", "json"): (
-        0, "a9991d8dcdb1a40311496bdb9469aa6c0007adb60bf4b8a430f3667a868f5f18"),
+        0, "a8bbb0bae44d9344b0b2f9113659306a2a455f5465a3953b66b81bac33b1a323"),
     ("mirror", "rate", "csv"): (
         0, "623cad973f7ee37f326233d16bc0cc1ea87ce2869fbd35284421c23ead96cf7b"),
     ("mirror", "rate", "json"): (

@@ -106,7 +106,8 @@ class TestOnePeriodAmplitude:
 
     def test_off_resonance_is_a_precondition_error(self):
         motion = ShoMotion(amplitude=1.0, Omega=2.0)
-        with pytest.raises(PhysicsDomainError):
+        # The refusal points at the selection-rule route `oracle` runs.
+        with pytest.raises(PhysicsDomainError, match="verify_selection_rule"):
             one_period_amplitude(motion, FreeSpace(), 1.37, 1.0)
 
     def test_boundary_collision_rejected(self):

@@ -7,7 +7,11 @@ the boundary clearance and the cavity mode index through their own
 facts once; every output must stay bit-equal to these copies on a seeded
 grid of every supported motion x geometry pair.  Free-space parallel SHO is
 left out of the oracle comparison only: the oracle now uses the full k A
-there, as the closed form always did.
+there, as the closed form always did.  The frozen free-space and cavity
+closed forms take k A and k z0 with k = omega / c or pi m / L, as the one
+line builder over the field mode does; the expressions they replaced,
+omega A / c, pi m A / L and pi m z0 / L, are gated against mpmath in
+tests/test_line_builder_accuracy.py.
 """
 
 import math
@@ -83,7 +87,7 @@ def frozen_free_space_rate(atom, motion, n):
     if not isinstance(motion, (ShoMotion, RotationMotion)):
         raise PhysicsDomainError("free_space_rate needs SHO or rotation")
     omega = frozen_emission_frequency(atom, motion.Omega, n)
-    a_tilde = omega * motion.amplitude / C
+    a_tilde = (omega / C) * motion.amplitude
     rate = (2.0 * math.pi * atom.g**2 / motion.Omega
             * bessel_j(n, a_tilde)**2)
     return Sideband(n=n, omega=omega, rate=rate, branch=EMIT_EXCITE)
@@ -105,8 +109,9 @@ def frozen_cavity_rate(atom, motion, geom, n, m, branch):
     frozen_check_clearance(motion.amplitude,
                            min(geom.z0, geom.length - geom.z0),
                            "cavity mirror")
-    a_tilde = math.pi * m * motion.amplitude / geom.length
-    theta = math.pi * m * geom.z0 / geom.length - 0.5 * math.pi * n
+    k = math.pi * m / geom.length
+    a_tilde = k * motion.amplitude
+    theta = k * geom.z0 - 0.5 * math.pi * n
     rate = (8.0 * math.pi * chi * atom.g**2 / motion.Omega
             * math.sin(theta)**2 * bessel_j(n, a_tilde)**2)
     return Sideband(n=n, omega=omega, rate=rate, branch=branch, m=m)

@@ -411,20 +411,26 @@ class TestMotionGeometryProtocol:
         assert Cavity(length=5.0, z0=3.5).clearance == 5.0 - 3.5
         assert Cavity(length=5.0, z0=1.5).clearance == 1.5
 
-    def test_mode_index(self):
+    def test_cavity_field_mode_index(self):
         geom = Cavity(length=1.0, z0=0.5)
-        assert geom.mode_index(3.0 * math.pi * C) == 3
-        assert geom.mode_index(3.4 * math.pi * C) == 3
-        assert geom.mode_index(0.4 * math.pi * C) is None
-        assert geom.mode_index(-2.0 * math.pi * C) is None
+        for turns, m in ((3.0, 3), (3.4, 3), (0.4, None), (-2.0, None)):
+            omega = turns * math.pi * C
+            for branch in (EMIT_EXCITE, ABSORB_DEEXCITE):
+                field = geom.field_mode(omega, branch)
+                assert (None if field is None else field[4]) == m
 
     def test_field_mode_of_a_cavity_needs_a_mode_match(self):
         geom = Cavity(length=1.0, z0=0.5, n_photons=2)
         omega = geom.mode_frequency(3)
-        assert geom.field_mode(omega) == (3.0 * math.pi, 0.5, 3.0, omega)
-        assert geom.field_mode(0.4 * math.pi * C) is None  # below mode 1
-        assert Mirror(z0=2.0).field_mode(C) == (1.0, 2.0, 1.0, C)
-        assert FreeSpace().field_mode(C) == (1.0, None, 1.0, C)
+        assert geom.field_mode(omega, EMIT_EXCITE) == (
+            3.0 * math.pi, 0.5, 3.0, omega, 3)
+        assert geom.field_mode(omega, ABSORB_DEEXCITE) == (
+            3.0 * math.pi, 0.5, 2.0, omega, 3)
+        assert geom.field_mode(0.4 * math.pi * C, EMIT_EXCITE) is None
+        assert Mirror(z0=2.0).field_mode(C, EMIT_EXCITE) == (
+            1.0, 2.0, 1.0, C, None)
+        assert FreeSpace().field_mode(C, EMIT_EXCITE) == (
+            1.0, None, 1.0, C, None)
         # The field mode only names the nearest mode; the resonance rule
         # holds both the photon and that mode's own frequency to
         # n Omega = omega + omega0, so a photon a millionth off the mode is
