@@ -163,6 +163,8 @@ def parse_config(text: str) -> SimpleNamespace:
     for section in ("atom", "motion", "geometry"):
         if not cp.has_section(section):
             raise ConfigError(f"missing required section [{section}]")
+    if cp.defaults():  # configparser would copy its keys into every section
+        raise ConfigError(f"unknown section [{cp.default_section}]")
     for section in cp.sections():
         if section not in CONFIG_SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
@@ -328,7 +330,7 @@ def _load_config(path: str | None) -> SimpleNamespace | None:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return parse_config(text)
 

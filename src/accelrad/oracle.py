@@ -16,8 +16,10 @@ and theta0 = k * z0 the mirror offset.  Next to a boundary the k of phi and
 of theta0 are the wave-vector components along the motion and along the
 mirror normal (``project`` of the motion types); free space takes the full
 k.  The trajectory comes from the motion types in ``rates`` and the field
-mode from ``field_mode(omega, branch) -> (k, z0, chi, omega_m, m)`` of the
-geometry types, the one tuple the closed-form line builder reads too.  The
+mode from ``field_mode(omega) -> (k, z0, chi, omega_m, m)`` of the geometry
+types, the one tuple the closed-form line builder reads too.  The oracle
+takes omega > 0, n Omega = omega0 + omega: emission lines only; the
+cavity's absorption lines (n Omega - omega0 < 0) have no oracle.  The
 per-cycle transition rate follows as
 
     rate = chi * (Omega / 2 pi) * (g / Omega)^2 * |amplitude|^2
@@ -78,9 +80,9 @@ def _resonance(geom, motion, omega: float, omega0: float):
     """``(n, field_mode)`` of the emission line at ``omega``, or None unless
     omega and its mode both meet n Omega = omega + omega0 (off_resonance)."""
     n = round((omega + omega0) / motion.Omega)
-    field = geom.field_mode(omega, EMIT_EXCITE)
+    field = geom.field_mode(omega)
     if n < 1 or field is None or any(
-            off_resonance(n, motion.Omega, omega0, w, EMIT_EXCITE)
+            off_resonance(n, motion.Omega, omega0, w)
             for w in (omega, field[3])):
         return None
     return n, field
@@ -259,8 +261,7 @@ def general_trajectory_spectrum(atom: AtomParams, motion, geom,
             continue
         result = one_period_amplitude(motion, geom, omega, atom.omega0,
                                       g=atom.g)
-        out.append(Sideband(n=n, omega=omega, rate=result.rate,
-                            branch=EMIT_EXCITE))
+        out.append(Sideband(n=n, omega=omega, rate=result.rate))
     return out
 
 
@@ -332,11 +333,10 @@ def equivalence_cases(seed: int = 0, count: int = 200) -> list[tuple]:
 
 
 def closed_form_rate(atom: AtomParams, motion, geom, n: int) -> float:
-    """Closed-form rate of line n of an equivalence draw (emission branch).
-    Every draw is a closed-form pair that clears its boundary, so it skips
-    the request checks of allowed_sidebands."""
-    lines = geom.sidebands(atom, motion, n)
-    return next(line.rate for line in lines if line.branch == EMIT_EXCITE)
+    """Closed-form rate of line n of an equivalence draw, an emission line
+    (n Omega > omega0).  Every draw is a closed-form pair that clears its
+    boundary, so it skips the request checks of allowed_sidebands."""
+    return geom.sideband(atom, motion, n).rate
 
 
 def equivalence_report(seed: int = 0, count: int = 200) -> dict:

@@ -1,13 +1,15 @@
 """Domain model and closed-form per-sideband transition rates.
 
 A two-level atom (transition frequency omega0, coupling g) is driven along a
-prescribed periodic trajectory.  At the sideband resonance
+prescribed periodic trajectory and trades n drive quanta for its excitation
+and a photon.  The sign of n*Omega - omega0 fixes the process, so each index
+n has at most one line:
 
-    omega + omega0 = n * Omega        (emission with excitation)
+    n * Omega = omega0 + omega   (> 0: emission with excitation)
+    n * Omega = omega0 - omega   (< 0: absorption, cavity photons only)
 
-the atom is excited out of its ground state while emitting a photon of
-angular frequency omega = n*Omega - omega0.  One closed form serves every
-geometry, written over the field mode the photon fills:
+One closed form serves every geometry, written over the field mode the
+photon of angular frequency omega fills:
 
     rate_n = (2 pi g^2 / Omega) * chi * S * J_n(k_motion A)^2
 
@@ -22,10 +24,10 @@ are Hz.
 
 Each motion type declares its extent toward a boundary, its wave-vector
 projection (k_motion, k_normal) and its phase k z(tau); each geometry its
-clearance, its photon-number branches and, in ``field_mode``, the mode a
-photon occupies.  The one line builder, ``sidebands(atom, motion, n)`` of
-the geometries' common base, and the quadrature oracle both read these
-facts from the types and nowhere else.
+clearance and, in ``field_mode(eps)``, the mode a photon of signed energy
+eps = n*Omega - omega0 occupies.  The one line builder,
+``sideband(atom, motion, n)`` of the geometries' common base, and the
+quadrature oracle both read these facts from the types and nowhere else.
 allowed_sidebands is the one public closed-form entry point: it checks the
 request once (check_closed_form, which alone states which pairs have a
 closed form, and check_clearance) before any line.  The oracle integrates
@@ -253,21 +255,20 @@ class GeneralPeriodicMotion:
 class _Geometry:
     """Base of the geometries: the one closed form, over the field mode.
 
-    Each geometry declares its clearance, the photon-number ``branches``
-    whose lines it scans and, in ``field_mode(omega, branch)``, the mode a
-    photon of that branch at ``omega`` fills:
-    ``(k, z0, chi, omega_m, m)``, its wavenumber, standing-wave mirror
-    offset (None if travelling), photon-number factor (N + 1 to emit,
-    N to absorb), own frequency (``omega`` in a continuum) and index
-    (None in a continuum); or None if no mode is there.
+    Line n carries the signed photon energy eps = n Omega - omega0: eps > 0
+    emits a photon of omega = eps (emit-excite), eps < 0 absorbs one of
+    omega = -eps (absorb-deexcite, cavity only), so each index has at most
+    one line.  Each geometry declares its clearance and, in
+    ``field_mode(eps)``, the mode that photon fills: ``(k, z0, chi,
+    omega_m, m)``, its wavenumber, standing-wave mirror offset (None if
+    travelling), photon-number factor (N + 1 to emit, N to absorb), own
+    frequency (``omega`` in a continuum) and index (None in a continuum);
+    or None if no mode is there.
     """
 
-    branches = (EMIT_EXCITE,)
-
-    def sidebands(self, atom, motion, n: int) -> list:
-        """Closed-form lines of index n, one per branch whose photon is
-        positive and whose field mode, if discrete, meets the resonance
-        (off_resonance), at rate
+    def sideband(self, atom, motion, n: int) -> "Sideband | None":
+        """The closed-form line of index n, or None if the photon has no
+        field mode or a discrete one off resonance (off_resonance), at rate
 
             (2 pi g^2 / Omega) chi S J_n(k_motion A)^2,
 
@@ -276,41 +277,41 @@ class _Geometry:
         vector projected by the motion; a phase past float64 range is
         refused, as math.sin refuses it.  Relies on allowed_sidebands's
         request checks (check_closed_form, check_clearance)."""
-        detuning = n * motion.Omega - atom.omega0
-        out = []
-        for branch in self.branches:
-            omega = detuning if branch == EMIT_EXCITE else -detuning
-            field = self.field_mode(omega, branch) if omega > 0 else None
-            if field is None:
-                continue
-            k, z0, chi, omega_m, m = field
-            if m is not None and off_resonance(n, motion.Omega, atom.omega0,
-                                               omega_m, branch):
-                continue
-            if z0 is None:
-                a_tilde, s = k * motion.amplitude, 1.0
-            else:
-                k_motion, k_normal = motion.project(k)
-                theta = k_normal * z0 - 0.5 * math.pi * n
-                if math.isinf(theta):
-                    raise PhysicsDomainError(
-                        f"boundary phase {theta} rad is beyond float64 range")
-                a_tilde = k_motion * motion.amplitude
-                s = 4.0 * math.sin(theta)**2
-            rate = (2.0 * math.pi * chi * atom.g**2 / motion.Omega
-                    * s * bessel_j(n, a_tilde)**2)
-            out.append(Sideband(n, omega_m, rate, branch, m))
-        return out
+        eps = n * motion.Omega - atom.omega0
+        field = self.field_mode(eps)
+        if field is None:
+            return None
+        k, z0, chi, omega_m, m = field
+        emits = eps > 0
+        if m is not None and off_resonance(n, motion.Omega, atom.omega0,
+                                           omega_m if emits else -omega_m):
+            return None
+        if z0 is None:
+            a_tilde, s = k * motion.amplitude, 1.0
+        else:
+            k_motion, k_normal = motion.project(k)
+            theta = k_normal * z0 - 0.5 * math.pi * n
+            if math.isinf(theta):
+                raise PhysicsDomainError(
+                    f"boundary phase {theta} rad is beyond float64 range")
+            a_tilde = k_motion * motion.amplitude
+            s = 4.0 * math.sin(theta)**2
+        rate = (2.0 * math.pi * chi * atom.g**2 / motion.Omega
+                * s * bessel_j(n, a_tilde)**2)
+        return Sideband(n, omega_m, rate,
+                        EMIT_EXCITE if emits else ABSORB_DEEXCITE, m)
+
+    def field_mode(self, eps: float):
+        """The wave k = eps / c of a continuum, travelling or standing at
+        ``self.z0``, or None for eps <= 0: no photon to absorb."""
+        return (eps / C, self.z0, 1.0, eps, None) if eps > 0 else None
 
 
 class FreeSpace(_Geometry):
     """Unbounded vacuum; travelling-wave modes."""
 
     clearance = math.inf
-
-    def field_mode(self, omega: float, branch: str):
-        """The travelling wave k = omega / c; see _Geometry."""
-        return omega / C, None, 1.0, omega, None
+    z0 = None
 
 
 @dataclass(frozen=True)
@@ -326,10 +327,6 @@ class Mirror(_Geometry):
     def clearance(self) -> float:
         return self.z0
 
-    def field_mode(self, omega: float, branch: str):
-        """The standing wave k = omega / c; see _Geometry."""
-        return omega / C, self.z0, 1.0, omega, None
-
 
 @dataclass(frozen=True)
 class Cavity(_Geometry):
@@ -342,8 +339,6 @@ class Cavity(_Geometry):
     length: float
     z0: float
     n_photons: int = 0
-
-    branches = (EMIT_EXCITE, ABSORB_DEEXCITE)
 
     def __post_init__(self):
         _check_positive("length", self.length)
@@ -365,21 +360,23 @@ class Cavity(_Geometry):
         """Angular frequency omega_m = pi m c / L of mode m >= 1."""
         return math.pi * m * C / self.length
 
-    def field_mode(self, omega: float, branch: str):
-        """The mode m nearest ``omega``, k = pi m / L, or None below mode 1;
-        see _Geometry.  Whether a line meets it is off_resonance's call."""
-        m = round(omega * self.length / (math.pi * C))
+    def field_mode(self, eps: float):
+        """The mode m nearest |eps|, k = pi m / L, chi by the sign of eps, or
+        None below mode 1; whether a line meets it is off_resonance's call."""
+        m = round(abs(eps) * self.length / (math.pi * C))
         if m < 1:
             return None
-        chi = (self.n_photons + 1.0 if branch == EMIT_EXCITE
-               else float(self.n_photons))
+        chi = self.n_photons + 1.0 if eps > 0 else float(self.n_photons)
         return (math.pi * m / self.length, self.z0, chi,
                 self.mode_frequency(m), m)
 
 
 @dataclass(frozen=True)
 class Sideband:
-    """One resonance line: index n, photon angular frequency, rate in Hz."""
+    """One resonance line: index n, photon angular frequency (the mode's
+    omega_m on a closed-form cavity line), rate in Hz, and its branch by the
+    sign of n Omega - omega0: emit-excite if positive, absorb-deexcite
+    (cavity only) if negative."""
 
     n: int
     omega: float
@@ -394,16 +391,10 @@ class Sideband:
         _check_positive("photon frequency", self.omega)
 
 
-def off_resonance(n: int, Omega: float, omega0: float, omega: float,
-                  branch: str) -> float:
-    """The one resonance rule: n Omega - (omega0 +- omega), - on the
-    ``absorb-deexcite`` branch, or 0.0 within RESONANCE_TOL * Omega."""
-    if branch == EMIT_EXCITE:
-        mismatch = n * Omega - (omega + omega0)
-    elif branch == ABSORB_DEEXCITE:
-        mismatch = n * Omega - (omega0 - omega)
-    else:
-        raise ValueError(f"unknown branch {branch!r}")
+def off_resonance(n: int, Omega: float, omega0: float, omega: float) -> float:
+    """The one resonance rule: n Omega - (omega0 + omega), omega signed
+    (negative if absorbed), or 0.0 within RESONANCE_TOL * Omega."""
+    mismatch = n * Omega - (omega0 + omega)
     return mismatch if abs(mismatch) > RESONANCE_TOL * Omega else 0.0
 
 
@@ -434,11 +425,11 @@ def check_closed_form(motion, geom):
 
 def allowed_sidebands(atom: AtomParams, motion, geom,
                       n_max: int) -> list[Sideband]:
-    """All sidebands with n in [1, n_max] open in the given geometry: the
-    one public closed-form entry point.
+    """All sidebands with n in [1, n_max] open in the given geometry, at
+    most one per index: the one public closed-form entry point.
 
-    For a cavity, only (n, m) pairs meeting the resonance (off_resonance)
-    survive; both photon-number branches are scanned.
+    n Omega - omega0 > 0 emits, < 0 absorbs (cavity only); for a cavity,
+    only (n, m) pairs meeting the resonance (off_resonance) survive.
     An empty list is a valid result.  A pair with no closed form
     (check_closed_form), or a motion that reaches the boundary, is rejected
     before any line, so the outcome does not depend on which lines are open.
@@ -448,7 +439,7 @@ def allowed_sidebands(atom: AtomParams, motion, geom,
     check_clearance(motion, geom)
     check_closed_form(motion, geom)
     return [line for n in range(1, n_max + 1)
-            for line in geom.sidebands(atom, motion, n)]
+            if (line := geom.sideband(atom, motion, n)) is not None]
 
 
 def small_amplitude_rate(atom: AtomParams, motion: ShoMotion) -> float:

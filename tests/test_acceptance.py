@@ -32,11 +32,11 @@ def test_criterion_01_free_space_peak_rate():
     omega = 1 * Omega - atom.omega0
     motion = ShoMotion(amplitude=1.8412 * C / omega, Omega=Omega)
     free = FreeSpace()
-    free.sidebands(atom, motion, 1)  # warm-up
+    free.sideband(atom, motion, 1)  # warm-up
     best = math.inf
     for _ in range(5):
         t0 = time.perf_counter()
-        (line,) = free.sidebands(atom, motion, 1)
+        line = free.sideband(atom, motion, 1)
         best = min(best, time.perf_counter() - t0)
     ratio = line.rate / (atom.g**2 / Omega)
     assert abs(ratio - 2.13) <= 0.01 * 2.13, f"got {ratio} g^2/Omega"
@@ -98,9 +98,9 @@ def test_criterion_04_static_atom_null_result(cavity_line):
     still_rot = RotationMotion(radius=0.0, Omega=Omega)
     mirror = Mirror(z0=1.0)
     for n in range(1, 21):
-        assert FreeSpace().sidebands(atom, still_sho, n)[0].rate == 0.0
-        assert mirror.sidebands(atom, still_sho, n)[0].rate == 0.0
-        assert mirror.sidebands(atom, still_rot, n)[0].rate == 0.0
+        assert FreeSpace().sideband(atom, still_sho, n).rate == 0.0
+        assert mirror.sideband(atom, still_sho, n).rate == 0.0
+        assert mirror.sideband(atom, still_rot, n).rate == 0.0
         # cavity resonant at this n, mode m = 2
         omega = 0.6 * n * Omega
         cavity_atom = AtomParams(omega0=n * Omega - omega, g=1.0)
@@ -125,7 +125,7 @@ def test_criterion_05_mirror_node_zeros():
         for j in range(4):
             z0 = (0.5 * math.pi * n + j * math.pi) / k
             motion = ShoMotion(amplitude=1.2 / k, Omega=Omega)
-            rate = Mirror(z0=z0).sidebands(atom, motion, n)[0].rate
+            rate = Mirror(z0=z0).sideband(atom, motion, n).rate
             worst = max(worst, rate / (atom.g**2 / Omega))
     assert worst < 1e-14, f"largest normalized node rate {worst:g}"
     print(f"criterion 5: PASS - largest normalized node rate {worst:.2e}")
@@ -269,7 +269,7 @@ def test_criterion_08_cqed_order_of_magnitude():
     for a_tilde in np.linspace(1e-4, 0.0499, 60):
         motion = ShoMotion(amplitude=a_tilde * C / 2.0, Omega=Omega)
         approx = small_amplitude_rate(atom, motion)
-        exact = FreeSpace().sidebands(atom, motion, 1)[0].rate
+        exact = FreeSpace().sideband(atom, motion, 1).rate
         worst = max(worst, abs(approx - exact) / exact)
     assert worst < 1e-2, f"approximation error {worst:g}"
     print(f"criterion 8: PASS - {int(decade.sum())} cells in the 1e-4 Hz "
@@ -295,17 +295,17 @@ def test_criterion_09_rotation_and_parallel_reductions():
         expected = prefactor \
             * math.sin(k * math.cos(delta) * z0 - 0.5 * math.pi * n) ** 2 \
             * bessel_j(n, a_tilde) ** 2
-        rot = Mirror(z0=z0).sidebands(
+        rot = Mirror(z0=z0).sideband(
             atom, RotationMotion(radius=a_tilde / k, Omega=Omega,
-                                 delta=delta), n)[0].rate
+                                 delta=delta), n).rate
         assert rot == pytest.approx(expected, rel=1e-12, abs=1e-290)
 
         par_expected = prefactor \
             * math.sin(k * math.cos(delta) * z0 - 0.5 * math.pi * n) ** 2 \
             * bessel_j(n, k * math.sin(delta) * (a_tilde / k)) ** 2
-        par = Mirror(z0=z0).sidebands(
+        par = Mirror(z0=z0).sideband(
             atom, ShoMotion(amplitude=a_tilde / k, Omega=Omega,
-                            orientation=PARALLEL, delta=delta), n)[0].rate
+                            orientation=PARALLEL, delta=delta), n).rate
         assert par == pytest.approx(par_expected, rel=1e-12, abs=1e-290)
         checked += 1
     assert checked == 100
@@ -328,7 +328,7 @@ def test_criterion_10_general_trajectory_regression():
     assert [line.n for line in lines] == [1, 2, 3, 4, 5, 6]
     worst = 0.0
     for line in lines:
-        closed = FreeSpace().sidebands(atom, sho, line.n)[0].rate
+        closed = FreeSpace().sideband(atom, sho, line.n).rate
         worst = max(worst, abs(line.rate - closed) / closed)
     assert worst <= 1e-6, f"max relative deviation {worst:g}"
     print(f"criterion 10: PASS - sampled sinusoid matches closed form to "

@@ -216,8 +216,30 @@ z0 = 10 nm
         path = write_cfg(tmp_path, "[atom]\nfrequency_hz = hello\n")
         assert main(["rate", "--config", path]) == 2
 
-    def test_missing_config_file(self):
-        assert main(["rate", "--config", "/nonexistent/x.cfg"]) == 2
+    @pytest.mark.parametrize("kind", ["missing", "directory", "non-utf-8"])
+    def test_missing_config_file(self, kind, tmp_path, capsys):
+        # A config that cannot be read, for whatever reason, is a config
+        # error that names the file, never a traceback.
+        path = tmp_path / "run.cfg"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "non-utf-8":
+            path.write_bytes(b"\xff\xfe" + FREE_SPACE_CFG.encode())
+        assert main(["rate", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error: cannot read config")
+        assert str(path) in err
+
+    @pytest.mark.parametrize("section", ["extra", "DEFAULT"])
+    def test_unknown_section(self, section, tmp_path, capsys):
+        # configparser copies [DEFAULT] keys into every section; the error
+        # names [DEFAULT] itself, not the first section that received them.
+        text = f"[{section}]\nkind = sho\n\n" + FREE_SPACE_CFG
+        assert main(["rate", "--config", write_cfg(tmp_path, text)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"config error: unknown section [{section}]\n"
 
     def test_byte_identical_reruns(self, tmp_path):
         path = write_cfg(tmp_path, FREE_SPACE_CFG)

@@ -89,8 +89,8 @@ def cavity_draws(rng):
 
 
 def the_line(geom, atom, motion, n, branch):
-    (line,) = [s for s in geom.sidebands(atom, motion, n)
-               if s.branch == branch]
+    line = geom.sideband(atom, motion, n)
+    assert line.branch == branch
     return line
 
 

@@ -55,7 +55,7 @@ class TestOnePeriodAmplitude:
         res = one_period_amplitude(motion, FreeSpace(), omega, atom.omega0,
                                    g=atom.g)
         assert res.rate == pytest.approx(
-            FreeSpace().sidebands(atom, motion, 1)[0].rate, rel=1e-10)
+            FreeSpace().sideband(atom, motion, 1).rate, rel=1e-10)
 
     def test_mirror_amplitude_closed_form(self):
         # a_tilde = 1, k z0 = pi/3, n = 2:
@@ -79,7 +79,7 @@ class TestOnePeriodAmplitude:
         res = one_period_amplitude(motion, geom, omega, atom.omega0,
                                    g=atom.g)
         assert res.rate == pytest.approx(
-            geom.sidebands(atom, motion, n)[0].rate, rel=1e-10)
+            geom.sideband(atom, motion, n).rate, rel=1e-10)
 
     def test_cavity_rate_includes_photon_factor(self, cavity_line):
         Omega = 2.0e9
@@ -226,7 +226,7 @@ class TestGeneralTrajectorySpectrum:
         lines = general_trajectory_spectrum(atom, sampled, FreeSpace(), 5)
         assert [line.n for line in lines] == [1, 2, 3, 4, 5]
         for line in lines:
-            closed = FreeSpace().sidebands(atom, sho, line.n)[0].rate
+            closed = FreeSpace().sideband(atom, sho, line.n).rate
             assert abs(line.rate - closed) / closed < 1e-8
 
     def test_closed_form_motions_are_integrated_too(self):
@@ -237,7 +237,7 @@ class TestGeneralTrajectorySpectrum:
             lines = general_trajectory_spectrum(atom, motion, FreeSpace(), 5)
             assert [line.n for line in lines] == [1, 2, 3, 4, 5]
             for line in lines:
-                closed = FreeSpace().sidebands(atom, sho, line.n)[0].rate
+                closed = FreeSpace().sideband(atom, sho, line.n).rate
                 assert abs(line.rate - closed) / closed < 1e-8
 
     def test_odd_sample_count_sinusoid(self):
@@ -251,7 +251,7 @@ class TestGeneralTrajectorySpectrum:
         sho = ShoMotion(amplitude=amplitude, Omega=Omega)
         lines = general_trajectory_spectrum(atom, sampled, FreeSpace(), 3)
         for line in lines:
-            closed = FreeSpace().sidebands(atom, sho, line.n)[0].rate
+            closed = FreeSpace().sideband(atom, sho, line.n).rate
             assert abs(line.rate - closed) / closed < 1e-8
 
     def test_motionless_samples_give_zero_rates(self):
@@ -471,7 +471,7 @@ class TestRateFloor:
         for n, a_tilde, expect_resolved in ((8, 0.25, False),
                                             (6, 0.5, True), (3, 0.5, True)):
             motion, omega, _ = make_free_case(a_tilde, n)
-            closed = FreeSpace().sidebands(atom, motion, n)[0].rate
+            closed = FreeSpace().sideband(atom, motion, n).rate
             result = one_period_amplitude(motion, FreeSpace(), omega,
                                           atom.omega0, g=atom.g)
             oracle_rate, floor = result.rate, result.floor
@@ -580,7 +580,7 @@ class TestNodeCapRange:
         result = one_period_amplitude(motion, FreeSpace(), omega, omega0,
                                       g=atom.g)
         assert result.panels_used == 8 * (10 + 120000 + 40)
-        closed = FreeSpace().sidebands(atom, motion, 10)[0].rate
+        closed = FreeSpace().sideband(atom, motion, 10).rate
         assert result.rate == pytest.approx(closed, rel=1e-8)
 
 

@@ -315,6 +315,26 @@ def grid(motion_kind, geom_kind, count=6):
     return [draw_case(rng, motion_kind, geom_kind) for _ in range(count)]
 
 
+def absorption_grid(count=200):
+    """Cavity requests that open absorption lines (n Omega < omega0): the
+    drive at a multiple of the mode spacing pi c / L, omega0 a whole or
+    half multiple of Omega and N = 1-3 photons, so |n Omega - omega0| often
+    lands on a mode from either side."""
+    rng = np.random.default_rng(1000)
+    cases = []
+    for _ in range(count):
+        length = 10.0 ** rng.uniform(-3.0, 0.0)
+        Omega = int(rng.integers(1, 5)) * math.pi * C / length
+        omega0 = 0.5 * int(rng.integers(1, 41)) * Omega
+        z0 = float(rng.uniform(0.15, 0.85)) * length
+        amplitude = float(rng.uniform(0.0, 0.9)) * min(z0, length - z0)
+        geom = Cavity(length=length, z0=z0, n_photons=int(rng.integers(1, 4)))
+        atom = AtomParams(omega0=omega0, g=10.0 ** rng.uniform(3.0, 6.0))
+        cases.append((atom, ShoMotion(amplitude=amplitude, Omega=Omega),
+                      geom, int(rng.integers(1, 61)), None))
+    return cases
+
+
 def bits(lines):
     return [(s.n, s.omega.hex(), s.rate.hex(), s.branch, s.m) for s in lines]
 
@@ -330,15 +350,23 @@ def outcome(fn, *args):
 PAIRS = [(m, g) for m in MOTIONS for g in GEOMETRIES]
 
 
-@pytest.mark.parametrize("motion_kind,geom_kind", PAIRS)
+@pytest.mark.parametrize("motion_kind,geom_kind",
+                         PAIRS + [("sho", "cavity-absorption")])
 def test_allowed_sidebands_bit_equal(motion_kind, geom_kind):
-    for atom, motion, geom, n_max, _ in grid(motion_kind, geom_kind):
+    cases = (absorption_grid() if geom_kind == "cavity-absorption"
+             else grid(motion_kind, geom_kind))
+    branches = []
+    for atom, motion, geom, n_max, _ in cases:
         new = outcome(allowed_sidebands, atom, motion, geom, n_max)
         old = outcome(frozen_allowed_sidebands, atom, motion, geom, n_max)
         if isinstance(old, type):
             assert new is old
         else:
             assert bits(new) == bits(old)
+            branches += [line.branch for line in old]
+    if geom_kind == "cavity-absorption":
+        assert branches.count(ABSORB_DEEXCITE) >= 1000
+        assert branches.count(EMIT_EXCITE) >= 1000
 
 
 @pytest.mark.parametrize("motion_kind", ["sho", "parallel"])

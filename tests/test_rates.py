@@ -64,7 +64,7 @@ class TestMirrorRate:
         k = omega / C
         motion = sho_with_a_tilde(1.8412, 1.0, omega)
         geom = Mirror(z0=(math.pi / 4 + 2.0 * math.pi) / k)
-        line = geom.sidebands(atom, motion, 1)[0]
+        line = geom.sideband(atom, motion, 1)
         assert line.omega == pytest.approx(0.5)
         assert line.rate == pytest.approx(MIRROR_EXAMPLE_RATE, rel=1e-10)
 
@@ -72,7 +72,7 @@ class TestMirrorRate:
         atom = AtomParams(omega0=0.5, g=1.0)
         motion = ShoMotion(amplitude=0.0, Omega=1.0)
         for n in (1, 2, 5):
-            assert Mirror(z0=1.0).sidebands(atom, motion, n)[0].rate == 0.0
+            assert Mirror(z0=1.0).sideband(atom, motion, n).rate == 0.0
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_field_node_kills_rate(self, n):
@@ -81,12 +81,12 @@ class TestMirrorRate:
         k = omega / C
         z0 = (math.pi * n / 2) / k
         motion = ShoMotion(amplitude=min(1.0 / k, 0.5 * z0), Omega=1.0)
-        assert Mirror(z0=z0).sidebands(atom, motion, n)[0].rate < 1e-14
+        assert Mirror(z0=z0).sideband(atom, motion, n).rate < 1e-14
 
     def test_closed_channel_has_no_line(self):
         atom = AtomParams(omega0=5.0, g=1.0)
         motion = ShoMotion(amplitude=1.0, Omega=1.0)
-        assert Mirror(z0=1e9).sidebands(atom, motion, 3) == []
+        assert Mirror(z0=1e9).sideband(atom, motion, 3) is None
 
     def test_collision_course_rejected(self):
         atom = AtomParams(omega0=0.5, g=1.0)
@@ -109,8 +109,8 @@ class TestMirrorRate:
             motion = sho_with_a_tilde(a_tilde, Omega, omega)
             geom = Mirror(z0=z_tilde / k)
             ratio = 4.0 * math.sin(k * geom.z0 - math.pi * n / 2) ** 2
-            free = FreeSpace().sidebands(atom, motion, n)[0]
-            assert geom.sidebands(atom, motion, n)[0].rate == pytest.approx(
+            free = FreeSpace().sideband(atom, motion, n)
+            assert geom.sideband(atom, motion, n).rate == pytest.approx(
                 ratio * free.rate, rel=1e-12)
 
 
@@ -125,8 +125,8 @@ class TestRotationAndParallel:
             geom = Mirror(z0=z_tilde / k)
             rot = RotationMotion(radius=a_tilde / k, Omega=1.5, delta=0.0)
             sho = ShoMotion(amplitude=a_tilde / k, Omega=1.5)
-            assert geom.sidebands(atom, rot, n)[0].rate == pytest.approx(
-                geom.sidebands(atom, sho, n)[0].rate, rel=1e-12)
+            assert geom.sideband(atom, rot, n).rate == pytest.approx(
+                geom.sideband(atom, sho, n).rate, rel=1e-12)
 
     def test_rotation_matches_substituted_formula(self):
         atom = AtomParams(omega0=0.6, g=0.9)
@@ -139,7 +139,7 @@ class TestRotationAndParallel:
                     * math.sin(k * math.cos(delta) * geom.z0
                                - math.pi * n / 2) ** 2
                     * bessel_j(n, k * rot.radius) ** 2)
-        assert geom.sidebands(atom, rot, n)[0].rate == pytest.approx(
+        assert geom.sideband(atom, rot, n).rate == pytest.approx(
             expected, rel=1e-12)
 
     def test_parallel_matches_substituted_formula(self):
@@ -154,7 +154,7 @@ class TestRotationAndParallel:
                     * math.sin(k * math.cos(delta) * geom.z0
                                - math.pi * n / 2) ** 2
                     * bessel_j(n, k * math.sin(delta) * par.amplitude) ** 2)
-        assert geom.sidebands(atom, par, n)[0].rate == pytest.approx(
+        assert geom.sideband(atom, par, n).rate == pytest.approx(
             expected, rel=1e-12)
 
 
@@ -163,24 +163,24 @@ class TestFreeSpaceRate:
         atom = AtomParams(omega0=1.0, g=0.37)
         omega = 1.0  # n = 1 at Omega = 2
         motion = sho_with_a_tilde(1.8412, 2.0, omega)
-        rate = FreeSpace().sidebands(atom, motion, 1)[0].rate
+        rate = FreeSpace().sideband(atom, motion, 1).rate
         assert rate / (atom.g**2 / motion.Omega) == pytest.approx(2.1, rel=0.02)
 
     def test_static_atom_emits_nothing(self):
         atom = AtomParams(omega0=1.0, g=1.0)
         motion = ShoMotion(amplitude=0.0, Omega=2.0)
-        assert FreeSpace().sidebands(atom, motion, 1)[0].rate == 0.0
+        assert FreeSpace().sideband(atom, motion, 1).rate == 0.0
 
     def test_frozen_small_argument_example(self):
         atom = AtomParams(omega0=1.0, g=1.0)
         omega = 2 * 1.0 - 1.0
         motion = sho_with_a_tilde(0.1, 1.0, omega)
-        line = FreeSpace().sidebands(atom, motion, 2)[0]
+        line = FreeSpace().sideband(atom, motion, 2)
         assert line.rate == pytest.approx(FREE_N2_SMALL_RATE, rel=1e-10)
 
     def test_closed_channel_has_no_line(self):
         atom = AtomParams(omega0=5.0, g=1.0)
-        assert FreeSpace().sidebands(atom, ShoMotion(1.0, 1.0), 2) == []
+        assert FreeSpace().sideband(atom, ShoMotion(1.0, 1.0), 2) is None
 
     def test_rates_are_non_negative(self):
         atom = AtomParams(omega0=0.3, g=0.8)
@@ -189,7 +189,7 @@ class TestFreeSpaceRate:
             n = int(rng.integers(1, 15))
             motion = sho_with_a_tilde(float(rng.uniform(0, 24)), 1.0,
                                       n * 1.0 - 0.3)
-            line = FreeSpace().sidebands(atom, motion, n)[0]
+            line = FreeSpace().sideband(atom, motion, n)
             assert line.rate >= 0.0
             assert line.omega > 0.0
 
@@ -412,25 +412,27 @@ class TestMotionGeometryProtocol:
         assert Cavity(length=5.0, z0=1.5).clearance == 1.5
 
     def test_cavity_field_mode_index(self):
+        # The mode comes from |eps|: an absorbed photon (eps < 0) fills the
+        # same mode as an emitted one of the same frequency.
         geom = Cavity(length=1.0, z0=0.5)
-        for turns, m in ((3.0, 3), (3.4, 3), (0.4, None), (-2.0, None)):
+        for turns, m in ((3.0, 3), (3.4, 3), (0.4, None), (0.0, None)):
             omega = turns * math.pi * C
-            for branch in (EMIT_EXCITE, ABSORB_DEEXCITE):
-                field = geom.field_mode(omega, branch)
+            for eps in (omega, -omega):
+                field = geom.field_mode(eps)
                 assert (None if field is None else field[4]) == m
 
     def test_field_mode_of_a_cavity_needs_a_mode_match(self):
         geom = Cavity(length=1.0, z0=0.5, n_photons=2)
         omega = geom.mode_frequency(3)
-        assert geom.field_mode(omega, EMIT_EXCITE) == (
-            3.0 * math.pi, 0.5, 3.0, omega, 3)
-        assert geom.field_mode(omega, ABSORB_DEEXCITE) == (
-            3.0 * math.pi, 0.5, 2.0, omega, 3)
-        assert geom.field_mode(0.4 * math.pi * C, EMIT_EXCITE) is None
-        assert Mirror(z0=2.0).field_mode(C, EMIT_EXCITE) == (
-            1.0, 2.0, 1.0, C, None)
-        assert FreeSpace().field_mode(C, EMIT_EXCITE) == (
-            1.0, None, 1.0, C, None)
+        assert geom.field_mode(omega) == (3.0 * math.pi, 0.5, 3.0, omega, 3)
+        assert geom.field_mode(-omega) == (3.0 * math.pi, 0.5, 2.0, omega, 3)
+        assert geom.field_mode(0.4 * math.pi * C) is None
+        assert Mirror(z0=2.0).field_mode(C) == (1.0, 2.0, 1.0, C, None)
+        assert FreeSpace().field_mode(C) == (1.0, None, 1.0, C, None)
+        # A continuum holds no photon to absorb.
+        for eps in (-C, 0.0):
+            assert Mirror(z0=2.0).field_mode(eps) is None
+            assert FreeSpace().field_mode(eps) is None
         # The field mode only names the nearest mode; the resonance rule
         # holds both the photon and that mode's own frequency to
         # n Omega = omega + omega0, so a photon a millionth off the mode is
@@ -511,7 +513,7 @@ class TestSmallAmplitudeRate:
         for a_tilde in (0.001, 0.01, 0.04):
             motion = ShoMotion(amplitude=a_tilde * C / 2.0, Omega=Omega)
             approx = small_amplitude_rate(atom, motion)
-            exact = FreeSpace().sidebands(atom, motion, 1)[0].rate
+            exact = FreeSpace().sideband(atom, motion, 1).rate
             assert abs(approx - exact) / exact < 1e-2
 
     def test_outside_validity_domain(self):

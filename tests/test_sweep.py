@@ -204,8 +204,8 @@ class TestRateSurface:
         for i, amplitude in enumerate(amplitudes):
             cell_motion = ShoMotion(amplitude=amplitude, Omega=2.0)
             for n in (1, 2, 3):
-                assert res.values[i, n - 1] == FreeSpace().sidebands(
-                    atom, cell_motion, n)[0].rate
+                assert res.values[i, n - 1] == FreeSpace().sideband(
+                    atom, cell_motion, n).rate
 
     def test_closed_channels_are_zero(self):
         atom = AtomParams(omega0=3.0, g=0.4)
@@ -245,7 +245,7 @@ class TestSpectrum:
         k = omega / C
         geom = Mirror(z0=(math.pi / 2) / k)
         motion = ShoMotion(amplitude=1.0 / k, Omega=1.0)
-        line = geom.sidebands(atom, motion, n)[0]
+        line = geom.sideband(atom, motion, n)
         if n % 2 == 1:
             assert line.rate < 1e-30 * atom.g**2
         else:
@@ -288,7 +288,7 @@ class TestSpectrum:
         Omega, n = 2.0, 3
         omega = n * Omega - atom.omega0
         motion = ShoMotion(amplitude=0.0458 * C / omega, Omega=Omega)
-        rate = FreeSpace().sidebands(atom, motion, n)[0].rate
+        rate = FreeSpace().sideband(atom, motion, n).rate
         assert 1e-13 < rate / (8.0 * math.pi * atom.g**2 / Omega) < 1e-11
         real = oracle_module.one_period_amplitude
 
