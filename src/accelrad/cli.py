@@ -155,7 +155,9 @@ def parse_config(text: str) -> SimpleNamespace:
     """Parse configuration text into the ``[run]`` namespace, which holds
     the ``atom``, ``motion``, ``geometry`` and ``sweep`` namespaces; an
     absent ``[sweep]`` or ``[run]`` reads as its defaults."""
-    cp = configparser.ConfigParser(interpolation=None)
+    # No header spells the empty default section, so [DEFAULT] is a section
+    # like any other and the unknown-section check refuses it.
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         cp.read_string(text)
     except configparser.Error as exc:
@@ -163,8 +165,6 @@ def parse_config(text: str) -> SimpleNamespace:
     for section in ("atom", "motion", "geometry"):
         if not cp.has_section(section):
             raise ConfigError(f"missing required section [{section}]")
-    if cp.defaults():  # configparser would copy its keys into every section
-        raise ConfigError(f"unknown section [{cp.default_section}]")
     for section in cp.sections():
         if section not in CONFIG_SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
@@ -328,7 +328,7 @@ def _load_config(path: str | None) -> SimpleNamespace | None:
     if path is None:
         return None
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None

@@ -19,6 +19,7 @@ import pytest
 
 import accelrad.cli  # noqa: F401  (the tracer expects it imported)
 import accelrad.rates
+import accelrad.specfun
 from accelrad.constants import SPEED_OF_LIGHT as C
 from accelrad.oracle import VERIFY_TOL
 from accelrad.rates import (ABSORB_DEEXCITE, EMIT_EXCITE, PARALLEL,
@@ -129,3 +130,24 @@ def test_one_bessel_call_per_emitted_cavity_line(bessel_calls):
         + [(EMIT_EXCITE, n - 5) for n in range(6, 41)])
     assert all(line.rate > 0 for line in lines)
     assert bessel_calls == [line.n for line in lines]
+
+
+def test_one_bessel_call_per_line_on_the_debye_route(bessel_calls,
+                                                     monkeypatch):
+    # The tracer's scaling row: x = k A is about 2.1 n, so every line above
+    # x = 200 (n >= 96) takes Debye's route inside bessel_j; the route
+    # changes how a call evaluates, never how many calls there are.
+    debye = []
+    real = accelrad.specfun._bessel_debye
+
+    def counted(n, x):
+        debye.append(n)
+        return real(n, x)
+
+    monkeypatch.setattr(accelrad.specfun, "_bessel_debye", counted)
+    atom = AtomParams(omega0=2 * math.pi * 5e9, g=1e6)
+    motion = ShoMotion(amplitude=0.01, Omega=2 * math.pi * 1e10)
+    lines = allowed_sidebands(atom, motion, FreeSpace(), 400)
+    assert len(lines) == 400
+    assert bessel_calls == [line.n for line in lines]
+    assert debye == list(range(96, 401))

@@ -231,15 +231,29 @@ z0 = 10 nm
         assert err.startswith("config error: cannot read config")
         assert str(path) in err
 
-    @pytest.mark.parametrize("section", ["extra", "DEFAULT"])
-    def test_unknown_section(self, section, tmp_path, capsys):
-        # configparser copies [DEFAULT] keys into every section; the error
-        # names [DEFAULT] itself, not the first section that received them.
-        text = f"[{section}]\nkind = sho\n\n" + FREE_SPACE_CFG
+    @pytest.mark.parametrize("section,keys", [
+        ("extra", "kind = sho\n"), ("DEFAULT", "kind = sho\n"),
+        ("DEFAULT", "")], ids=["extra", "DEFAULT", "bare-DEFAULT"])
+    def test_unknown_section(self, section, keys, tmp_path, capsys):
+        # [DEFAULT] is no special section: with keys or without, the error
+        # names it, not the first section that would have received its keys.
+        text = f"[{section}]\n{keys}\n" + FREE_SPACE_CFG
         assert main(["rate", "--config", write_cfg(tmp_path, text)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"config error: unknown section [{section}]\n"
+
+    def test_byte_order_mark_is_accepted(self, tmp_path, capsys):
+        # Editors that save "UTF-8 with BOM" put U+FEFF before the first
+        # section header; the config reads as if it were not there.
+        plain = (pathlib.Path(__file__).resolve().parent.parent / "configs"
+                 / "free_space.cfg")
+        marked = tmp_path / "bom.cfg"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert main(["rate", "--config", str(plain)]) == 0
+        want = capsys.readouterr()
+        assert main(["rate", "--config", str(marked)]) == 0
+        assert capsys.readouterr() == want
 
     def test_byte_identical_reruns(self, tmp_path):
         path = write_cfg(tmp_path, FREE_SPACE_CFG)

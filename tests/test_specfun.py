@@ -9,6 +9,7 @@ original recurrence bit for bit.
 
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -168,11 +169,16 @@ class TestBessel:
             assert arr[n] == pytest.approx(bessel_j(n, -3.2), rel=1e-11,
                                            abs=1e-14)
 
-    def test_miller_path_bit_identical_to_reference(self):
+    def test_miller_path_bit_identical_to_reference(self, monkeypatch):
         # Random orders up to 3500 (most of them deep in underflow for small
         # x), the rescale-heavy corner just above the series cutoff, where
         # up to 28 rescales by 1e-250 happen and J_n turns subnormal, and
-        # negative arguments.
+        # negative arguments.  The Miller kernel must match on every case,
+        # and bessel_j itself on every case it does not route to Debye.
+        def routed(n, x):
+            raise LookupError
+
+        monkeypatch.setattr(specfun, "_bessel_debye", routed)
         rng = random.Random(3)
         cases = [(rng.randint(0, 3500),
                   math.exp(rng.uniform(math.log(12.0), math.log(5000.0))))
@@ -181,14 +187,22 @@ class TestBessel:
         cases += [(n, 12.5) for n in range(180, 330, 7)]
         cases += [(3000, 12.5), (1000, 12.0000001), (3500, 5000.0)]
         cases += [(n, -x) for n, x in cases[::5]]
+        debye = 0
         for n, x in cases:
             ref = miller_reference(n, abs(x))[n]
+            kernel = specfun._miller_range(n, n, abs(x))[0]
             if x < 0 and n % 2:
-                ref = -ref
-            got = bessel_j(n, x)
-            assert type(got) is float, (n, x)
-            assert got == ref and math.copysign(1.0, got) == math.copysign(
-                1.0, ref), (n, x, got, ref)
+                ref, kernel = -ref, -kernel
+            try:
+                values = (kernel, bessel_j(n, x))
+            except LookupError:
+                values = (kernel,)
+                debye += 1
+            for value in values:
+                assert type(value) is float, (n, x)
+                assert value == ref and math.copysign(
+                    1.0, value) == math.copysign(1.0, ref), (n, x, value, ref)
+        assert 0 < debye < len(cases)  # both kinds of case occur
 
     def test_orders_bit_identical_to_reference(self):
         rng = random.Random(5)
@@ -305,6 +319,113 @@ class TestBessel:
             bessel_j(0, math.nan)
         with pytest.raises(ValueError):
             bessel_j(0, math.inf)
+
+
+def debye_polynomials(k_max):
+    """u_0 .. u_k_max of DLMF 10.41.10 as exact coefficient lists (index =
+    power of p): u_{k+1}(p) = p^2 (1 - p^2) u_k'(p) / 2
+    + int_0^p (1 - 5 t^2) u_k(t) dt / 8."""
+    polys = [[Fraction(1)]]
+    for _ in range(k_max):
+        u = polys[-1]
+        nxt = [Fraction(0)] * (len(u) + 3)
+        for j, c in enumerate(u):
+            nxt[j + 1] += j * c / 2 + c / (8 * (j + 1))
+            nxt[j + 3] -= j * c / 2 + 5 * c / (8 * (j + 3))
+        polys.append(nxt)
+    return polys
+
+
+def debye_routed(n, x):
+    return x > specfun._DEBYE_MIN_X and (
+        x * x - n * n) ** 3 >= specfun._DEBYE_MIN_TAU ** 2 * n ** 4
+
+
+def debye_draws(seed, count):
+    """Seeded (n, x) pairs on the Debye route: log-uniform n <= 3500 and
+    x/n in (1, 10] with x <= 4000 (mpmath slows past it near the turning
+    point), one in twenty with n <= 5 and x up to 1e7, then the edges of
+    the route, where its terms converge slowest."""
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        if len(pairs) % 20 == 19:
+            n = rng.randint(1, 5)
+            x = math.exp(rng.uniform(math.log(1e3), math.log(1e7)))
+        else:
+            n = int(math.exp(rng.uniform(0.0, math.log(3500.5))))
+            x = n * math.exp(rng.uniform(0.0, math.log(10.0)))
+        if (x <= 4000.0 or n <= 5) and debye_routed(n, x):
+            pairs.append((n, x))
+    for n in (1, 60, 144, 190, 300, 1000, 3000):
+        w = (specfun._DEBYE_MIN_TAU * n * n) ** (1.0 / 3.0)
+        x = max(math.hypot(w, n), specfun._DEBYE_MIN_X) * (1.0 + 1e-12)
+        assert debye_routed(n, x)
+        pairs.append((n, x))
+    return pairs
+
+
+class TestDebye:
+    """Debye's expansion, the route of bessel_j for x > 200 well past the
+    turning point x = n."""
+
+    def test_tables_are_the_dlmf_recurrence(self):
+        polys = debye_polynomials(len(specfun._DEBYE_U) - 1)
+        for k, (u, row) in enumerate(zip(polys, specfun._DEBYE_U)):
+            # u_k(i t) = i^k t^k sum_j u[k + 2j] (-1)^j t^(2j); the table
+            # holds U_k(s), highest power of s = t^2 first, with the sign
+            # (-1)^(k//2) folded in.
+            assert not any(u[:k]) and not any(u[k + 1::2]), k
+            exact = [u[k + 2 * j] * (-1) ** (j + k // 2)
+                     for j in range(k, -1, -1)]
+            assert list(row) == [float(c) for c in exact], k
+
+    def test_phase_constants(self):
+        with mpmath.workdps(50):
+            for j, (hi, lo) in enumerate(specfun._ATAN_EIGHTHS):
+                exact = mpmath.atan(mpmath.mpf(j) / 8)
+                assert hi == float(exact) and lo == float(exact - hi), j
+            p1, p2, p3 = specfun._TWO_PI
+            assert abs(mpmath.mpf(p1) + p2 + p3 - 2 * mpmath.pi) < 1e-33
+        for part in (p1, p2):
+            mantissa = math.frexp(part)[0] * 2.0 ** 27
+            assert mantissa == int(mantissa)
+
+    def test_routed_draws_against_mpmath(self):
+        # Absolute error in units of the envelope sqrt(2 / (pi w)),
+        # w = sqrt(x^2 - n^2), and relative error where |J| is not small.
+        # Measured worst: 2.9e-16 absolute and 2.3e-15 relative.  On the
+        # same draws below x = 1e6, Miller's absolute error has median
+        # 7.9e-14 and worst 2.4e-12.
+        pairs = debye_draws(25, 200)
+        assert max(n for n, _ in pairs) >= 3000
+        assert max(x / n for n, x in pairs if n > 5) > 9.0
+        worst_abs = worst_rel = 0.0
+        with mpmath.workdps(40):
+            for n, x in pairs:
+                exact = mpmath.besselj(n, mpmath.mpf(x), maxprec=10**5,
+                                       maxterms=10**7)
+                got = bessel_j(n, x)
+                envelope = math.sqrt(2.0 / (math.pi * math.sqrt(x * x - n * n)))
+                worst_abs = max(worst_abs,
+                                float(abs(got - exact)) / envelope)
+                if abs(exact) >= 1e-3 * envelope:
+                    worst_rel = max(worst_rel,
+                                    float(abs((got - exact) / exact)))
+        assert worst_abs <= 1e-14
+        assert worst_rel <= 1e-13
+
+    def test_routed_lines_never_enter_miller(self, monkeypatch):
+        # The route is O(1): no Miller pass, even at the argument cap.
+        def refused(*args):
+            raise AssertionError(f"Miller pass for {args}")
+
+        monkeypatch.setattr(specfun, "_miller_range", refused)
+        pairs = debye_draws(26, 60) + [(3, 9.9e6), (1, 1e7), (1000, 9e6)]
+        for n, x in pairs:
+            value = bessel_j(n, x)
+            assert type(value) is float and abs(value) < 1.0
+            assert bessel_j(n, -x) == (-value if n % 2 else value)
 
 
 class TestAnger:
