@@ -174,11 +174,22 @@ class TestBessel:
         # x), the rescale-heavy corner just above the series cutoff, where
         # up to 28 rescales by 1e-250 happen and J_n turns subnormal, and
         # negative arguments.  The Miller kernel must match on every case,
-        # and bessel_j itself on every case it does not route to Debye.
-        def routed(n, x):
-            raise LookupError
+        # and bessel_j itself on every case it routes to that kernel, not
+        # to Debye's expansion or to the Debye-anchored pass.
+        class Debye(Exception):
+            pass
 
-        monkeypatch.setattr(specfun, "_bessel_debye", routed)
+        class Anchored(Exception):
+            pass
+
+        def debye(n, x):
+            raise Debye
+
+        def anchored(n, x):
+            raise Anchored
+
+        monkeypatch.setattr(specfun, "_bessel_debye", debye)
+        monkeypatch.setattr(specfun, "_bessel_anchored", anchored)
         rng = random.Random(3)
         cases = [(rng.randint(0, 3500),
                   math.exp(rng.uniform(math.log(12.0), math.log(5000.0))))
@@ -187,22 +198,26 @@ class TestBessel:
         cases += [(n, 12.5) for n in range(180, 330, 7)]
         cases += [(3000, 12.5), (1000, 12.0000001), (3500, 5000.0)]
         cases += [(n, -x) for n, x in cases[::5]]
-        debye = 0
+        kinds = {"miller": 0, "debye": 0, "anchored": 0}
         for n, x in cases:
             ref = miller_reference(n, abs(x))[n]
             kernel = specfun._miller_range(n, n, abs(x))[0]
             if x < 0 and n % 2:
                 ref, kernel = -ref, -kernel
+            values = (kernel,)
             try:
-                values = (kernel, bessel_j(n, x))
-            except LookupError:
-                values = (kernel,)
-                debye += 1
+                values += (bessel_j(n, x),)
+                kinds["miller"] += 1
+            except Debye:
+                kinds["debye"] += 1
+            except Anchored:
+                kinds["anchored"] += 1
             for value in values:
                 assert type(value) is float, (n, x)
                 assert value == ref and math.copysign(
                     1.0, value) == math.copysign(1.0, ref), (n, x, value, ref)
-        assert 0 < debye < len(cases)  # both kinds of case occur
+        assert sum(kinds.values()) == len(cases) == 390
+        assert all(kinds.values()), kinds  # every kind of case occurs
 
     def test_orders_bit_identical_to_reference(self):
         rng = random.Random(5)
@@ -341,6 +356,11 @@ def debye_routed(n, x):
         x * x - n * n) ** 3 >= specfun._DEBYE_MIN_TAU ** 2 * n ** 4
 
 
+def turning_edge(n):
+    """The x at which Debye's route starts for order n: tau = 120."""
+    return math.hypot((specfun._DEBYE_MIN_TAU * n * n) ** (1.0 / 3.0), n)
+
+
 def debye_draws(seed, count):
     """Seeded (n, x) pairs on the Debye route: log-uniform n <= 3500 and
     x/n in (1, 10] with x <= 4000 (mpmath slows past it near the turning
@@ -358,8 +378,7 @@ def debye_draws(seed, count):
         if (x <= 4000.0 or n <= 5) and debye_routed(n, x):
             pairs.append((n, x))
     for n in (1, 60, 144, 190, 300, 1000, 3000):
-        w = (specfun._DEBYE_MIN_TAU * n * n) ** (1.0 / 3.0)
-        x = max(math.hypot(w, n), specfun._DEBYE_MIN_X) * (1.0 + 1e-12)
+        x = max(turning_edge(n), specfun._DEBYE_MIN_X) * (1.0 + 1e-12)
         assert debye_routed(n, x)
         pairs.append((n, x))
     return pairs
@@ -425,6 +444,147 @@ class TestDebye:
         for n, x in pairs:
             value = bessel_j(n, x)
             assert type(value) is float and abs(value) < 1.0
+            assert bessel_j(n, -x) == (-value if n % 2 else value)
+
+
+def anchored_routed(n, x):
+    return x > specfun._DEBYE_MIN_X and n > 0 and not debye_routed(n, x)
+
+
+def anchored_draws(seed, count):
+    """Seeded (n, x) pairs on the anchored route: log-uniform 200 < x <=
+    4000 (mpmath slows past it near the turning point) and n on both sides
+    of the turning point, from the edge of Debye's route up to 1.6 x."""
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        x = math.exp(rng.uniform(math.log(200.0), math.log(4000.0)))
+        k = specfun._debye_anchor(x)
+        if len(pairs) % 2:
+            n = rng.randint(k + 1, math.ceil(x))  # the band below x
+        else:
+            n = rng.randint(math.ceil(x), int(1.6 * x))
+        if anchored_routed(n, x):
+            pairs.append((n, x))
+    return pairs
+
+
+def anchored_error(n, x):
+    """|bessel_j - J| / J and |bessel_j - J| / x^(-1/3), J from mpmath at
+    40 digits.  x^(-1/3) is the envelope of the band: |J_n(x)| peaks at
+    about 0.67 x^(-1/3) over n near x."""
+    with mpmath.workdps(40):
+        exact = mpmath.besselj(n, mpmath.mpf(x), maxprec=10**5,
+                               maxterms=10**7)
+        err = abs(bessel_j(n, x) - exact)
+        envelope = x ** (-1.0 / 3.0)
+        rel = float(err / abs(exact)) if exact else math.inf
+        return rel, float(err) / envelope, float(abs(exact)) / envelope
+
+
+class TestAnchored:
+    """The Debye-anchored Miller pass, the route of bessel_j for n >= 1 and
+    x > 200 where Debye's expansion declines: the band x ~ n and every order
+    above it."""
+
+    def check(self, pairs):
+        worst_rel = worst_abs = 0.0
+        for n, x in pairs:
+            assert anchored_routed(n, x), (n, x)
+            rel, absolute, size = anchored_error(n, x)
+            if size >= 1e-3:
+                worst_rel = max(worst_rel, rel)
+            else:
+                worst_abs = max(worst_abs, absolute)
+        assert worst_rel <= 1e-12
+        assert worst_abs <= 1e-14
+
+    def test_draws_against_mpmath(self):
+        # Measured worst: 4.8e-14 relative, at (355, 401.2), and 4.4e-19
+        # of the envelope where |J| is below 1e-3 of it.  The full Miller
+        # pass gives 3.1e-12 and 2.7e-19 on the same draws.
+        pairs = anchored_draws(26, 120)
+        assert sum(n < x for n, x in pairs) >= 50
+        assert sum(n > x for n, x in pairs) >= 50
+        assert max(x for _, x in pairs) > 3000.0
+        self.check(pairs)
+
+    def test_edges_against_mpmath(self):
+        # x = 200 itself stays on the full Miller pass; the next float
+        # above it takes the anchored one.  Then both sides of tau = 120,
+        # where the anchored pass hands over to Debye's expansion, and
+        # integer x = n.
+        x = specfun._DEBYE_MIN_X
+        for n in (150, 200, 400):
+            assert not anchored_routed(n, x)
+            assert bessel_j(n, x) == specfun._miller_range(n, n, x)[0]
+        above = math.nextafter(x, math.inf)
+        pairs = [(n, above) for n in (150, 190, 200, 201, 260, 400)]
+        for n in (300, 1000, 2500):
+            edge = turning_edge(n)
+            assert debye_routed(n, edge * (1.0 + 1e-12))
+            pairs.append((n, edge * (1.0 - 1e-12)))
+        pairs += [(n, float(n)) for n in (201, 500, 1000, 3000)]
+        self.check(pairs)
+
+    def test_anchor_on_a_zero_of_j(self):
+        # x is the float nearest a zero of J_1860, found by scanning x for
+        # a sign change of Debye's J at the anchor and refining with
+        # mpmath; 1860 is the anchor there.  The pass must anchor one
+        # order below.
+        x = 2005.0467205742682
+        assert specfun._debye_anchor(x) == 1860
+        with mpmath.workdps(40):
+            assert abs(mpmath.besselj(1860, x)) < 1e-14
+        calls = []
+        real = specfun._bessel_debye
+
+        def counted(n, x):
+            calls.append(n)
+            return real(n, x)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(specfun, "_bessel_debye", counted)
+            self.check([(1900, x), (2005, x), (2100, x)])
+        assert calls == [1859] * 3
+
+    def test_no_overflow_far_above_the_turning_point(self):
+        # J = 1.69e-183.  The anchor's recurrence value reaches about 1e235
+        # here, and a normalization by its square returned 0.0.
+        rel, _, _ = anchored_error(2276, 1590.0108505659425)
+        assert rel <= 1e-12
+
+    def test_one_debye_anchor_and_no_full_miller_pass(self, monkeypatch):
+        # The anchor is the largest order Debye's route serves, below
+        # min(n, x); the pass stops there and calls Debye's route once,
+        # at the anchor or one order below it.
+        def refused(*args):
+            raise AssertionError(f"full Miller pass for {args}")
+
+        calls = []
+        real = specfun._bessel_debye
+
+        def counted(n, x):
+            calls.append(n)
+            return real(n, x)
+
+        monkeypatch.setattr(specfun, "_miller_range", refused)
+        monkeypatch.setattr(specfun, "_bessel_debye", counted)
+        pairs = anchored_draws(27, 200)
+        for n, x in pairs:
+            k = specfun._debye_anchor(x)
+            assert k < min(n, x) and debye_routed(k, x)
+            assert not any(debye_routed(j, x)
+                           for j in range(k + 1, math.ceil(x) + 1))
+        pairs += [(8_999_000, 9e6), (9_000_000, 9e6), (10_000_500, 1e7)]
+        for n, x in pairs:
+            k = specfun._debye_anchor(x)
+            assert k < min(n, x)
+            assert debye_routed(k, x) and not debye_routed(k + 1, x)
+            calls.clear()
+            value = bessel_j(n, x)
+            assert type(value) is float and abs(value) < 1.0
+            assert calls in ([k], [k - 1]), (n, x, calls)
             assert bessel_j(n, -x) == (-value if n % 2 else value)
 
 
@@ -522,6 +682,23 @@ class TestSeriesMatchesFrozenLoop:
             old = frozen_bessel_series(n, x)
             assert new == old and math.copysign(1.0, new) == \
                 math.copysign(1.0, old), (n, x)
+
+    def test_bit_identical_where_the_prefix_underflows(self):
+        # The series stops at the first prefix product that underflows to
+        # 0.0; the frozen loop ran all n products first.  Orders up to 400
+        # at x scaled down towards 1e-8: 15 805 of the 20 000 prefixes reach
+        # 0.0, and the rest take the series as before.
+        rng = np.random.default_rng(20261019)
+        orders = rng.integers(0, 401, 20000).tolist()
+        args = (12.0 * 10.0 ** (-9.0 * rng.random(20000))).tolist()
+        zeros = 0
+        for n, x in zip(orders, args):
+            new = specfun._bessel_series(n, x)
+            old = frozen_bessel_series(n, x)
+            assert new == old and math.copysign(1.0, new) == \
+                math.copysign(1.0, old), (n, x)
+            zeros += new == 0.0
+        assert 5000 < zeros < 19000
 
     @pytest.mark.parametrize("rel_tol", [1e-10, 1e-14, 1e-3])
     def test_bit_identical_under_other_budgets(self, rel_tol, monkeypatch):
