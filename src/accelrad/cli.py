@@ -239,34 +239,46 @@ def build_geometry(cfg):
 
 
 def sidebands_text(rows, fmt: str, verified: bool) -> str:
-    """Serialize (sideband, oracle_rate, deviation) rows as CSV or JSON; a
-    ``verified`` request carries both oracle fields on every line."""
-    if fmt == "json":
-        payload = {"kind": "sidebands", "version": __version__,
-                   "sidebands": []}
-        for line, orate, dev in rows:
-            entry = {"n": line.n, "branch": line.branch, "m": line.m,
-                     "omega_rad_per_s": line.omega,
-                     "photon_frequency_hz": angular_to_hz(line.omega),
-                     "rate_hz": line.rate}
+    """Serialize (sideband, oracle_rate, deviation) rows as CSV, or as JSON
+    laid out exactly as ``json.dumps(payload, sort_keys=True, indent=2)``; a
+    ``verified`` request carries both oracle fields on every line.
+
+    A line's floats are written once, as ``float.__repr__`` (what ``json``
+    writes; ``Sideband`` keeps them finite).  An oracle cell may be None or
+    not finite, so ``json`` itself writes it in JSON."""
+    as_json = fmt == "json"
+    null = "null" if as_json else ""
+    quote = json.encoder.encode_basestring_ascii  # json's own str encoder
+    text = float.__repr__
+    out = []
+    for line, orate, dev in rows:
+        m = null if line.m is None else line.m
+        omega, hz = text(line.omega), text(angular_to_hz(line.omega))
+        rate = text(line.rate)
+        if not as_json:
+            row = f"{line.n},{line.branch},{m},{omega},{hz},{rate}"
             if verified:
-                entry["oracle_rate_hz"] = orate
-                entry["oracle_rel_dev"] = dev
-            payload["sidebands"].append(entry)
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+                row += (f",{'' if orate is None else text(orate)}"
+                        f",{'' if dev is None else text(dev)}")
+            out.append(row)
+            continue
+        oracle = (f'"oracle_rate_hz": {json.dumps(orate)},\n      '
+                  f'"oracle_rel_dev": {json.dumps(dev)},\n      '
+                  if verified else "")
+        out.append(f'{{\n      "branch": {quote(line.branch)},\n      '
+                   f'"m": {m},\n      "n": {line.n},\n      '
+                   f'"omega_rad_per_s": {omega},\n      {oracle}'
+                   f'"photon_frequency_hz": {hz},\n      "rate_hz": {rate}'
+                   f'\n    }}')
+    if as_json:
+        return _json_join(['"kind": "sidebands"',
+                           f'"sidebands": {_json_join(out, 1)}',
+                           f'"version": {quote(__version__)}'],
+                          0, "{}") + "\n"
     header = "n,branch,m,omega_rad_per_s,photon_frequency_hz,rate_hz"
     if verified:
         header += ",oracle_rate_hz,oracle_rel_dev"
-    out = [header]
-    for line, orate, dev in rows:
-        row = (f"{line.n},{line.branch},"
-               f"{'' if line.m is None else line.m},"
-               f"{line.omega!r},{angular_to_hz(line.omega)!r},{line.rate!r}")
-        if verified:
-            row += f",{'' if orate is None else repr(orate)}"
-            row += f",{'' if dev is None else repr(dev)}"
-        out.append(row)
-    return "\n".join(out) + "\n"
+    return "\n".join([header, *out]) + "\n"
 
 
 def _json_join(items, depth, brackets="[]"):

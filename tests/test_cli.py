@@ -1370,6 +1370,156 @@ class TestSweepTextMatchesFrozenReference:
         assert sweep_text(result, fmt) == frozen_sweep_text(result, fmt)
 
 
+def frozen_sidebands_text(rows, fmt: str, verified: bool) -> str:
+    """``cli.sidebands_text`` as it was before it laid out JSON by hand."""
+    from accelrad import __version__
+    from accelrad.constants import angular_to_hz
+    if fmt == "json":
+        payload = {"kind": "sidebands", "version": __version__,
+                   "sidebands": []}
+        for line, orate, dev in rows:
+            entry = {"n": line.n, "branch": line.branch, "m": line.m,
+                     "omega_rad_per_s": line.omega,
+                     "photon_frequency_hz": angular_to_hz(line.omega),
+                     "rate_hz": line.rate}
+            if verified:
+                entry["oracle_rate_hz"] = orate
+                entry["oracle_rel_dev"] = dev
+            payload["sidebands"].append(entry)
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    header = "n,branch,m,omega_rad_per_s,photon_frequency_hz,rate_hz"
+    if verified:
+        header += ",oracle_rate_hz,oracle_rel_dev"
+    out = [header]
+    for line, orate, dev in rows:
+        row = (f"{line.n},{line.branch},"
+               f"{'' if line.m is None else line.m},"
+               f"{line.omega!r},{angular_to_hz(line.omega)!r},{line.rate!r}")
+        if verified:
+            row += f",{'' if orate is None else repr(orate)}"
+            row += f",{'' if dev is None else repr(dev)}"
+        out.append(row)
+    return "\n".join(out) + "\n"
+
+
+def _switch_rows():
+    """Hand-built rows whose floats sit on every switch of float repr: each
+    REPR_SWITCHES rate that Sideband accepts (all of them) against each
+    omega it accepts (the positive ones), and oracle cells that run through
+    REPR_SWITCHES, None and the non-finite floats."""
+    from accelrad import ABSORB_DEEXCITE, EMIT_EXCITE, Sideband
+    omegas = [value for value in REPR_SWITCHES if value > 0]
+    cells = REPR_SWITCHES + (None, math.inf, -math.inf, math.nan)
+    rows = []
+    for i, rate in enumerate(REPR_SWITCHES):
+        for j, omega in enumerate(omegas):
+            line = Sideband(n=len(omegas) * i + j + 1, omega=omega, rate=rate,
+                            branch=(EMIT_EXCITE, ABSORB_DEEXCITE)[(i + j) % 2],
+                            m=None if j % 3 == 0 else i * j)
+            rows.append((line, cells[(i + j) % len(cells)],
+                         cells[(i + 2 * j + 1) % len(cells)]))
+    return rows
+
+
+def _sideband_cases():
+    """Rows for sidebands_text, by case: real lines verified by the oracle
+    (absorption rows carry None oracle cells), hand-built rows and none."""
+    from accelrad import Cavity, Mirror
+    from accelrad.constants import SPEED_OF_LIGHT
+    atom = AtomParams(omega0=2 * math.pi * 5e9, alpha=0.2)
+    motion = ShoMotion(amplitude=1e-2, Omega=2 * math.pi * 1e10)
+    # omega0 = 2.5 Omega and modes at multiples of Omega / 2: every index
+    # meets a mode, n = 1, 2 absorbing (N = 2 photons) and n >= 3 emitting.
+    Omega = 2 * math.pi * 1e9
+    cavity_atom = AtomParams(omega0=2.5 * Omega, alpha=0.2)
+    cavity = Cavity(length=math.pi * SPEED_OF_LIGHT / (0.5 * Omega), z0=0.07,
+                    n_photons=2)
+    cavity_motion = ShoMotion(amplitude=2e-3, Omega=Omega)
+
+    def verified(atom, motion, geom, n_max):
+        return verified_lines(atom, motion, geom,
+                              allowed_sidebands(atom, motion, geom, n_max))
+
+    return {
+        "empty": lambda: [],
+        "free-space": lambda: verified(atom, motion, FreeSpace(), 24),
+        "mirror": lambda: verified(atom, motion, Mirror(z0=4e-2), 24),
+        "cavity": lambda: verified(cavity_atom, cavity_motion, cavity, 6),
+        "repr-switches": _switch_rows,
+    }
+
+
+class TestSidebandsTextMatchesFrozenReference:
+    @pytest.mark.parametrize("verified", [False, True])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("case", sorted(_sideband_cases()))
+    def test_byte_identical(self, case, fmt, verified):
+        rows = _sideband_cases()[case]()
+        assert (sidebands_text(rows, fmt, verified)
+                == frozen_sidebands_text(rows, fmt, verified))
+
+    def test_cases_hold_what_they_name(self):
+        from accelrad import ABSORB_DEEXCITE
+        cavity = _sideband_cases()["cavity"]()
+        assert all(line.m is not None for line, _, _ in cavity)
+        assert {(line.branch == ABSORB_DEEXCITE, orate is None, dev is None)
+                for line, orate, dev in cavity} == {(True, True, True),
+                                                    (False, False, False)}
+        for case in ("free-space", "mirror"):
+            rows = _sideband_cases()[case]()
+            assert rows and all(line.m is None and orate is not None
+                                for line, orate, _ in rows)
+
+    @pytest.mark.parametrize("verified", [False, True])
+    def test_numpy_scalars_print_as_floats(self, verified):
+        # json writes a float subclass as float.__repr__; so does the CSV
+        # form now, where repr would spell np.float64(...).
+        import numpy as np
+        from accelrad import Sideband
+        rows = [row for row in _switch_rows()
+                if not (row[1] is None or row[2] is None)]
+        scalars = [(Sideband(n=line.n, omega=np.float64(line.omega),
+                             rate=np.float64(line.rate), branch=line.branch,
+                             m=line.m), np.float64(orate), np.float64(dev))
+                   for line, orate, dev in rows]
+        assert (sidebands_text(scalars, "json", verified)
+                == frozen_sidebands_text(rows, "json", verified))
+        csv_text = sidebands_text(scalars, "csv", verified)
+        assert "np.float64" not in csv_text
+        assert csv_text == frozen_sidebands_text(rows, "csv", verified)
+
+    def test_seeded_rate_json_on_shipped_config_variants(self, tmp_path,
+                                                         capsys,
+                                                         monkeypatch):
+        # Shipped configs with drawn amplitude, orientation, n_max and
+        # --verify, through main with the writer and with the frozen one.
+        import random
+        import accelrad.cli
+        configs = pathlib.Path(__file__).resolve().parent.parent / "configs"
+        rng = random.Random(27)
+        written = 0
+        for draw in range(24):
+            path = rng.choice(sorted(configs.glob("*.cfg")))
+            text = with_value(path.read_text(encoding="utf-8"), "motion",
+                              "amplitude",
+                              repr(10.0 ** rng.uniform(-9.0, -2.5)))
+            if path.stem != "cavity" and rng.random() < 0.5:
+                text = with_value(text, "motion", "orientation", "parallel")
+                text = with_value(text, "motion", "delta_rad",
+                                  repr(rng.uniform(-3.0, 3.0)))
+            argv = ["rate", "--config", write_cfg(tmp_path, text),
+                    "--format", "json", "--n-max", str(rng.randint(1, 40))]
+            if rng.random() < 0.5:
+                argv.append("--verify")
+            outcomes = []
+            for writer in (sidebands_text, frozen_sidebands_text):
+                monkeypatch.setattr(accelrad.cli, "sidebands_text", writer)
+                outcomes.append((main(argv), capsys.readouterr()))
+            assert outcomes[0] == outcomes[1], (draw, argv)
+            written += outcomes[0][0] == 0
+        assert written >= 20
+
+
 # Every key of every section, drawn from the key table in accelrad.cli.
 
 def _table_value(row):

@@ -2,13 +2,14 @@
 
 import math
 import pathlib
+import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import accelrad.rates
-from accelrad import (ABSORB_DEEXCITE, EMIT_EXCITE, PARALLEL,
+from accelrad import (ABSORB_DEEXCITE, EMIT_EXCITE, PARALLEL, RESONANCE_TOL,
                       ApproximationDomainError, AtomParams, Cavity, FreeSpace,
                       GeneralPeriodicMotion, Mirror, PhysicsDomainError,
                       RotationMotion, ShoMotion, Sideband, allowed_sidebands,
@@ -360,6 +361,74 @@ class TestAllowedSidebands:
         motion = GeneralPeriodicMotion(Omega=2.0, samples=tuple([0.0] * 16))
         with pytest.raises(PhysicsDomainError):
             allowed_sidebands(atom, motion, FreeSpace(), 3)
+
+
+def speed_draws(seed, count):
+    """Seeded ``(atom, motion, geom)`` requests of every closed-form pair,
+    at peak speeds Omega A / c from 1e-8 to 10."""
+    rng = random.Random(seed)
+    draws = []
+    for i in range(count):
+        Omega = 2.0 * math.pi * 10.0 ** rng.uniform(8.0, 11.0)
+        amplitude = 10.0 ** rng.uniform(-8.0, 1.0) * C / Omega
+        delta = rng.uniform(-math.pi, math.pi)
+        atom = AtomParams(omega0=Omega * 10.0 ** rng.uniform(-2.0, 1.0),
+                          g=1.0e3)
+        motion = (ShoMotion(amplitude=amplitude, Omega=Omega),
+                  ShoMotion(amplitude=amplitude, Omega=Omega,
+                            orientation=PARALLEL, delta=delta),
+                  RotationMotion(radius=amplitude, Omega=Omega,
+                                 delta=delta))[i % 3]
+        kind = ("free_space", "mirror", "cavity")[i // 3 % 3]
+        if kind == "free_space":
+            geom = FreeSpace()
+        elif kind == "mirror":
+            geom = Mirror(z0=amplitude * 10.0 ** rng.uniform(0.01, 2.0))
+        else:  # one resonant (n, m) pair, SHO along the axis
+            atom, geom, _ = resonant_cavity(
+                rng.randint(1, 30), rng.randint(1, 30), Omega,
+                rng.uniform(0.05, 0.95), z_frac=rng.uniform(0.2, 0.8))
+            motion = ShoMotion(amplitude=rng.uniform(0.01, 0.99)
+                               * geom.clearance, Omega=Omega)
+        draws.append((atom, motion, geom))
+    return draws
+
+
+class TestEmissionArgumentBelowSpeedLine:
+    """The Bessel argument of every emission line is
+    x = k_motion A < n Omega A / c, so x >= n needs a peak speed Omega A
+    above c."""
+
+    def test_seeded_draws_of_every_pair(self, monkeypatch):
+        arguments = {}
+
+        def recorded(n, x):
+            arguments[n] = x
+            return bessel_j(n, x)
+
+        monkeypatch.setattr(accelrad.rates, "bessel_j", recorded)
+        checked = set()
+        band = 0  # lines at x >= n, all of them faster than light
+        for atom, motion, geom in speed_draws(17, 180):
+            arguments.clear()
+            Omega, amplitude = motion.Omega, motion.amplitude
+            for line in allowed_sidebands(atom, motion, geom, 40):
+                if line.branch != EMIT_EXCITE:
+                    continue
+                x = abs(arguments[line.n])
+                if isinstance(geom, Cavity):
+                    # k = pi m / L meets (n Omega - omega0) / c only to
+                    # RESONANCE_TOL * Omega.
+                    assert x <= ((line.n * Omega - atom.omega0
+                                  + RESONANCE_TOL * Omega) * amplitude / C)
+                assert x < line.n * Omega * amplitude / C
+                if x >= line.n:
+                    assert Omega * amplitude > C
+                    band += 1
+                checked.add((type(geom), type(motion),
+                             getattr(motion, "orientation", None)))
+        assert len(checked) == 7, checked  # every closed-form pair
+        assert band > 0
 
 
 class TestMotionGeometryProtocol:

@@ -233,19 +233,24 @@ class TestBessel:
             assert np.array_equal(bessel_j_orders(n_max, -x), flipped)
 
     def test_miller_path_against_mpmath(self):
-        # Absolute error in units of the envelope min(1, sqrt(2/(pi x))).
-        # Measured worst over this grid: 7.1e-12 at (144, 151.0), next
-        # 4.2e-12; (22, 279.6) gives 2.5e-12.  The bound is twice the worst.
-        # The 1e-12 target is not met yet.
-        worst = 0.0
+        # Absolute error, in units of the envelope min(1, sqrt(2/(pi x))),
+        # of the Miller kernel itself on every case and of bessel_j, which
+        # routes 26 of the 81 cases to Debye and 10 to the anchored pass.
+        # Measured worst, for the kernel and for bessel_j alike: 7.1e-12 at
+        # (144, 151.0).  The bound is twice the worst.  The 1e-12 target is
+        # not met yet.
+        worst = {"kernel": 0.0, "bessel_j": 0.0}
         with mpmath.workdps(30):
             for n, x in miller_grid(11, 80) + [(22, 279.6)]:
                 exact = float(mpmath.besselj(n, x, maxprec=40000,
                                              maxterms=10**6))
-                err = abs(bessel_j(n, x) - exact) / min(
-                    1.0, math.sqrt(2.0 / (math.pi * x)))
-                worst = max(worst, err)
-        assert worst < 1.5e-11
+                envelope = min(1.0, math.sqrt(2.0 / (math.pi * x)))
+                for name, value in (
+                        ("kernel", specfun._miller_range(n, n, x)[0]),
+                        ("bessel_j", bessel_j(n, x))):
+                    worst[name] = max(worst[name],
+                                      abs(value - exact) / envelope)
+        assert max(worst.values()) < 1.5e-11, worst
 
     @pytest.mark.parametrize("n_max,x", [(300, 1e-57), (3, 1e-100)])
     def test_orders_finite_at_tiny_argument(self, n_max, x):
