@@ -1,5 +1,6 @@
 """Oracle tests: quadrature vs closed forms, selection rule, invariances."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -672,19 +673,38 @@ def log_aliasing_bound(p, q, x, nodes):
 
 class TestSelectionRuleRows:
     def test_report_computes_each_row_once(self, monkeypatch):
-        calls = []
+        grids, sines, calls = [], {}, []
+        grid = oracle_module._selection_grid
+        sine = oracle_module._selection_sines
         row = oracle_module._selection_row
 
-        def spy(q, x, nodes):
-            calls.append((q, x, nodes))
-            return row(q, x, nodes)
+        def grid_spy(nodes):
+            grids.append(nodes)
+            return grid(nodes)
 
-        monkeypatch.setattr(oracle_module, "_selection_row", spy)
+        def sine_spy(q, psi):
+            values = sine(q, psi)  # kept alive, so that its id stays unique
+            sines[id(values)] = (q, psi.size, values)
+            return values
+
+        def row_spy(x, values):
+            q, nodes, _ = sines[id(values)]
+            calls.append((q, x, nodes))
+            return row(x, values)
+
+        monkeypatch.setattr(oracle_module, "_selection_grid", grid_spy)
+        monkeypatch.setattr(oracle_module, "_selection_sines", sine_spy)
+        monkeypatch.setattr(oracle_module, "_selection_row", row_spy)
         selection_rule_report()
         expected = {(q, x, oracle_module._selection_nodes(p, q, x))
                     for p, q, x in SCAN_GRID}
         assert len(calls) == len(set(calls)) == 29
         assert set(calls) == expected
+        sine_rows = [(q, nodes) for q, nodes, _ in sines.values()]
+        assert len(sine_rows) == len(set(sine_rows)) == 11
+        assert set(sine_rows) == {(q, nodes) for q, _, nodes in expected}
+        assert len(grids) == len(set(grids)) == 6
+        assert set(grids) == {nodes for _, _, nodes in expected}
 
     def test_fft_row_matches_the_dense_sum_on_the_grid(self):
         worst = max(abs(verify_selection_rule(p, q, x)
@@ -772,3 +792,229 @@ class TestEquivalenceDrawCount:
     def test_report_rejects_fewer_than_one_draw(self, count):
         with pytest.raises(ValueError, match="count"):
             equivalence_report(seed=0, count=count)
+
+
+def frozen_equivalence_cases(seed, count, attempts=None):
+    """``equivalence_cases`` as it drew through ``Generator.uniform`` and
+    evaluated J_n on every attempt, frozen without its runaway guard: the
+    reference its draws must equal.  ``attempts`` collects each attempt's
+    (n, a_tilde, theta)."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < count:
+        kind = ("free", "mirror", "cavity")[len(cases) % 3]
+        n = int(rng.integers(1, 21))
+        Omega = 10.0 ** rng.uniform(6.0, 10.0)
+        g = 10.0 ** rng.uniform(3.0, 6.0)
+        omega = float(rng.uniform(0.05, 0.95)) * n * Omega
+        omega0 = n * Omega - omega
+        k = omega / C
+        if kind == "free":
+            hi, theta = 25.0, 0.5 * math.pi
+        elif kind == "mirror":
+            z_tilde = float(rng.uniform(0.1, 2.0 * math.pi))
+            hi = min(25.0, 0.98 * z_tilde)
+            theta = z_tilde - 0.5 * math.pi * n
+        else:
+            m = int(rng.integers(1, 9))
+            length = math.pi * m * C / omega
+            z_frac = float(rng.uniform(0.15, 0.85))
+            z0 = z_frac * length
+            hi = min(25.0, 0.98 * k * min(z0, length - z0))
+            theta = math.pi * m * z_frac - 0.5 * math.pi * n
+        a_tilde = float(rng.uniform(0.05, hi))
+        if attempts is not None:
+            attempts.append((n, a_tilde, theta))
+        if abs(math.sin(theta) * bessel_j(n, a_tilde)) < 1e-5:
+            continue
+        motion = ShoMotion(amplitude=a_tilde / k, Omega=Omega)
+        if kind == "free":
+            geom = FreeSpace()
+        elif kind == "mirror":
+            geom = Mirror(z0=z_tilde / k)
+        else:
+            geom = Cavity(length=length, z0=z0,
+                          n_photons=int(rng.integers(0, 4)))
+        cases.append((AtomParams(omega0=omega0, g=g), motion, geom, n,
+                      omega))
+    return cases
+
+
+def case_fields(case):
+    """A draw as (type name, fields) per entry, each float by its repr,
+    which round-trips: equal fields are equal bit for bit."""
+    def fields(item):
+        if dataclasses.is_dataclass(item):
+            return [(f.name, repr(getattr(item, f.name)))
+                    for f in dataclasses.fields(item)]
+        if isinstance(item, (int, float)):
+            return repr(item)
+        return sorted(vars(item).items())
+
+    return [(type(item).__name__, fields(item)) for item in case]
+
+
+def power_bound(n, a_tilde, theta):
+    """|sin(theta)| (a_tilde/2)^n / n!, at least |sin(theta) J_n(a_tilde)|
+    (DLMF 10.14.4); the draw loop redraws below 0.5e-5 without J_n."""
+    return abs(math.sin(theta)) * (0.5 * a_tilde) ** n / math.factorial(n)
+
+
+class TestEquivalenceDrawsMatchTheFrozenLoop:
+    @pytest.mark.parametrize("count", [1, 7, 200])
+    def test_seeds_0_to_49(self, count):
+        for seed in range(50):
+            drawn = [case_fields(case)
+                     for case in equivalence_cases(seed, count)]
+            frozen = [case_fields(case)
+                      for case in frozen_equivalence_cases(seed, count)]
+            assert drawn == frozen, seed
+
+    def test_seed_0_at_1000_draws(self):
+        drawn = [case_fields(case) for case in equivalence_cases(0, 1000)]
+        assert drawn == [case_fields(case)
+                         for case in frozen_equivalence_cases(0, 1000)]
+
+    @staticmethod
+    def assert_uniform_formula(lo, hi, draws):
+        uniform, formula = (np.random.default_rng(11),
+                            np.random.default_rng(11))
+        for _ in range(draws):
+            drawn = uniform.uniform(lo, hi)
+            assert type(drawn) is float
+            assert drawn == lo + (hi - lo) * formula.random(), (lo, hi)
+
+    @pytest.mark.parametrize("lo,hi", [(6.0, 10.0), (3.0, 6.0), (0.05, 0.95),
+                                       (0.1, 2.0 * math.pi), (0.15, 0.85)])
+    def test_uniform_is_lo_plus_span_times_random(self, lo, hi):
+        self.assert_uniform_formula(lo, hi, 2000)
+
+    def test_a_tilde_uniform_up_to_a_drawn_hi(self):
+        # a_tilde's range (0.05, hi): hi = 25, the smallest hi of a mirror
+        # (0.98 * 0.1) and of a cavity (0.98 * 0.15 pi), and a seeded spread.
+        his = [25.0, 0.98 * 0.1, 0.98 * 0.15 * math.pi]
+        his += [0.05 + 24.95 * u for u in np.random.default_rng(3).random(200)]
+        for hi in his:
+            self.assert_uniform_formula(0.05, hi, 100)
+
+    def test_power_bound_holds_against_mpmath(self):
+        import mpmath
+
+        with mpmath.workdps(30):
+            for n in range(0, 21):
+                for a_tilde in np.linspace(0.05, 25.0, 100):
+                    a_tilde = float(a_tilde)
+                    exact = mpmath.besselj(n, a_tilde)
+                    assert power_bound(n, a_tilde, 0.5 * math.pi) \
+                        >= abs(exact), (n, a_tilde)
+                    # The margin below the 1e-5 redraw test is 0.5e-5, far
+                    # above bessel_j's own error.
+                    assert abs(bessel_j(n, a_tilde) - exact) < 1e-12
+
+
+class TestBoundDecidedRedraws:
+    def test_bessel_calls_equal_the_undecided_draws(self, monkeypatch):
+        attempts = []
+        frozen_equivalence_cases(0, 200, attempts)
+        undecided = [(n, a_tilde) for n, a_tilde, theta in attempts
+                     if power_bound(n, a_tilde, theta) >= 0.5e-5]
+        calls = []
+        real = specfun_module.bessel_j
+
+        def counted(n, x):
+            calls.append((n, x))
+            return real(n, x)
+
+        monkeypatch.setattr(specfun_module, "bessel_j", counted)
+        equivalence_cases(seed=0, count=200)
+        assert calls == undecided
+        # 503 attempts for 200 draws: the bound decides 298 of the 303
+        # redraws, and J_n is evaluated on the other 205 attempts.
+        assert (len(attempts), len(calls)) == (503, 205)
+
+    def test_the_bound_decides_only_redraws(self):
+        for seed in range(10):
+            attempts = []
+            frozen_equivalence_cases(seed, 200, attempts)
+            for n, a_tilde, theta in attempts:
+                if power_bound(n, a_tilde, theta) < 0.5e-5:
+                    value = math.sin(theta) * bessel_j(n, a_tilde)
+                    assert abs(value) < 1e-5, (seed, n, a_tilde, theta)
+
+
+def frozen_periodic_trapezoid(f, nodes):
+    """``periodic_trapezoid`` as it built each rule's nodes afresh and
+    summed through ``np.sum``, frozen: the reference it must equal."""
+    total = None
+
+    def estimate(count):
+        nonlocal total
+        step = 2.0 * math.pi / count
+        if total is None:
+            total = np.sum(f(-math.pi + step * np.arange(count)))
+        else:  # the odd nodes, the previous rule's midpoints
+            total += np.sum(f(-math.pi + step * np.arange(1, count, 2)))
+        return step * total
+
+    return quadrature._refine(estimate, int(nodes))
+
+
+def _trapezoid_cases():
+    """``(name, integrand, start)``: the oracle's integrands at their own
+    starts over every motion and geometry, a start above 8192 nodes and a
+    start that takes three doublings."""
+    omega = 5 * _OMEGA_1 - _ATOM.omega0
+    lines = list(zip(("sho-free-n4", "sho-mirror-n3", "sho-cavity-n2"),
+                     _sho_cases()))
+    for kind, motion in _independent_motions().items():
+        for geom in (FreeSpace(), Mirror(z0=0.3), _CAVITY):
+            lines.append((f"{kind}-{type(geom).__name__}",
+                          (motion, geom, omega, _ATOM.omega0)))
+    motion, omega_deep, omega0 = make_free_case(30.0, 2100)
+    lines.append(("deep", (motion, FreeSpace(), omega_deep, omega0)))
+    cases = []
+    for name, line in lines:
+        integrand, n, bandwidth, _, _ = oracle_module._line_integral(*line)
+        cases.append((name, integrand,
+                      4 * (n + math.ceil(bandwidth) + 40)))
+    motion, omega, omega0 = make_free_case(7.3, 5)
+    integrand = oracle_module._line_integral(motion, FreeSpace(), omega,
+                                             omega0)[0]
+    cases.append(("three-doublings", integrand, 8))
+    return cases
+
+
+class TestTrapezoidMatchesTheFrozenRule:
+    @pytest.mark.parametrize("name,integrand,start",
+                             [pytest.param(*case, id=case[0])
+                              for case in _trapezoid_cases()])
+    def test_bit_identical_results_and_nodes(self, name, integrand, start):
+        seen = {"new": [], "frozen": []}
+
+        def recorded(side):
+            def f(tau):
+                seen[side].append(tau.copy())
+                assert tau.flags.c_contiguous
+                return integrand(tau)
+            return f
+
+        new = periodic_trapezoid(recorded("new"), start)
+        frozen = frozen_periodic_trapezoid(recorded("frozen"), start)
+        assert new == frozen
+        assert repr(new) == repr(frozen)
+        assert len(seen["new"]) == len(seen["frozen"])
+        for mine, theirs in zip(seen["new"], seen["frozen"]):
+            assert mine.tobytes() == theirs.tobytes()
+        # f sees the start's N nodes per call on the first doubling, as
+        # before, not the 2N-point grid they come from.
+        assert [tau.size for tau in seen["new"][:2]] == [start, start]
+        if name == "deep":
+            assert start > 8192
+        if name == "three-doublings":
+            assert new[2] >= 8 * start
+
+    def test_start_without_room_calls_nothing(self):
+        calls = []
+        with pytest.raises(ConvergenceError):
+            periodic_trapezoid(calls.append, MAX_PERIODIC_NODES // 2 + 1)
+        assert calls == []
