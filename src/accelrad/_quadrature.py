@@ -57,27 +57,16 @@ def periodic_trapezoid(f, nodes: int):
 
     Returns ``(value, error_estimate, nodes_used)``.  ``f`` must accept an
     ndarray of abscissae and return an ndarray of the same shape.
-
-    The first rule is always followed by its doubling, so one 2N-point grid
-    serves both: ``f`` gets its even half (bit for bit the N-point grid,
-    fl(2 pi / 2N) 2j = fl(2 pi / N) j) and then its odd half, each as a
-    contiguous array of N nodes.
     """
     total = None
-    midpoints = None
 
     def estimate(count):
-        nonlocal total, midpoints
+        nonlocal total
         step = 2.0 * math.pi / count
-        if total is None:  # this rule's nodes and its doubling's midpoints
-            grid = -math.pi + 0.5 * step * np.arange(2 * count)
-            even, midpoints = grid[::2].copy(), grid[1::2].copy()
-            total = f(even).sum()
+        if total is None:
+            total = f(-math.pi + step * np.arange(count)).sum()
         else:  # the odd nodes, the previous rule's midpoints
-            if midpoints is None:
-                midpoints = -math.pi + step * np.arange(1, count, 2)
-            total += f(midpoints).sum()
-            midpoints = None
+            total += f(-math.pi + step * np.arange(1, count, 2)).sum()
         return step * total
 
     return _refine(estimate, int(nodes))

@@ -39,7 +39,7 @@ description with the closed forms, none of their Bessel or sin^2 algebra.
 The selection-rule scan checks (1/2 pi) int e^{i(x sin(q psi) - p psi)} dpsi
 by the N-node trapezoid rule alone, taking every p of one (q, x, N) row
 from a single FFT of exp(i x sin(q psi_j)): 29 FFTs for the 300-case scan,
-over 6 node grids psi_j and 11 sine rows sin(q psi_j).
+over 11 sine rows sin(q psi_j).
 A proof, not a second rule, bounds that route.  The N-node sum is the signed
 sum of J_j(x) over every j with q j = p (mod N), so it differs from the
 exact value (0 for coprime p, q) by at most 2 sum_{j >= (N - p)/q}
@@ -218,19 +218,15 @@ def _selection_nodes(p: int, q: int, x: float) -> int:
     return nodes
 
 
-def _selection_grid(nodes: int):
-    """The scan's uniform nodes psi_j = -pi + 2 pi j / N, j in [0, N)."""
-    return -math.pi + 2.0 * math.pi * np.arange(nodes) / nodes
-
-
-def _selection_sines(q: int, psi):
-    """sin(q psi_j) on the nodes ``psi`` of :func:`_selection_grid`."""
+def _selection_sines(q: int, nodes: int):
+    """sin(q psi_j) on the uniform nodes psi_j = -pi + 2 pi j / N."""
+    psi = -math.pi + 2.0 * math.pi * np.arange(nodes) / nodes
     return np.sin(q * psi)
 
 
 def _selection_row(x: float, sines):
     """|J(x; p, q)| for every p in [0, N) from one FFT, given
-    ``sines = sin(q psi_j)`` on the N nodes of :func:`_selection_grid`.
+    ``sines = sin(q psi_j)`` from :func:`_selection_sines`.
 
     On the uniform grid psi_j = -pi + 2 pi j / N the N-node trapezoid sum
     of exp(i(x sin(q psi) - p psi)) is (-1)^p times the p-th DFT
@@ -254,8 +250,8 @@ def verify_selection_rule(p: int, q: int, x: float) -> float:
     if p != int(p) or q != int(q) or p < 1 or q < 1:
         raise ValueError(f"p and q must be positive integers, got p={p}, q={q}")
     p, q = int(p), int(q)
-    psi = _selection_grid(_selection_nodes(p, q, x))
-    return float(_selection_row(x, _selection_sines(q, psi))[p])
+    sines = _selection_sines(q, _selection_nodes(p, q, x))
+    return float(_selection_row(x, sines)[p])
 
 
 def general_trajectory_spectrum(atom: AtomParams, motion, geom,
@@ -390,15 +386,15 @@ def selection_rule_report() -> dict:
     Runs the trapezoid rule of :func:`verify_selection_rule` over q in
     [2, 7], p in [1, 20] coprime, x in {0.3, 1.0, 2.5, 7.0}: one FFT per
     distinct (q, x, node count) row, 29 FFTs for the 300 cases, on one
-    node grid per node count (6) and one sine row per (q, node count)
-    (11), all kept only for the one report.  Each case's aliasing error is
-    at most 2 sum_{j >= (N - p)/q} (|x|/2)^j / j! (module docstring), below
-    1e-300 on this grid, so the report needs no second route.
+    sine row per (q, node count) (11), all kept only for the one report.
+    Each case's aliasing error is at most 2 sum_{j >= (N - p)/q}
+    (|x|/2)^j / j! (module docstring), below 1e-300 on this grid, so the
+    report needs no second route.
     """
     worst = 0.0
     worst_case = None
     cases = 0
-    grids, sines, rows = {}, {}, {}
+    sines, rows = {}, {}
     for q in range(2, 8):
         for p in range(1, 21):
             if math.gcd(p, q) != 1:
@@ -406,10 +402,8 @@ def selection_rule_report() -> dict:
             for x in (0.3, 1.0, 2.5, 7.0):
                 cases += 1
                 nodes = _selection_nodes(p, q, x)
-                if nodes not in grids:
-                    grids[nodes] = _selection_grid(nodes)
                 if (q, nodes) not in sines:
-                    sines[q, nodes] = _selection_sines(q, grids[nodes])
+                    sines[q, nodes] = _selection_sines(q, nodes)
                 if (q, x, nodes) not in rows:
                     rows[q, x, nodes] = _selection_row(x, sines[q, nodes])
                 value = float(rows[q, x, nodes][p])
