@@ -10,9 +10,12 @@ Two evaluators, both self-contained (no scipy):
                        x > 200, the downward (Miller) recurrence run only to
                        the largest order Debye's route serves and
                        normalized by Debye's value there, at
-                       O(|n - x| + sqrt(x)) steps; and the Miller
-                       recurrence normalized by J_0 + 2 sum J_2k = 1
-                       everywhere else, at O(max(n, x)).
+                       O(|n - x| + sqrt(x)) steps; and everywhere else
+                       the full Miller pass, normalized by
+                       J_0 + 2 sum J_2k = 1, at O(max(n, x)): one loop of
+                       step pairs that stores only the orders asked for,
+                       one order for ``bessel_j`` and a whole column for
+                       ``bessel_j_orders``.
 * ``rational_period_integral`` -- one-period average
                        (1/2pi) * int_{-pi}^{pi} exp(i(x sin(q s) - p s)) ds,
                        which vanishes unless q divides p; this is the
@@ -23,6 +26,7 @@ Two evaluators, both self-contained (no scipy):
                        one as its independent check.
 """
 
+import itertools
 import math
 
 from ._lazy import np
@@ -34,8 +38,6 @@ _MILLER_RESCALE = 1e250
 
 #: Relative accuracy of the Bessel series.
 _REL_TOL = 1e-10
-#: Most terms the Bessel series may use.
-_MAX_TERMS = 10**6
 #: Largest |x| the Bessel evaluators accept; a full Miller pass there, for
 #: order 0 or ``bessel_j_orders``, takes ~1 s.
 MAX_ARGUMENT = 1e7
@@ -136,7 +138,7 @@ def bessel_j(n: int, x: float) -> float:
 
     Satisfies J_n(-x) = (-1)^n J_n(x) by construction.
     """
-    if n != int(n) or n < 0:
+    if n % 1 or n < 0:  # n % 1 is nan, so true, for an infinite n
         raise ValueError(f"order must be a non-negative integer, got {n}")
     n = int(n)
     _check_argument(x)
@@ -158,8 +160,9 @@ def bessel_j_orders(n_max: int, x: float) -> "np.ndarray":
     One Miller pass yields every order at once, which is what the sweep
     engine wants for whole-column evaluation.
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    if n_max % 1 or n_max < 0:
+        raise ValueError(f"n_max must be a non-negative integer, got {n_max}")
+    n_max = int(n_max)
     _check_argument(x)
     sign = -1.0 if x < 0 else 1.0
     x = abs(float(x))
@@ -191,8 +194,15 @@ def _check_argument(x: float) -> None:
 
 
 def _bessel_series(n: int, x: float) -> float:
-    # J_n(x) = sum_k (-1)^k (x/2)^{n+2k} / (k! (n+k)!), built multiplicatively
-    # so large n underflows gracefully instead of overflowing n!.
+    """J_n(x) = sum_k (-1)^k (x/2)^{n+2k} / (k! (n+k)!), built
+    multiplicatively so large n underflows gracefully instead of
+    overflowing n!.
+
+    The loop needs no term cap: once k > (x/2)^2, each term shrinks by
+    (x/2)^2 / (k (n+k)) < 1 until it reaches 0.0 or 1e-17 of the peak.  On
+    a dense grid plus 200 000 draws with n <= 3000 and x <= 12 it took at
+    most 27 terms, at order 0 from x = 11.6 up to 12.0.
+    """
     half = 0.5 * x
     term = 1.0
     for i in range(1, n + 1):
@@ -203,7 +213,7 @@ def _bessel_series(n: int, x: float) -> float:
     peak = abs(term)
     h2 = half * half
     tol = 1e-2 * _REL_TOL
-    for k in range(1, _MAX_TERMS + 1):
+    for k in itertools.count(1):
         term *= -h2 / (k * (n + k))
         total += term
         mag = abs(term)
@@ -211,11 +221,6 @@ def _bessel_series(n: int, x: float) -> float:
             peak = mag
         if mag <= tol * abs(total) or mag <= 1e-17 * peak:
             return total
-    raise ConvergenceError(
-        f"Bessel series for J_{n}({x}) did not converge in "
-        f"{_MAX_TERMS} terms",
-        error_estimate=abs(term),
-    )
 
 
 def _debye_serves(n: int, x: float) -> bool:
@@ -410,90 +415,42 @@ def _miller_range(lo: int, hi: int, x: float) -> list:
 
     Downward recurrence J_{k-1} = (2k/x) J_k - J_{k+1} from the seed 1e-30
     at ``_miller_start(hi, x)``, normalized by J_0 + 2*sum_k J_2k = 1.  The
-    start index is even, so the steps come in pairs (k even, then k odd)
-    whose second member is the even order that enters the normalization.
-    Pairs above the kept orders only recur, kept pairs also store, and pairs
-    below recur while rescaling what was stored.  Any step past 1e250 in
-    magnitude rescales the recurrence, the normalization and every value
-    stored so far by 1e-250, one rescale at a time.
+    start index is even, so the steps come in pairs: pair j takes J_{2j+1}
+    (``up``) and J_{2j} (``cur``) to J_{2j-1} and J_{2j-2}, and first adds
+    2 J_{2j} to the normalization; J_0 enters it once, after the last
+    pair.  One pair body runs over three stretches, the pairs above the
+    kept orders, across them and below them, and only the middle one
+    stores.  Any step past 1e250 in magnitude rescales the recurrence, the
+    normalization and every value stored so far by 1e-250, one rescale at
+    a time.
     """
+    big = _MILLER_RESCALE
+    scale = 1.0 / big
     m = _miller_start(hi, x)
     top = hi // 2 + 1    # pair holding orders 2*top-1 (>= hi) and 2*top-2
     bot = lo // 2 + 1    # pair holding orders 2*bot-1 and 2*bot-2 (<= lo)
     kept = []            # stored values, descending order from 2*top-1
-    seed = 1e-30
-    up, cur, norm = _miller_pairs(m // 2, top, x, 0.0, seed, 2.0 * seed, kept)
-    up, cur, norm = _miller_kept_pairs(top, max(bot, 2) - 1, x, up, cur,
-                                       norm, kept)
-    up, cur, norm = _miller_pairs(bot - 1, 1, x, up, cur, norm, kept)
-    # The last pair, orders 1 and 0: J_0 enters the normalization once.
-    j1 = (4.0 / x) * cur - up
-    if abs(j1) > _MILLER_RESCALE:
-        j1, cur, norm = _rescale(j1, cur, norm, kept)
-    j0 = (2.0 / x) * j1 - cur
-    if abs(j0) > _MILLER_RESCALE:
-        j0, j1, norm = _rescale(j0, j1, norm, kept)
-    norm += j0
-    if bot == 1:
-        kept += (j1, j0)
+    up, cur, norm = 0.0, 1e-30, 0.0
+    tk = 2.0 * m         # 2k for k = 2j at pair j, an exact float
+    for pairs, keep in ((m // 2 - top, False), (top - bot + 1, True),
+                        (bot - 1, False)):
+        for _ in range(pairs):
+            norm += 2.0 * cur
+            up = (tk / x) * cur - up
+            # up > big or up < -big is abs(up) > big without the call.
+            if up > big or up < -big:
+                up, cur, norm = up * scale, cur * scale, norm * scale
+                kept = [w * scale for w in kept]
+            cur = ((tk - 2.0) / x) * up - cur
+            if cur > big or cur < -big:
+                up, cur, norm = up * scale, cur * scale, norm * scale
+                kept = [w * scale for w in kept]
+            if keep:
+                kept += (up, cur)
+            tk -= 4.0
+    norm += cur
     first = 2 * top - 1
     return [v / norm for v in reversed(kept[first - hi:first - lo + 1])]
-
-
-def _miller_pairs(start: int, stop: int, x: float, up: float, cur: float,
-                  norm: float, kept: list):
-    """Pairs ``start`` down to ``stop + 1`` of ``_miller_range``, not stored.
-
-    Pair j takes J_{2j+1} (``up``) and J_{2j} (``cur``) to J_{2j-1} and
-    J_{2j-2}; ``tk`` is 2k for k = 2j, an exact float.
-    """
-    big = _MILLER_RESCALE
-    tk = 4.0 * start
-    for _ in range(start - stop):
-        # a > big or a < -big is abs(a) > big without the call.
-        a = (tk / x) * cur - up
-        if a > big or a < -big:
-            a, cur, norm = _rescale(a, cur, norm, kept)
-        b = ((tk - 2.0) / x) * a - cur
-        if b > big or b < -big:
-            b, a, norm = _rescale(b, a, norm, kept)
-        tk -= 4.0
-        norm += 2.0 * b
-        up = a
-        cur = b
-    return up, cur, norm
-
-
-def _miller_kept_pairs(start: int, stop: int, x: float, up: float,
-                       cur: float, norm: float, kept: list):
-    """``_miller_pairs`` that also appends both new values to ``kept``.
-
-    A loop of its own, so that the unstored pairs pay no store test.
-    """
-    big = _MILLER_RESCALE
-    tk = 4.0 * start
-    for _ in range(start - stop):
-        a = (tk / x) * cur - up
-        if a > big or a < -big:
-            a, cur, norm = _rescale(a, cur, norm, kept)
-        b = ((tk - 2.0) / x) * a - cur
-        if b > big or b < -big:
-            b, a, norm = _rescale(b, a, norm, kept)
-        kept += (a, b)
-        tk -= 4.0
-        norm += 2.0 * b
-        up = a
-        cur = b
-    return up, cur, norm
-
-
-def _rescale(u: float, v: float, norm: float, kept: list):
-    """The rescale of ``_miller_range``: the two live values ``u`` and
-    ``v``, the normalization and, in place, every stored value times
-    1 / _MILLER_RESCALE."""
-    scale = 1.0 / _MILLER_RESCALE
-    kept[:] = [w * scale for w in kept]
-    return u * scale, v * scale, norm * scale
 
 
 def rational_period_integral(x: float, p: int, q: int) -> float:

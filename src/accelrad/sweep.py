@@ -79,8 +79,9 @@ def fig2_surface(a_tilde_values, n_max: int, *, g: float | None = None,
     a_tilde_values = tuple(float(a) for a in a_tilde_values)
     if any(a < 0 for a in a_tilde_values):
         raise ValueError("a_tilde must be >= 0")
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if n_max % 1 or n_max < 1:
+        raise ValueError(f"n_max must be an integer >= 1, got {n_max}")
+    n_max = int(n_max)
     if (g is None) != (Omega is None):
         raise ValueError("pass both g and Omega for absolute rates, or neither")
 

@@ -77,6 +77,36 @@ def miller_reference(n_max, x):
     return out
 
 
+def miller_rescale_orders(n_max, x):
+    """The orders at which ``miller_reference(n_max, x)`` rescales, from
+    the same recurrence run without storing."""
+    base = max(n_max, int(x))
+    m = base + 16 + int(2.5 * math.sqrt(base + 1.0))
+    m += m & 1
+    j_up, j_cur, orders = 0.0, 1e-30, []
+    for k in range(m, 0, -1):
+        j_up, j_cur = j_cur, (2.0 * k / x) * j_cur - j_up
+        if abs(j_cur) > 1e250:
+            j_up, j_cur = j_up * (1.0 / 1e250), j_cur * (1.0 / 1e250)
+            orders.append(k - 1)
+    return orders
+
+
+def rescale_stretches(lo, hi, x):
+    """Where the rescales of ``_miller_range(lo, hi, x)`` land: in a pair
+    "above", "inside" or "below" the pairs that hold the kept orders lo..hi,
+    and "last kept" or "last below" for the last pair, orders 1 and 0."""
+    top, bot = hi // 2 + 1, lo // 2 + 1
+    stretches = set()
+    for k in miller_rescale_orders(hi, x):
+        pair = k // 2 + 1
+        stretches.add("above" if pair > top else
+                      "inside" if pair >= bot else "below")
+        if pair == 1:
+            stretches.add("last kept" if bot == 1 else "last below")
+    return stretches
+
+
 def miller_grid(seed, count):
     """Seeded (n, x) pairs on the Miller path: n <= 3500, 12 < x <= 5000."""
     rng = random.Random(seed)
@@ -232,6 +262,37 @@ class TestBessel:
             flipped[1::2] *= -1.0
             assert np.array_equal(bessel_j_orders(n_max, -x), flipped)
 
+    def test_one_loop_edges_bit_identical_to_reference(self):
+        # The random cases above reach every edge of the full pass's one
+        # pair body except a rescale on the last pair below the kept
+        # orders, which needs x < 12 and so never comes from bessel_j.
+        # These cases reach each edge on purpose: orders 0-3 at
+        # 12 < x <= 200, columns with n_max 0, 1 and 2, and rescales
+        # above, inside and below the kept orders and on the last pair,
+        # at J_1 alone and at J_0 alone, kept or not.
+        at_j1, at_j0 = 0.0060255958607435805, 0.006606934480075957
+        cases = [(n, n, x) for n in range(4) for x in (12.5, 57.1, 200.0)]
+        cases += [(0, n_max, x) for n_max in range(3)
+                  for x in (0.006, 11.9, 12.5, 57.1, 400.0)]
+        cases += [(lo, 40, x) for lo in (0, 40) for x in (at_j1, at_j0)]
+        cases += [(0, 300, 12.5), (1650, 1650, 12.5),
+                  (2393, 2393, 48.75113430192001)]
+        assert miller_rescale_orders(40, at_j1) == [1]
+        assert miller_rescale_orders(40, at_j0) == [0]
+        seen = set()
+        for lo, hi, x in cases:
+            ref = [v.hex() for v in miller_reference(hi, x)[lo:].tolist()]
+            got = [specfun._miller_range(lo, hi, x)]
+            if lo == 0:
+                got.append(bessel_j_orders(hi, x).tolist())
+            if lo == hi and 12.0 < x <= 200.0:
+                got.append([bessel_j(lo, x)])
+            for values in got:
+                assert [v.hex() for v in values] == ref, (lo, hi, x)
+            seen |= rescale_stretches(lo, hi, x)
+        assert seen == {"above", "inside", "below", "last kept",
+                        "last below"}
+
     def test_miller_path_against_mpmath(self):
         # Absolute error, in units of the envelope min(1, sqrt(2/(pi x))),
         # of the Miller kernel itself on every case and of bessel_j, which
@@ -333,6 +394,12 @@ class TestBessel:
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
             bessel_j(-1, 1.0)
+
+    @pytest.mark.parametrize("order", [2.5, -1, math.inf, math.nan])
+    def test_reject_a_non_integer_or_negative_order(self, order):
+        for evaluate in (bessel_j, bessel_j_orders):
+            with pytest.raises(ValueError, match="non-negative integer"):
+                evaluate(order, 1.0)
 
     def test_rejects_non_finite_argument(self):
         with pytest.raises(ValueError):
@@ -715,21 +782,20 @@ class TestSeriesMatchesFrozenLoop:
                 assert specfun._bessel_series(n, x) == \
                     frozen_bessel_series(n, x, rel_tol), (n, x)
 
-    def test_small_term_budget_fails_where_it_did(self, monkeypatch):
-        # Only a smaller term cap reaches the non-convergence error.
-        monkeypatch.setattr(specfun, "_REL_TOL", 1e-14)
-        monkeypatch.setattr(specfun, "_MAX_TERMS", 40)
-        failed = []
-        for n in range(0, 40, 3):
-            for x in (12.0, 20.0, 26.0, 28.0, 30.0, 35.0):
-                try:
-                    old = frozen_bessel_series(n, x, 1e-14, 40)
-                except ConvergenceError as exc:
-                    with pytest.raises(ConvergenceError) as excinfo:
-                        specfun._bessel_series(n, x)
-                    assert excinfo.value.error_estimate == exc.error_estimate
-                    assert str(excinfo.value) == str(exc)
-                    failed.append((n, x))
-                else:
-                    assert specfun._bessel_series(n, x) == old
-        assert (0, 30.0) in failed and (0, 12.0) not in failed
+    def test_no_term_cap_is_reached(self):
+        # The series runs without a term cap: it takes at most 27 terms on
+        # 0 < x <= 12, the most at order 0 near x = 12.  So with a cap of 30
+        # the frozen loop never raises and gives the same bits, on a dense
+        # grid up to 12.0 and its lower float neighbour and seeded orders
+        # up to 400; a cap of 26 fails at (0, 12.0).
+        rng = random.Random(29)
+        orders = list(range(12)) + sorted(rng.sample(range(12, 401), 20))
+        args = np.linspace(0.0, 12.0, 1201)[1:].tolist()
+        args.append(math.nextafter(12.0, 0.0))
+        assert 12.0 in args
+        for n in orders:
+            for x in args:
+                assert specfun._bessel_series(n, x).hex() == \
+                    frozen_bessel_series(n, x, max_terms=30).hex(), (n, x)
+        with pytest.raises(ConvergenceError):
+            frozen_bessel_series(0, 12.0, max_terms=26)

@@ -86,6 +86,11 @@ class TestFig2Surface:
         with pytest.raises(ValueError):
             fig2_surface([1.0], 1, g=0.3)
 
+    @pytest.mark.parametrize("n_max", [2.5, 0, math.inf, math.nan])
+    def test_rejects_a_non_integer_or_small_n_max(self, n_max):
+        with pytest.raises(ValueError, match="integer >= 1"):
+            fig2_surface([1.0], n_max)
+
 
 class TestFig3Surface:
     def test_zero_coupling_row(self):
