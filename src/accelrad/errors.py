@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types, and the whole-number rule, shared across the package.
 
 The CLI picks its exit code from the type alone: ConfigError -> 2,
 PhysicsDomainError and OverflowError (a value past float64 range) -> 3,
@@ -46,3 +46,12 @@ class OracleMismatchError(RuntimeError):
 
 class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
+
+
+def whole_number(name: str, value, low: int) -> int:
+    """``int(value)`` for a whole ``value >= low``, else ValueError: the one
+    rule for every order, index and count argument of the library.
+    ``value % 1`` is nan for an infinite or nan value, so both are refused."""
+    if not (value % 1 == 0 and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)

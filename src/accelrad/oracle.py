@@ -52,7 +52,8 @@ from dataclasses import dataclass
 from ._lazy import np
 from ._quadrature import MAX_PERIODIC_NODES, periodic_trapezoid
 from .constants import SPEED_OF_LIGHT as C
-from .errors import OracleMismatchError, OracleRangeError, PhysicsDomainError
+from .errors import (OracleMismatchError, OracleRangeError,
+                     PhysicsDomainError, whole_number)
 from .rates import (EMIT_EXCITE, AtomParams, Cavity, FreeSpace, Mirror,
                     ShoMotion, Sideband, check_clearance, off_resonance)
 
@@ -247,9 +248,7 @@ def verify_selection_rule(p: int, q: int, x: float) -> float:
     The documented one-case library API: no command calls it, since the
     ``oracle`` report scans its whole grid through the same row helpers.
     """
-    if p != int(p) or q != int(q) or p < 1 or q < 1:
-        raise ValueError(f"p and q must be positive integers, got p={p}, q={q}")
-    p, q = int(p), int(q)
+    p, q = whole_number("p", p, 1), whole_number("q", q, 1)
     sines = _selection_sines(q, _selection_nodes(p, q, x))
     return float(_selection_row(x, sines)[p])
 
@@ -262,8 +261,7 @@ def general_trajectory_spectrum(atom: AtomParams, motion, geom,
     Scans n in [1, n_max]; only lines whose mode meets the resonance survive.
     For samples of a pure sinusoid this reproduces the closed-form SHO rates.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    n_max = whole_number("n_max", n_max, 1)
     check_clearance(motion, geom)
     out = []
     for n in range(1, n_max + 1):
@@ -297,12 +295,11 @@ def equivalence_cases(seed: int = 0, count: int = 200) -> list[tuple]:
       evaluating J_n: no float64 error in J_n bridges that factor of 2, so
       the pre-test keeps the same draws.
 
-    Raises :class:`ValueError` for ``count < 1``.
+    Raises :class:`ValueError` unless ``count`` is a whole number >= 1.
     """
     from .specfun import bessel_j
 
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    count = whole_number("count", count, 1)
     rng = np.random.default_rng(seed)
 
     def uniform(lo, hi):  # Generator.uniform's own formula, bit for bit
@@ -352,17 +349,10 @@ def equivalence_cases(seed: int = 0, count: int = 200) -> list[tuple]:
     return cases
 
 
-def closed_form_rate(atom: AtomParams, motion, geom, n: int) -> float:
-    """Closed-form rate of line n of an equivalence draw, an emission line
-    (n Omega > omega0).  Every draw is a closed-form pair that clears its
-    boundary, so it skips the request checks of allowed_sidebands."""
-    return geom.sideband(atom, motion, n).rate
-
-
 def equivalence_report(seed: int = 0, count: int = 200) -> dict:
     """Run the oracle-equivalence suite; returns max deviation and cases.
 
-    Raises :class:`ValueError` for ``count < 1`` (from
+    Raises :class:`ValueError` unless ``count`` is a whole number >= 1 (from
     :func:`equivalence_cases`): a report over no draws would pass without
     checking anything.
     """
@@ -370,7 +360,8 @@ def equivalence_report(seed: int = 0, count: int = 200) -> dict:
     worst_case = None
     for case in equivalence_cases(seed, count):
         atom, motion, geom, n, omega = case
-        reference = closed_form_rate(atom, motion, geom, n)
+        # Every draw is a closed-form emission line that clears its boundary.
+        reference = geom.sideband(atom, motion, n).rate
         result = one_period_amplitude(motion, geom, omega, atom.omega0,
                                       g=atom.g)
         deviation = abs(result.rate - reference) / reference

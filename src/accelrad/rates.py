@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 from ._lazy import np
 from .constants import SPEED_OF_LIGHT as C
-from .errors import ApproximationDomainError, PhysicsDomainError
+from .errors import ApproximationDomainError, PhysicsDomainError, whole_number
 from .specfun import bessel_j
 
 PERPENDICULAR = "perpendicular"
@@ -346,7 +346,7 @@ class Cavity(_Geometry):
             raise PhysicsDomainError(
                 f"z0 must lie inside the cavity (0, {self.length}), "
                 f"got {self.z0}")
-        if self.n_photons != int(self.n_photons) or self.n_photons < 0:
+        if self.n_photons % 1 or self.n_photons < 0:
             raise PhysicsDomainError(
                 f"n_photons must be a non-negative integer, "
                 f"got {self.n_photons}")
@@ -434,8 +434,7 @@ def allowed_sidebands(atom: AtomParams, motion, geom,
     (check_closed_form), or a motion that reaches the boundary, is rejected
     before any line, so the outcome does not depend on which lines are open.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    n_max = whole_number("n_max", n_max, 1)
     check_clearance(motion, geom)
     check_closed_form(motion, geom)
     return [line for n in range(1, n_max + 1)

@@ -4,18 +4,19 @@ Two evaluators, both self-contained (no scipy):
 
 * ``bessel_j``      -- integer-order Bessel J_n on four routes: the
                        ascending power series for |x| <= 12; Debye's
-                       expansion (DLMF 10.19.6) for n >= 1 and x > 200 far
-                       enough past the turning point x = n, at a bounded
-                       cost of at most 17 terms; for the other n >= 1 at
+                       expansion (DLMF 10.19.6) for x > 200 far enough
+                       past the turning point x = n, at a bounded cost of
+                       at most 17 terms (at n = 0 it is Hankel's
+                       expansion, DLMF 10.17.3); for the other orders at
                        x > 200, the downward (Miller) recurrence run only to
                        the largest order Debye's route serves and
                        normalized by Debye's value there, at
-                       O(|n - x| + sqrt(x)) steps; and everywhere else
+                       O(|n - x| + sqrt(x)) steps; and for 12 < x <= 200
                        the full Miller pass, normalized by
                        J_0 + 2 sum J_2k = 1, at O(max(n, x)): one loop of
                        step pairs that stores only the orders asked for,
                        one order for ``bessel_j`` and a whole column for
-                       ``bessel_j_orders``.
+                       ``bessel_j_orders``, which takes it at every x > 0.
 * ``rational_period_integral`` -- one-period average
                        (1/2pi) * int_{-pi}^{pi} exp(i(x sin(q s) - p s)) ds,
                        which vanishes unless q divides p; this is the
@@ -31,15 +32,15 @@ import math
 
 from ._lazy import np
 from ._quadrature import refine_to_tolerance
-from .errors import ConvergenceError, PhysicsDomainError
+from .errors import ConvergenceError, PhysicsDomainError, whole_number
 
 _SERIES_CUTOFF = 12.0
 _MILLER_RESCALE = 1e250
 
 #: Relative accuracy of the Bessel series.
 _REL_TOL = 1e-10
-#: Largest |x| the Bessel evaluators accept; a full Miller pass there, for
-#: order 0 or ``bessel_j_orders``, takes ~1 s.
+#: Largest |x| the Bessel evaluators accept; a full Miller pass there, which
+#: only ``bessel_j_orders`` still runs, takes ~1 s.
 MAX_ARGUMENT = 1e7
 
 # Debye's route takes x > _DEBYE_MIN_X with tau = n tan^3(beta) = w^3 / n^2
@@ -138,16 +139,14 @@ def bessel_j(n: int, x: float) -> float:
 
     Satisfies J_n(-x) = (-1)^n J_n(x) by construction.
     """
-    if n % 1 or n < 0:  # n % 1 is nan, so true, for an infinite n
-        raise ValueError(f"order must be a non-negative integer, got {n}")
-    n = int(n)
+    n = whole_number("order", n, 0)
     _check_argument(x)
     x = float(x)  # numpy scalars would leak into the result and slow the loops
     if x < 0:
         return -bessel_j(n, -x) if n % 2 else bessel_j(n, -x)
     if x <= _SERIES_CUTOFF:
         return _bessel_series(n, x)
-    if x > _DEBYE_MIN_X and n > 0:
+    if x > _DEBYE_MIN_X:
         if _debye_serves(n, x):
             return _bessel_debye(n, x)
         return _bessel_anchored(n, x)
@@ -160,9 +159,7 @@ def bessel_j_orders(n_max: int, x: float) -> "np.ndarray":
     One Miller pass yields every order at once, which is what the sweep
     engine wants for whole-column evaluation.
     """
-    if n_max % 1 or n_max < 0:
-        raise ValueError(f"n_max must be a non-negative integer, got {n_max}")
-    n_max = int(n_max)
+    n_max = whole_number("n_max", n_max, 0)
     _check_argument(x)
     sign = -1.0 if x < 0 else 1.0
     x = abs(float(x))
@@ -226,7 +223,7 @@ def _bessel_series(n: int, x: float) -> float:
 def _debye_serves(n: int, x: float) -> bool:
     """Whether Debye's route serves J_n(x), x > _DEBYE_MIN_X: tau = w^3 / n^2
     >= _DEBYE_MIN_TAU, false for n >= x.  tau falls as n rises, so the
-    orders served are 1 .. ``_debye_anchor(x)``."""
+    orders served are 0 .. ``_debye_anchor(x)``."""
     return (x * x - n * n) ** 3 >= _DEBYE_MIN_TAU ** 2 * n ** 4
 
 
@@ -253,7 +250,7 @@ def _debye_anchor(x: float) -> int:
 
 
 def _bessel_anchored(n: int, x: float) -> float:
-    """J_n(x) for n >= 1 and x > _DEBYE_MIN_X where Debye's route declines:
+    """J_n(x) for x > _DEBYE_MIN_X where Debye's route declines:
     the turning-point band and the orders above it.
 
     Miller's recurrence runs from ``_miller_start(n, x)`` only down to
@@ -460,11 +457,9 @@ def rational_period_integral(x: float, p: int, q: int) -> float:
     bessel_j(p//q, x) when q divides p.  The integral is real by symmetry:
     the imaginary part is checked against 1e-12 and discarded.
     """
-    if p != int(p) or q != int(q) or p < 1 or q < 1:
-        raise ValueError(f"p and q must be positive integers, got p={p}, q={q}")
+    p, q = whole_number("p", p, 1), whole_number("q", q, 1)
     if not math.isfinite(x):
         raise PhysicsDomainError(f"argument must be finite, got {x}")
-    p, q = int(p), int(q)
 
     def integrand(s):
         return np.exp(1j * (x * np.sin(q * s) - p * s))

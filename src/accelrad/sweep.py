@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 from . import __version__ as _version
 from ._lazy import np
 from .constants import SPEED_OF_LIGHT as C
-from .errors import PhysicsDomainError
+from .errors import PhysicsDomainError, whole_number
 from .rates import (SMALL_AMPLITUDE_MAX, AtomParams, Cavity, ShoMotion,
                     allowed_sidebands, small_amplitude_formula)
 from .specfun import bessel_j, bessel_j_orders
@@ -79,9 +79,7 @@ def fig2_surface(a_tilde_values, n_max: int, *, g: float | None = None,
     a_tilde_values = tuple(float(a) for a in a_tilde_values)
     if any(a < 0 for a in a_tilde_values):
         raise ValueError("a_tilde must be >= 0")
-    if n_max % 1 or n_max < 1:
-        raise ValueError(f"n_max must be an integer >= 1, got {n_max}")
-    n_max = int(n_max)
+    n_max = whole_number("n_max", n_max, 1)
     if (g is None) != (Omega is None):
         raise ValueError("pass both g and Omega for absolute rates, or neither")
 
@@ -154,6 +152,7 @@ def rate_surface(atom: AtomParams, motion: ShoMotion, geom,
         raise PhysicsDomainError(
             "custom sweeps support free-space and mirror geometries with "
             "SHO motion")
+    n_max = whole_number("n_max", n_max, 1)
     amplitude_values = tuple(float(a) for a in amplitude_values)
     values = np.zeros((len(amplitude_values), n_max))
     for i, amplitude in enumerate(amplitude_values):

