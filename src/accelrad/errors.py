@@ -5,6 +5,8 @@ PhysicsDomainError and OverflowError (a value past float64 range) -> 3,
 OracleMismatchError and ConvergenceError -> 4; anything else is a bug.
 """
 
+import math
+
 
 class PhysicsDomainError(ValueError):
     """A physically invalid request (negative frequency, collision, ...)."""
@@ -51,7 +53,9 @@ class ConfigError(ValueError):
 def whole_number(name: str, value, low: int) -> int:
     """``int(value)`` for a whole ``value >= low``, else ValueError: the one
     rule for every order, index and count argument of the library.
-    ``value % 1`` is nan for an infinite or nan value, so both are refused."""
-    if not (value % 1 == 0 and value >= low):
+    A non-finite float is refused before ``% 1``, which warns on numpy's
+    inf; an int is finite, and may be too large for ``math.isfinite``."""
+    if not ((isinstance(value, int) or math.isfinite(value))
+            and value % 1 == 0 and value >= low):
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)

@@ -55,7 +55,8 @@ from .constants import SPEED_OF_LIGHT as C
 from .errors import (OracleMismatchError, OracleRangeError,
                      PhysicsDomainError, whole_number)
 from .rates import (EMIT_EXCITE, AtomParams, Cavity, FreeSpace, Mirror,
-                    ShoMotion, Sideband, check_clearance, off_resonance)
+                    ShoMotion, Sideband, _check_positive, check_clearance,
+                    off_resonance)
 
 _EPS = 2.0 ** -52  # float64 machine epsilon
 #: Relative deviation ``--verify`` allows between a closed form and the oracle.
@@ -95,10 +96,8 @@ def _line_integral(motion, geom, omega: float, omega0: float):
     ``(integrand, n, bandwidth, peak_phase, chi)``, with bandwidth bounding
     |dphi/dtau|, peak_phase every phase the integrand evaluates and chi the
     cavity photon-number factor (1 otherwise)."""
-    if not omega > 0:
-        raise PhysicsDomainError(f"omega must be positive, got {omega}")
-    if not omega0 > 0:
-        raise PhysicsDomainError(f"omega0 must be positive, got {omega0}")
+    _check_positive("omega", omega)
+    _check_positive("omega0", omega0)
     line = _resonance(geom, motion, omega, omega0)
     if line is None:
         raise PhysicsDomainError(

@@ -2,17 +2,18 @@
 
 Two evaluators, both self-contained (no scipy):
 
-* ``bessel_j``      -- integer-order Bessel J_n on four routes: the
-                       ascending power series for |x| <= 12; Debye's
-                       expansion (DLMF 10.19.6) for x > 200 far enough
-                       past the turning point x = n, at a bounded cost of
-                       at most 17 terms (at n = 0 it is Hankel's
-                       expansion, DLMF 10.17.3); for the other orders at
-                       x > 200, the downward (Miller) recurrence run only to
-                       the largest order Debye's route serves and
-                       normalized by Debye's value there, at
-                       O(|n - x| + sqrt(x)) steps; and for 12 < x <= 200
-                       the full Miller pass, normalized by
+* ``bessel_j``      -- integer-order Bessel J_n on five routes: the
+                       ascending power series for |x| <= 12; 0.0 at O(1)
+                       for n > x > 12 where Kapteyn's bound (DLMF 10.14.5)
+                       proves it; Debye's expansion (DLMF 10.19.6) for
+                       x > 200 far enough past the turning point x = n, at
+                       a bounded cost of at most 17 terms (at n = 0 it is
+                       Hankel's expansion, DLMF 10.17.3); for the other
+                       orders at x > 200, the downward (Miller) recurrence
+                       run only to the largest order Debye's route serves,
+                       normalized by Debye's value there and never
+                       rescaled, at O(|n - x| + sqrt(x)) steps; and for
+                       12 < x <= 200 the full Miller pass, normalized by
                        J_0 + 2 sum J_2k = 1, at O(max(n, x)): one loop of
                        step pairs that stores only the orders asked for,
                        one order for ``bessel_j`` and a whole column for
@@ -36,11 +37,15 @@ from .errors import ConvergenceError, PhysicsDomainError, whole_number
 
 _SERIES_CUTOFF = 12.0
 _MILLER_RESCALE = 1e250
+# One nat below ln 2^-1075 = -745.13, which covers the bound's rounding.
+_KAPTEYN_CUT = -746.2
 
 #: Relative accuracy of the Bessel series.
 _REL_TOL = 1e-10
 #: Largest |x| the Bessel evaluators accept; a full Miller pass there, which
-#: only ``bessel_j_orders`` still runs, takes ~1 s.
+#: only ``bessel_j_orders`` still runs, takes ~1 s.  The anchored pass does
+#: not rescale: raising the cap requires re-running
+#: ``TestAnchored::test_pass_stays_in_normal_range`` at the new cap.
 MAX_ARGUMENT = 1e7
 
 # Debye's route takes x > _DEBYE_MIN_X with tau = n tan^3(beta) = w^3 / n^2
@@ -146,6 +151,11 @@ def bessel_j(n: int, x: float) -> float:
         return -bessel_j(n, -x) if n % 2 else bessel_j(n, -x)
     if x <= _SERIES_CUTOFF:
         return _bessel_series(n, x)
+    if n > x:  # Kapteyn: |J_n(nz)| <= (z e^r / (1 + r))^n, r = sqrt(1 - z^2)
+        z = x / n
+        r = math.sqrt((1.0 - z) * (1.0 + z))
+        if n * (math.log(z) + r - math.log1p(r)) < _KAPTEYN_CUT:
+            return 0.0
     if x > _DEBYE_MIN_X:
         if _debye_serves(n, x):
             return _bessel_debye(n, x)
@@ -250,57 +260,43 @@ def _debye_anchor(x: float) -> int:
 
 
 def _bessel_anchored(n: int, x: float) -> float:
-    """J_n(x) for x > _DEBYE_MIN_X where Debye's route declines:
-    the turning-point band and the orders above it.
+    """J_n(x) for x > _DEBYE_MIN_X where Debye's route and Kapteyn's cut
+    decline: the turning-point band and the orders above it.
 
     Miller's recurrence runs from ``_miller_start(n, x)`` only down to
     the anchor k - 1, k = ``_debye_anchor(x)`` < n, and is normalized by one
     Debye value instead of by J_0 + 2 sum J_2k = 1 (DLMF 3.6(iii)).  Of
     f_k and f_{k-1} the larger in magnitude anchors: two consecutive orders
-    are never both near a zero of J.  f_n / f_anchor is formed before any
-    product: f_anchor reaches 1e235 when n >> x, and a normalization by
-    its square would overflow.  f_n is not rescaled with the pass below
-    it; the pass's rescales are applied to the result instead.
+    are never both near a zero of J.  f_n / f_anchor is formed first: the
+    square of f_anchor would overflow.  Behind the cut the pass spans at
+    most 1280 nats, from the seed 1e-30 * 2^-840 = 1.4e-283 (a power of two
+    times the full pass's seed, so every ratio is as before) to 1.1e273 at
+    x = MAX_ARGUMENT, and never rescales
+    (``TestAnchored::test_pass_stays_in_normal_range``).
     """
     k = _debye_anchor(x)
     m = _miller_start(n, x)
-    f_up, f_n, _ = _miller_steps(m, m - n, x, 0.0, 1e-30)
-    f_k, f_km1, rescales = _miller_steps(n, n - k + 1, x, f_up, f_n)
+    f_up, f_n = _miller_steps(m, m - n, x, 0.0, 1e-30 * 2.0 ** -840)
+    f_k, f_km1 = _miller_steps(n, n - k + 1, x, f_up, f_n)
     if abs(f_k) >= abs(f_km1):
-        value = f_n / f_k * _bessel_debye(k, x)
-    else:
-        value = f_n / f_km1 * _bessel_debye(k - 1, x)
-    for _ in range(rescales):
-        value /= _MILLER_RESCALE
-    return value
+        return f_n / f_k * _bessel_debye(k, x)
+    return f_n / f_km1 * _bessel_debye(k - 1, x)
 
 
 def _miller_steps(k: int, steps: int, x: float, up: float, cur: float):
     """``steps`` steps J_{j-1} = (2j/x) J_j - J_{j+1}, j = k, k - 1, ..,
-    from (up, cur) = (f_{k+1}, f_k): returns f_{k-steps+1}, f_{k-steps} and
-    how many times both were divided by _MILLER_RESCALE.  An odd step
-    first, then pairs, which cost a fifth less per step than single
-    steps."""
-    big = _MILLER_RESCALE
-    rescales = 0
+    from (up, cur) = (f_{k+1}, f_k), with no rescaling: returns f_{k-steps+1}
+    and f_{k-steps}.  An odd step first, then pairs, which cost a fifth
+    less per step than single steps."""
     tk = 2.0 * k
     if steps & 1:
         up, cur = cur, (tk / x) * cur - up
-        if cur > big or cur < -big:
-            up, cur = up / big, cur / big
-            rescales += 1
         tk -= 2.0
     for _ in range(steps >> 1):
         up = (tk / x) * cur - up
-        if up > big or up < -big:
-            up, cur = up / big, cur / big
-            rescales += 1
         cur = ((tk - 2.0) / x) * up - cur
-        if cur > big or cur < -big:
-            up, cur = up / big, cur / big
-            rescales += 1
         tk -= 4.0
-    return up, cur, rescales
+    return up, cur
 
 
 def _bessel_debye(n: int, x: float) -> float:

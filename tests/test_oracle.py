@@ -111,6 +111,16 @@ class TestOnePeriodAmplitude:
         with pytest.raises(PhysicsDomainError, match="verify_selection_rule"):
             one_period_amplitude(motion, FreeSpace(), 1.37, 1.0)
 
+    @pytest.mark.parametrize("omega,omega0", [
+        (math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, -1.0)])
+    def test_infinite_or_non_positive_frequency_is_a_physics_error(
+            self, omega, omega0):
+        # An infinite omega or omega0 used to reach round() in _resonance
+        # and raise OverflowError.
+        motion = ShoMotion(amplitude=1.0, Omega=2.0)
+        with pytest.raises(PhysicsDomainError, match="must be positive"):
+            one_period_amplitude(motion, FreeSpace(), omega, omega0)
+
     def test_boundary_collision_rejected(self):
         motion = ShoMotion(amplitude=2.0, Omega=2.0)
         with pytest.raises(PhysicsDomainError):

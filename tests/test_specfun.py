@@ -19,10 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import accelrad.specfun as specfun
-from accelrad import (ConvergenceError, PhysicsDomainError, bessel_j,
-                      bessel_j_orders, rational_period_integral)
+from accelrad import (AtomParams, ConvergenceError, FreeSpace,
+                      PhysicsDomainError, ShoMotion, allowed_sidebands,
+                      bessel_j, bessel_j_orders, rational_period_integral)
 from accelrad import _quadrature as quadrature
 from accelrad._quadrature import refine_to_tolerance
+from accelrad.constants import SPEED_OF_LIGHT as C
 
 # Frozen from the fsum power-series oracle below.
 J1_AT_FIRST_PEAK = 0.5818652242276431
@@ -479,7 +481,8 @@ class TestDebye:
     def test_routed_draws_against_mpmath(self):
         # Absolute error in units of the envelope sqrt(2 / (pi w)),
         # w = sqrt(x^2 - n^2), and relative error where |J| is not small.
-        # Measured worst: 2.9e-16 absolute and 2.3e-15 relative.  On the
+        # Measured worst: 2.9e-16 absolute, at (2147, 3471.5), and 2.3e-15
+        # relative, at (438, 2361.8); the bounds are under twice each.  On the
         # same draws below x = 1e6, Miller's absolute error has median
         # 7.9e-14 and worst 2.4e-12.  Order 0 (Hankel's expansion) draws
         # log-uniform 200 < x <= 1e7, its edges included.
@@ -503,8 +506,8 @@ class TestDebye:
                 if abs(exact) >= 1e-3 * envelope:
                     worst_rel = max(worst_rel,
                                     float(abs((got - exact) / exact)))
-        assert worst_abs <= 1e-14
-        assert worst_rel <= 1e-13
+        assert worst_abs <= 5e-16
+        assert worst_rel <= 4e-15
 
     def test_routed_lines_never_enter_miller(self, monkeypatch):
         # The route is O(1): no Miller pass, even at the argument cap.
@@ -555,12 +558,62 @@ def anchored_error(n, x):
         return rel, float(err) / envelope, float(abs(exact)) / envelope
 
 
+def kapteyn_exponent(n, x):
+    """n (ln z + r - ln(1 + r)), z = x/n, r = sqrt(1 - z^2), for n > x > 0:
+    the log of Kapteyn's bound on |J_n(x)| (DLMF 10.14.5), in float64 as
+    bessel_j forms it."""
+    z = x / n
+    r = math.sqrt((1.0 - z) * (1.0 + z))
+    return n * (math.log(z) + r - math.log1p(r))
+
+
+def kapteyn_cut(n, x):
+    """Whether bessel_j returns J_n(x) = 0.0 by Kapteyn's cut, x > 0."""
+    return (x > specfun._SERIES_CUTOFF and n > x
+            and kapteyn_exponent(n, x) < specfun._KAPTEYN_CUT)
+
+
+def cut_edge(n):
+    """The x, 12 < x < n, at which Kapteyn's cut lets order n >= 267
+    through: the smallest x the bisection finds uncut."""
+    lo, hi = specfun._SERIES_CUTOFF, float(n)
+    assert kapteyn_cut(n, math.nextafter(lo, hi))
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi
+        if kapteyn_cut(n, mid):
+            lo = mid
+        else:
+            hi = mid
+
+
+def last_uncut_order(x):
+    """The largest order that Kapteyn's cut lets through at x > 12."""
+    lo = math.floor(x) + 1
+    hi = 2 * lo
+    while not kapteyn_cut(hi, x):
+        hi *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if kapteyn_cut(mid, x):
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
 class TestAnchored:
     """The Debye-anchored Miller pass, the route of bessel_j for n >= 1 and
     x > 200 where Debye's expansion declines: the band x ~ n and every order
     above it."""
 
-    def check(self, pairs):
+    @staticmethod
+    def check(pairs, rel_bound, abs_bound):
+        """Relative error at most ``rel_bound`` where |J| is at least 1e-3
+        of the envelope, and absolute error at most ``abs_bound`` of the
+        envelope below it.  Each caller's bounds are under twice its
+        measured worst."""
         worst_rel = worst_abs = 0.0
         for n, x in pairs:
             assert anchored_routed(n, x), (n, x)
@@ -569,18 +622,18 @@ class TestAnchored:
                 worst_rel = max(worst_rel, rel)
             else:
                 worst_abs = max(worst_abs, absolute)
-        assert worst_rel <= 1e-12
-        assert worst_abs <= 1e-14
+        assert worst_rel <= rel_bound
+        assert worst_abs <= abs_bound
 
     def test_draws_against_mpmath(self):
         # Measured worst: 4.8e-14 relative, at (355, 401.2), and 4.4e-19
-        # of the envelope where |J| is below 1e-3 of it.  The full Miller
-        # pass gives 3.1e-12 and 2.7e-19 on the same draws.
+        # of the envelope where |J| is below 1e-3 of it, at (1183, 1141.9).
+        # The full Miller pass gives 3.1e-12 and 2.7e-19 on the same draws.
         pairs = anchored_draws(26, 120)
         assert sum(n < x for n, x in pairs) >= 50
         assert sum(n > x for n, x in pairs) >= 50
         assert max(x for _, x in pairs) > 3000.0
-        self.check(pairs)
+        self.check(pairs, 9e-14, 8e-19)
 
     def test_edges_against_mpmath(self):
         # x = 200 itself stays on the full Miller pass; the next float
@@ -598,7 +651,9 @@ class TestAnchored:
             assert debye_routed(n, edge * (1.0 + 1e-12))
             pairs.append((n, edge * (1.0 - 1e-12)))
         pairs += [(n, float(n)) for n in (201, 500, 1000, 3000)]
-        self.check(pairs)
+        # Measured worst: 1.7e-14 relative, at (300, 372.6), and 2.7e-30 of
+        # the envelope, at (260, 200.00000000000003).
+        self.check(pairs, 3e-14, 5e-30)
 
     def test_anchor_on_a_zero_of_j(self):
         # x is the float nearest a zero of J_1860, found by scanning x for
@@ -618,31 +673,79 @@ class TestAnchored:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(specfun, "_bessel_debye", counted)
-            self.check([(1900, x), (2005, x), (2100, x)])
+            # Measured worst: 1.4e-14 relative, at (2005, x), and 4.7e-24
+            # of the envelope, at (2100, x).
+            self.check([(1900, x), (2005, x), (2100, x)], 2.5e-14, 9e-24)
         assert calls == [1859] * 3
 
     def test_no_overflow_far_above_the_turning_point(self):
-        # J = 1.69e-183.  The anchor's recurrence value reaches about 1e235
-        # here, and a normalization by its square returned 0.0.
+        # J = 1.69e-183.  From the full pass's seed 1e-30 the anchor's
+        # recurrence value reaches about 1e235 here, and a normalization by
+        # its square returned 0.0.  Measured: 7.9e-16 relative.
         rel, _, _ = anchored_error(2276, 1590.0108505659425)
-        assert rel <= 1e-12
+        assert rel <= 1.5e-15
+
+    def test_pass_stays_in_normal_range(self, monkeypatch):
+        # The pass never rescales, so every value it forms must stay
+        # inside float64's normal range: at the last order Kapteyn's cut
+        # lets through, where the pass spans the most, and in the band
+        # (the lowest order above the anchor, and ceil(x)), on a log grid
+        # of x from just above 200 up to MAX_ARGUMENT.  The wrapper runs
+        # each call one step at a time through the kernel itself, which
+        # forms the same values, and records each.  Measured: a peak of
+        # 1.1e273 and a smallest nonzero value of 1.4e-283 (the seed),
+        # both at x = 1e7, n = 10 018 435.
+        real = specfun._miller_steps
+        seen = []
+
+        def traced(k, steps, x, up, cur):
+            seen.append(cur)
+            for j in range(steps):
+                up, cur = real(k - j, 1, x, up, cur)
+                seen.append(cur)
+            return up, cur
+
+        xs = np.geomspace(specfun._DEBYE_MIN_X, specfun.MAX_ARGUMENT,
+                          12).tolist()
+        xs[0] = math.nextafter(xs[0], math.inf)
+        xs[-1] = specfun.MAX_ARGUMENT
+        cases = [(n, x) for x in xs for n in (
+            last_uncut_order(x), specfun._debye_anchor(x) + 1, math.ceil(x))]
+        assert last_uncut_order(specfun.MAX_ARGUMENT) == 10_018_435
+        expected = [bessel_j(n, x) for n, x in cases]
+        monkeypatch.setattr(specfun, "_miller_steps", traced)
+        peak, low = 0.0, math.inf
+        for (n, x), value in zip(cases, expected):
+            seen.clear()
+            assert bessel_j(n, x) == value, (n, x)
+            assert anchored_routed(n, x) and seen, (n, x)
+            peak = max(peak, max(abs(v) for v in seen))
+            low = min(low, min(abs(v) for v in seen if v))
+        assert peak <= 1e300
+        assert low >= 1e-300
 
     def test_one_debye_anchor_and_no_full_miller_pass(self, monkeypatch):
         # The anchor is the largest order Debye's route serves, below
         # min(n, x); the pass stops there and calls Debye's route once,
-        # at the anchor or one order below it.
+        # at the anchor or one order below it.  The draws that Kapteyn's
+        # cut takes return 0.0 with no Debye call and no pass at all.
         def refused(*args):
             raise AssertionError(f"full Miller pass for {args}")
 
-        calls = []
-        real = specfun._bessel_debye
+        calls, passes = [], []
+        real, real_steps = specfun._bessel_debye, specfun._miller_steps
 
         def counted(n, x):
             calls.append(n)
             return real(n, x)
 
+        def counted_steps(*args):
+            passes.append(args[:3])
+            return real_steps(*args)
+
         monkeypatch.setattr(specfun, "_miller_range", refused)
         monkeypatch.setattr(specfun, "_bessel_debye", counted)
+        monkeypatch.setattr(specfun, "_miller_steps", counted_steps)
         pairs = anchored_draws(27, 200)
         for n, x in pairs:
             k = specfun._debye_anchor(x)
@@ -650,15 +753,287 @@ class TestAnchored:
             assert not any(debye_routed(j, x)
                            for j in range(k + 1, math.ceil(x) + 1))
         pairs += [(8_999_000, 9e6), (9_000_000, 9e6), (10_000_500, 1e7)]
+        cut = 0
         for n, x in pairs:
             k = specfun._debye_anchor(x)
             assert k < min(n, x)
             assert debye_routed(k, x) and not debye_routed(k + 1, x)
             calls.clear()
+            passes.clear()
             value = bessel_j(n, x)
             assert type(value) is float and abs(value) < 1.0
-            assert calls in ([k], [k - 1]), (n, x, calls)
+            if kapteyn_cut(n, x):
+                cut += 1
+                assert value == 0.0 and not calls and not passes, (n, x)
+            else:
+                assert calls in ([k], [k - 1]), (n, x, calls)
+                assert len(passes) == 2, (n, x)
             assert bessel_j(n, -x) == (-value if n % 2 else value)
+        assert 0 < cut < len(pairs) / 2
+
+
+def frozen_miller_steps(k, steps, x, up, cur):
+    """``specfun._miller_steps`` as it was before Kapteyn's cut: the same
+    steps, each rescaled by 1/1e250 past 1e250 in magnitude, and the
+    number of rescales."""
+    big = 1e250
+    rescales = 0
+    tk = 2.0 * k
+    if steps & 1:
+        up, cur = cur, (tk / x) * cur - up
+        if cur > big or cur < -big:
+            up, cur = up / big, cur / big
+            rescales += 1
+        tk -= 2.0
+    for _ in range(steps >> 1):
+        up = (tk / x) * cur - up
+        if up > big or up < -big:
+            up, cur = up / big, cur / big
+            rescales += 1
+        cur = ((tk - 2.0) / x) * up - cur
+        if cur > big or cur < -big:
+            up, cur = up / big, cur / big
+            rescales += 1
+        tk -= 4.0
+    return up, cur, rescales
+
+
+def frozen_bessel_anchored(n, x):
+    """``specfun._bessel_anchored`` as it was before Kapteyn's cut, from
+    the seed 1e-30 with rescales: (value, rescales)."""
+    k = specfun._debye_anchor(x)
+    m = specfun._miller_start(n, x)
+    f_up, f_n, first = frozen_miller_steps(m, m - n, x, 0.0, 1e-30)
+    f_k, f_km1, rescales = frozen_miller_steps(n, n - k + 1, x, f_up, f_n)
+    if abs(f_k) >= abs(f_km1):
+        value = f_n / f_k * specfun._bessel_debye(k, x)
+    else:
+        value = f_n / f_km1 * specfun._bessel_debye(k - 1, x)
+    for _ in range(rescales):
+        value /= 1e250
+    return value, first + rescales
+
+
+def frozen_bessel_j(n, x):
+    """bessel_j(n, x), x > 0, as it was before Kapteyn's cut, with the
+    number of rescales of its anchored pass: (value, rescales)."""
+    if x <= specfun._SERIES_CUTOFF:
+        return specfun._bessel_series(n, x), 0
+    if x > specfun._DEBYE_MIN_X:
+        if specfun._debye_serves(n, x):
+            return specfun._bessel_debye(n, x), 0
+        return frozen_bessel_anchored(n, x)
+    return specfun._miller_range(n, n, x)[0], 0
+
+
+def same_float(a, b):
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+class TestKapteynCut:
+    """bessel_j returns 0.0 with no recurrence where Kapteyn's bound on
+    |J_n(x)|, n > x > 12, is a nat below 2^-1075; the anchored pass
+    behind the cut runs without rescaling."""
+
+    def test_bound_against_mpmath(self):
+        # |J_n(x)| <= e^E with E evaluated in mpmath, and the float64 E of
+        # the cut within 1e-9 nats of it, far inside the cut's one-nat
+        # margin.  So where the cut acts |J| < 2^-1075 / e, whose correctly
+        # rounded value is 0.0.  Draws: n log-uniform up to 5000 and x/n
+        # log-uniform in (0.05, 1), then the cut edges.
+        rng = random.Random(31)
+        pairs = []
+        while len(pairs) < 150:
+            n = int(math.exp(rng.uniform(math.log(20.0), math.log(5000.5))))
+            x = n * math.exp(rng.uniform(math.log(0.05), 0.0))
+            if 12.0 < x < n:
+                pairs.append((n, x))
+        pairs += [(n, cut_edge(n) * f) for n in (267, 600, 3000)
+                  for f in (1.0 - 1e-9, 1.0 + 1e-9)]
+        cut = 0
+        with mpmath.workdps(40):
+            for n, x in pairs:
+                z = mpmath.mpf(x) / n
+                r = mpmath.sqrt(1 - z * z)
+                exponent = n * (mpmath.log(z) + r - mpmath.log(1 + r))
+                assert abs(kapteyn_exponent(n, x) - exponent) <= 1e-9
+                exact = mpmath.besselj(n, mpmath.mpf(x), maxprec=10**5,
+                                       maxterms=10**7)
+                assert abs(exact) <= mpmath.exp(exponent), (n, x)
+                if kapteyn_cut(n, x):
+                    cut += 1
+                    assert abs(exact) < mpmath.ldexp(1, -1075) / mpmath.e
+        assert 20 < cut < len(pairs) - 20
+
+    def test_cut_starts_at_order_267_just_above_x_12(self):
+        assert cut_edge(267) > 12.0
+        assert not kapteyn_cut(266, math.nextafter(12.0, 13.0))
+        assert last_uncut_order(math.nextafter(12.0, 13.0)) == 266
+
+    def test_bits_equal_the_pre_cut_routes(self):
+        # bessel_j against the frozen pre-cut routes: seeded draws
+        # n <= 5000, x = n u^0.3, and draws 1e-9 (relative) on both sides
+        # of the cut edge, from x near 12 to the anchored pass above 200.
+        # Every cut draw was 0.0 before the cut too.  Every other draw is
+        # bit-identical wherever the old anchored pass did not rescale;
+        # where it did, the seed 1e-30 * 2^-840 moves the last bits, and
+        # the new value must meet test_draws_against_mpmath's gate and a
+        # relative one wherever |J| >= 1e-300.  Measured on those 159
+        # draws: no |J| reaches 1e-3 of the envelope, the worst absolute
+        # error is 1.9e-237 of it, and of the 122 with |J| >= 1e-300 the
+        # worst relative error is 2.3e-14, at (3423, 2371.7), against
+        # 1.9e-14 before; 62 of them moved closer to mpmath.
+        rng = random.Random(3131)
+        pairs = []
+        while len(pairs) < 2000:
+            n = rng.randint(0, 5000)
+            x = n * rng.random() ** 0.3
+            if x > specfun._SERIES_CUTOFF:
+                pairs.append((n, x))
+        edges = [(n, cut_edge(n) * f)
+                 for n in (267, 300, 412, 600, 735, 736, 900, 1500, 1878,
+                           3000, 5000) for f in (1.0 - 1e-9, 1.0 + 1e-9)]
+        assert any(x <= 200.0 for _, x in edges)
+        assert any(x > 200.0 for _, x in edges)
+        kinds = {"cut": 0, "same": 0, "rescaled": 0}
+        rescaled = []
+        for n, x in pairs + edges:
+            new = bessel_j(n, x)
+            old, rescales = frozen_bessel_j(n, x)
+            if kapteyn_cut(n, x):
+                kinds["cut"] += 1
+                assert new == 0.0 and same_float(old, 0.0), (n, x, old)
+            elif rescales:
+                kinds["rescaled"] += 1
+                rescaled.append((n, x))
+            else:
+                kinds["same"] += 1
+                assert same_float(new, old), (n, x, new, old)
+        for n, x in edges:
+            assert kapteyn_cut(n, x) == (x < cut_edge(n)), (n, x)
+        assert all(v > 20 for v in kinds.values()), kinds
+        normal = 0
+        for n, x in rescaled:
+            assert anchored_routed(n, x), (n, x)
+            rel, absolute, size = anchored_error(n, x)
+            assert rel <= 9e-14 if size >= 1e-3 else absolute <= 8e-19
+            if size * x ** (-1.0 / 3.0) >= 1e-300:
+                normal += 1
+                assert rel <= 4.5e-14, (n, x, rel)
+        assert normal > 100
+
+    def test_anchored_pass_equals_the_frozen_pass_where_it_did_not_rescale(
+            self):
+        # The kernel itself on anchored draws that the cut lets through,
+        # from the band to the last uncut order, up to x = 1e5.  Where the
+        # old pass did not rescale the new one differs from it only by the
+        # power-of-two seed, so every ratio, and the value, is the same.
+        rng = random.Random(3132)
+        pairs = []
+        while len(pairs) < 300:
+            x = math.exp(rng.uniform(math.log(200.0), math.log(1e5)))
+            n = rng.randint(specfun._debye_anchor(x) + 1, last_uncut_order(x))
+            pairs.append((n, x))
+        same = 0
+        for n, x in pairs:
+            old, rescales = frozen_bessel_anchored(n, x)
+            if not rescales:
+                same += 1
+                assert same_float(specfun._bessel_anchored(n, x), old), (n, x)
+        assert 100 < same < len(pairs)
+
+
+def series_products(n, x):
+    """How many prefix products ``_bessel_series(n, x)`` forms: n, or fewer
+    once the product underflows to 0.0."""
+    half, term = 0.5 * x, 1.0
+    for i in range(1, n + 1):
+        term *= half / i
+        if term == 0.0:
+            return i
+    return n
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Counted work of the Bessel kernels, each wrapped to add the trip
+    count its arguments fix: a full Miller pass its ``_miller_start(hi,
+    x)`` steps, an anchored one its ``steps``, the series its prefix
+    products plus 30 terms (it takes at most 27) and Debye's route its 17
+    terms.  Nothing is counted inside the kernels."""
+    counts = {"miller": 0, "steps": 0, "series": 0, "debye": 0}
+    costs = {
+        "miller": ("_miller_range",
+                   lambda lo, hi, x: specfun._miller_start(hi, x)),
+        "steps": ("_miller_steps", lambda k, steps, *_: steps),
+        "series": ("_bessel_series", lambda n, x: series_products(n, x) + 30),
+        "debye": ("_bessel_debye", lambda n, x: 17),
+    }
+    for kind, (name, cost) in costs.items():
+        def counted(*args, _real=getattr(specfun, name), _kind=kind,
+                    _cost=cost):
+            counts[_kind] += _cost(*args)
+            return _real(*args)
+
+        monkeypatch.setattr(specfun, name, counted)
+    return counts
+
+
+class TestCountedWork:
+    """Aim 1's "no quadratic loops over n_max and no O(x) loops in J_n(x)"
+    as counts of kernel work."""
+
+    def test_cut_line_does_no_work(self, work):
+        # (4140, 2712.6) and (3000, 1500) took the anchored pass before the
+        # cut, the rest the full pass.
+        rng = random.Random(33)
+        pairs = [(4140, 2712.5629687615187), (3000, 1500.0), (267, 12.0001),
+                 (10**15, 100.0), (10_018_436, 1e7)]
+        while len(pairs) < 100:
+            n = rng.randint(267, 20000)
+            x = rng.uniform(12.0, n)
+            if kapteyn_cut(n, x):
+                pairs.append((n, x))
+        for n, x in pairs:
+            assert kapteyn_cut(n, x), (n, x)
+            assert bessel_j(n, x) == 0.0 and bessel_j(n, -x) == 0.0
+        assert not any(work.values()), work
+
+    def test_anchored_call_takes_the_closed_form_steps(self, work):
+        # _miller_start(n, x) - _debye_anchor(x) + 1 steps, one Debye call
+        # and nothing else: 328 steps at (3000, 3150), as the README says.
+        pairs = [(3000, 3150.0)] + anchored_draws(34, 60)
+        for n, x in pairs:
+            if kapteyn_cut(n, x):
+                continue
+            work.update(dict.fromkeys(work, 0))
+            bessel_j(n, x)
+            steps = specfun._miller_start(n, x) - specfun._debye_anchor(x) + 1
+            assert work == {"miller": 0, "steps": steps, "series": 0,
+                            "debye": 17}, (n, x)
+            if (n, x) == (3000, 3150.0):
+                assert steps == 328
+
+    @pytest.mark.parametrize("speed", [2e-7, 0.021])
+    def test_free_space_spectrum_work_grows_linearly(self, work, speed):
+        # Free space at Omega = 2 pi 10 GHz, omega0 = 2 pi 5 GHz and peak
+        # speed Omega A = speed * c: every line has n > x.  From n_max 1000
+        # to 3000 linear work grows 3x.  Measured: 3.19x at 2e-7, every
+        # line on the series route, which stops at its first underflowing
+        # product (so already before the cut), and 1.00x at 0.021, where
+        # the cut takes every line from n = 572 up (9.5x before it).
+        # Speeds 0.5 and 0.9 (2.4x and 5.4x) wait for an O(1) route below
+        # the turning point.
+        omega = 2.0 * math.pi * 1e10
+        atom = AtomParams(omega0=2.0 * math.pi * 5e9, g=1.0)
+        motion = ShoMotion(amplitude=speed * C / omega, Omega=omega)
+        totals = []
+        for n_max in (1000, 3000):
+            work.update(dict.fromkeys(work, 0))
+            lines = allowed_sidebands(atom, motion, FreeSpace(), n_max)
+            assert len(lines) == n_max
+            totals.append(sum(work.values()))
+        assert totals[1] <= 3.5 * totals[0], totals
 
 
 class TestAnger:

@@ -50,8 +50,10 @@ SITES = {
                                [0.1 * C / 2.0, 0.3 * C / 2.0], v)),
 }
 
-# None stands for the site's low end minus one.
+# None stands for the site's low end minus one.  A numpy infinity must be
+# refused without a RuntimeWarning, which pytest turns into an error.
 BAD = {"2.5": 2.5, "inf": math.inf, "-inf": -math.inf, "nan": math.nan,
+       "np-inf": np.float64("inf"), "np-nan": np.float64("nan"),
        "low-1": None}
 
 
@@ -88,7 +90,7 @@ def test_a_whole_float_gives_the_result_of_the_int(site):
 
 
 def test_returns_an_int_and_keeps_the_low_end():
-    for value in (3, 3.0, np.int64(3), np.float64(3.0)):
+    for value in (3, 3.0, np.int64(3), np.float64(3.0), 10**400):
         got = whole_number("k", value, 1)
         assert type(got) is int and got == value
     assert whole_number("k", 0, 0) == 0
