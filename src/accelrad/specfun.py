@@ -16,8 +16,8 @@ Two evaluators, both self-contained (no scipy):
                        12 < x <= 200 the full Miller pass, normalized by
                        J_0 + 2 sum J_2k = 1, at O(max(n, x)): one loop of
                        step pairs that stores only the orders asked for,
-                       one order for ``bessel_j`` and a whole column for
-                       ``bessel_j_orders``, which takes it at every x > 0.
+                       one order for ``bessel_j`` and, at every x > 0, a
+                       column cut by Kapteyn's bound for ``bessel_j_orders``.
 * ``rational_period_integral`` -- one-period average
                        (1/2pi) * int_{-pi}^{pi} exp(i(x sin(q s) - p s)) ds,
                        which vanishes unless q divides p; this is the
@@ -36,16 +36,16 @@ from ._quadrature import refine_to_tolerance
 from .errors import ConvergenceError, PhysicsDomainError, whole_number
 
 _SERIES_CUTOFF = 12.0
-_MILLER_RESCALE = 1e250
 # One nat below ln 2^-1075 = -745.13, which covers the bound's rounding.
 _KAPTEYN_CUT = -746.2
+_MILLER_SEED = 1e-30 * 2.0 ** -840  # 1.4e-283, where both Miller passes start
 
 #: Relative accuracy of the Bessel series.
 _REL_TOL = 1e-10
 #: Largest |x| the Bessel evaluators accept; a full Miller pass there, which
-#: only ``bessel_j_orders`` still runs, takes ~1 s.  The anchored pass does
-#: not rescale: raising the cap requires re-running
-#: ``TestAnchored::test_pass_stays_in_normal_range`` at the new cap.
+#: only ``bessel_j_orders`` still runs, takes 0.8 s (CPython 3.11, 2-core
+#: Xeon).  Neither Miller pass rescales: raising the cap requires re-running
+#: both ``test_pass_stays_in_normal_range`` tests at the new cap.
 MAX_ARGUMENT = 1e7
 
 # Debye's route takes x > _DEBYE_MIN_X with tau = n tan^3(beta) = w^3 / n^2
@@ -54,9 +54,9 @@ MAX_ARGUMENT = 1e7
 # to 5000 the worst case needs all 17, at (144, 200); at x = 150 the same tau
 # needs 18.  Measured with CPython 3.11 on a 2-core Xeon: the route costs
 # 7-12 us (its worst at 17 terms), a Miller pass 21 us at x = 200 and about
-# 0.1 us more per unit of max(n, x) above it.  The anchored pass of the band
-# x ~ n, 16 + 2.5 sqrt(x) + 12 x^(1/3) steps for x >= n, costs 23 us at
-# (300, 315) and 36 us at (3000, 3150), against 31 and 262 us for Miller.
+# 0.08 us more per unit of max(n, x) above it.  The anchored pass of the
+# band x ~ n, 16 + 2.5 sqrt(x) + 12 x^(1/3) steps for x >= n, costs 24 us at
+# (300, 315) and 32 us at (3000, 3150), against 27 and 233 us for Miller.
 _DEBYE_MIN_X = 200.0
 _DEBYE_MIN_TAU = 120.0
 _DEBYE_TOL = 2.0 ** -54
@@ -151,11 +151,8 @@ def bessel_j(n: int, x: float) -> float:
         return -bessel_j(n, -x) if n % 2 else bessel_j(n, -x)
     if x <= _SERIES_CUTOFF:
         return _bessel_series(n, x)
-    if n > x:  # Kapteyn: |J_n(nz)| <= (z e^r / (1 + r))^n, r = sqrt(1 - z^2)
-        z = x / n
-        r = math.sqrt((1.0 - z) * (1.0 + z))
-        if n * (math.log(z) + r - math.log1p(r)) < _KAPTEYN_CUT:
-            return 0.0
+    if _kapteyn_zero(n, x):
+        return 0.0
     if x > _DEBYE_MIN_X:
         if _debye_serves(n, x):
             return _bessel_debye(n, x)
@@ -167,26 +164,26 @@ def bessel_j_orders(n_max: int, x: float) -> "np.ndarray":
     """All of J_0(x) .. J_{n_max}(x) from a single downward recurrence.
 
     One Miller pass yields every order at once, which is what the sweep
-    engine wants for whole-column evaluation.
+    engine wants for whole-column evaluation.  It stops at ``top``, the
+    last order Kapteyn's cut lets through; every order above is 0.0.
     """
     n_max = whole_number("n_max", n_max, 0)
     _check_argument(x)
     sign = -1.0 if x < 0 else 1.0
     x = abs(float(x))
-    if x == 0.0:
-        out = np.zeros(n_max + 1)
-        out[0] = 1.0
-        return out
-    out = np.array(_miller_range(0, n_max, x))
-    if not math.isfinite(out[0]):
-        # A Miller step (2k/x) J_k overflows only for x < 1e-50.  There the
-        # series is exact from its first term, and past the first order
-        # whose leading term underflows to 0.0 every order is 0.0.
-        out[:] = 0.0
-        for k in range(n_max + 1):
-            out[k] = _bessel_series(k, x)
-            if out[k] == 0.0:
-                break
+    top = n_max
+    if _kapteyn_zero(top, x):  # the bound falls as n rises past x: bisect
+        top, cut = int(x), n_max
+        while cut - top > 1:
+            mid = (top + cut) // 2
+            top, cut = (top, mid) if _kapteyn_zero(mid, x) else (mid, cut)
+    out = np.zeros(n_max + 1)
+    try:
+        out[:top + 1] = _miller_range(0, top, x)
+    except (OverflowError, ZeroDivisionError):
+        # Below about x = 1e-6 the pass overflows (at 0 it divides by zero);
+        # there the series stops after (x/2)^k / k! and its first correction.
+        out[:top + 1] = [_bessel_series(k, x) for k in range(top + 1)]
     if sign < 0:
         out[1::2] *= -1.0
     return out
@@ -198,6 +195,18 @@ def _check_argument(x: float) -> None:
     if abs(x) > MAX_ARGUMENT:
         raise PhysicsDomainError(f"Bessel argument |x| = {abs(x):g} is "
                                  f"above MAX_ARGUMENT = {MAX_ARGUMENT:g}")
+
+
+def _kapteyn_zero(n: int, x: float) -> bool:
+    """Whether J_n(x), 0 < x <= MAX_ARGUMENT, is 0.0 by Kapteyn's bound
+    |J_n(nz)| <= (z e^r / (1 + r))^n, z = x/n < 1, r = sqrt(1 - z^2) (DLMF
+    10.14.5).  It falls as n rises, so an order past float range is tested
+    at 1e300.  Where z underflows, n >= 2 and J_n(x) <= (x/2)^2 / 2 is 0.0."""
+    if n <= x:
+        return False
+    z = x / (n := min(n, 1e300))
+    r = math.sqrt((1.0 - z) * (1.0 + z))
+    return z == 0.0 or n * (math.log(z) + r - math.log1p(r)) < _KAPTEYN_CUT
 
 
 def _bessel_series(n: int, x: float) -> float:
@@ -269,14 +278,12 @@ def _bessel_anchored(n: int, x: float) -> float:
     f_k and f_{k-1} the larger in magnitude anchors: two consecutive orders
     are never both near a zero of J.  f_n / f_anchor is formed first: the
     square of f_anchor would overflow.  Behind the cut the pass spans at
-    most 1280 nats, from the seed 1e-30 * 2^-840 = 1.4e-283 (a power of two
-    times the full pass's seed, so every ratio is as before) to 1.1e273 at
-    x = MAX_ARGUMENT, and never rescales
-    (``TestAnchored::test_pass_stays_in_normal_range``).
+    most 1280 nats, from the seed to 1.1e273 at x = MAX_ARGUMENT, and never
+    rescales (``TestAnchored::test_pass_stays_in_normal_range``).
     """
     k = _debye_anchor(x)
     m = _miller_start(n, x)
-    f_up, f_n = _miller_steps(m, m - n, x, 0.0, 1e-30 * 2.0 ** -840)
+    f_up, f_n = _miller_steps(m, m - n, x, 0.0, _MILLER_SEED)
     f_k, f_km1 = _miller_steps(n, n - k + 1, x, f_up, f_n)
     if abs(f_k) >= abs(f_km1):
         return f_n / f_k * _bessel_debye(k, x)
@@ -406,42 +413,35 @@ def _miller_start(n: int, x: float) -> int:
 def _miller_range(lo: int, hi: int, x: float) -> list:
     """J_lo(x) .. J_hi(x), x > 0, as floats in ascending order.
 
-    Downward recurrence J_{k-1} = (2k/x) J_k - J_{k+1} from the seed 1e-30
-    at ``_miller_start(hi, x)``, normalized by J_0 + 2*sum_k J_2k = 1.  The
+    Downward recurrence J_{k-1} = (2k/x) J_k - J_{k+1} from the seed at
+    ``_miller_start(hi, x)``, normalized by J_0 + 2*sum_k J_2k = 1.  The
     start index is even, so the steps come in pairs: pair j takes J_{2j+1}
     (``up``) and J_{2j} (``cur``) to J_{2j-1} and J_{2j-2}, and first adds
     2 J_{2j} to the normalization; J_0 enters it once, after the last
     pair.  One pair body runs over three stretches, the pairs above the
     kept orders, across them and below them, and only the middle one
-    stores.  Any step past 1e250 in magnitude rescales the recurrence, the
-    normalization and every value stored so far by 1e-250, one rescale at
-    a time.
+    stores.  For any hi Kapteyn's cut lets through at 1e-6 <= x <=
+    MAX_ARGUMENT the pass stays in the normal range with no rescaling
+    (``TestColumnPass``); a normalization past it raises OverflowError.
     """
-    big = _MILLER_RESCALE
-    scale = 1.0 / big
     m = _miller_start(hi, x)
     top = hi // 2 + 1    # pair holding orders 2*top-1 (>= hi) and 2*top-2
     bot = lo // 2 + 1    # pair holding orders 2*bot-1 and 2*bot-2 (<= lo)
     kept = []            # stored values, descending order from 2*top-1
-    up, cur, norm = 0.0, 1e-30, 0.0
+    up, cur, norm = 0.0, _MILLER_SEED, 0.0
     tk = 2.0 * m         # 2k for k = 2j at pair j, an exact float
     for pairs, keep in ((m // 2 - top, False), (top - bot + 1, True),
                         (bot - 1, False)):
         for _ in range(pairs):
             norm += 2.0 * cur
             up = (tk / x) * cur - up
-            # up > big or up < -big is abs(up) > big without the call.
-            if up > big or up < -big:
-                up, cur, norm = up * scale, cur * scale, norm * scale
-                kept = [w * scale for w in kept]
             cur = ((tk - 2.0) / x) * up - cur
-            if cur > big or cur < -big:
-                up, cur, norm = up * scale, cur * scale, norm * scale
-                kept = [w * scale for w in kept]
             if keep:
                 kept += (up, cur)
             tk -= 4.0
     norm += cur
+    if not math.isfinite(norm):
+        raise OverflowError(f"Miller normalization overflows at x = {x!r}")
     first = 2 * top - 1
     return [v / norm for v in reversed(kept[first - hi:first - lo + 1])]
 

@@ -4,11 +4,13 @@ Expected values are frozen from an oracle that never touches the library
 code path: an fsum-accumulated power series for Bessel.  scipy serves as a
 second, fully external cross-check, and mpmath as the high-precision
 reference for the Miller path, which must also match a frozen copy of its
-original recurrence bit for bit.
+original recurrence bit for bit wherever that copy did not rescale and
+Kapteyn's cut takes no order.
 """
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -50,8 +52,10 @@ def miller_reference(n_max, x):
     """J_0(x) .. J_{n_max}(x) for x > 0, frozen from the original recurrence.
 
     A straight transcription of the numpy-scratch Miller pass that the
-    library's pure-float kernel replaced; the kernel must reproduce it bit
-    for bit, rescales and underflow included.
+    library's pure-float kernel replaced, rescales by 1e-250 and underflow
+    included.  The library matches it bit for bit wherever it did not
+    rescale and Kapteyn's cut takes no order of the column
+    (``check_against_frozen``).
     """
     base = max(n_max, int(x))
     m = base + 16 + int(2.5 * math.sqrt(base + 1.0))
@@ -94,19 +98,50 @@ def miller_rescale_orders(n_max, x):
     return orders
 
 
-def rescale_stretches(lo, hi, x):
-    """Where the rescales of ``_miller_range(lo, hi, x)`` land: in a pair
-    "above", "inside" or "below" the pairs that hold the kept orders lo..hi,
-    and "last kept" or "last below" for the last pair, orders 1 and 0."""
-    top, bot = hi // 2 + 1, lo // 2 + 1
-    stretches = set()
-    for k in miller_rescale_orders(hi, x):
-        pair = k // 2 + 1
-        stretches.add("above" if pair > top else
-                      "inside" if pair >= bot else "below")
-        if pair == 1:
-            stretches.add("last kept" if bot == 1 else "last below")
-    return stretches
+def miller_envelope(x):
+    """The envelope min(1, sqrt(2/(pi x))) of |J_n(x)|, the unit of
+    ``test_miller_path_against_mpmath``'s bound."""
+    return min(1.0, math.sqrt(2.0 / (math.pi * x)))
+
+
+#: test_miller_path_against_mpmath's bound, in units of the envelope.
+MILLER_BOUND = 1.5e-11
+
+
+def check_moved_value(k, x, value):
+    """|value - J_k(x)| <= MILLER_BOUND envelopes, x > 0, J from mpmath.
+    Where Kapteyn's bound and |value| are both below 1e-12 envelopes the
+    bound holds without mpmath."""
+    floor = 1e-12 * miller_envelope(x)
+    if k > x and abs(value) <= floor and kapteyn_exponent(k, x) < math.log(
+            floor):
+        return
+    with mpmath.workdps(30):
+        exact = float(mpmath.besselj(k, mpmath.mpf(x), maxprec=40000,
+                                     maxterms=10**6))
+    assert abs(value - exact) <= MILLER_BOUND * miller_envelope(x), (
+        k, x, value, exact)
+
+
+def check_against_frozen(values, lo, hi, x):
+    """Check ``values``, the library's J_lo(x) .. J_hi(x) at x > 0, against
+    ``miller_reference(hi, x)``: bit for bit where the frozen pass did not
+    rescale and Kapteyn's cut takes no order up to hi.  Elsewhere every
+    order the cut takes is 0.0, as it was in the frozen pass, and every
+    other value that moved passes ``check_moved_value``.  Returns whether
+    the column could move."""
+    frozen = miller_reference(hi, x)[lo:].tolist()
+    values = [float(v) for v in values]
+    if not miller_rescale_orders(hi, x) and not kapteyn_zero(hi, x):
+        assert [v.hex() for v in values] == [v.hex() for v in frozen], (
+            lo, hi, x)
+        return False
+    for k, value, old in zip(range(lo, hi + 1), values, frozen):
+        if kapteyn_zero(k, x):
+            assert value == 0.0 and old == 0.0, (k, x, value, old)
+        elif value != old:
+            check_moved_value(k, x, value)
+    return True
 
 
 def miller_grid(seed, count):
@@ -202,12 +237,13 @@ class TestBessel:
                                            abs=1e-14)
 
     def test_miller_path_bit_identical_to_reference(self, monkeypatch):
-        # Random orders up to 3500 (most of them deep in underflow for small
-        # x), the rescale-heavy corner just above the series cutoff, where
-        # up to 28 rescales by 1e-250 happen and J_n turns subnormal, and
-        # negative arguments.  The Miller kernel must match on every case,
-        # and bessel_j itself on every case it routes to that kernel, not
-        # to Debye's expansion or to the Debye-anchored pass.
+        # Random orders up to 3500 (most of them cut for small x), the
+        # corner just above the series cutoff, where the frozen pass
+        # rescaled up to 28 times by 1e-250, and negative arguments.  The
+        # Miller kernel, on every order the cut lets through, and bessel_j,
+        # on every case it routes to that kernel or to the cut, not to
+        # Debye's expansion or to the Debye-anchored pass, must match the
+        # frozen pass as ``check_against_frozen`` says.
         class Debye(Exception):
             pass
 
@@ -230,70 +266,75 @@ class TestBessel:
         cases += [(n, 12.5) for n in range(180, 330, 7)]
         cases += [(3000, 12.5), (1000, 12.0000001), (3500, 5000.0)]
         cases += [(n, -x) for n, x in cases[::5]]
-        kinds = {"miller": 0, "debye": 0, "anchored": 0}
+        kinds = {"miller": 0, "cut": 0, "debye": 0, "anchored": 0}
+        moved = 0
         for n, x in cases:
-            ref = miller_reference(n, abs(x))[n]
-            kernel = specfun._miller_range(n, n, abs(x))[0]
-            if x < 0 and n % 2:
-                ref, kernel = -ref, -kernel
-            values = (kernel,)
+            sign = -1.0 if x < 0 and n % 2 else 1.0
+            values = ()
+            if not kapteyn_zero(n, abs(x)):
+                values += (specfun._miller_range(n, n, abs(x))[0],)
             try:
-                values += (bessel_j(n, x),)
-                kinds["miller"] += 1
+                values += (sign * bessel_j(n, x),)
+                kinds["cut" if kapteyn_cut(n, abs(x)) else "miller"] += 1
             except Debye:
                 kinds["debye"] += 1
             except Anchored:
                 kinds["anchored"] += 1
             for value in values:
                 assert type(value) is float, (n, x)
-                assert value == ref and math.copysign(
-                    1.0, value) == math.copysign(1.0, ref), (n, x, value, ref)
+                moved += check_against_frozen([value], n, n, abs(x))
         assert sum(kinds.values()) == len(cases) == 390
         assert all(kinds.values()), kinds  # every kind of case occurs
+        assert moved > 10
 
     def test_orders_bit_identical_to_reference(self):
+        # Columns with n_max up to 400 at 1e-3 <= x <= 400, both signs,
+        # against the frozen pass as ``check_against_frozen`` says.
         rng = random.Random(5)
         cases = [(rng.randint(0, 400),
                   math.exp(rng.uniform(math.log(1e-3), math.log(400.0))))
                  for _ in range(120)]
         cases += [(0, 0.5), (1, 13.0), (2, 400.0), (400, 12.5), (400, 0.01)]
+        same = 0
         for n_max, x in cases:
-            assert np.array_equal(bessel_j_orders(n_max, x),
-                                  miller_reference(n_max, x)), (n_max, x)
-            flipped = miller_reference(n_max, x)
+            got = bessel_j_orders(n_max, x)
+            flipped = bessel_j_orders(n_max, -x)
             flipped[1::2] *= -1.0
-            assert np.array_equal(bessel_j_orders(n_max, -x), flipped)
+            assert [v.hex() for v in flipped.tolist()] == [
+                v.hex() for v in got.tolist()], (n_max, x)
+            same += not check_against_frozen(got, 0, n_max, x)
+        assert 20 < same < len(cases) - 20
 
     def test_one_loop_edges_bit_identical_to_reference(self):
-        # The random cases above reach every edge of the full pass's one
-        # pair body except a rescale on the last pair below the kept
-        # orders, which needs x < 12 and so never comes from bessel_j.
-        # These cases reach each edge on purpose: orders 0-3 at
-        # 12 < x <= 200, columns with n_max 0, 1 and 2, and rescales
-        # above, inside and below the kept orders and on the last pair,
-        # at J_1 alone and at J_0 alone, kept or not.
-        at_j1, at_j0 = 0.0060255958607435805, 0.006606934480075957
+        # The edges of the full pass's one pair body: orders 0-3 at
+        # 12 < x <= 200, columns with n_max 0, 1 and 2, kept orders at the
+        # top, inside and at the bottom of a column at the two x where the
+        # frozen pass rescaled at J_1 alone and at J_0 alone, and cut
+        # columns whose last uncut order is odd and even.
         cases = [(n, n, x) for n in range(4) for x in (12.5, 57.1, 200.0)]
         cases += [(0, n_max, x) for n_max in range(3)
                   for x in (0.006, 11.9, 12.5, 57.1, 400.0)]
-        cases += [(lo, 40, x) for lo in (0, 40) for x in (at_j1, at_j0)]
-        cases += [(0, 300, 12.5), (1650, 1650, 12.5),
-                  (2393, 2393, 48.75113430192001)]
-        assert miller_rescale_orders(40, at_j1) == [1]
-        assert miller_rescale_orders(40, at_j0) == [0]
-        seen = set()
+        cases += [(lo, 40, x) for lo in (0, 17, 40)
+                  for x in (0.0060255958607435805, 0.006606934480075957)]
+        cases += [(0, 269, 12.5), (0, 300, 12.5), (0, 300, 13.0),
+                  (1650, 1650, 12.5), (2393, 2393, 48.75113430192001)]
+        tops = set()
         for lo, hi, x in cases:
-            ref = [v.hex() for v in miller_reference(hi, x)[lo:].tolist()]
-            got = [specfun._miller_range(lo, hi, x)]
+            top = min(hi, last_uncut_order(x))
+            if top < hi:
+                tops.add(top % 2)
+            got = []
+            if lo <= top:
+                got.append(specfun._miller_range(lo, top, x)
+                           + [0.0] * (hi - top))
             if lo == 0:
                 got.append(bessel_j_orders(hi, x).tolist())
             if lo == hi and 12.0 < x <= 200.0:
                 got.append([bessel_j(lo, x)])
+            assert got, (lo, hi, x)
             for values in got:
-                assert [v.hex() for v in values] == ref, (lo, hi, x)
-            seen |= rescale_stretches(lo, hi, x)
-        assert seen == {"above", "inside", "below", "last kept",
-                        "last below"}
+                check_against_frozen(values, lo, hi, x)
+        assert tops == {0, 1}
 
     def test_miller_path_against_mpmath(self):
         # Absolute error, in units of the envelope min(1, sqrt(2/(pi x))),
@@ -318,7 +359,8 @@ class TestBessel:
     @pytest.mark.parametrize("n_max,x", [(300, 1e-57), (3, 1e-100)])
     def test_orders_finite_at_tiny_argument(self, n_max, x):
         # A Miller step (2k/x) J_k overflows here before the 1e250 rescale
-        # test can act; the result must still be finite and correct.
+        # test of the frozen pass can act; the result must still be finite
+        # and correct.
         assert not np.isfinite(miller_reference(n_max, x)).all()
         arr = bessel_j_orders(n_max, x)
         assert np.isfinite(arr).all()
@@ -330,44 +372,60 @@ class TestBessel:
                 assert abs(arr[k] - exact) <= 1e-13 * abs(exact) + 1e-322, k
 
     def test_orders_bits_unchanged_wherever_finite_before(self):
-        # Over arguments small enough for a step to overflow, every result
-        # the reference recurrence gives finite keeps its bits.
+        # Over arguments small enough for a step of the frozen pass to
+        # overflow, every column is finite with J_0 = 1.0.  Where the
+        # frozen pass gave it finite it rescaled, so the values may move:
+        # each order it gave 0.0 stays 0.0, and each moved value is within
+        # test_orders_finite_at_tiny_argument's bound of mpmath.
         rng = random.Random(9)
-        finite = overflowed = 0
+        finite = overflowed = moved = 0
         for _ in range(300):
             n_max = rng.randint(0, 400)
             x = 10.0 ** rng.uniform(-120.0, -50.0)
             ref = miller_reference(n_max, x)
             got = bessel_j_orders(n_max, x)
-            if np.isfinite(ref).all():
-                finite += 1
-                assert np.array_equal(got, ref), (n_max, x)
-            else:
+            assert np.isfinite(got).all() and got[0] == 1.0, (n_max, x)
+            if not np.isfinite(ref).all():
                 overflowed += 1
-                assert np.isfinite(got).all() and got[0] == 1.0, (n_max, x)
-        assert finite >= 5 and overflowed >= 200
+                continue
+            finite += 1
+            assert not got[ref == 0.0].any(), (n_max, x)
+            for k in np.flatnonzero(got != ref).tolist():
+                moved += 1
+                exact = float(mpmath.besselj(k, mpmath.mpf(x)))
+                assert abs(got[k] - exact) <= 1e-13 * abs(exact) + 1e-322, (
+                    n_max, x, k)
+        assert finite >= 5 and overflowed >= 200 and moved
 
     def test_tiny_argument_fallback_is_the_leading_term_bit_for_bit(self):
-        # Where Miller overflows, the series gives the leading term
-        # (x/2)^k / k! unchanged, as the former dedicated loop did.
+        # Where the column pass overflows, below the grid of
+        # TestColumnPass::test_pass_stays_in_normal_range, the series
+        # stops after two terms: the leading term (x/2)^k / k!, built as
+        # the former dedicated loop built it, plus its first correction,
+        # up to the last order Kapteyn's cut lets through, and 0.0 above.
         def frozen_leading_terms(n_max, x):
             half = 0.5 * x
             term = 1.0
-            out = [term]
+            out = [term + term * (-half * half / 1)]
             for k in range(1, n_max + 1):
                 term *= half / k
-                out.append(term)
+                out.append(term + term * (-half * half / (k + 1)))
             return out
 
         rng = random.Random(18)
         overflowed = 0
         for _ in range(400):
             n_max = rng.randint(0, 300)
-            x = 10.0 ** rng.uniform(-323.5, -50.0)
-            if np.isfinite(miller_reference(n_max, x)).all():
+            x = 10.0 ** rng.uniform(-323.5, -6.0)
+            top = min(n_max, last_uncut_order(x))
+            try:
+                specfun._miller_range(0, top, x)
                 continue
-            overflowed += 1
-            ref = np.array(frozen_leading_terms(n_max, x))
+            except OverflowError:
+                overflowed += 1
+            ref = frozen_leading_terms(n_max, x)
+            assert not any(ref[top + 1:]), (n_max, x)
+            ref = np.array(ref[:top + 1] + [0.0] * (n_max - top))
             for sign in (1.0, -1.0):
                 got = bessel_j_orders(n_max, sign * x)
                 want = ref.copy()
@@ -379,8 +437,8 @@ class TestBessel:
 
     def test_tiny_argument_fallback_stops_at_the_first_zero_order(
             self, monkeypatch):
-        # Orders past the first underflowed leading term are 0.0; the
-        # fallback must not sum a series per order up to n_max.
+        # Orders past the last one Kapteyn's cut lets through are 0.0; the
+        # fallback sums a series only up to it, not per order up to n_max.
         real = specfun._bessel_series
         orders = []
 
@@ -390,7 +448,7 @@ class TestBessel:
 
         monkeypatch.setattr(specfun, "_bessel_series", counted)
         out = bessel_j_orders(30000, 1e-60)
-        assert orders == list(range(7))
+        assert orders == list(range(6))
         assert out[5] > 0.0 and not out[6:].any()
 
     def test_rejects_negative_order(self):
@@ -561,16 +619,23 @@ def anchored_error(n, x):
 def kapteyn_exponent(n, x):
     """n (ln z + r - ln(1 + r)), z = x/n, r = sqrt(1 - z^2), for n > x > 0:
     the log of Kapteyn's bound on |J_n(x)| (DLMF 10.14.5), in float64 as
-    bessel_j forms it."""
+    ``specfun._kapteyn_zero`` forms it."""
     z = x / n
     r = math.sqrt((1.0 - z) * (1.0 + z))
     return n * (math.log(z) + r - math.log1p(r))
 
 
+def kapteyn_zero(n, x):
+    """Whether Kapteyn's cut takes J_n(x), 0 < x <= MAX_ARGUMENT, as
+    ``specfun._kapteyn_zero`` decides it for n up to 1e300: bessel_j_orders
+    applies it at every x, bessel_j above the series cutoff."""
+    return n > x and (x / n == 0.0
+                      or kapteyn_exponent(n, x) < specfun._KAPTEYN_CUT)
+
+
 def kapteyn_cut(n, x):
     """Whether bessel_j returns J_n(x) = 0.0 by Kapteyn's cut, x > 0."""
-    return (x > specfun._SERIES_CUTOFF and n > x
-            and kapteyn_exponent(n, x) < specfun._KAPTEYN_CUT)
+    return x > specfun._SERIES_CUTOFF and kapteyn_zero(n, x)
 
 
 def cut_edge(n):
@@ -589,14 +654,14 @@ def cut_edge(n):
 
 
 def last_uncut_order(x):
-    """The largest order that Kapteyn's cut lets through at x > 12."""
-    lo = math.floor(x) + 1
-    hi = 2 * lo
-    while not kapteyn_cut(hi, x):
+    """The largest order that Kapteyn's cut lets through at x > 0."""
+    lo = math.floor(x)
+    hi = 2 * lo + 2
+    while not kapteyn_zero(hi, x):
         hi *= 2
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if kapteyn_cut(mid, x):
+        if kapteyn_zero(mid, x):
             hi = mid
         else:
             lo = mid
@@ -816,14 +881,14 @@ def frozen_bessel_anchored(n, x):
 
 def frozen_bessel_j(n, x):
     """bessel_j(n, x), x > 0, as it was before Kapteyn's cut, with the
-    number of rescales of its anchored pass: (value, rescales)."""
+    number of rescales of its Miller pass: (value, rescales)."""
     if x <= specfun._SERIES_CUTOFF:
         return specfun._bessel_series(n, x), 0
     if x > specfun._DEBYE_MIN_X:
         if specfun._debye_serves(n, x):
             return specfun._bessel_debye(n, x), 0
         return frozen_bessel_anchored(n, x)
-    return specfun._miller_range(n, n, x)[0], 0
+    return miller_reference(n, x)[n], len(miller_rescale_orders(n, x))
 
 
 def same_float(a, b):
@@ -840,7 +905,10 @@ class TestKapteynCut:
         # the cut within 1e-9 nats of it, far inside the cut's one-nat
         # margin.  So where the cut acts |J| < 2^-1075 / e, whose correctly
         # rounded value is 0.0.  Draws: n log-uniform up to 5000 and x/n
-        # log-uniform in (0.05, 1), then the cut edges.
+        # log-uniform in (0.05, 1), then the cut edges; then, for the
+        # columns that bessel_j_orders cuts at every x, x log-uniform in
+        # (1e-300, 12) with n uniform from above x to twice the last uncut
+        # order, and the edges at x = 1e-6, 0.5 and 12.
         rng = random.Random(31)
         pairs = []
         while len(pairs) < 150:
@@ -850,6 +918,14 @@ class TestKapteynCut:
                 pairs.append((n, x))
         pairs += [(n, cut_edge(n) * f) for n in (267, 600, 3000)
                   for f in (1.0 - 1e-9, 1.0 + 1e-9)]
+        while len(pairs) < 216:
+            x = 10.0 ** rng.uniform(-300.0, math.log10(12.0))
+            pairs.append((rng.randint(math.floor(x) + 1,
+                                      2 * last_uncut_order(x) + 1), x))
+        pairs += [(last_uncut_order(x) + k, x) for x in (1e-6, 0.5, 12.0)
+                  for k in (0, 1)]
+        small_cut = sum(kapteyn_zero(n, x) for n, x in pairs[156:])
+        assert 10 < small_cut < 56
         cut = 0
         with mpmath.workdps(40):
             for n, x in pairs:
@@ -860,7 +936,7 @@ class TestKapteynCut:
                 exact = mpmath.besselj(n, mpmath.mpf(x), maxprec=10**5,
                                        maxterms=10**7)
                 assert abs(exact) <= mpmath.exp(exponent), (n, x)
-                if kapteyn_cut(n, x):
+                if kapteyn_zero(n, x):
                     cut += 1
                     assert abs(exact) < mpmath.ldexp(1, -1075) / mpmath.e
         assert 20 < cut < len(pairs) - 20
@@ -875,14 +951,20 @@ class TestKapteynCut:
         # n <= 5000, x = n u^0.3, and draws 1e-9 (relative) on both sides
         # of the cut edge, from x near 12 to the anchored pass above 200.
         # Every cut draw was 0.0 before the cut too.  Every other draw is
-        # bit-identical wherever the old anchored pass did not rescale;
-        # where it did, the seed 1e-30 * 2^-840 moves the last bits, and
-        # the new value must meet test_draws_against_mpmath's gate and a
-        # relative one wherever |J| >= 1e-300.  Measured on those 159
-        # draws: no |J| reaches 1e-3 of the envelope, the worst absolute
-        # error is 1.9e-237 of it, and of the 122 with |J| >= 1e-300 the
-        # worst relative error is 2.3e-14, at (3423, 2371.7), against
-        # 1.9e-14 before; 62 of them moved closer to mpmath.
+        # bit-identical wherever the old Miller pass, anchored or full, did
+        # not rescale; where it did, the seed 1e-30 * 2^-840 moves the last
+        # bits.  There an anchored value must meet
+        # test_draws_against_mpmath's gate and a relative one wherever
+        # |J| >= 1e-300.  Measured on those 159 draws: no |J| reaches 1e-3
+        # of the envelope, the worst absolute error is 1.9e-237 of it, and
+        # of the 122 with |J| >= 1e-300 the worst relative error is
+        # 2.3e-14, at (3423, 2371.7), against 1.9e-14 before; 62 of them
+        # moved closer to mpmath.  A full-pass value, on 8 draws at most 51
+        # orders below the last order the cut lets through (5 of them at
+        # it), must meet test_miller_path_against_mpmath's gate and the
+        # same relative one.  Measured: 1.1e-295 of the envelope, and
+        # 3.1e-15 relative on the 3 with |J| >= 1e-300, at (651, 181.5),
+        # against 1.2e-15 before.
         rng = random.Random(3131)
         pairs = []
         while len(pairs) < 2000:
@@ -912,15 +994,25 @@ class TestKapteynCut:
         for n, x in edges:
             assert kapteyn_cut(n, x) == (x < cut_edge(n)), (n, x)
         assert all(v > 20 for v in kinds.values()), kinds
-        normal = 0
+        normal = full = 0
         for n, x in rescaled:
+            if x <= specfun._DEBYE_MIN_X:
+                full += 1
+                check_moved_value(n, x, bessel_j(n, x))
+                with mpmath.workdps(40):
+                    exact = mpmath.besselj(n, mpmath.mpf(x), maxprec=10**5,
+                                           maxterms=10**7)
+                    if abs(exact) >= 1e-300:
+                        rel = abs((bessel_j(n, x) - exact) / exact)
+                        assert rel <= 4.5e-14, (n, x, rel)
+                continue
             assert anchored_routed(n, x), (n, x)
             rel, absolute, size = anchored_error(n, x)
             assert rel <= 9e-14 if size >= 1e-3 else absolute <= 8e-19
             if size * x ** (-1.0 / 3.0) >= 1e-300:
                 normal += 1
                 assert rel <= 4.5e-14, (n, x, rel)
-        assert normal > 100
+        assert normal > 100 and full == 8
 
     def test_anchored_pass_equals_the_frozen_pass_where_it_did_not_rescale(
             self):
@@ -941,6 +1033,122 @@ class TestKapteynCut:
                 same += 1
                 assert same_float(specfun._bessel_anchored(n, x), old), (n, x)
         assert 100 < same < len(pairs)
+
+
+def traced_miller_range(lo, hi, x):
+    """``specfun._miller_range`` with the same steps in the same order, and
+    the largest and the smallest nonzero magnitude it forms, normalization
+    included: (values, peak, low)."""
+    m = specfun._miller_start(hi, x)
+    top, bot = hi // 2 + 1, lo // 2 + 1
+    kept = []
+    up, cur, norm = 0.0, specfun._MILLER_SEED, 0.0
+    peak = low = cur
+    tk = 2.0 * m
+    for pairs, keep in ((m // 2 - top, False), (top - bot + 1, True),
+                        (bot - 1, False)):
+        for _ in range(pairs):
+            norm += 2.0 * cur
+            up = (tk / x) * cur - up
+            cur = ((tk - 2.0) / x) * up - cur
+            a, b = abs(up), abs(cur)
+            if a > peak or b > peak:
+                peak = max(peak, a, b)
+            if a < low or b < low:
+                low = min(low, a or low, b or low)
+            if keep:
+                kept += (up, cur)
+            tk -= 4.0
+    norm += cur
+    first = 2 * top - 1
+    values = [v / norm for v in reversed(kept[first - hi:first - lo + 1])]
+    return values, max(peak, abs(norm)), low
+
+
+class TestColumnPass:
+    """``bessel_j_orders`` runs its one Miller pass only up to the last order
+    Kapteyn's cut lets through, from one seed and with no rescaling."""
+
+    def test_pass_stays_in_normal_range(self):
+        # At the top of a cut column, where the pass spans the most, every
+        # value it forms, the normalization too, stays inside float64's
+        # normal range, on a log grid of x from 1e-6 up to MAX_ARGUMENT.
+        # The traced copy keeps only the top order, as bessel_j does; its
+        # steps are those of the column pass, and it must match the kernel
+        # bit for bit.  Measured: a peak of 1.9e307 at x = 1e-6 (top order
+        # 43; at the top of a cut column it overflows already at x = 5e-7
+        # and at 1e-7, where the series fallback takes over), and 3.4e275 at
+        # x = 1e7 (the normalization; top order 10 018 435); the smallest
+        # nonzero value is the seed, 1.4e-283.
+        xs = np.geomspace(1e-6, specfun.MAX_ARGUMENT, 14).tolist()
+        xs[0], xs[-1] = 1e-6, specfun.MAX_ARGUMENT
+        peak, low = 0.0, math.inf
+        for x in xs:
+            top = last_uncut_order(x)
+            values, top_peak, top_low = traced_miller_range(top, top, x)
+            assert values == specfun._miller_range(top, top, x), x
+            peak, low = max(peak, top_peak), min(low, top_low)
+        assert peak <= sys.float_info.max
+        assert low >= sys.float_info.min
+
+    def test_columns_run_to_the_cut_top(self, monkeypatch):
+        # The pass runs up to min(n_max, last uncut order), and every order
+        # above it is 0.0.  An uncut column tests the cut once, at n_max.
+        calls, tests = [], []
+        real_range, real_zero = specfun._miller_range, specfun._kapteyn_zero
+
+        def recorded(lo, hi, x):
+            calls.append((lo, hi))
+            return real_range(lo, hi, x)
+
+        def counted(n, x):
+            tests.append(n)
+            return real_zero(n, x)
+
+        monkeypatch.setattr(specfun, "_miller_range", recorded)
+        monkeypatch.setattr(specfun, "_kapteyn_zero", counted)
+        rng = random.Random(32)
+        cases = []
+        for _ in range(200):
+            x = 10.0 ** rng.uniform(-5.0, 4.0)
+            cases.append((rng.randint(0, 2 * last_uncut_order(x)), x))
+        cases += [(0, 1e-6), (43, 1e-6), (44, 1e-6), (269, 12.5),
+                  (270, 12.5)]
+        cut = 0
+        for n_max, x in cases:
+            calls.clear()
+            tests.clear()
+            top = min(n_max, last_uncut_order(x))
+            out = bessel_j_orders(n_max, x)
+            assert calls == [(0, top)], (n_max, x)
+            assert not out[top + 1:].any(), (n_max, x)
+            if top == n_max:
+                assert tests == [n_max], (n_max, x)
+            else:
+                cut += 1
+        assert 50 < cut < len(cases) - 50
+
+    def test_orders_beyond_float_range_are_zero(self):
+        # Kapteyn's bound falls as n rises, so an order too large for a
+        # float is tested as 1e300; at x = 13 the series route already
+        # returned 0.0 for it.
+        for n, x in [(10**400, 13.0), (2**1030, 1e5), (10**400, 1e7),
+                     (2**1030, 5e-324), (10**400, 0.5)]:
+            assert specfun._kapteyn_zero(n, x), (n, x)
+            assert bessel_j(n, x) == 0.0 and bessel_j(n, -x) == 0.0, (n, x)
+
+    def test_cut_agrees_with_the_test_replica(self):
+        # specfun._kapteyn_zero against kapteyn_zero, the float64 form that
+        # test_bound_against_mpmath checks, from subnormal x, where x/n
+        # underflows to 0.0, up to MAX_ARGUMENT.
+        rng = random.Random(3232)
+        cut = 0
+        for _ in range(3000):
+            x = 10.0 ** rng.uniform(-323.5, 7.0)
+            n = rng.randint(0, 3 * last_uncut_order(x) + 3)
+            assert specfun._kapteyn_zero(n, x) == kapteyn_zero(n, x), (n, x)
+            cut += kapteyn_zero(n, x)
+        assert 500 < cut < 2500
 
 
 def series_products(n, x):
@@ -1013,6 +1221,19 @@ class TestCountedWork:
                             "debye": 17}, (n, x)
             if (n, x) == (3000, 3150.0):
                 assert steps == 328
+
+    def test_column_work_is_flat_past_the_cut(self, work):
+        # bessel_j_orders runs its pass only up to the last order Kapteyn's
+        # cut lets through, 140 at x = 0.5, so n_max 1000 and 100 000 both
+        # cost _miller_start(140, 0.5) = 186 steps (1096 and 100 806 when
+        # the pass ran up to n_max).
+        totals = []
+        for n_max in (1000, 100_000):
+            work.update(dict.fromkeys(work, 0))
+            bessel_j_orders(n_max, 0.5)
+            totals.append(sum(work.values()))
+        assert last_uncut_order(0.5) == 140
+        assert totals == [186, 186], totals
 
     @pytest.mark.parametrize("speed", [2e-7, 0.021])
     def test_free_space_spectrum_work_grows_linearly(self, work, speed):
