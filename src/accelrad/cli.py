@@ -419,10 +419,31 @@ def _free_space_only(surface, cfg):
             f"[geometry] kind = {cfg.geometry.kind}")
 
 
+#: Most cells a sweep grid may hold: about 40 times the largest grid a
+#: default, test or benchmark request builds (25k cells), and a fig3 long
+#: CSV of about 100 MB.
+MAX_SWEEP_CELLS = 2 ** 20
+# preset -> the two [sweep] keys whose product is its number of cells
+_SWEEP_GRID_KEYS = {"fig2": ("a_tilde_count", "n_max"),
+                    "fig3": ("amplitude_count", "alpha_count"),
+                    "custom": ("amplitude_count", "n_max")}
+
+
+def _check_sweep_budget(preset, settings):
+    """Refuse a grid of more than MAX_SWEEP_CELLS before any axis is built."""
+    rows, cols = _SWEEP_GRID_KEYS[preset]
+    cells = getattr(settings, rows) * getattr(settings, cols)
+    if cells > MAX_SWEEP_CELLS:
+        raise ConfigError(f"[sweep] {rows} * {cols} = {cells} cells is above "
+                          f"MAX_SWEEP_CELLS = {MAX_SWEEP_CELLS}; lower "
+                          f"{rows} or {cols}")
+
+
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     settings = cfg.sweep if cfg is not None else _read_section("sweep")
     preset = args.preset or settings.preset
+    _check_sweep_budget(preset, settings)
     if preset == "fig2":
         a_values = np.linspace(0.0, settings.a_tilde_max,
                                settings.a_tilde_count)

@@ -1,8 +1,13 @@
-"""Exception types, and the whole-number rule, shared across the package.
+"""Exception types, and the two input rules, shared across the package.
 
 The CLI picks its exit code from the type alone: ConfigError -> 2,
 PhysicsDomainError and OverflowError (a value past float64 range) -> 3,
 OracleMismatchError and ConvergenceError -> 4; anything else is a bug.
+
+Every argument of the library passes one of two rules, stated here alone:
+``whole_number`` for an order, index or count (else ValueError), and
+``real`` for a real-valued model input, which must be finite and within its
+bound (``"> 0"``, ``">= 0"`` or none), else PhysicsDomainError naming it.
 """
 
 import math
@@ -59,3 +64,16 @@ def whole_number(name: str, value, low: int) -> int:
             and value % 1 == 0 and value >= low):
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
+
+
+_BOUND_WORDS = {None: "finite", "> 0": "positive", ">= 0": "finite and >= 0"}
+
+
+def real(name: str, value, bound: str | None = None):
+    """``value`` if finite and within ``bound`` (``"> 0"``, ``">= 0"`` or
+    None), else PhysicsDomainError naming ``name``."""
+    if math.isfinite(value) and (
+            bound is None or (value > 0 if bound == "> 0" else value >= 0)):
+        return value
+    raise PhysicsDomainError(f"{name} must be {_BOUND_WORDS[bound]}, "
+                             f"got {value}")

@@ -53,10 +53,9 @@ from ._lazy import np
 from ._quadrature import MAX_PERIODIC_NODES, periodic_trapezoid
 from .constants import SPEED_OF_LIGHT as C
 from .errors import (OracleMismatchError, OracleRangeError,
-                     PhysicsDomainError, whole_number)
+                     PhysicsDomainError, real, whole_number)
 from .rates import (EMIT_EXCITE, AtomParams, Cavity, FreeSpace, Mirror,
-                    ShoMotion, Sideband, _check_positive, check_clearance,
-                    off_resonance)
+                    ShoMotion, Sideband, check_clearance, off_resonance)
 
 _EPS = 2.0 ** -52  # float64 machine epsilon
 #: Relative deviation ``--verify`` allows between a closed form and the oracle.
@@ -96,9 +95,8 @@ def _line_integral(motion, geom, omega: float, omega0: float):
     ``(integrand, n, bandwidth, peak_phase, chi)``, with bandwidth bounding
     |dphi/dtau|, peak_phase every phase the integrand evaluates and chi the
     cavity photon-number factor (1 otherwise)."""
-    _check_positive("omega", omega)
-    _check_positive("omega0", omega0)
-    line = _resonance(geom, motion, omega, omega0)
+    line = _resonance(geom, motion, real("omega", omega, "> 0"),
+                      real("omega0", omega0, "> 0"))
     if line is None:
         raise PhysicsDomainError(
             f"omega={omega!r}, omega0={omega0!r}: no field mode meets "
@@ -207,9 +205,7 @@ def _selection_nodes(p: int, q: int, x: float) -> int:
     :class:`OracleRangeError` for a count above :data:`MAX_PERIODIC_NODES`,
     before any node is evaluated.
     """
-    if not math.isfinite(x):
-        raise PhysicsDomainError(f"argument must be finite, got {x}")
-    nodes = max(4096, 64 * math.ceil(abs(x) * q + p))
+    nodes = max(4096, 64 * math.ceil(abs(real("x", x)) * q + p))
     if nodes > MAX_PERIODIC_NODES:
         raise OracleRangeError(
             f"selection rule at (p, q, x) = ({p}, {q}, {x!r}) needs {nodes} "

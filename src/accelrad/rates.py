@@ -40,7 +40,8 @@ from dataclasses import dataclass
 
 from ._lazy import np
 from .constants import SPEED_OF_LIGHT as C
-from .errors import ApproximationDomainError, PhysicsDomainError, whole_number
+from .errors import (ApproximationDomainError, PhysicsDomainError, real,
+                     whole_number)
 from .specfun import bessel_j
 
 PERPENDICULAR = "perpendicular"
@@ -65,12 +66,6 @@ def _wave_components(k: float, delta: float):
     return k * math.sin(delta), k * math.cos(delta)
 
 
-def _check_positive(name: str, value: float):
-    """Reject a model value that is not finite and positive."""
-    if not (math.isfinite(value) and value > 0):
-        raise PhysicsDomainError(f"{name} must be positive, got {value}")
-
-
 @dataclass(frozen=True)
 class AtomParams:
     """Two-level atom: transition frequency omega0 and coupling g (rad/s).
@@ -85,9 +80,9 @@ class AtomParams:
     alpha: float | None = None
 
     def __post_init__(self):
-        _check_positive("omega0", self.omega0)
+        real("omega0", self.omega0, "> 0")
         if self.alpha is not None:
-            derived = self.alpha * self.omega0
+            derived = real("alpha", self.alpha, "> 0") * self.omega0
             if self.g is None:
                 object.__setattr__(self, "g", derived)
             elif self.g != derived:
@@ -96,7 +91,7 @@ class AtomParams:
                     f"alpha*omega0={derived}")
         if self.g is None:
             raise PhysicsDomainError("either g or alpha must be given")
-        _check_positive("g", self.g)
+        real("g", self.g, "> 0")
 
 
 @dataclass(frozen=True)
@@ -117,14 +112,11 @@ class ShoMotion:
     delta: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
-            raise PhysicsDomainError(
-                f"amplitude must be >= 0, got {self.amplitude}")
-        _check_positive("Omega", self.Omega)
+        real("amplitude", self.amplitude, ">= 0")
+        real("Omega", self.Omega, "> 0")
         if self.orientation not in (PERPENDICULAR, PARALLEL):
             raise ValueError(f"unknown orientation {self.orientation!r}")
-        if not math.isfinite(self.delta):
-            raise PhysicsDomainError(f"delta must be finite, got {self.delta}")
+        real("delta", self.delta)
 
     @property
     def extent(self) -> float:
@@ -159,11 +151,9 @@ class RotationMotion:
     delta: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.radius) and self.radius >= 0):
-            raise PhysicsDomainError(f"radius must be >= 0, got {self.radius}")
-        _check_positive("Omega", self.Omega)
-        if not math.isfinite(self.delta):
-            raise PhysicsDomainError(f"delta must be finite, got {self.delta}")
+        real("radius", self.radius, ">= 0")
+        real("Omega", self.Omega, "> 0")
+        real("delta", self.delta)
 
     @property
     def extent(self) -> float:
@@ -197,13 +187,11 @@ class GeneralPeriodicMotion:
     samples: tuple
 
     def __post_init__(self):
-        _check_positive("Omega", self.Omega)
-        samples = tuple(float(s) for s in self.samples)
+        real("Omega", self.Omega, "> 0")
+        samples = tuple(real("samples", float(s)) for s in self.samples)
         if len(samples) < 16:
             raise PhysicsDomainError(
                 f"need at least 16 samples, got {len(samples)}")
-        if not all(math.isfinite(s) for s in samples):
-            raise PhysicsDomainError("samples must be finite")
         object.__setattr__(self, "samples", samples)
 
     @functools.cached_property
@@ -321,7 +309,7 @@ class Mirror(_Geometry):
     z0: float
 
     def __post_init__(self):
-        _check_positive("z0", self.z0)
+        real("z0", self.z0, "> 0")
 
     @property
     def clearance(self) -> float:
@@ -341,7 +329,7 @@ class Cavity(_Geometry):
     n_photons: int = 0
 
     def __post_init__(self):
-        _check_positive("length", self.length)
+        real("length", self.length, "> 0")
         if not (math.isfinite(self.z0) and 0 < self.z0 < self.length):
             raise PhysicsDomainError(
                 f"z0 must lie inside the cavity (0, {self.length}), "
@@ -385,10 +373,8 @@ class Sideband:
     m: int | None = None  # cavity mode index, when applicable
 
     def __post_init__(self):
-        if not (math.isfinite(self.rate) and self.rate >= 0):
-            raise PhysicsDomainError(
-                f"rate must be finite and >= 0, got {self.rate}")
-        _check_positive("photon frequency", self.omega)
+        real("rate", self.rate, ">= 0")
+        real("photon frequency", self.omega, "> 0")
 
 
 def off_resonance(n: int, Omega: float, omega0: float, omega: float) -> float:

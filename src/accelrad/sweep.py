@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 from . import __version__ as _version
 from ._lazy import np
 from .constants import SPEED_OF_LIGHT as C
-from .errors import PhysicsDomainError, whole_number
+from .errors import PhysicsDomainError, real, whole_number
 from .rates import (SMALL_AMPLITUDE_MAX, AtomParams, Cavity, ShoMotion,
                     allowed_sidebands, small_amplitude_formula)
 from .specfun import bessel_j, bessel_j_orders
@@ -76,12 +76,13 @@ def fig2_surface(a_tilde_values, n_max: int, *, g: float | None = None,
     J_n(a_tilde)^2; pass ``g`` and ``Omega`` for absolute rates in Hz.  Over
     a_tilde in [0, 30] the maximum sits at n = 1, a_tilde ~ 1.84.
     """
-    a_tilde_values = tuple(float(a) for a in a_tilde_values)
-    if any(a < 0 for a in a_tilde_values):
-        raise ValueError("a_tilde must be >= 0")
+    a_tilde_values = tuple(real("a_tilde", float(a), ">= 0")
+                           for a in a_tilde_values)
     n_max = whole_number("n_max", n_max, 1)
     if (g is None) != (Omega is None):
         raise ValueError("pass both g and Omega for absolute rates, or neither")
+    fixed = {} if g is None else {"g": real("g", g, "> 0"),
+                                  "Omega": real("Omega", Omega, "> 0")}
 
     values = np.empty((len(a_tilde_values), n_max))
     for i, a in enumerate(a_tilde_values):
@@ -94,8 +95,7 @@ def fig2_surface(a_tilde_values, n_max: int, *, g: float | None = None,
     metadata = {"surface": "fig2", "normalization": normalization,
                 "version": _version}
     return SweepResult("A_tilde", a_tilde_values, "n", range(1, n_max + 1),
-                       values, metadata,
-                       fixed={} if g is None else {"g": g, "Omega": Omega})
+                       values, metadata, fixed=fixed)
 
 
 def fig3_surface(amplitude_values, alpha_values, *,
@@ -111,12 +111,10 @@ def fig3_surface(amplitude_values, alpha_values, *,
     dimensionless amplitude must stay below SMALL_AMPLITUDE_MAX = 0.1;
     violating cells are flagged, not fatal).
     """
-    amplitude_values = tuple(float(a) for a in amplitude_values)
-    alpha_values = tuple(float(a) for a in alpha_values)
-    if any(a < 0 for a in amplitude_values) or any(a < 0 for a in alpha_values):
-        raise ValueError("amplitudes and alphas must be >= 0")
-    if not Omega > 0:
-        raise ValueError(f"Omega must be positive, got {Omega}")
+    amplitude_values = tuple(real("amplitude", float(a), ">= 0")
+                             for a in amplitude_values)
+    alpha_values = tuple(real("alpha", float(a), ">= 0") for a in alpha_values)
+    real("Omega", Omega, "> 0")
 
     amps = np.asarray(amplitude_values)
     alphas = np.asarray(alpha_values)

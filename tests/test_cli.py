@@ -15,8 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from accelrad import (AtomParams, FreeSpace, ShoMotion, allowed_sidebands,
-                      general_trajectory_spectrum, rate_surface)
+from accelrad import (AtomParams, ConfigError, FreeSpace, ShoMotion,
+                      allowed_sidebands, general_trajectory_spectrum,
+                      rate_surface)
+from accelrad import cli as cli_module
 from accelrad.cli import (CONFIG_SECTIONS, build_atom, build_geometry,
                           build_motion, main, parse_config, parse_length,
                           serialize_config, sidebands_text, sweep_text)
@@ -501,6 +503,61 @@ amplitude_count = 5
         assert main(["sweep", "--config", path]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 1 + 5
+
+
+# (preset, [sweep] key set to 10^20, the two keys whose product is the grid)
+_OVER_BUDGET = {
+    "fig2-n_max": ("fig2", "n_max", ("a_tilde_count", "n_max")),
+    "fig2-a_tilde_count": ("fig2", "a_tilde_count",
+                           ("a_tilde_count", "n_max")),
+    "fig3-alpha_count": ("fig3", "alpha_count",
+                         ("amplitude_count", "alpha_count")),
+    "fig3-amplitude_count": ("fig3", "amplitude_count",
+                             ("amplitude_count", "alpha_count")),
+    "custom-n_max": ("custom", "n_max", ("amplitude_count", "n_max")),
+}
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} reached before the grid budget")
+
+
+class TestSweepGridBudget:
+    """A sweep grid above MAX_SWEEP_CELLS is a config error, refused before
+    any axis is built; each of these ran into numpy's own limit as a
+    traceback with exit 1.  Over-budget grids are never run."""
+
+    @pytest.mark.parametrize("route", sorted(_OVER_BUDGET))
+    def test_over_budget_grid_is_refused_before_any_axis(
+            self, tmp_path, capsys, monkeypatch, route):
+        preset, key, (rows, cols) = _OVER_BUDGET[route]
+        path = write_cfg(tmp_path, FREE_SPACE_CFG
+                         + f"\n[sweep]\n{key} = 100000000000000000000\n")
+        monkeypatch.setattr(cli_module, "np", _NoNumpy())
+        assert main(["sweep", "--preset", preset, "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"config error: [sweep] {rows} * {cols} = ")
+        assert f"lower {rows} or {cols}" in captured.err
+
+    @pytest.mark.parametrize("preset", sorted(cli_module._SWEEP_GRID_KEYS))
+    def test_the_budget_is_inclusive(self, preset):
+        rows, cols = cli_module._SWEEP_GRID_KEYS[preset]
+        at = config_section("sweep", **{rows: 2 ** 10, cols: 2 ** 10})
+        cli_module._check_sweep_budget(preset, at)
+        over = config_section("sweep", **{rows: 2 ** 10 + 1, cols: 2 ** 10})
+        with pytest.raises(ConfigError, match=f"= {2 ** 20 + 1024} cells is "
+                                              f"above MAX_SWEEP_CELLS = "
+                                              f"{2 ** 20};"):
+            cli_module._check_sweep_budget(preset, over)
+
+    def test_the_default_grids_are_far_below_it(self):
+        for preset, (rows, cols) in cli_module._SWEEP_GRID_KEYS.items():
+            defaults = config_section("sweep")
+            cells = getattr(defaults, rows) * getattr(defaults, cols)
+            assert 40 * cells <= cli_module.MAX_SWEEP_CELLS
 
 
 class TestOracleCommand:

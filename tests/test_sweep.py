@@ -86,6 +86,16 @@ class TestFig2Surface:
         with pytest.raises(ValueError):
             fig2_surface([1.0], 1, g=0.3)
 
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"a_tilde_values": [-1.0]}, "a_tilde"),
+        ({"g": -1.0, "Omega": 1.0}, "g"),
+        ({"g": 1.0, "Omega": 0.0}, "Omega")])
+    def test_a_negative_input_is_a_physics_error(self, kwargs, name):
+        # A plain ValueError, or a ZeroDivisionError at Omega = 0, before.
+        kwargs = {"a_tilde_values": [1.0], "n_max": 3} | kwargs
+        with pytest.raises(PhysicsDomainError, match=f"^{name} must be"):
+            fig2_surface(**kwargs)
+
 
 class TestFig3Surface:
     def test_zero_coupling_row(self):
@@ -131,6 +141,15 @@ class TestFig3Surface:
         assert np.all(valid)  # nm amplitudes at GHz drives are deep in domain
         rel = np.abs(exact - res.values) / exact
         assert np.nanmax(rel) < 1e-2
+
+    @pytest.mark.parametrize("args,Omega,name", [
+        (([-1.0], [0.5]), 1.0, "amplitude"),
+        (([1e-9], [-0.5]), 1.0, "alpha"),
+        (([1e-9], [0.5]), 0.0, "Omega")])
+    def test_a_negative_input_is_a_physics_error(self, args, Omega, name):
+        # A plain ValueError before.
+        with pytest.raises(PhysicsDomainError, match=f"^{name} must be"):
+            fig3_surface(*args, Omega=Omega)
 
     def test_out_of_domain_cells_are_flagged_not_fatal(self):
         # Omega = 2 rad/s makes the dimensionless amplitude order unity.
