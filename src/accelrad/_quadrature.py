@@ -10,6 +10,8 @@ a start with no room for one doubling raises before any node is evaluated.
   integrand's Fourier coefficients at multiples of N), which decays
   exponentially once N exceeds the integrand's bandwidth, so the caller
   sets the node count from that bandwidth and one doubling confirms it.
+  The N-node rule is the even half of the 2N-node rule, so one integrand
+  call on the 2N-node grid yields both (it holds 2N values at once).
 * ``composite_gl`` / ``refine_to_tolerance`` -- composite Gauss-Legendre
   panels with panel doubling, behind ``specfun.rational_period_integral``.
   Library API only: no command reaches them.  Each call builds its panel
@@ -53,18 +55,26 @@ def _refine(estimate, nodes: int):
 
 def periodic_trapezoid(f, nodes: int):
     """Integrate a 2 pi-periodic ``f`` over [-pi, pi) by the trapezoid rule,
-    from ``nodes`` uniform nodes, each doubling adding only the midpoints.
+    from ``nodes`` uniform nodes.  One call of ``f`` on the doubled grid
+    gives both the start rule (its even nodes) and the first doubling (its
+    odd nodes, the start's midpoints); each later doubling adds only the
+    midpoints.  Halving a step is exact, so every node and partial sum
+    has the bits that separate calls on the two grids would give.
 
     Returns ``(value, error_estimate, nodes_used)``.  ``f`` must accept an
     ndarray of abscissae and return an ndarray of the same shape.
     """
-    total = None
+    total = midpoints = None
 
     def estimate(count):
-        nonlocal total
+        nonlocal total, midpoints
         step = 2.0 * math.pi / count
         if total is None:
-            total = f(-math.pi + step * np.arange(count)).sum()
+            values = f(-math.pi + (step / 2) * np.arange(2 * count))
+            total, midpoints = values[::2].sum(), values[1::2].sum()
+        elif midpoints is not None:
+            total += midpoints
+            midpoints = None
         else:  # the odd nodes, the previous rule's midpoints
             total += f(-math.pi + step * np.arange(1, count, 2)).sum()
         return step * total

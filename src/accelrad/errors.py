@@ -71,8 +71,13 @@ _BOUND_WORDS = {None: "finite", "> 0": "positive", ">= 0": "finite and >= 0"}
 
 def real(name: str, value, bound: str | None = None):
     """``value`` if finite and within ``bound`` (``"> 0"``, ``">= 0"`` or
-    None), else PhysicsDomainError naming ``name``."""
-    if math.isfinite(value) and (
+    None), else PhysicsDomainError naming ``name``.  An int past float64
+    range counts as non-finite."""
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite, value = False, "an int past float64 range"
+    if finite and (
             bound is None or (value > 0 if bound == "> 0" else value >= 0)):
         return value
     raise PhysicsDomainError(f"{name} must be {_BOUND_WORDS[bound]}, "

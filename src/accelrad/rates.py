@@ -82,7 +82,8 @@ class AtomParams:
     def __post_init__(self):
         real("omega0", self.omega0, "> 0")
         if self.alpha is not None:
-            derived = real("alpha", self.alpha, "> 0") * self.omega0
+            alpha = real("alpha", self.alpha, "> 0")
+            derived = real("alpha * omega0", alpha * self.omega0, "> 0")
             if self.g is None:
                 object.__setattr__(self, "g", derived)
             elif self.g != derived:
@@ -188,7 +189,7 @@ class GeneralPeriodicMotion:
 
     def __post_init__(self):
         real("Omega", self.Omega, "> 0")
-        samples = tuple(real("samples", float(s)) for s in self.samples)
+        samples = tuple(float(real("samples", s)) for s in self.samples)
         if len(samples) < 16:
             raise PhysicsDomainError(
                 f"need at least 16 samples, got {len(samples)}")
@@ -229,13 +230,25 @@ class GeneralPeriodicMotion:
 
     def phase(self, k: float):
         """See ShoMotion.phase; z(tau) = Re sum_h c_h exp(i h tau) bounds
-        |dphi/dtau| by k sum_h |h| |c_h| and |phi| by k sum_h |c_h|."""
+        |dphi/dtau| by k sum_h |h| |c_h| and |phi| by k sum_h |c_h|.
+
+        phi builds the abscissae x harmonics matrix exp(i h tau) in blocks
+        of about 2^16 entries (1 MiB), so its memory stays flat in the node
+        count; each row's sum is the one the whole matrix would give.  The
+        last block is a full one, overlapping the one before: numpy takes a
+        one-row product as a dot, summed in another order than gemv's row."""
         coef, freqs, slope = self._fourier
+        rows = max(2, 2**16 // len(freqs))
 
         def phi(tau):
             tau = np.asarray(tau, dtype=float)
-            phases = np.exp(1j * np.multiply.outer(tau, freqs))
-            return k * (phases @ coef).real
+            z = np.empty(tau.shape)
+            for start in range(0, len(tau), rows):
+                block = slice(min(start, max(0, len(tau) - rows)),
+                              start + rows)
+                z[block] = (np.exp(1j * np.multiply.outer(tau[block], freqs))
+                            @ coef).real
+            return k * z
 
         return phi, k * slope, k * float(np.sum(np.abs(coef)))
 
@@ -334,7 +347,7 @@ class Cavity(_Geometry):
             raise PhysicsDomainError(
                 f"z0 must lie inside the cavity (0, {self.length}), "
                 f"got {self.z0}")
-        if self.n_photons % 1 or self.n_photons < 0:
+        if real("n_photons", self.n_photons, ">= 0") % 1:
             raise PhysicsDomainError(
                 f"n_photons must be a non-negative integer, "
                 f"got {self.n_photons}")

@@ -76,7 +76,7 @@ def fig2_surface(a_tilde_values, n_max: int, *, g: float | None = None,
     J_n(a_tilde)^2; pass ``g`` and ``Omega`` for absolute rates in Hz.  Over
     a_tilde in [0, 30] the maximum sits at n = 1, a_tilde ~ 1.84.
     """
-    a_tilde_values = tuple(real("a_tilde", float(a), ">= 0")
+    a_tilde_values = tuple(float(real("a_tilde", a, ">= 0"))
                            for a in a_tilde_values)
     n_max = whole_number("n_max", n_max, 1)
     if (g is None) != (Omega is None):
@@ -111,9 +111,9 @@ def fig3_surface(amplitude_values, alpha_values, *,
     dimensionless amplitude must stay below SMALL_AMPLITUDE_MAX = 0.1;
     violating cells are flagged, not fatal).
     """
-    amplitude_values = tuple(real("amplitude", float(a), ">= 0")
+    amplitude_values = tuple(float(real("amplitude", a, ">= 0"))
                              for a in amplitude_values)
-    alpha_values = tuple(real("alpha", float(a), ">= 0") for a in alpha_values)
+    alpha_values = tuple(float(real("alpha", a, ">= 0")) for a in alpha_values)
     real("Omega", Omega, "> 0")
 
     amps = np.asarray(amplitude_values)

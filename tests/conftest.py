@@ -1,13 +1,16 @@
 """Shared fixtures."""
 
+import math
 import os
 import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import accelrad
+import accelrad._quadrature as quadrature
 from accelrad import EMIT_EXCITE
 
 
@@ -36,3 +39,26 @@ def cavity_line():
         return s if s is not None and (s.m, s.branch) == (m, branch) else None
 
     return line
+
+
+@pytest.fixture
+def frozen_periodic_trapezoid():
+    """``periodic_trapezoid`` as it was before one call on the doubled grid
+    gave both the start rule and its first doubling, frozen: one integrand
+    call per rule, summed through ``np.sum``.  The reference the live rule
+    must equal bit for bit, under the live refinement contract."""
+    def trapezoid(f, nodes):
+        total = None
+
+        def estimate(count):
+            nonlocal total
+            step = 2.0 * math.pi / count
+            if total is None:
+                total = np.sum(f(-math.pi + step * np.arange(count)))
+            else:  # the odd nodes, the previous rule's midpoints
+                total += np.sum(f(-math.pi + step * np.arange(1, count, 2)))
+            return step * total
+
+        return quadrature._refine(estimate, int(nodes))
+
+    return trapezoid

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from accelrad._quadrature import (MAX_PERIODIC_NODES, composite_gl,
                                   periodic_trapezoid)
 from accelrad.oracle import (equivalence_cases, equivalence_report,
                              verified_lines)
+from accelrad.cli import main
 from accelrad.constants import SPEED_OF_LIGHT as C
 
 TWO_PI = 2.0 * math.pi
@@ -535,6 +537,47 @@ class TestOneSetUpPerLine:
             line.branch != EMIT_EXCITE for line in lines]
 
 
+class TestOneIntegrandCallPerLine:
+    """Counted work: every line the oracle integrates, in the self-check's
+    draws and in ``rate --verify``, calls its integrand once, on the doubled
+    grid of its start.  Counted by wrapping the trapezoid rule the oracle
+    looks up, with no counter in the source."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        lines = []  # per line: (start, the node count of each call)
+
+        def counted(f, nodes):
+            sizes = []
+            lines.append((nodes, sizes))
+
+            def g(tau):
+                sizes.append(len(tau))
+                return f(tau)
+
+            return periodic_trapezoid(g, nodes)
+
+        monkeypatch.setattr(oracle_module, "periodic_trapezoid", counted)
+        return lines
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equivalence_draws(self, calls, seed):
+        equivalence_report(seed, 200)
+        assert len(calls) == 200
+        assert all(sizes == [2 * start] for start, sizes in calls)
+
+    @pytest.mark.parametrize("geometry", ["free_space", "mirror", "cavity"])
+    def test_rate_verify_at_n_max_200(self, calls, capsys, geometry):
+        config = (pathlib.Path(__file__).resolve().parent.parent / "configs"
+                  / f"{geometry}.cfg")
+        assert main(["rate", "--config", str(config), "--verify",
+                     "--format", "csv", "--n-max", "200"]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        verified = [row for row in rows if row.split(",")[6]]
+        assert len(calls) == len(verified) > 0
+        assert all(sizes == [2 * start] for start, sizes in calls)
+
+
 class TestIndependenceFromTheClosedForms:
     """The oracle shares the description of the trajectory, never the
     Bessel or sin^2 algebra of the closed forms it checks."""
@@ -945,23 +988,6 @@ class TestBoundDecidedRedraws:
                     assert abs(value) < 1e-5, (seed, n, a_tilde, theta)
 
 
-def frozen_periodic_trapezoid(f, nodes):
-    """``periodic_trapezoid`` as it summed through ``np.sum``, frozen: the
-    reference it must equal."""
-    total = None
-
-    def estimate(count):
-        nonlocal total
-        step = 2.0 * math.pi / count
-        if total is None:
-            total = np.sum(f(-math.pi + step * np.arange(count)))
-        else:  # the odd nodes, the previous rule's midpoints
-            total += np.sum(f(-math.pi + step * np.arange(1, count, 2)))
-        return step * total
-
-    return quadrature._refine(estimate, int(nodes))
-
-
 def _trapezoid_cases():
     """``(name, integrand, start)``: the oracle's integrands at their own
     starts over every motion and geometry, a start above 8192 nodes and a
@@ -991,7 +1017,8 @@ class TestTrapezoidMatchesTheFrozenRule:
     @pytest.mark.parametrize("name,integrand,start",
                              [pytest.param(*case, id=case[0])
                               for case in _trapezoid_cases()])
-    def test_bit_identical_results_and_nodes(self, name, integrand, start):
+    def test_bit_identical_results_and_nodes(self, name, integrand, start,
+                                             frozen_periodic_trapezoid):
         seen = {"new": [], "frozen": []}
 
         def recorded(side):
@@ -1004,13 +1031,40 @@ class TestTrapezoidMatchesTheFrozenRule:
         frozen = frozen_periodic_trapezoid(recorded("frozen"), start)
         assert new == frozen
         assert repr(new) == repr(frozen)
-        assert len(seen["new"]) == len(seen["frozen"])
-        for mine, theirs in zip(seen["new"], seen["frozen"]):
-            assert mine.tobytes() == theirs.tobytes()
+        # The same nodes, bit for bit, in one integrand call fewer: the
+        # start rule and its first doubling come from one call.
+        assert (np.sort(np.concatenate(seen["new"])).tobytes()
+                == np.sort(np.concatenate(seen["frozen"])).tobytes())
+        assert len(seen["new"]) == len(seen["frozen"]) - 1
         if name == "deep":
             assert start > 8192
         if name == "three-doublings":
             assert new[2] >= 8 * start
+            assert (len(seen["new"]), len(seen["frozen"])) == (3, 4)
+        else:
+            assert (len(seen["new"]), len(seen["frozen"])) == (1, 2)
+
+    @pytest.mark.parametrize("name,integrand,start",
+                             [pytest.param(*case, id=case[0])
+                              for case in _trapezoid_cases()])
+    def test_the_doubled_grid_holds_both_rules(self, name, integrand, start):
+        """The three facts the one-call rule rests on, checked bit for bit:
+        the even nodes of the doubled grid are the start rule's nodes, its
+        odd nodes are the first doubling's midpoints, and numpy sums a
+        strided half as it sums a contiguous copy of it."""
+        step = 2.0 * math.pi / start
+        doubled = -math.pi + (step / 2) * np.arange(2 * start)
+        assert (doubled[::2].tobytes()
+                == (-math.pi + step * np.arange(start)).tobytes())
+        step_2n = 2.0 * math.pi / (2 * start)
+        assert step / 2 == step_2n
+        assert (doubled[1::2].tobytes()
+                == (-math.pi + step_2n * np.arange(1, 2 * start, 2))
+                .tobytes())
+        values = integrand(doubled)
+        for half in (values[::2], values[1::2]):
+            assert (repr(half.sum())
+                    == repr(np.ascontiguousarray(half).sum()))
 
     def test_start_without_room_calls_nothing(self):
         calls = []

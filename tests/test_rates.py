@@ -3,6 +3,7 @@
 import math
 import pathlib
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -518,6 +519,52 @@ class TestMotionGeometryProtocol:
         for drive in (motion, replace(motion, Omega=off + omega0)):
             with pytest.raises(PhysicsDomainError):
                 one_period_amplitude(drive, geom, off, omega0)
+
+
+class TestSampledPhaseBlocks:
+    """``GeneralPeriodicMotion.phase`` builds exp(i h tau) in blocks of
+    about 2^16 entries: bit for bit the rows of the whole nodes x samples
+    matrix, in memory flat in the node count."""
+
+    @pytest.mark.parametrize("m", [16, 17, 33, 100, 1024, 40000])
+    def test_blocks_equal_the_whole_matrix(self, m):
+        rng = np.random.default_rng(m)
+        rows = max(2, 2**16 // m)
+        for _ in range(3):
+            motion = GeneralPeriodicMotion(
+                Omega=1.0, samples=tuple(rng.normal(size=m)))
+            coef, freqs, _ = motion._fourier
+            phi = motion.phase(2.5)[0]
+            # One row, part of a block, one row past a block, several blocks
+            # with a ragged last one, and the doubled grid of a k A = 300
+            # line (where the whole matrix stays small enough to build).
+            for nodes in (1, rows - 1, rows + 1, 3 * rows + 7, 2 * 1384):
+                if nodes * m > 2**22:
+                    continue
+                for tau in (rng.uniform(-math.pi, math.pi, nodes),
+                            -math.pi + (math.pi / nodes) * np.arange(nodes)):
+                    whole = np.exp(1j * np.multiply.outer(tau, freqs)) @ coef
+                    assert (phi(tau).tobytes()
+                            == (2.5 * whole.real).tobytes()), nodes
+
+    def test_one_line_of_1024_samples_stays_under_8_mb(self):
+        # k A = 300 at n = 5 starts the trapezoid at 1384 nodes and calls
+        # the integrand once on 2768: the whole matrix held 43 MB, twice
+        # that on the doubled grid.
+        omega0, Omega, n = 2 * math.pi * 0.5e9, 2 * math.pi * 1e9, 5
+        omega = n * Omega - omega0
+        amplitude = 300.0 * C / omega
+        samples = tuple(amplitude * math.sin(2 * math.pi * j / 1024)
+                        for j in range(1024))
+        motion = GeneralPeriodicMotion(Omega=Omega, samples=samples)
+        tracemalloc.start()
+        try:
+            result = one_period_amplitude(motion, FreeSpace(), omega, omega0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        assert result.panels_used == 2 * 4 * (n + 300 + 1 + 40)
 
 
 class TestClearance:

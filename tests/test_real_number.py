@@ -2,8 +2,9 @@
 
 Every real-valued argument of a model type or library entry point, from a
 frequency to a Bessel argument, states its domain through ``errors.real``:
-nan, +inf, -inf, and the first value outside the site's bound (0.0 for a
-positive value, the largest negative float for a non-negative one) raise
+nan, +inf and -inf (as Python or numpy floats), a Python int past float64
+range, and the first value outside the site's bound (0.0 for a positive
+value, the largest negative float for a non-negative one) raise
 PhysicsDomainError whose message starts with the argument's name.
 """
 
@@ -56,6 +57,9 @@ SITES = {
                                         + _SAMPLES[6:])),
     "Mirror-z0": ("z0", "> 0", lambda v: Mirror(z0=v)),
     "Cavity-length": ("length", "> 0", lambda v: Cavity(length=v, z0=0.5)),
+    "Cavity-n_photons": (
+        "n_photons", ">= 0",
+        lambda v: Cavity(length=1.0, z0=0.5, n_photons=v)),
     "Sideband-rate": ("rate", ">= 0", lambda v: Sideband(1, 1.0, v)),
     "Sideband-omega": (
         "photon frequency", "> 0", lambda v: Sideband(1, v, 1.0)),
@@ -88,7 +92,8 @@ SITES = {
 # bound -> the first value outside it
 OUTSIDE = {"> 0": 0.0, ">= 0": -math.ulp(0.0)}
 NON_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf,
-              "np-nan": np.float64("nan")}
+              "np-nan": np.float64("nan"), "np-inf": np.float64("inf"),
+              "int-past-float": 10**400, "-int-past-float": -10**400}
 CASES = [pytest.param(site, bad, id=f"{site}-{label}")
          for site, (_, bound, _) in SITES.items()
          for label, bad in (NON_FINITE | (
@@ -122,8 +127,27 @@ def test_returns_the_value_itself_and_states_each_bound():
     cases = {(math.nan, None): "v must be finite, got nan",
              (math.inf, "> 0"): "v must be positive, got inf",
              (0.0, "> 0"): "v must be positive, got 0.0",
-             (-0.5, ">= 0"): "v must be finite and >= 0, got -0.5"}
+             (-0.5, ">= 0"): "v must be finite and >= 0, got -0.5",
+             (10**400, "> 0"):
+                 "v must be positive, got an int past float64 range"}
     for (value, bound), message in cases.items():
         with pytest.raises(PhysicsDomainError,
                            match=rf"^{re.escape(message)}$"):
             real("v", value, bound)
+
+
+@pytest.mark.parametrize("omega0,alpha,got", [(1e300, 1e300, "inf"),
+                                              (1e-300, 1e-300, "0.0")])
+def test_a_derived_coupling_names_the_product(omega0, alpha, got):
+    # g = alpha * omega0 overflows or underflows although both inputs pass;
+    # the caller passed no g, so the refusal names the product.
+    with pytest.raises(PhysicsDomainError, match=rf"^alpha \* omega0 must "
+                                                 rf"be positive, got {got}$"):
+        AtomParams(omega0=omega0, alpha=alpha)
+
+
+@pytest.mark.parametrize("count", [0.5, 2.5, np.float64(1.5)])
+def test_a_finite_photon_count_must_be_whole(count):
+    with pytest.raises(PhysicsDomainError,
+                       match=r"^n_photons must be a non-negative integer"):
+        Cavity(length=1.0, z0=0.5, n_photons=count)
