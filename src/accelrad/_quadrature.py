@@ -59,7 +59,10 @@ def periodic_trapezoid(f, nodes: int):
     gives both the start rule (its even nodes) and the first doubling (its
     odd nodes, the start's midpoints); each later doubling adds only the
     midpoints.  Halving a step is exact, so every node and partial sum
-    has the bits that separate calls on the two grids would give.
+    has the bits that separate calls on the two grids would give.  Every
+    call of ``f`` is on a full-period uniform grid, tau[j] = tau[0] +
+    2 pi j / N for j < N: the 2N nodes from -pi, then the odd nodes of
+    each later doubling.
 
     Returns ``(value, error_estimate, nodes_used)``.  ``f`` must accept an
     ndarray of abscissae and return an ndarray of the same shape.

@@ -206,19 +206,25 @@ class GeneralPeriodicMotion:
             coef, freqs = np.fft.fft(z) / m, np.fft.fftfreq(m, d=1.0 / m)
             return coef, freqs, float(np.abs(freqs) @ np.abs(coef))
 
+    def _on_grid(self, start: float, nodes: int):
+        """z at tau_j = start + 2 pi j / nodes, j < nodes, by one inverse
+        FFT: c_h exp(i h start) folds into bin h mod nodes, exact at any
+        node count since exp(2 pi i h j / nodes) has period nodes in h."""
+        coef, h, _ = self._fourier
+        bins = np.zeros(nodes, dtype=complex)
+        np.add.at(bins, h.astype(int) % nodes, coef * np.exp(1j * start * h))
+        return (nodes * np.fft.ifft(bins)).real
+
     @functools.cached_property
     def extent(self) -> float:
         """Reach toward a boundary of the interpolated z(tau), which
-        overshoots the samples: max |z| on a zero-padded FFT grid of
-        N = 64 M points, plus (pi / N) max |dz/dtau| for the gaps.  Raises
-        PhysicsDomainError where that bound is past float64 range."""
-        coef, freqs, slope = self._fourier
-        nodes = 64 * len(coef)
-        padded = np.zeros(nodes, dtype=complex)
-        padded[freqs.astype(int)] = coef
+        overshoots the samples: max |z| on phase's grid of N = 64 M points
+        from 0, plus (pi / N) max |dz/dtau| for the gaps; PhysicsDomainError
+        where that bound is past float64 range."""
+        nodes = 64 * len(self.samples)
         with np.errstate(over="ignore", invalid="ignore"):
-            dense = (nodes * np.fft.ifft(padded)).real
-            extent = float(np.max(np.abs(dense))) + math.pi / nodes * slope
+            extent = (float(np.max(np.abs(self._on_grid(0.0, nodes))))
+                      + math.pi / nodes * self._fourier[2])
         if not math.isfinite(extent):
             raise PhysicsDomainError(
                 "sampled trajectory is beyond float64 range")
@@ -230,25 +236,19 @@ class GeneralPeriodicMotion:
 
     def phase(self, k: float):
         """See ShoMotion.phase; z(tau) = Re sum_h c_h exp(i h tau) bounds
-        |dphi/dtau| by k sum_h |h| |c_h| and |phi| by k sum_h |c_h|.
+        |dphi/dtau| by k sum_h |h| |c_h| and |phi| by k sum_h |c_h|.  phi
+        takes the full-period uniform grids periodic_trapezoid passes, and
+        raises ValueError on any other: one inverse FFT of N nodes, in
+        O(N log N + M) time and O(N + M) memory for M samples."""
+        coef, _, slope = self._fourier
 
-        phi builds the abscissae x harmonics matrix exp(i h tau) in blocks
-        of about 2^16 entries (1 MiB), so its memory stays flat in the node
-        count; each row's sum is the one the whole matrix would give.  The
-        last block is a full one, overlapping the one before: numpy takes a
-        one-row product as a dot, summed in another order than gemv's row."""
-        coef, freqs, slope = self._fourier
-        rows = max(2, 2**16 // len(freqs))
-
-        def phi(tau):
-            tau = np.asarray(tau, dtype=float)
-            z = np.empty(tau.shape)
-            for start in range(0, len(tau), rows):
-                block = slice(min(start, max(0, len(tau) - rows)),
-                              start + rows)
-                z[block] = (np.exp(1j * np.multiply.outer(tau[block], freqs))
-                            @ coef).real
-            return k * z
+        def phi(tau):  # checks the first step and the span's mean step
+            if (n := len(tau)) < 2 or not all(
+                    math.isclose(dt, 2.0 * math.pi / n, rel_tol=1e-9)
+                    for dt in (tau[1] - tau[0], (tau[-1] - tau[0]) / (n - 1))):
+                raise ValueError("sampled phi needs a full-period uniform "
+                                 "grid tau[j] = tau[0] + 2 pi j / N, N >= 2")
+            return k * self._on_grid(float(tau[0]), n)
 
         return phi, k * slope, k * float(np.sum(np.abs(coef)))
 

@@ -337,8 +337,9 @@ class TestGeneralTrajectorySpectrum:
         assert sampled == closed
 
     def test_fourier_data_is_computed_once_per_motion(self, monkeypatch):
-        # The samples are transformed once and zero-padded once per motion,
-        # not again for every line's phase and clearance check.
+        # The samples are transformed once per motion, not again for every
+        # line's phase and clearance check; the extent takes one inverse
+        # FFT, and each line's one integrand call one more.
         calls = {"fft": 0, "ifft": 0}
         for name in calls:
             def counted(*args, _name=name, _fn=getattr(np.fft, name),
@@ -353,11 +354,81 @@ class TestGeneralTrajectorySpectrum:
         lines = general_trajectory_spectrum(atom, sampled,
                                             Mirror(z0=2.0 * C), 10)
         assert len(lines) == 10
-        assert calls == {"fft": 1, "ifft": 1}
+        assert calls == {"fft": 1, "ifft": 1 + 10}
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
             GeneralPeriodicMotion(Omega=1.0, samples=(0.0,) * 8)
+
+
+class DirectSumMotion(GeneralPeriodicMotion):
+    """Sampled motion whose phi is the direct sum Re sum_h c_h exp(i h tau),
+    summed one harmonic at a time at each abscissa: the same value at a
+    node whichever grid holds it, on any abscissae."""
+
+    def phase(self, k):
+        _, bandwidth, peak = super().phase(k)
+        coef, freqs, _ = self._fourier
+        return (lambda tau: k * sum((c * np.exp(1j * h * tau)).real
+                                    for c, h in zip(coef, freqs)),
+                bandwidth, peak)
+
+
+def sampled_sinusoid_draws(rng, count):
+    """``(atom, motion, geom, n, omega, A)``: M in {16, 32, 64, 128}
+    samples of A sin(tau), alternating free space and a mirror clear of the
+    motion, with line n <= 30 at k A in (0.05, 60]."""
+    for i in range(count):
+        m = (16, 32, 64, 128)[i % 4]
+        n = int(rng.integers(1, 31))
+        Omega = 10.0 ** rng.uniform(6.0, 10.0)
+        omega = float(rng.uniform(0.05, 0.95)) * n * Omega
+        amplitude = float(rng.uniform(0.05, 60.0)) * C / omega
+        motion = GeneralPeriodicMotion(Omega=Omega, samples=tuple(
+            amplitude * np.sin(TWO_PI * np.arange(m) / m)))
+        geom = (Mirror(z0=amplitude * float(rng.uniform(1.05, 6.0)))
+                if (i // 4) % 2 else FreeSpace())
+        atom = AtomParams(omega0=n * Omega - omega,
+                          g=10.0 ** rng.uniform(3.0, 6.0))
+        yield atom, motion, geom, n, omega, amplitude
+
+
+class TestSampledSinusoidsAgainstMpmath:
+    """Sampled sinusoids against the SHO rate at 30 digits, next to the
+    same lines integrated through the direct sum (DirectSumMotion, which
+    the inverse FFT replaced), relative to
+    ``max(rate, 1e-10 * 8 pi g^2 / Omega)``, the floor ``bench/check.py``
+    uses.  Near that floor a last-bit change of the amplitude decides which
+    route has the larger error, so the gate asks for no systematic loss: a
+    sign test on the lines where the two differ, and a worst error within
+    twice its measured 1.5e-11 and within twice the direct sum's."""
+
+    def test_rates_match_the_closed_form(self):
+        import mpmath
+
+        pairs = []
+        with mpmath.workdps(30):
+            for atom, motion, geom, n, omega, amplitude in (
+                    sampled_sinusoid_draws(
+                        np.random.default_rng(35), 240)):
+                direct = DirectSumMotion(motion.Omega, motion.samples)
+                rates = [one_period_amplitude(mo, geom, omega, atom.omega0,
+                                              g=atom.g).rate
+                         for mo in (motion, direct)]
+                k = mpmath.mpf(omega) / C
+                unit = 2 * mpmath.pi * mpmath.mpf(atom.g)**2 / motion.Omega
+                s = (1 if isinstance(geom, FreeSpace) else
+                     4 * mpmath.sin(k * geom.z0 - mpmath.pi * n / 2)**2)
+                exact = unit * s * mpmath.besselj(n, k * amplitude)**2
+                floor = 1e-10 * 4 * unit
+                pairs.append(tuple(float(abs(r - exact) / max(exact, floor))
+                                   for r in rates))
+        worse = sum(new > old for new, old in pairs)
+        better = sum(new < old for new, old in pairs)
+        new, old = (max(column) for column in zip(*pairs))
+        assert worse - better <= 3.0 * math.sqrt(worse + better)
+        assert new <= 2 * 1.5e-11
+        assert new <= 2.0 * old
 
 
 def _cavity_lines(omega0_ratio, n, shift, n_max):
@@ -576,6 +647,24 @@ class TestOneIntegrandCallPerLine:
         verified = [row for row in rows if row.split(",")[6]]
         assert len(calls) == len(verified) > 0
         assert all(sizes == [2 * start] for start, sizes in calls)
+
+    @pytest.mark.parametrize("geom", [FreeSpace(), Mirror(z0=0.3), _CAVITY],
+                             ids=["free_space", "mirror", "cavity"])
+    def test_one_inverse_fft_of_the_grid_per_sampled_call(
+            self, calls, monkeypatch, geom):
+        motion = _independent_motions()["sampled"]
+        assert motion.extent > 0.0  # its own inverse FFT, before the count
+        lengths = []
+
+        def counted(a, *args, **kwargs):
+            lengths.append(len(a))
+            return ifft(a, *args, **kwargs)
+
+        ifft = np.fft.ifft
+        monkeypatch.setattr(np.fft, "ifft", counted)
+        lines = general_trajectory_spectrum(_ATOM, motion, geom, 12)
+        assert len(lines) == len(calls) > 0
+        assert lengths == [size for _, sizes in calls for size in sizes]
 
 
 class TestIndependenceFromTheClosedForms:
@@ -991,11 +1080,16 @@ class TestBoundDecidedRedraws:
 def _trapezoid_cases():
     """``(name, integrand, start)``: the oracle's integrands at their own
     starts over every motion and geometry, a start above 8192 nodes and a
-    start that takes three doublings."""
+    start that takes three doublings.  The sampled integrands take their
+    phase from DirectSumMotion, whose value at a node does not depend on
+    the grid, as the bit-for-bit comparison of two node orders needs; the
+    motion's own phase evaluates each whole grid at once."""
     omega = 5 * _OMEGA_1 - _ATOM.omega0
     lines = list(zip(("sho-free-n4", "sho-mirror-n3", "sho-cavity-n2"),
                      _sho_cases()))
     for kind, motion in _independent_motions().items():
+        if kind == "sampled":
+            motion = DirectSumMotion(motion.Omega, motion.samples)
         for geom in (FreeSpace(), Mirror(z0=0.3), _CAVITY):
             lines.append((f"{kind}-{type(geom).__name__}",
                           (motion, geom, omega, _ATOM.omega0)))

@@ -447,9 +447,8 @@ class TestMotionGeometryProtocol:
         assert ShoMotion(2.0, 1.0, orientation=PARALLEL).extent == 0.0
         assert RotationMotion(radius=3.0, Omega=1.0).extent == 3.0
         sampled = GeneralPeriodicMotion(Omega=1.0, samples=samples)
-        phi = sampled.phase(1.0)[0]
-        dense = float(np.max(np.abs(phi(np.linspace(0.0, 2 * math.pi,
-                                                     20001)))))
+        dense = float(np.max(np.abs(direct_sum(
+            sampled, np.linspace(0.0, 2 * math.pi, 20001)))))
         assert sampled.extent >= max(max(abs(z) for z in samples), dense)
         assert sampled.extent <= 1.01 * dense
 
@@ -459,8 +458,8 @@ class TestMotionGeometryProtocol:
         samples = (0.0,) + (1e-3,) * 31 + (0.0,) + (-1e-3,) * 31
         motion = GeneralPeriodicMotion(Omega=2 * math.pi * 1e9,
                                        samples=samples)
-        dense = np.abs(motion.phase(1.0)[0](
-            np.linspace(0.0, 2 * math.pi, 200001)))
+        dense = np.abs(direct_sum(motion,
+                                  np.linspace(0.0, 2 * math.pi, 200001)))
         assert float(np.max(dense)) == pytest.approx(1.0655e-3, abs=1e-7)
         assert float(np.max(dense)) <= motion.extent < 1.08e-3
         atom = AtomParams(omega0=2 * math.pi * 0.5e9, g=1e6)
@@ -521,31 +520,76 @@ class TestMotionGeometryProtocol:
                 one_period_amplitude(drive, geom, off, omega0)
 
 
-class TestSampledPhaseBlocks:
-    """``GeneralPeriodicMotion.phase`` builds exp(i h tau) in blocks of
-    about 2^16 entries: bit for bit the rows of the whole nodes x samples
-    matrix, in memory flat in the node count."""
+def direct_sum(motion, tau):
+    """z(tau) = Re sum_h c_h exp(i h tau) of a sampled motion, summed one
+    harmonic at a time at each abscissa, on any grid."""
+    coef, freqs, _ = motion._fourier
+    return sum((c * np.exp(1j * h * tau)).real for c, h in zip(coef, freqs))
+
+
+class TestSampledPhaseOnItsGrid:
+    """``GeneralPeriodicMotion.phase`` evaluates z on the full-period
+    uniform grid it is given by one inverse FFT of the grid's own length,
+    folding harmonics that collide modulo the node count."""
 
     @pytest.mark.parametrize("m", [16, 17, 33, 100, 1024, 40000])
-    def test_blocks_equal_the_whole_matrix(self, m):
+    def test_fft_equals_the_direct_sum(self, m):
+        # The reference sums Re c_h exp(i h tau_j) at the grid's intended
+        # nodes tau_j = tau_0 + 2 pi j / N: exp(2 pi i h j / N) from the
+        # integer (h j) mod N, exp(i h tau_0) in long double, so that its
+        # own rounding stays well below the gate (rounding the nodes to
+        # float64 alone moves a 40000-harmonic sum by about 1e-13).
         rng = np.random.default_rng(m)
-        rows = max(2, 2**16 // m)
+        k = 2.5
         for _ in range(3):
             motion = GeneralPeriodicMotion(
                 Omega=1.0, samples=tuple(rng.normal(size=m)))
             coef, freqs, _ = motion._fourier
-            phi = motion.phase(2.5)[0]
-            # One row, part of a block, one row past a block, several blocks
-            # with a ragged last one, and the doubled grid of a k A = 300
-            # line (where the whole matrix stays small enough to build).
-            for nodes in (1, rows - 1, rows + 1, 3 * rows + 7, 2 * 1384):
-                if nodes * m > 2**22:
-                    continue
-                for tau in (rng.uniform(-math.pi, math.pi, nodes),
-                            -math.pi + (math.pi / nodes) * np.arange(nodes)):
-                    whole = np.exp(1j * np.multiply.outer(tau, freqs)) @ coef
-                    assert (phi(tau).tobytes()
-                            == (2.5 * whole.real).tobytes()), nodes
+            h = freqs.astype(int)
+            phi = motion.phase(k)[0]
+            scale = k * float(np.sum(np.abs(coef)))
+            # Below M (harmonics fold), at it, above it, and the doubled
+            # grid of a k A = 300 line.
+            for nodes in (2, 9, m - 1, m, m + 1, 2 * m + 3, 2 * 1384):
+                for start in (-math.pi, -math.pi + math.pi / nodes):
+                    got = phi(start + (2 * math.pi / nodes)
+                              * np.arange(nodes))
+                    at = np.arange(0, nodes, max(1, nodes // 40))
+                    turn = np.exp(2j * math.pi * (np.multiply.outer(at, h)
+                                                  % nodes) / nodes)
+                    shift = h * np.longdouble(start)
+                    shifted = coef * (np.cos(shift)
+                                      + 1j * np.sin(shift)).astype(complex)
+                    direct = k * (turn @ shifted).real
+                    assert (np.max(np.abs(got[at] - direct))
+                            <= 1e-13 * scale), (nodes, start)
+
+    def test_extent_is_bit_equal_to_the_zero_padded_grid(self):
+        # Frozen: max |z| on the 64 M-point grid from 0 built by zero
+        # padding, before extent shared phase's evaluator.  From 0 no
+        # harmonic is shifted, and on 64 M nodes none folds.
+        rng = np.random.default_rng(35)
+        for m in [16, 17, 31, 64, 100, 1024, 4096] * 5:
+            z = rng.normal(size=m) * 10.0 ** rng.uniform(-9.0, 3.0)
+            motion = GeneralPeriodicMotion(Omega=1.0, samples=tuple(z))
+            coef, freqs, slope = motion._fourier
+            nodes = 64 * m
+            padded = np.zeros(nodes, dtype=complex)
+            padded[freqs.astype(int)] = coef
+            dense = (nodes * np.fft.ifft(padded)).real
+            frozen = float(np.max(np.abs(dense))) + math.pi / nodes * slope
+            assert motion.extent.hex() == frozen.hex(), m
+
+    @pytest.mark.parametrize("tau", [
+        np.linspace(0.0, 2 * math.pi, 129),
+        np.random.default_rng(0).uniform(-math.pi, math.pi, 128),
+        np.array([0.0]), np.array([])], ids=["endpoint", "random", "one",
+                                              "empty"])
+    def test_phi_refuses_any_other_grid(self, tau):
+        motion = GeneralPeriodicMotion(Omega=1.0, samples=tuple(
+            math.sin(2 * math.pi * j / 32) for j in range(32)))
+        with pytest.raises(ValueError, match=r"tau\[0\] \+ 2 pi j / N"):
+            motion.phase(1.0)[0](tau)
 
     def test_one_line_of_1024_samples_stays_under_8_mb(self):
         # k A = 300 at n = 5 starts the trapezoid at 1384 nodes and calls
@@ -565,6 +609,25 @@ class TestSampledPhaseBlocks:
             tracemalloc.stop()
         assert peak < 8e6
         assert result.panels_used == 2 * 4 * (n + 300 + 1 + 40)
+
+    @pytest.mark.parametrize("m", [1024, 16384])
+    def test_one_line_stays_under_4_mb_at_any_sample_count(self, m):
+        # The k A = 300 line above, at 1024 and 16384 samples.
+        omega0, Omega, n = 2 * math.pi * 0.5e9, 2 * math.pi * 1e9, 5
+        omega = n * Omega - omega0
+        amplitude = 300.0 * C / omega
+        motion = GeneralPeriodicMotion(Omega=Omega, samples=tuple(
+            amplitude * math.sin(2 * math.pi * j / m) for j in range(m)))
+        assert motion.extent > 0.0  # cached before the count: 40 MiB at 16384
+        tracemalloc.start()
+        try:
+            result = one_period_amplitude(motion, FreeSpace(), omega, omega0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        assert result.rate == pytest.approx(
+            2 * math.pi / motion.Omega * bessel_j(5, 300.0)**2, rel=1e-9)
 
 
 class TestClearance:
