@@ -114,25 +114,26 @@ _BOUNDS = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0,
            ">= 1": lambda v: v >= 1}
 
 
-def _read_value(section, name, text):
+def _read_value(section, name, text, label=None):
+    """``text`` read by key ``name``'s row; an error names ``label``, by
+    default ``[section] name``."""
     kind, _, bound, choices = CONFIG_SECTIONS[section][name]
     reader, noun = _KINDS[kind]
     try:
         value = reader(text)
     except (ValueError, KeyError, ConfigError):
-        raise ConfigError(f"[{section}] {name} = {text!r} is not "
-                          f"{noun}") from None
-    if (kind in ("float", "length") and not math.isfinite(value)
-            or kind == "tuple" and not all(map(math.isfinite, value))):
-        raise ConfigError(f"[{section}] {name} must be finite, "
-                          f"got {text!r}")
-    if bound is not None and not _BOUNDS[bound](value):
-        raise ConfigError(f"[{section}] {name} must be {bound}, "
-                          f"got {text!r}")
-    if choices is not None and value not in choices:
-        raise ConfigError(f"[{section}] {name} must be one of "
-                          f"{', '.join(choices)}; got {value!r}")
-    return value
+        rule = f"= {text!r} is not {noun}"
+    else:
+        if (kind in ("float", "length") and not math.isfinite(value)
+                or kind == "tuple" and not all(map(math.isfinite, value))):
+            rule = f"must be finite, got {text!r}"
+        elif bound is not None and not _BOUNDS[bound](value):
+            rule = f"must be {bound}, got {text!r}"
+        elif choices is not None and value not in choices:
+            rule = f"must be one of {', '.join(choices)}; got {value!r}"
+        else:
+            return value
+    raise ConfigError(f"{label or f'[{section}] {name}'} {rule}")
 
 
 def _read_section(section, items=(), **values):
@@ -173,30 +174,6 @@ def parse_config(text: str) -> SimpleNamespace:
     parts = {section: _read_section(section, items.get(section, ()))
              for section in ("atom", "motion", "geometry", "sweep")}
     return _read_section("run", items.get("run", ()), **parts)
-
-
-def _write_value(kind, value) -> str:
-    if kind == "str":
-        return value
-    if kind == "bool":
-        return "true" if value else "false"
-    if kind == "tuple":
-        return ",".join(map(repr, value))
-    return repr(value)
-
-
-def serialize_config(cfg: SimpleNamespace) -> str:
-    """Canonical text form of a parsed config; parse(serialize(c)) == c."""
-    out = []
-    for section, table in CONFIG_SECTIONS.items():
-        values = cfg if section == "run" else getattr(cfg, section)
-        out.append(f"[{section}]")
-        for name, (kind, *_) in table.items():
-            value = getattr(values, name)
-            if value is not None:
-                out.append(f"{name} = {_write_value(kind, value)}")
-        out.append("")
-    return "\n".join(out) + "\n"
 
 
 def build_atom(cfg) -> AtomParams:
@@ -336,9 +313,7 @@ def sweep_text(result, fmt: str) -> str:
     return "\n".join(out) + "\n"
 
 
-def _load_config(path: str | None) -> SimpleNamespace | None:
-    if path is None:
-        return None
+def _load_config(path: str) -> SimpleNamespace:
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
@@ -347,52 +322,62 @@ def _load_config(path: str | None) -> SimpleNamespace | None:
     return parse_config(text)
 
 
-def _emit(text: str, args, cfg):
-    """Write ``text`` to --output, else to [run] output, else stdout."""
-    output = args.output or (cfg.output if cfg is not None else None)
-    if output is None:
+# flag -> the key it mirrors: a flag given is read by that key's row, over
+# the key's value
+FLAG_KEYS = {"--n-max": ("run", "n_max"), "--format": ("run", "format"),
+             "--output": ("run", "output"), "--verify": ("run", "verify"),
+             "--seed": ("run", "seed"), "--preset": ("sweep", "preset")}
+
+
+def _settings(args) -> SimpleNamespace:
+    """The request's ``[run]`` namespace: ``--config``'s, else the key
+    table's defaults with no atom, motion or geometry; over it, each flag
+    given, read by its key's row."""
+    cfg = (_load_config(args.config) if args.config is not None else
+           _read_section("run", atom=None, motion=None, geometry=None,
+                         sweep=_read_section("sweep")))
+    if args.command == "spectrum":  # a floor on the config's n_max alone
+        cfg.n_max = max(cfg.n_max, 10)
+    for flag, (section, name) in FLAG_KEYS.items():
+        text = getattr(args, name, None)  # stored under the key's name
+        if text is not None:
+            setattr(cfg if section == "run" else cfg.sweep, name,
+                    _read_value(section, name, text, flag))
+    return cfg
+
+
+def _emit(text: str, cfg):
+    """Write ``text`` to the request's output, else to stdout."""
+    if cfg.output is None:
         sys.stdout.write(text)
         return
     try:
-        with open(output, "w", encoding="utf-8", newline="\n") as fh:
+        with open(cfg.output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ConfigError(f"cannot write output {output}: {exc}") from None
+        raise ConfigError(f"cannot write output {cfg.output}: {exc}") from None
 
 
-def _n_max_option(args, default: int) -> int:
-    if args.n_max is None:
-        return default
-    if args.n_max < 1:
-        raise ConfigError(f"--n-max must be >= 1, got {args.n_max}")
-    return args.n_max
-
-
-def cmd_sidebands(args) -> int:
-    """``rate`` and ``spectrum``; ``spectrum`` raises the config's n_max to
-    at least 10.  The motion alone picks the route: sampled motion goes
-    through the oracle quadrature, which leaves nothing for ``--verify`` to
-    check, and every other motion through the closed forms."""
-    cfg = _load_config(args.config)
+def cmd_sidebands(args, cfg) -> int:
+    """``rate`` and ``spectrum``.  The motion alone picks the route:
+    sampled motion goes through the oracle quadrature, which leaves nothing
+    for ``verify`` to check, and every other motion through the closed
+    forms."""
     atom = build_atom(cfg.atom)
     motion = build_motion(cfg.motion)
     geom = build_geometry(cfg.geometry)
-    n_max = _n_max_option(args, max(cfg.n_max, 10)
-                          if args.command == "spectrum" else cfg.n_max)
-    verify = args.verify or cfg.verify
     if cfg.motion.kind == "general":
-        if verify:
+        if cfg.verify:
             raise ConfigError(
                 "--verify does not apply to sampled motion: its spectrum is "
                 "oracle output, with no closed form to check it against")
         route = oracle.general_trajectory_spectrum
     else:
         route = allowed_sidebands
-    lines = route(atom, motion, geom, n_max)
+    lines = route(atom, motion, geom, cfg.n_max)
     rows = (oracle.verified_lines(atom, motion, geom, lines)
-            if verify else [(line, None, None) for line in lines])
-    fmt = args.format or cfg.format
-    _emit(sidebands_text(rows, fmt, verify), args, cfg)
+            if cfg.verify else [(line, None, None) for line in lines])
+    _emit(sidebands_text(rows, cfg.format, cfg.verify), cfg)
     return 0
 
 
@@ -439,10 +424,11 @@ def _check_sweep_budget(preset, settings):
                           f"{rows} or {cols}")
 
 
-def cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    settings = cfg.sweep if cfg is not None else _read_section("sweep")
-    preset = args.preset or settings.preset
+def cmd_sweep(args, cfg) -> int:
+    """One preset's surface; with no config, fig3 takes ``fig3_surface``'s
+    own drive and custom is refused."""
+    settings = cfg.sweep
+    preset = settings.preset
     _check_sweep_budget(preset, settings)
     if preset == "fig2":
         a_values = np.linspace(0.0, settings.a_tilde_max,
@@ -459,42 +445,45 @@ def cmd_sweep(args) -> int:
         amplitudes = _amplitude_axis(settings)
         alphas = np.linspace(settings.alpha_max / settings.alpha_count,
                              settings.alpha_max, settings.alpha_count)
-        if cfg is None:
+        if cfg.motion is None:
             result = sweep.fig3_surface(amplitudes, alphas)
         else:
             _free_space_only("fig3", cfg)
             result = sweep.fig3_surface(amplitudes, alphas, Omega=hz_to_angular(
                 cfg.motion.drive_frequency_hz))
     else:
-        if cfg is None:
+        if cfg.motion is None:
             raise ConfigError("custom sweep needs --config")
         atom = build_atom(cfg.atom)
         motion = build_motion(cfg.motion)
         geom = build_geometry(cfg.geometry)
         result = sweep.rate_surface(atom, motion, geom,
                                     _amplitude_axis(settings), settings.n_max)
-    fmt = args.format or (cfg.format if cfg is not None else "csv")
-    _emit(sweep_text(result, fmt), args, cfg)
+    _emit(sweep_text(result, cfg.format), cfg)
     return 0
 
 
-def cmd_oracle(args) -> int:
-    cfg = _load_config(args.config)
-    seed = args.seed if args.seed is not None else \
-        (cfg.seed if cfg is not None else 0)
-    if seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {seed}")
-    draws = args.draws
+#: Most equivalence draws one report may take: 40 times the largest count
+#: a test or benchmark asks for (1000), about 20 MB of held draws and 3 s.
+MAX_ORACLE_DRAWS = 40_000
+
+
+def cmd_oracle(args, cfg) -> int:
+    """The selection-rule and equivalence reports, in ``--format``'s own
+    ``text`` or ``json``: ``[run] format`` does not apply here."""
+    seed, draws = cfg.seed, args.draws
     if draws < 1:
         raise ConfigError(f"--draws must be >= 1, got {draws}")
+    if draws > MAX_ORACLE_DRAWS:
+        raise ConfigError(f"--draws = {draws} is above MAX_ORACLE_DRAWS = "
+                          f"{MAX_ORACLE_DRAWS}; lower --draws")
     selection = oracle.selection_rule_report()
     equivalence = oracle.equivalence_report(seed=seed, count=draws)
     selection_pass = bool(selection["max_abs_value"] < SELECTION_RULE_TOL)
     equivalence_pass = bool(equivalence["max_relative_deviation"]
                             < EQUIVALENCE_TOL)
     ok = selection_pass and equivalence_pass
-    fmt = args.format or "text"
-    if fmt == "json":
+    if args.report == "json":
         payload = {
             "kind": "oracle-report",
             "version": __version__,
@@ -528,7 +517,7 @@ def cmd_oracle(args) -> int:
             f"{'PASS' if equivalence_pass else 'FAIL'}",
             f"overall: {'PASS' if ok else 'FAIL'}",
         ]) + "\n"
-    _emit(text, args, cfg)
+    _emit(text, cfg)
     return 0 if ok else 4
 
 
@@ -544,38 +533,44 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config, formats=("csv", "json"),
-               default="from config, else csv"):
+    def mirror(p, flag, what, **how):
+        """A flag stored under its key's name, for the key's row to read;
+        usage shows the row's choices."""
+        section, name = FLAG_KEYS[flag]
+        choices = CONFIG_SECTIONS[section][name][3]
+        p.add_argument(flag, dest=name, help=what, **how, metavar=choices
+                       and "{" + ",".join(choices) + "}")
+
+    def common(p, needs_config):
         p.add_argument("--config", required=needs_config,
                        help="path to INI-style run configuration")
-        p.add_argument("--output", help="write output to this path "
-                                        "(default: stdout)")
-        p.add_argument("--format", choices=formats,
-                       help=f"output format (default {default})")
+        mirror(p, "--output", "write output to this path (default: stdout)")
 
+    csv_or_json = "output format (default from config, else csv)"
     for name, what in (("rate", "per-sideband rates"),
                        ("spectrum", "full sideband spectrum")):
         p_lines = sub.add_parser(name, help=what)
         common(p_lines, needs_config=True)
-        p_lines.add_argument("--n-max", type=int,
-                             help="highest sideband index")
-        p_lines.add_argument("--verify", action="store_true",
-                             help="cross-check each line against the oracle")
+        mirror(p_lines, "--format", csv_or_json)
+        mirror(p_lines, "--n-max", "highest sideband index")
+        mirror(p_lines, "--verify", "cross-check each line against the "
+               "oracle", action="store_const", const="true")
         p_lines.set_defaults(func=cmd_sidebands)
 
     p_sweep = sub.add_parser("sweep", help="figure-data surfaces")
     common(p_sweep, needs_config=False)
-    p_sweep.add_argument("--preset", choices=("fig2", "fig3", "custom"),
-                         help="sweep preset (default from config, else fig2)")
+    mirror(p_sweep, "--format", csv_or_json)
+    mirror(p_sweep, "--preset", "sweep preset (default from config, else "
+           "fig2)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_oracle = sub.add_parser(
         "oracle", help="run the selection-rule and oracle-equivalence suites")
-    common(p_oracle, needs_config=False, formats=("text", "json"),
-           default="text")
-    p_oracle.add_argument("--seed", type=int,
-                          help="seed for the equivalence draws "
-                               "(default from config, else 0)")
+    common(p_oracle, needs_config=False)
+    p_oracle.add_argument("--format", dest="report", choices=("text", "json"),
+                          default="text", help="output format (default text)")
+    mirror(p_oracle, "--seed", "seed for the equivalence draws (default "
+           "from config, else 0)")
     p_oracle.add_argument("--draws", type=int, default=200,
                           help="number of equivalence draws (default 200)")
     p_oracle.set_defaults(func=cmd_oracle)
@@ -586,7 +581,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _settings(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -218,13 +218,24 @@ class GeneralPeriodicMotion:
     @functools.cached_property
     def extent(self) -> float:
         """Reach toward a boundary of the interpolated z(tau), which
-        overshoots the samples: max |z| on phase's grid of N = 64 M points
-        from 0, plus (pi / N) max |dz/dtau| for the gaps; PhysicsDomainError
-        where that bound is past float64 range."""
-        nodes = 64 * len(self.samples)
+        overshoots the samples: max |z| on the N = 64 M points 2 pi j / N,
+        plus (pi / N) max |dz/dtau| for the gaps; PhysicsDomainError where
+        that bound is past float64 range.  The N points are the 64 M-point
+        grids from 2 pi s / N, s < 64: on M points no two harmonics share a
+        bin, so each grid is one inverse FFT of c_h exp(i h 2 pi s / N).
+        They go a block of grids (at most 2^15 points) at a time, so memory
+        stays O(M)."""
+        coef, h, slope = self._fourier
+        m = len(coef)
+        starts = 2.0 * math.pi / (64 * m) * np.arange(64)
+        block = max(1, 2 ** 15 // m)
+        peak = 0.0
         with np.errstate(over="ignore", invalid="ignore"):
-            extent = (float(np.max(np.abs(self._on_grid(0.0, nodes))))
-                      + math.pi / nodes * self._fourier[2])
+            for at in range(0, 64, block):
+                z = np.fft.ifft(coef * np.exp(
+                    1j * np.multiply.outer(starts[at:at + block], h))).real
+                peak = np.maximum(peak, np.max(np.abs(z)))  # NaN stays
+            extent = m * float(peak) + math.pi / (64 * m) * slope
         if not math.isfinite(extent):
             raise PhysicsDomainError(
                 "sampled trajectory is beyond float64 range")

@@ -1,5 +1,6 @@
-"""CLI tests: config round-trip, determinism, unit honesty, exit codes."""
+"""CLI tests: config parsing, determinism, unit honesty, exit codes."""
 
+import configparser
 import io
 import json
 import math
@@ -19,9 +20,9 @@ from accelrad import (AtomParams, ConfigError, FreeSpace, ShoMotion,
                       allowed_sidebands, general_trajectory_spectrum,
                       rate_surface)
 from accelrad import cli as cli_module
-from accelrad.cli import (CONFIG_SECTIONS, build_atom, build_geometry,
-                          build_motion, main, parse_config, parse_length,
-                          serialize_config, sidebands_text, sweep_text)
+from accelrad.cli import (CONFIG_SECTIONS, FLAG_KEYS, build_atom,
+                          build_geometry, build_motion, main, parse_config,
+                          parse_length, sidebands_text, sweep_text)
 from accelrad.oracle import verified_lines
 
 FREE_SPACE_CFG = """\
@@ -74,10 +75,22 @@ class TestParseLength:
             parse_length("one nm")
 
 
+def run_config(atom, motion, geometry, sweep=None, **run):
+    """A parsed config as the key table states it, each section's defaults
+    under the given values."""
+    return config_section("run", atom=config_section("atom", **atom),
+                          motion=config_section("motion", **motion),
+                          geometry=config_section("geometry", **geometry),
+                          sweep=config_section("sweep", **(sweep or {})),
+                          **run)
+
+
 class TestConfigRoundTrip:
     def test_fixed_example(self):
-        cfg = parse_config(FREE_SPACE_CFG)
-        assert parse_config(serialize_config(cfg)) == cfg
+        assert parse_config(FREE_SPACE_CFG) == run_config(
+            dict(frequency_hz=5e9, alpha=0.2),
+            dict(kind="sho", drive_frequency_hz=1e10, amplitude=1e-9),
+            dict(kind="free_space"))
 
     def test_full_cavity_example(self):
         text = """\
@@ -107,10 +120,13 @@ verify = true
 seed = 7
 n_max = 4
 """
-        cfg = parse_config(text)
-        assert cfg.geometry.photons == 2
-        assert cfg.sweep.alpha_max == 0.8
-        assert parse_config(serialize_config(cfg)) == cfg
+        assert parse_config(text) == run_config(
+            dict(frequency_hz=4.9e9, coupling_hz=1e8),
+            dict(kind="rotation", drive_frequency_hz=1e10, radius=2e-9,
+                 delta_rad=0.3),
+            dict(kind="cavity", z0=1e-8, length=3e-3, photons=2),
+            dict(preset="fig3", alpha_max=0.8),
+            format="json", verify=True, seed=7, n_max=4)
 
     @given(
         frequency=st.floats(1e3, 1e12),
@@ -124,22 +140,22 @@ n_max = 4
         verify=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_generated_configs_round_trip(self, frequency, alpha, drive,
-                                          amplitude, z0, kind, orientation,
-                                          seed, verify):
-        cfg = config_section(
-            "run",
-            atom=config_section("atom", frequency_hz=frequency, alpha=alpha),
-            motion=config_section("motion", kind="sho",
-                                  drive_frequency_hz=drive,
-                                  amplitude=amplitude,
-                                  orientation=orientation),
-            geometry=config_section("geometry", kind=kind,
-                                    z0=z0 if kind == "mirror" else None),
-            sweep=config_section("sweep"),
-            format="csv", verify=verify, seed=seed, n_max=3,
-        )
-        assert parse_config(serialize_config(cfg)) == cfg
+    def test_generated_configs_parse(self, frequency, alpha, drive,
+                                     amplitude, z0, kind, orientation, seed,
+                                     verify):
+        mirror = kind == "mirror"
+        text = (f"[atom]\nfrequency_hz = {frequency!r}\nalpha = {alpha!r}\n"
+                f"[motion]\nkind = sho\ndrive_frequency_hz = {drive!r}\n"
+                f"amplitude = {amplitude!r}\norientation = {orientation}\n"
+                f"[geometry]\nkind = {kind}\n"
+                + (f"z0 = {z0!r}\n" if mirror else "")
+                + f"[run]\nverify = {verify}\nseed = {seed}\nn_max = 3\n")
+        assert parse_config(text) == run_config(
+            dict(frequency_hz=frequency, alpha=alpha),
+            dict(kind="sho", drive_frequency_hz=drive, amplitude=amplitude,
+                 orientation=orientation),
+            dict(kind=kind, z0=z0 if mirror else None),
+            verify=verify, seed=seed, n_max=3)
 
     def test_unknown_key_diagnosed(self):
         from accelrad.errors import ConfigError
@@ -615,6 +631,22 @@ class TestOracleCommand:
         assert "cannot write output" in captured.err
         assert not target.parent.exists()
 
+    def test_draws_are_bounded_before_any_draw(self, capsys, monkeypatch):
+        import accelrad.oracle as oracle_module
+
+        counts = []
+        monkeypatch.setattr(
+            oracle_module, "equivalence_report",
+            lambda seed, count: counts.append(count) or {
+                "count": count, "max_relative_deviation": 0.0})
+        bound = cli_module.MAX_ORACLE_DRAWS
+        assert main(["oracle", "--draws", str(bound)]) == 0
+        assert main(["oracle", "--draws", str(bound + 1)]) == 2
+        assert counts == [bound]
+        err = capsys.readouterr().err
+        assert err == (f"config error: --draws = {bound + 1} is above "
+                       f"MAX_ORACLE_DRAWS = {bound}; lower --draws\n")
+
     def test_integrity_failure_exit_code(self, capsys, monkeypatch):
         import accelrad.oracle as oracle_module
 
@@ -731,9 +763,6 @@ class TestConfigValueErrors:
         assert main([command, "--config", path, "--n-max", n_max]) == 2
         assert "--n-max" in capsys.readouterr().err
 
-    def test_negative_seed_option_exits_2(self):
-        assert main(["oracle", "--seed", "-1", "--draws", "3"]) == 2
-
     def test_explicit_maxima_are_kept(self):
         cfg = parse_config(SWEEP_CFG + "a_tilde_max = 0.5\nalpha_max = 0.25\n"
                            "amplitude_max = 3 nm\n")
@@ -795,6 +824,61 @@ class TestConfigValueErrors:
             main([command, "--config", path, "--seed", "1"])
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
+
+
+# flag -> (the command that takes it, a value other than its key's default)
+_FLAG_REQUESTS = {"--n-max": (["rate"], "3"),
+                  "--format": (["rate"], "json"),
+                  "--output": (["rate"], "out.txt"),
+                  "--verify": (["rate"], "true"),
+                  "--seed": (["oracle", "--draws", "3"], "5"),
+                  "--preset": (["sweep"], "fig3")}
+_FLAG_CFG = FREE_SPACE_CFG + ("[sweep]\nn_max = 2\na_tilde_count = 5\n"
+                              "amplitude_count = 4\nalpha_count = 3\n")
+
+
+class TestEachFlagIsReadByItsKeysRow:
+    """Each flag overrides the key it mirrors (``cli.FLAG_KEYS``) and is
+    read by that key's row."""
+
+    @pytest.mark.parametrize("flag", FLAG_KEYS)
+    def test_flag_and_key_give_the_same_output(self, tmp_path, capsys,
+                                               monkeypatch, flag):
+        monkeypatch.chdir(tmp_path)
+        argv, value = _FLAG_REQUESTS[flag]
+        section, name = FLAG_KEYS[flag]
+        given = [flag] if flag == "--verify" else [flag, value]
+        outcomes = []
+        for text, extra in ((_FLAG_CFG, given),
+                            (with_value(_FLAG_CFG, section, name, value), []),
+                            (_FLAG_CFG, [])):
+            code = main(argv + ["--config", write_cfg(tmp_path, text)]
+                        + extra)
+            out = tmp_path / "out.txt"
+            written = out.read_text(encoding="utf-8") if out.exists() else None
+            out.unlink(missing_ok=True)
+            outcomes.append((code, capsys.readouterr(), written))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 0
+        assert outcomes[1] != outcomes[2]   # the value is not the default's
+
+    # --output's row takes any text (a path that cannot be written fails at
+    # the write, as [run] output does), and --verify takes no text.
+    @pytest.mark.parametrize("flag,text,rule", [
+        ("--n-max", "0", "must be >= 1, got '0'"),
+        ("--n-max", "abc", "= 'abc' is not an integer"),
+        ("--format", "xml", "must be one of csv, json; got 'xml'"),
+        ("--format", "", "must be one of csv, json; got ''"),
+        ("--seed", "-1", "must be >= 0, got '-1'"),
+        ("--seed", "x", "= 'x' is not an integer"),
+        ("--preset", "fig9", "must be one of fig2, fig3, custom; got 'fig9'"),
+    ])
+    def test_a_text_the_row_refuses_exits_2_naming_the_flag(
+            self, tmp_path, capsys, flag, text, rule):
+        argv = _FLAG_REQUESTS[flag][0]
+        path = write_cfg(tmp_path, _FLAG_CFG)
+        assert main(argv + ["--config", path, flag, text]) == 2
+        assert capsys.readouterr() == ("", f"config error: {flag} {rule}\n")
 
 
 # Drive 1 GHz with the atom at 9.5 GHz leaves one emission line, n = 10, at
@@ -1580,38 +1664,47 @@ class TestSidebandsTextMatchesFrozenReference:
 # Every key of every section, drawn from the key table in accelrad.cli.
 
 def _table_value(row):
-    """Any value a key accepts."""
-    kind, _, bound, choices = row
+    """``(text, value)``: a text a key accepts, and the value it reads as;
+    or, for a key with a default, ``(None, default)``, the key left out."""
+    kind, default, bound, choices = row
     if choices is not None:
-        return st.sampled_from(choices)
-    if kind == "bool":
-        return st.booleans()
-    if kind == "int":
-        return st.integers(int(bound.split()[1]), 2**63)
-    if kind == "str":
-        return st.text(string.ascii_letters + string.digits + "._-/",
-                       min_size=1, max_size=12)
-    finite = st.floats(allow_nan=False, allow_infinity=False)
-    if kind == "tuple":
-        return st.lists(finite, min_size=1, max_size=20).map(tuple)
-    if bound is None:
-        return finite
-    return st.floats(min_value=0.0, exclude_min=bound == "> 0",
-                     allow_infinity=False)
+        given = st.sampled_from(choices).map(lambda c: (c, c))
+    elif kind == "bool":
+        given = st.sampled_from(sorted(
+            configparser.ConfigParser.BOOLEAN_STATES.items()))
+    elif kind == "int":
+        given = st.integers(int(bound.split()[1]), 2**63).map(
+            lambda i: (str(i), i))
+    elif kind == "str":
+        given = st.text(string.ascii_letters + string.digits + "._-/",
+                        min_size=1, max_size=12).map(lambda t: (t, t))
+    else:
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        if kind == "tuple":
+            given = st.lists(finite, min_size=1, max_size=20).map(
+                lambda s: (",".join(map(repr, s)), tuple(s)))
+        else:
+            given = (finite if bound is None else st.floats(
+                min_value=0.0, exclude_min=bound == "> 0",
+                allow_infinity=False)).map(lambda v: (repr(v), v))
+    return given if default is MISSING else st.just((None, default)) | given
 
 
-def _table_section(section):
-    return {name: (_table_value(row) if row[1] is not None
-                   else st.none() | _table_value(row))
-            for name, row in CONFIG_SECTIONS[section].items()}
-
-
-def _table_run_config():
-    return st.builds(
-        SimpleNamespace,
-        **{section: st.builds(SimpleNamespace, **_table_section(section))
-           for section in ("atom", "motion", "geometry", "sweep")},
-        **_table_section("run"))
+@st.composite
+def _table_run_config(draw):
+    """A config text over every section of the key table, and the
+    namespace it reads as."""
+    lines, parts = [], {}
+    for section, table in CONFIG_SECTIONS.items():
+        lines.append(f"[{section}]")
+        values = {}
+        for name, row in table.items():
+            text, values[name] = draw(_table_value(row))
+            if text is not None:
+                lines.append(f"{name} = {text}")
+        parts[section] = SimpleNamespace(**values)
+    return "\n".join(lines) + "\n", SimpleNamespace(
+        **parts.pop("run").__dict__, **parts)
 
 
 # Values a request can afford: n_max <= 20, sweep counts <= 16, and
@@ -1696,10 +1789,11 @@ def _corrupted_config(draw):
 
 
 class TestConfigTable:
-    @given(cfg=_table_run_config())
+    @given(case=_table_run_config())
     @settings(max_examples=150, deadline=None)
-    def test_every_key_round_trips(self, cfg):
-        assert parse_config(serialize_config(cfg)) == cfg
+    def test_every_key_reads_as_written(self, case):
+        text, expected = case
+        assert parse_config(text) == expected
 
     @given(case=_corrupted_config())
     @settings(max_examples=150, deadline=None)
@@ -1717,6 +1811,15 @@ class TestConfigTable:
         if named is not None:
             assert code == 2, text
             assert f"[{named[0]}] {named[1]}" in err.getvalue(), text
+
+    def test_readme_lists_every_flag(self):
+        readme = (pathlib.Path(__file__).resolve().parent.parent
+                  / "README.md").read_text(encoding="utf-8")
+        rows = {tuple(cell.strip().strip("`") for cell in
+                      line.strip("|").split("|"))
+                for line in readme.splitlines() if line.startswith("| `--")}
+        assert rows == {(flag, f"[{section}] {name}")
+                        for flag, (section, name) in FLAG_KEYS.items()}
 
     def test_readme_lists_every_key(self):
         readme = (pathlib.Path(__file__).resolve().parent.parent

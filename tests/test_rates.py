@@ -6,6 +6,7 @@ import random
 import tracemalloc
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,6 +18,7 @@ from accelrad import (ABSORB_DEEXCITE, EMIT_EXCITE, PARALLEL, RESONANCE_TOL,
                       bessel_j, general_trajectory_spectrum,
                       one_period_amplitude, rate_surface,
                       small_amplitude_rate)
+from accelrad.cli import parse_config
 from accelrad.constants import SPEED_OF_LIGHT as C
 
 # Frozen from the fsum series oracle (tests/test_specfun.py):
@@ -564,21 +566,49 @@ class TestSampledPhaseOnItsGrid:
                     assert (np.max(np.abs(got[at] - direct))
                             <= 1e-13 * scale), (nodes, start)
 
-    def test_extent_is_bit_equal_to_the_zero_padded_grid(self):
-        # Frozen: max |z| on the 64 M-point grid from 0 built by zero
-        # padding, before extent shared phase's evaluator.  From 0 no
-        # harmonic is shifted, and on 64 M nodes none folds.
+    @staticmethod
+    def _extent_draws():
         rng = np.random.default_rng(35)
         for m in [16, 17, 31, 64, 100, 1024, 4096] * 5:
             z = rng.normal(size=m) * 10.0 ** rng.uniform(-9.0, 3.0)
-            motion = GeneralPeriodicMotion(Omega=1.0, samples=tuple(z))
-            coef, freqs, slope = motion._fourier
-            nodes = 64 * m
-            padded = np.zeros(nodes, dtype=complex)
-            padded[freqs.astype(int)] = coef
-            dense = (nodes * np.fft.ifft(padded)).real
-            frozen = float(np.max(np.abs(dense))) + math.pi / nodes * slope
-            assert motion.extent.hex() == frozen.hex(), m
+            yield GeneralPeriodicMotion(Omega=1.0, samples=tuple(z))
+
+    @staticmethod
+    def _zero_padded(motion, nodes):
+        """z on the nodes-point grid from 0, by one zero-padded FFT."""
+        coef, freqs, _ = motion._fourier
+        padded = np.zeros(nodes, dtype=complex)
+        padded[freqs.astype(int)] = coef
+        return (nodes * np.fft.ifft(padded)).real
+
+    def test_extent_stays_at_the_zero_padded_grid(self):
+        # Frozen: max |z| on the 64 M-point grid from 0 by one zero-padded
+        # FFT, as extent took it before it went through 64 shifted M-point
+        # grids.  Rounding alone moves it: 9 of these 35 motions differ, by
+        # at most 2.37e-16 relative; the gate is twice that.
+        for motion in self._extent_draws():
+            nodes = 64 * len(motion.samples)
+            frozen = (float(np.max(np.abs(self._zero_padded(motion, nodes))))
+                      + math.pi / nodes * motion._fourier[2])
+            assert abs(motion.extent - frozen) <= 4.7e-16 * frozen
+
+    def test_extent_bounds_z_on_a_four_times_finer_grid(self):
+        for motion in self._extent_draws():
+            dense = self._zero_padded(motion, 256 * len(motion.samples))
+            assert float(np.max(np.abs(dense))) <= motion.extent
+
+    def test_extent_of_16384_samples_stays_under_4_mib(self):
+        # One 64 M-point grid held 32 MiB here.
+        motion = GeneralPeriodicMotion(Omega=1.0, samples=tuple(
+            np.random.default_rng(16384).normal(size=16384)))
+        assert motion._fourier[2] > 0.0  # the coefficients, outside the count
+        tracemalloc.start()
+        try:
+            assert motion.extent > 0.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
     @pytest.mark.parametrize("tau", [
         np.linspace(0.0, 2 * math.pi, 129),
@@ -618,7 +648,7 @@ class TestSampledPhaseOnItsGrid:
         amplitude = 300.0 * C / omega
         motion = GeneralPeriodicMotion(Omega=Omega, samples=tuple(
             amplitude * math.sin(2 * math.pi * j / m) for j in range(m)))
-        assert motion.extent > 0.0  # cached before the count: 40 MiB at 16384
+        assert motion.extent > 0.0  # cached before the count
         tracemalloc.start()
         try:
             result = one_period_amplitude(motion, FreeSpace(), omega, omega0)
@@ -749,3 +779,44 @@ class TestMotionValidation:
     def test_mirror_needs_positive_offset(self):
         with pytest.raises(ValueError):
             Mirror(z0=0.0)
+
+
+class TestNeglectedTimeDilation:
+    """README "Physics conventions": the lab-time phase omega0 t neglects
+    the SHO atom's time dilation, which moves every resonance by
+    omega0 (1 - <1 / gamma>) = omega0 (1 - (2 / pi) E(beta^2))."""
+
+    @staticmethod
+    def shift(beta):
+        """1 - <1 / gamma> over one SHO period of peak speed beta c."""
+        return 1 - 2 / mpmath.pi * mpmath.ellipe(beta ** 2)
+
+    @pytest.mark.parametrize("beta", ["1e-7", "0.02096", "0.3", "0.9",
+                                      "0.999"])
+    def test_formula_against_the_mean_over_one_period(self, beta):
+        with mpmath.workdps(30):
+            beta = mpmath.mpf(beta)
+            mean = mpmath.quad(
+                lambda tau: mpmath.sqrt(1 - (beta * mpmath.cos(tau)) ** 2),
+                mpmath.linspace(0, 2 * mpmath.pi, 5)) / (2 * mpmath.pi)
+            assert abs(1 - mean - self.shift(beta)) <= 1e-25
+            if beta < 0.1:   # 1 - (2/pi) E(m) = m/4 + 3 m^2/64 + ...
+                assert abs(self.shift(beta) / (beta ** 2 / 4) - 1) <= beta ** 2
+
+    def test_readme_states_the_shipped_configs_shifts(self):
+        root = pathlib.Path(__file__).resolve().parent.parent
+        readme = (root / "README.md").read_text(encoding="utf-8")
+        bullet = readme[readme.index("* Lab time, not proper time."):]
+        bullet = " ".join(bullet[:bullet.index("\n* ")].split())
+        for name in ("cavity", "free_space", "mirror"):
+            cfg = parse_config((root / "configs" / f"{name}.cfg").read_text(
+                encoding="utf-8"))
+            with mpmath.workdps(30):
+                drive = mpmath.mpf(cfg.motion.drive_frequency_hz)
+                beta = 2 * mpmath.pi * drive * cfg.motion.amplitude / C
+                shift = (cfg.atom.frequency_hz / drive) * self.shift(beta)
+                stated = (f"`beta = {mpmath.nstr(beta, 4)}` and a shift of "
+                          f"`{mpmath.nstr(shift, 4)} Omega`, "
+                          f"`{mpmath.nstr(shift / RESONANCE_TOL, 3)}` times")
+            assert f"`{name}.cfg`" in bullet
+            assert stated in bullet, name
