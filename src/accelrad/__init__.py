@@ -9,13 +9,13 @@ and a reproducible CLI.
 
 __version__ = "0.1.0"
 
-from .errors import (ApproximationDomainError, ConfigError, ConvergenceError,
-                     OracleMismatchError, OracleRangeError, PhysicsDomainError)
+from .errors import (ConfigError, ConvergenceError, OracleMismatchError,
+                     OracleRangeError, PhysicsDomainError)
 from .specfun import bessel_j, bessel_j_orders, rational_period_integral
 from .rates import (ABSORB_DEEXCITE, EMIT_EXCITE, PARALLEL, PERPENDICULAR,
                     RESONANCE_TOL, AtomParams, Cavity, FreeSpace,
                     GeneralPeriodicMotion, Mirror, RotationMotion, ShoMotion,
-                    Sideband, allowed_sidebands, small_amplitude_rate)
+                    Sideband, allowed_sidebands)
 from .oracle import (OracleResult, equivalence_cases, equivalence_report,
                      general_trajectory_spectrum, one_period_amplitude,
                      selection_rule_report, verify_selection_rule)
@@ -24,15 +24,15 @@ from .sweep import SweepResult, fig2_surface, fig3_surface, rate_surface
 __all__ = [
     "__version__",
     # errors
-    "ApproximationDomainError", "ConfigError", "ConvergenceError",
-    "OracleMismatchError", "OracleRangeError", "PhysicsDomainError",
+    "ConfigError", "ConvergenceError", "OracleMismatchError",
+    "OracleRangeError", "PhysicsDomainError",
     # special functions
     "bessel_j", "bessel_j_orders", "rational_period_integral",
     # domain model and rates
     "ABSORB_DEEXCITE", "EMIT_EXCITE", "PARALLEL", "PERPENDICULAR",
     "RESONANCE_TOL", "AtomParams", "Cavity", "FreeSpace",
     "GeneralPeriodicMotion", "Mirror", "RotationMotion", "ShoMotion",
-    "Sideband", "allowed_sidebands", "small_amplitude_rate",
+    "Sideband", "allowed_sidebands",
     # oracle
     "OracleResult", "equivalence_cases", "equivalence_report",
     "general_trajectory_spectrum", "one_period_amplitude",

@@ -17,10 +17,6 @@ class PhysicsDomainError(ValueError):
     """A physically invalid request (negative frequency, collision, ...)."""
 
 
-class ApproximationDomainError(PhysicsDomainError):
-    """Input lies outside the validity domain of a closed-form approximation."""
-
-
 class OracleRangeError(PhysicsDomainError):
     """A line the amplitude oracle cannot resolve within its node cap.
 

@@ -150,6 +150,7 @@ def one_period_amplitude(motion, geom, omega: float, omega0: float, *,
     rate goes as |amplitude|^2, so its relative deviation stays under
     VERIFY_TOL once |amplitude| >= 2 (4 pi eps peak_phase) / VERIFY_TOL.
     """
+    real("g", g, "> 0")
     integrand, n, bandwidth, peak_phase, chi = _line_integral(
         motion, geom, omega, omega0)
     nodes = 4 * (n + math.ceil(bandwidth) + 40)

@@ -40,8 +40,7 @@ from dataclasses import dataclass
 
 from ._lazy import np
 from .constants import SPEED_OF_LIGHT as C
-from .errors import (ApproximationDomainError, PhysicsDomainError, real,
-                     whole_number)
+from .errors import PhysicsDomainError, real, whole_number
 from .specfun import bessel_j
 
 PERPENDICULAR = "perpendicular"
@@ -54,10 +53,6 @@ ABSORB_DEEXCITE = "absorb-deexcite"
 #: route (off_resonance).  The idealized model is exactly resonant; the
 #: tolerance only absorbs floating point noise from matched parameters.
 RESONANCE_TOL = 1e-9
-
-#: Validity bound on the dimensionless amplitude for the small-amplitude
-#: closed form (J_1(x)^2 ~ x^2/4).
-SMALL_AMPLITUDE_MAX = 0.1
 
 
 def _wave_components(k: float, delta: float):
@@ -354,7 +349,7 @@ class Cavity(_Geometry):
 
     def __post_init__(self):
         real("length", self.length, "> 0")
-        if not (math.isfinite(self.z0) and 0 < self.z0 < self.length):
+        if not real("z0", self.z0, "> 0") < self.length:
             raise PhysicsDomainError(
                 f"z0 must lie inside the cavity (0, {self.length}), "
                 f"got {self.z0}")
@@ -450,35 +445,3 @@ def allowed_sidebands(atom: AtomParams, motion, geom,
     return [line for n in range(1, n_max + 1)
             if (line := geom.sideband(atom, motion, n)) is not None]
 
-
-def small_amplitude_rate(atom: AtomParams, motion: ShoMotion) -> float:
-    """Small-amplitude n=1 free-space rate at the optimum omega0 = Omega/2.
-
-    With g = alpha*omega0, omega0 = Omega/2 and J_1(x)^2 ~ x^2/4 the exact
-    rate reduces to
-
-        rate = pi * (A * alpha)^2 * Omega^3 / (32 c^2).
-
-    Requires alpha to be set, omega0 = Omega/2 to 1e-12 relative, and a
-    dimensionless amplitude (Omega - omega0) A / c below 0.1.
-    """
-    if atom.alpha is None:
-        raise ValueError("small_amplitude_rate needs the atom's alpha ratio")
-    half_drive = 0.5 * motion.Omega
-    if abs(atom.omega0 - half_drive) > 1e-12 * half_drive:
-        raise PhysicsDomainError(
-            f"small-amplitude form holds at omega0 = Omega/2; got "
-            f"omega0={atom.omega0:g}, Omega/2={half_drive:g}")
-    a_tilde = (motion.Omega - atom.omega0) * motion.amplitude / C
-    if a_tilde >= SMALL_AMPLITUDE_MAX:
-        raise ApproximationDomainError(
-            f"dimensionless amplitude {a_tilde:g} outside the small-"
-            f"amplitude domain (< {SMALL_AMPLITUDE_MAX})")
-    return small_amplitude_formula(motion.amplitude * atom.alpha,
-                                   motion.Omega)
-
-
-def small_amplitude_formula(a_alpha, Omega: float):
-    """pi (A alpha)^2 Omega^3 / (32 c^2), unchecked; ``a_alpha`` = A alpha
-    may be a float or an ndarray."""
-    return math.pi * a_alpha**2 * Omega**3 / (32.0 * C**2)

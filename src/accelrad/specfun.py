@@ -215,7 +215,8 @@ def _bessel_series(n: int, x: float) -> float:
     The loop needs no term cap: once k > (x/2)^2, each term shrinks by
     (x/2)^2 / (k (n+k)) < 1 until it reaches 0.0 or 1e-17 of the peak.  On
     a dense grid plus 200 000 draws with n <= 3000 and x <= 12 it took at
-    most 27 terms, at order 0 from x = 11.6 up to 12.0.
+    most 27 terms, at order 0 from x = 11.6 up to 12.0; the bound is
+    ``TestCountedWork::test_series_takes_at_most_27_terms``.
     """
     half = 0.5 * x
     term = 1.0

@@ -11,9 +11,12 @@ from . import __version__ as _version
 from ._lazy import np
 from .constants import SPEED_OF_LIGHT as C
 from .errors import PhysicsDomainError, real, whole_number
-from .rates import (SMALL_AMPLITUDE_MAX, AtomParams, Cavity, ShoMotion,
-                    allowed_sidebands, small_amplitude_formula)
+from .rates import AtomParams, Cavity, ShoMotion, allowed_sidebands
 from .specfun import bessel_j, bessel_j_orders
+
+#: Validity bound on the dimensionless amplitude for the small-amplitude
+#: closed form (J_1(x)^2 ~ x^2/4).
+SMALL_AMPLITUDE_MAX = 0.1
 
 
 @dataclass(frozen=True)
@@ -121,7 +124,8 @@ def fig3_surface(amplitude_values, alpha_values, *,
     # An overflow is left to SweepResult's check.  Exact rate for
     # comparison: omega0 = Omega/2, g = alpha*omega0, a_tilde = Omega*A/(2c).
     with np.errstate(over="ignore", invalid="ignore"):
-        values = small_amplitude_formula(np.outer(amps, alphas), Omega)
+        values = (math.pi * np.outer(amps, alphas)**2 * Omega**3
+                  / (32.0 * C**2))
         a_tilde = 0.5 * Omega * amps / C
         j1_sq = np.array([bessel_j(1, a) ** 2 for a in a_tilde])
         g_sq = (alphas * 0.5 * Omega) ** 2

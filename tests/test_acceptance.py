@@ -18,7 +18,7 @@ from accelrad import (ABSORB_DEEXCITE, EMIT_EXCITE, PARALLEL, AtomParams,
                       RotationMotion, ShoMotion, bessel_j, equivalence_cases,
                       fig2_surface, fig3_surface,
                       general_trajectory_spectrum, one_period_amplitude,
-                      rational_period_integral, small_amplitude_rate)
+                      rational_period_integral)
 from accelrad.constants import SPEED_OF_LIGHT as C
 
 TWO_PI = 2.0 * math.pi
@@ -263,12 +263,16 @@ def test_criterion_08_cqed_order_of_magnitude():
     decade = (surface.values >= 1e-4) & (surface.values < 1e-3)
     assert np.any(decade), "no cells in the 1e-4 Hz decade"
 
+    # The fig3 cells at Omega = 4, alpha = 0.3: omega0 = Omega/2 and the
+    # photon takes omega = Omega/2, so a_tilde = 2 A / c.
     Omega = 4.0
     atom = AtomParams(omega0=2.0, alpha=0.3)
+    amplitudes = np.linspace(1e-4, 0.0499, 60) * C / 2.0
+    cells = fig3_surface(amplitudes, [atom.alpha], Omega=Omega)
+    assert cells.fixed["omega0"] == atom.omega0
     worst = 0.0
-    for a_tilde in np.linspace(1e-4, 0.0499, 60):
-        motion = ShoMotion(amplitude=a_tilde * C / 2.0, Omega=Omega)
-        approx = small_amplitude_rate(atom, motion)
+    for amplitude, approx in zip(amplitudes, cells.values[:, 0]):
+        motion = ShoMotion(amplitude=amplitude, Omega=Omega)
         exact = FreeSpace().sideband(atom, motion, 1).rate
         worst = max(worst, abs(approx - exact) / exact)
     assert worst < 1e-2, f"approximation error {worst:g}"

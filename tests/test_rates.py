@@ -12,12 +12,11 @@ import pytest
 
 import accelrad.rates
 from accelrad import (ABSORB_DEEXCITE, EMIT_EXCITE, PARALLEL, RESONANCE_TOL,
-                      ApproximationDomainError, AtomParams, Cavity, FreeSpace,
-                      GeneralPeriodicMotion, Mirror, PhysicsDomainError,
-                      RotationMotion, ShoMotion, Sideband, allowed_sidebands,
-                      bessel_j, general_trajectory_spectrum,
-                      one_period_amplitude, rate_surface,
-                      small_amplitude_rate)
+                      AtomParams, Cavity, FreeSpace, GeneralPeriodicMotion,
+                      Mirror, PhysicsDomainError, RotationMotion, ShoMotion,
+                      Sideband, allowed_sidebands, bessel_j,
+                      general_trajectory_spectrum, one_period_amplitude,
+                      rate_surface)
 from accelrad.cli import parse_config
 from accelrad.constants import SPEED_OF_LIGHT as C
 
@@ -26,8 +25,6 @@ from accelrad.constants import SPEED_OF_LIGHT as C
 MIRROR_EXAMPLE_RATE = 4.2545601485968065
 # 2*pi*J2(0.1)^2 with g = 1, Omega = 1.
 FREE_N2_SMALL_RATE = 9.801126506580539e-06
-# pi*(A*alpha)^2*Omega^3/(32 c^2) at A = 1 nm, alpha = 0.2, Omega/2pi = 10 GHz.
-SMALL_AMPLITUDE_EXAMPLE = 1.0838223059911484e-05
 
 
 def sho_with_a_tilde(a_tilde, Omega, omega, **kwargs):
@@ -699,53 +696,6 @@ class TestClearance:
                 f"motion extent {motion.extent:g} m reaches the boundary "
                 f"(clearance "
                 f"{geom.clearance:g} m); require extent < clearance")
-
-
-class TestSmallAmplitudeRate:
-    def test_zero_amplitude(self):
-        atom = AtomParams(omega0=1.0e10, alpha=0.2)
-        motion = ShoMotion(amplitude=0.0, Omega=2.0e10)
-        assert small_amplitude_rate(atom, motion) == 0.0
-
-    def test_frozen_cqed_example(self):
-        Omega = 2.0 * math.pi * 1.0e10
-        atom = AtomParams(omega0=0.5 * Omega, alpha=0.2)
-        motion = ShoMotion(amplitude=1.0e-9, Omega=Omega)
-        assert small_amplitude_rate(atom, motion) == pytest.approx(
-            SMALL_AMPLITUDE_EXAMPLE, rel=1e-12)
-
-    def test_quadratic_in_amplitude(self):
-        Omega = 2.0 * math.pi * 1.0e10
-        atom = AtomParams(omega0=0.5 * Omega, alpha=0.3)
-        one = small_amplitude_rate(atom, ShoMotion(1.0e-9, Omega))
-        two = small_amplitude_rate(atom, ShoMotion(2.0e-9, Omega))
-        assert two == pytest.approx(4.0 * one, rel=1e-12)
-
-    def test_matches_exact_bessel_formula_for_small_argument(self):
-        Omega = 4.0
-        atom = AtomParams(omega0=2.0, alpha=0.25)
-        for a_tilde in (0.001, 0.01, 0.04):
-            motion = ShoMotion(amplitude=a_tilde * C / 2.0, Omega=Omega)
-            approx = small_amplitude_rate(atom, motion)
-            exact = FreeSpace().sideband(atom, motion, 1).rate
-            assert abs(approx - exact) / exact < 1e-2
-
-    def test_outside_validity_domain(self):
-        Omega = 4.0
-        atom = AtomParams(omega0=2.0, alpha=0.25)
-        motion = ShoMotion(amplitude=0.2 * C / 2.0, Omega=Omega)
-        with pytest.raises(ApproximationDomainError):
-            small_amplitude_rate(atom, motion)
-
-    def test_requires_half_drive_tuning(self):
-        atom = AtomParams(omega0=1.0, alpha=0.25)
-        with pytest.raises(PhysicsDomainError):
-            small_amplitude_rate(atom, ShoMotion(1.0e-9, 3.0))
-
-    def test_requires_alpha(self):
-        atom = AtomParams(omega0=2.0, g=0.5)
-        with pytest.raises(ValueError):
-            small_amplitude_rate(atom, ShoMotion(1.0e-9, 4.0))
 
 
 def test_readme_quick_start_runs(capsys):

@@ -57,6 +57,7 @@ SITES = {
                                         + _SAMPLES[6:])),
     "Mirror-z0": ("z0", "> 0", lambda v: Mirror(z0=v)),
     "Cavity-length": ("length", "> 0", lambda v: Cavity(length=v, z0=0.5)),
+    "Cavity-z0": ("z0", "> 0", lambda v: Cavity(length=1.0, z0=v)),
     "Cavity-n_photons": (
         "n_photons", ">= 0",
         lambda v: Cavity(length=1.0, z0=0.5, n_photons=v)),
@@ -69,6 +70,9 @@ SITES = {
     "one_period_amplitude-omega0": (
         "omega0", "> 0",
         lambda v: one_period_amplitude(_MOTION, FreeSpace(), 1.0, v)),
+    "one_period_amplitude-g": (
+        "g", "> 0",
+        lambda v: one_period_amplitude(_MOTION, FreeSpace(), 1.0, 1.0, g=v)),
     "bessel_j": ("argument", None, lambda v: bessel_j(1, v)),
     "bessel_j_orders": ("argument", None, lambda v: bessel_j_orders(3, v)),
     "rational_period_integral": (

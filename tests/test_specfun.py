@@ -8,9 +8,11 @@ original recurrence bit for bit wherever that copy did not rescale and
 Kapteyn's cut takes no order.
 """
 
+import itertools
 import math
 import random
 import sys
+import types
 from fractions import Fraction
 
 import mpmath
@@ -1162,13 +1164,41 @@ def series_products(n, x):
     return n
 
 
+class CountingArgument(float):
+    """An argument x that counts the Miller steps run with it: each step
+    forms 2k / x once, through ``__rtruediv__``, and nothing else divides
+    by x.  The quotient is a plain float, so every value stays the same."""
+
+    def __new__(cls, x):
+        arg = super().__new__(cls, x)
+        arg.steps = 0
+        return arg
+
+    def __rtruediv__(self, other):
+        self.steps += 1
+        return float.__rtruediv__(self, other)
+
+
+def full_pass_draws(seed, count):
+    """(n, x) pairs that ``bessel_j`` serves by the full Miller pass:
+    12 < x <= 200, not cut by Kapteyn's bound."""
+    rng = random.Random(seed)
+    draws = [(0, 12.000001), (17, 200.0), (250, 200.0)]
+    while len(draws) < count:
+        n, x = rng.randint(0, 400), rng.uniform(12.0, 200.0)
+        if x > 12.0 and not kapteyn_cut(n, x):
+            draws.append((n, x))
+    return draws
+
+
 @pytest.fixture
 def work(monkeypatch):
     """Counted work of the Bessel kernels, each wrapped to add the trip
     count its arguments fix: a full Miller pass its ``_miller_start(hi,
     x)`` steps, an anchored one its ``steps``, the series its prefix
     products plus 30 terms (it takes at most 27) and Debye's route its 17
-    terms.  Nothing is counted inside the kernels."""
+    terms.  ``TestCountedWork`` gates both Miller counts and the 27.
+    Nothing is counted inside the kernels."""
     counts = {"miller": 0, "steps": 0, "series": 0, "debye": 0}
     costs = {
         "miller": ("_miller_range",
@@ -1255,6 +1285,57 @@ class TestCountedWork:
             assert len(lines) == n_max
             totals.append(sum(work.values()))
         assert totals[1] <= 3.5 * totals[0], totals
+
+    def test_full_pass_takes_miller_start_steps(self):
+        # From the seed at _miller_start(hi, x) down to order 0, whatever
+        # the kept orders lo..hi are: 60, 48, 252 and 30 steps here.
+        cases = [(0, 30, 12.5), (5, 5, 20.0), (0, 200, 150.0), (3, 7, 1e-3)]
+        rng = random.Random(38)
+        for _ in range(60):
+            lo = rng.randint(0, 300)
+            cases.append((lo, lo + rng.randint(0, 100),
+                          rng.uniform(1e-3, 200.0)))
+        for lo, hi, x in cases:
+            arg = CountingArgument(x)
+            values = specfun._miller_range(lo, hi, arg)
+            assert arg.steps == specfun._miller_start(hi, x), (lo, hi, x)
+            assert values == specfun._miller_range(lo, hi, x)
+
+    def test_bessel_j_full_pass_takes_miller_start_steps(self, monkeypatch):
+        real = specfun._miller_range
+        passes = []
+
+        def counted(lo, hi, x):
+            passes.append(arg := CountingArgument(x))
+            return real(lo, hi, arg)
+
+        monkeypatch.setattr(specfun, "_miller_range", counted)
+        for n, x in full_pass_draws(39, 80):
+            passes.clear()
+            bessel_j(n, x)
+            assert [arg.steps for arg in passes] == [
+                specfun._miller_start(n, x)], (n, x)
+
+    def test_series_takes_at_most_27_terms(self, monkeypatch):
+        # The terms after the first: one per k that itertools.count yields.
+        # The series' docstring states the bound; measured 27 at (0, 11.7).
+        terms = []
+
+        def count(start):
+            terms.append(0)
+            for k in itertools.count(start):
+                terms[-1] += 1
+                yield k
+
+        monkeypatch.setattr(specfun, "itertools",
+                            types.SimpleNamespace(count=count))
+        rng = random.Random(40)
+        cases = [(n, 0.1 * i) for n in range(60) for i in range(1, 121)]
+        cases += [(rng.randint(0, 3000), rng.uniform(0.0, 12.0))
+                  for _ in range(2000)]
+        for n, x in cases:
+            bessel_j(n, x)
+        assert max(terms) <= 27, max(terms)
 
 
 class TestAnger:

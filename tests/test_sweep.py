@@ -102,26 +102,26 @@ class TestFig3Surface:
         res = fig3_surface([1e-9], [0.0, 0.5])
         assert res.values[0, 0] == 0.0
 
+    def test_zero_amplitude_row(self):
+        res = fig3_surface([0.0, 1e-9], [0.2])
+        assert res.values[0, 0] == 0.0
+
     def test_cqed_example_cell(self):
-        # A = 1 nm, alpha = 0.2, Omega/2pi = 10 GHz (frozen in test_rates).
+        # The paper's circuit-QED estimate, frozen: A = 1 nm, alpha = 0.2,
+        # Omega/2pi = 10 GHz.
         res = fig3_surface([1e-9], [0.2])
         assert res.values[0, 0] == pytest.approx(1.0838223059911484e-05,
                                                  rel=1e-12)
 
     def test_cells_match_single_point_calls(self):
-        from accelrad import small_amplitude_rate
-
         res = fig3_surface(FIG3_AMPLITUDES, FIG3_ALPHAS)
         Omega = res.fixed["Omega"]
         rng = np.random.default_rng(5)
         n_cells = res.values.size
         for flat in rng.choice(n_cells, size=n_cells // 100, replace=False):
             i, j = np.unravel_index(flat, res.values.shape)
-            atom = AtomParams(omega0=0.5 * Omega,
-                              alpha=res.axis2_values[j])
-            motion = ShoMotion(amplitude=res.axis1_values[i],
-                               Omega=Omega)
-            direct = small_amplitude_rate(atom, motion)
+            a_alpha = res.axis1_values[i] * res.axis2_values[j]
+            direct = math.pi * a_alpha**2 * Omega**3 / (32.0 * C**2)
             assert res.values[i, j] == pytest.approx(direct, rel=1e-12)
 
     def test_quadratic_amplitude_scaling(self):
