@@ -9,7 +9,8 @@ a start with no room for one doubling raises before any node is evaluated.
   for analytic periodic integrands.  Its error is the aliasing tail (the
   integrand's Fourier coefficients at multiples of N), which decays
   exponentially once N exceeds the integrand's bandwidth, so the caller
-  sets the node count from that bandwidth and one doubling confirms it.
+  sets the node count from that bandwidth and a doubling confirms it
+  (``oracle`` says where: not for every sampled motion).
   The N-node rule is the even half of the 2N-node rule, so one integrand
   call on the 2N-node grid yields both (it holds 2N values at once).
 * ``composite_gl`` / ``refine_to_tolerance`` -- composite Gauss-Legendre
@@ -48,9 +49,7 @@ def _refine(estimate, nodes: int):
     raise ConvergenceError(
         f"quadrature did not reach REL_TOL = {REL_TOL:g} within the node cap "
         f"MAX_PERIODIC_NODES = {MAX_PERIODIC_NODES} (started at {nodes} "
-        f"nodes; error estimate {err:g})",
-        error_estimate=err,
-    )
+        f"nodes; error estimate {err:g})")
 
 
 def periodic_trapezoid(f, nodes: int):

@@ -38,15 +38,8 @@ def parse_length(text: str) -> float:
     raw = text.strip()
     for suffix, scale in _LENGTH_UNITS:
         if raw.endswith(suffix):
-            number = raw[: -len(suffix)].strip()
-            try:
-                return float(number) * scale
-            except ValueError:
-                raise ConfigError(f"bad length value {text!r}") from None
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"bad length value {text!r}") from None
+            return float(raw[:-len(suffix)]) * scale
+    return float(raw)
 
 
 # section -> {INI key: (kind, default, bound, choices)}, the one
@@ -121,7 +114,7 @@ def _read_value(section, name, text, label=None):
     reader, noun = _KINDS[kind]
     try:
         value = reader(text)
-    except (ValueError, KeyError, ConfigError):
+    except (ValueError, KeyError):
         rule = f"= {text!r} is not {noun}"
     else:
         if (kind in ("float", "length") and not math.isfinite(value)

@@ -26,25 +26,11 @@ class OracleRangeError(PhysicsDomainError):
 
 
 class ConvergenceError(RuntimeError):
-    """Quadrature or series failed to reach the requested tolerance.
-
-    Attributes
-    ----------
-    error_estimate : float
-        Best error estimate achieved before giving up.
-    """
-
-    def __init__(self, message: str, error_estimate: float):
-        super().__init__(message)
-        self.error_estimate = error_estimate
+    """Quadrature failed to reach the requested tolerance."""
 
 
 class OracleMismatchError(RuntimeError):
     """Closed-form rate and brute-force quadrature disagree beyond tolerance."""
-
-    def __init__(self, message: str, relative_deviation: float):
-        super().__init__(message)
-        self.relative_deviation = relative_deviation
 
 
 class ConfigError(ValueError):

@@ -32,7 +32,10 @@ The integrand is analytic and 2 pi-periodic, so the N-node trapezoid rule
 converges exponentially: its error is the aliasing tail, the integrand's
 Fourier coefficients at nonzero multiples of N (Trefethen & Weideman,
 SIAM Review 56, 2014).  Starting from 4 (n + B + 40) nodes, B a bound on
-|dphi/dtau|, puts that tail far below float64; one doubling confirms it.
+|dphi/dtau|, puts that tail far below float64 for SHO and rotation (their
+start's alias J_{N-n}(B) falls under Kapteyn's bound); one doubling
+confirms it.  Not for sampled motion whose harmonics reach the start grid:
+see README "Oracle quadrature" and ``TestSampledHarmonicsOnTheStartGrid``.
 The oracle integrates the trajectory directly and shares only that
 description with the closed forms, none of their Bessel or sin^2 algebra.
 
@@ -138,7 +141,9 @@ def one_period_amplitude(motion, geom, omega: float, omega0: float, *,
     the returned rates, not the amplitude.
 
     The trapezoid rule starts from ``4 (n + ceil(B) + 40)`` nodes, B the
-    bound on |dphi/dtau|.  A start with no room for one doubling under
+    bound on |dphi/dtau|; one doubling confirms it, except for sampled
+    harmonics that reach the start grid (module docstring).  A start with
+    no room for one doubling under
     :data:`accelrad._quadrature.MAX_PERIODIC_NODES` raises
     :class:`OracleRangeError` before any node is evaluated.
 
@@ -192,9 +197,7 @@ def verified_lines(atom: AtomParams, motion, geom, lines) -> list:
             raise OracleMismatchError(
                 f"sideband n={line.n}: closed form {line.rate!r} Hz vs "
                 f"oracle {result.rate!r} Hz (relative deviation "
-                f"{deviation:g} > {VERIFY_TOL:g})",
-                relative_deviation=deviation,
-            )
+                f"{deviation:g} > {VERIFY_TOL:g})")
         rows.append((line, result.rate, deviation))
     return rows
 

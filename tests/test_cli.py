@@ -1,6 +1,7 @@
 """CLI tests: config parsing, determinism, unit honesty, exit codes."""
 
 import configparser
+import dataclasses
 import io
 import json
 import math
@@ -70,8 +71,8 @@ class TestParseLength:
         assert parse_length(text) == pytest.approx(meters, rel=1e-15)
 
     def test_garbage_rejected(self):
-        from accelrad.errors import ConfigError
-        with pytest.raises(ConfigError):
+        # float's own ValueError; the config reader names the key.
+        with pytest.raises(ValueError, match="could not convert"):
             parse_length("one nm")
 
 
@@ -1140,6 +1141,32 @@ class TestExitCodeFollowsErrorType:
         path = write_cfg(tmp_path, FREE_SPACE_CFG)
         with pytest.raises(error, match="a bug, not a refusal"):
             main(["rate", "--config", path])
+
+    def _verify_fails(self, capsys, prefix):
+        config = pathlib.Path(__file__).resolve().parent.parent / "configs"
+        argv = ["rate", "--config", str(config / "free_space.cfg"), "--verify"]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"integrity failure: {prefix}")
+
+    def test_convergence_error_exits_4(self, capsys, monkeypatch):
+        # No float64 sum meets REL_TOL = 1e-30, so the oracle's doubling
+        # runs into the node cap.
+        monkeypatch.setattr("accelrad._quadrature.REL_TOL", 1e-30)
+        self._verify_fails(capsys, "quadrature did not reach REL_TOL")
+
+    def test_oracle_mismatch_exits_4(self, capsys, monkeypatch):
+        import accelrad.oracle as oracle_module
+
+        real = oracle_module.one_period_amplitude
+
+        def skewed(*args, **kwargs):
+            res = real(*args, **kwargs)
+            return dataclasses.replace(res, rate=res.rate * 1.01)
+
+        monkeypatch.setattr(oracle_module, "one_period_amplitude", skewed)
+        self._verify_fails(capsys, "sideband n=")
 
 
 # Samples whose interpolant bound is past float64 range: alternating

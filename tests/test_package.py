@@ -4,16 +4,22 @@
 names nothing twice, and every name that ``accelrad/__init__.py`` imports
 from a submodule is in it, so no export is left behind or left out.
 The version is written once, as ``accelrad.__version__``; ``pyproject.toml``
-reads it from there.
+reads it from there.  Each exception type carries only its message, so an
+instance survives ``pickle`` and ``copy`` with its type and message.
 """
 
 import ast
+import copy
+import inspect
 import pathlib
+import pickle
 import warnings
 
+import pytest
 from setuptools.config.pyprojecttoml import read_configuration
 
 import accelrad
+from accelrad import errors
 
 _ROOT = pathlib.Path(__file__).resolve().parent.parent
 _INIT = pathlib.Path(accelrad.__file__)
@@ -47,3 +53,23 @@ def test_pyproject_reads_the_package_version():
         config = read_configuration(_ROOT / "pyproject.toml")
     assert config["project"]["dynamic"] == ["version"]
     assert config["project"]["version"] == accelrad.__version__
+
+
+
+_ERROR_TYPES = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+                if issubclass(cls, Exception)
+                and cls.__module__ == errors.__name__]
+
+
+def test_every_error_type_is_found():
+    assert {cls.__name__ for cls in _ERROR_TYPES} >= {
+        "ConfigError", "ConvergenceError", "OracleMismatchError",
+        "OracleRangeError", "PhysicsDomainError"}
+
+
+@pytest.mark.parametrize("cls", _ERROR_TYPES, ids=lambda cls: cls.__name__)
+def test_error_type_survives_pickle_and_copy(cls):
+    error = cls(f"{cls.__name__}: 1.5e-3 > 1e-6")
+    for twin in (pickle.loads(pickle.dumps(error)), copy.copy(error)):
+        assert type(twin) is cls
+        assert str(twin) == str(error)

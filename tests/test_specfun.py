@@ -11,6 +11,7 @@ Kapteyn's cut takes no order.
 import itertools
 import math
 import random
+import re
 import sys
 import types
 from fractions import Fraction
@@ -1363,7 +1364,8 @@ class TestAnger:
         monkeypatch.setattr(quadrature, "MAX_PERIODIC_NODES", 40)
         with pytest.raises(ConvergenceError) as excinfo:
             anger_gl(0.5, 40.0)
-        assert excinfo.value.error_estimate >= 0.0
+        estimate = re.search(r"error estimate (\S+)\)$", str(excinfo.value))
+        assert float(estimate[1]) >= 0.0
 
 
 class TestRationalPeriodIntegral:
@@ -1417,9 +1419,7 @@ def frozen_bessel_series(n, x, rel_tol=1e-10, max_terms=10**6):
             return total
     raise ConvergenceError(
         f"Bessel series for J_{n}({x}) did not converge in "
-        f"{max_terms} terms",
-        error_estimate=abs(term),
-    )
+        f"{max_terms} terms (last term {abs(term):g})")
 
 
 class TestSeriesMatchesFrozenLoop:
@@ -1452,9 +1452,9 @@ class TestSeriesMatchesFrozenLoop:
 
     @pytest.mark.parametrize("rel_tol", [1e-10, 1e-14, 1e-3])
     def test_bit_identical_under_other_budgets(self, rel_tol, monkeypatch):
-        # The tolerance is a module constant; patching it checks that the
-        # loop reads it where the frozen loop read its argument.
-        monkeypatch.setattr(specfun, "_REL_TOL", rel_tol)
+        # The threshold is a module constant; patching it checks that the
+        # loop reads it where the frozen loop read 1e-2 of its argument.
+        monkeypatch.setattr(specfun, "_SERIES_TOL", 1e-2 * rel_tol)
         for n in range(0, 40, 3):
             for x in np.linspace(0.05, 12.0, 40).tolist():
                 assert specfun._bessel_series(n, x) == \
