@@ -26,12 +26,14 @@ Each motion type declares its extent toward a boundary, its wave-vector
 projection (k_motion, k_normal) and its phase k z(tau); each geometry its
 clearance and, in ``field_mode(eps)``, the mode a photon of signed energy
 eps = n*Omega - omega0 occupies.  The one line builder,
-``sideband(atom, motion, n)`` of the geometries' common base, and the
+``line(atom, motion, n)`` of the geometries' common base, and the
 quadrature oracle both read these facts from the types and nowhere else.
-allowed_sidebands is the one public closed-form entry point: it checks the
-request once (check_closed_form, which alone states which pairs have a
-closed form, and check_clearance) before any line.  The oracle integrates
-every pair that clears its boundary.
+``line`` gives each line's amplitude-free factor; ``sideband`` multiplies
+in J_n(k_motion A)^2, and sweep.rate_surface takes each factor once per
+surface.  allowed_sidebands is the one public closed-form entry point: it
+checks the request once (check_closed_form, which alone states which pairs
+have a closed form, and check_clearance) before any line.  The oracle
+integrates every pair that clears its boundary.
 """
 
 import functools
@@ -274,16 +276,31 @@ class _Geometry:
     """
 
     def sideband(self, atom, motion, n: int) -> "Sideband | None":
-        """The closed-form line of index n, or None if the photon has no
-        field mode or a discrete one off resonance (off_resonance), at rate
+        """The closed-form line of index n: ``line``'s factor times
+        J_n(k_motion A)^2, A the amplitude or the radius; None where
+        ``line`` is None."""
+        line = self.line(atom, motion, n)
+        if line is None:
+            return None
+        weight, k_motion, omega, branch, m = line
+        return Sideband(n, omega,
+                        weight * bessel_j(n, k_motion * motion.amplitude)**2,
+                        branch, m)
 
-            (2 pi g^2 / Omega) chi S J_n(k_motion A)^2,
+    def line(self, atom, motion, n: int):
+        """``(weight, k_motion, omega_m, branch, m)`` of line n, or None if
+        the photon has no field mode or a discrete one off resonance
+        (off_resonance).  The line's rate is weight J_n(k_motion A)^2 with
+        the amplitude-free factor
 
-        A the amplitude or the radius.  S is 1 in free space (z0 None, the
-        full k) and 4 sin^2(k_normal z0 - pi n / 2) at a boundary, the wave
-        vector projected by the motion; a phase past float64 range is
-        refused, as math.sin refuses it.  Relies on allowed_sidebands's
-        request checks (check_closed_form, check_clearance)."""
+            weight = (2 pi g^2 / Omega) chi S,
+
+        evaluated in that order, so the product keeps the closed form's
+        bits.  S is 1 in free space (z0 None, the full k) and
+        4 sin^2(k_normal z0 - pi n / 2) at a boundary, the wave vector
+        projected by the motion; a phase past float64 range is refused, as
+        math.sin refuses it.  Relies on allowed_sidebands's request checks
+        (check_closed_form, check_clearance)."""
         eps = n * motion.Omega - atom.omega0
         field = self.field_mode(eps)
         if field is None:
@@ -294,19 +311,16 @@ class _Geometry:
                                            omega_m if emits else -omega_m):
             return None
         if z0 is None:
-            a_tilde, s = k * motion.amplitude, 1.0
+            k_motion, s = k, 1.0
         else:
             k_motion, k_normal = motion.project(k)
             theta = k_normal * z0 - 0.5 * math.pi * n
             if math.isinf(theta):
                 raise PhysicsDomainError(
                     f"boundary phase {theta} rad is beyond float64 range")
-            a_tilde = k_motion * motion.amplitude
             s = 4.0 * math.sin(theta)**2
-        rate = (2.0 * math.pi * chi * atom.g**2 / motion.Omega
-                * s * bessel_j(n, a_tilde)**2)
-        return Sideband(n, omega_m, rate,
-                        EMIT_EXCITE if emits else ABSORB_DEEXCITE, m)
+        return (2.0 * math.pi * chi * atom.g**2 / motion.Omega * s, k_motion,
+                omega_m, EMIT_EXCITE if emits else ABSORB_DEEXCITE, m)
 
     def field_mode(self, eps: float):
         """The wave k = eps / c of a continuum, travelling or standing at

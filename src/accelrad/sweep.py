@@ -1,7 +1,9 @@
 """Parameter sweeps: figure-data surfaces and their metadata.
 
 Cells are written into pre-sized arrays addressed by grid index, so results
-are deterministic regardless of evaluation order.
+are deterministic regardless of evaluation order.  The custom surface takes
+each sideband's amplitude-free factor (the geometry's ``line``) once and
+pays one Bessel factor per cell.
 """
 
 import math
@@ -11,7 +13,7 @@ from . import __version__ as _version
 from ._lazy import np
 from .constants import SPEED_OF_LIGHT as C
 from .errors import PhysicsDomainError, real, whole_number
-from .rates import AtomParams, Cavity, ShoMotion, allowed_sidebands
+from .rates import AtomParams, Cavity, ShoMotion, check_clearance
 from .specfun import bessel_j, bessel_j_orders
 
 #: Validity bound on the dimensionless amplitude for the small-amplitude
@@ -89,7 +91,9 @@ def fig2_surface(a_tilde_values, n_max: int, *, g: float | None = None,
 
     values = np.empty((len(a_tilde_values), n_max))
     for i, a in enumerate(a_tilde_values):
-        values[i, :] = [j ** 2 for j in bessel_j_orders(n_max, a)[1:]]
+        # Python floats squared by pow; an array's ** 2 is j * j, which
+        # rounds differently in the last bit.
+        values[i, :] = [j ** 2 for j in bessel_j_orders(n_max, a)[1:].tolist()]
     normalization = "prefactor-omitted"
     if g is not None:
         with np.errstate(over="ignore", invalid="ignore"):  # see SweepResult
@@ -141,10 +145,27 @@ def fig3_surface(amplitude_values, alpha_values, *,
                             "approx_valid": approx_valid})
 
 
+def _open_lines(atom, motion, geom, n_max: int, taken: list):
+    """Each open line's ``(n, weight, k_motion)`` from ``geom.line``, in n
+    order, each also appended to ``taken``.  Lazy: the caller's cell of a
+    line (Bessel argument, rate) is checked after the line's boundary phase
+    and before its photon frequency and the next line, the order in which
+    allowed_sidebands raises them."""
+    for n in range(1, n_max + 1):
+        if (line := geom.line(atom, motion, n)) is not None:
+            weight, k_motion, omega = line[:3]
+            yield n, weight, k_motion
+            real("photon frequency", omega, "> 0")
+            taken.append((n, weight, k_motion))
+
+
 def rate_surface(atom: AtomParams, motion: ShoMotion, geom,
                  amplitude_values, n_max: int) -> SweepResult:
     """Custom sweep: closed-form rate over oscillation amplitude and
-    n = 1..n_max, one ``allowed_sidebands`` row per amplitude.
+    n = 1..n_max.  Each line's amplitude-free factor is taken once, on the
+    first row, so a cell costs one Bessel factor; it equals the line's
+    ``allowed_sidebands`` rate at that amplitude bit for bit, and the sweep
+    raises the errors the row-by-row loop raised, in its order.
 
     Cells with no open sideband (n*Omega <= omega0) are zero.  Each
     amplitude row must clear the boundary.  The one place that refuses a
@@ -157,10 +178,13 @@ def rate_surface(atom: AtomParams, motion: ShoMotion, geom,
     n_max = whole_number("n_max", n_max, 1)
     amplitude_values = tuple(float(a) for a in amplitude_values)
     values = np.zeros((len(amplitude_values), n_max))
+    lines = []  # (n, weight, k_motion) of each open line, from row 0
     for i, amplitude in enumerate(amplitude_values):
-        row = replace(motion, amplitude=amplitude)
-        for line in allowed_sidebands(atom, row, geom, n_max):
-            values[i, line.n - 1] = line.rate
+        check_clearance(replace(motion, amplitude=amplitude), geom)
+        for n, weight, k_motion in lines if i else _open_lines(
+                atom, motion, geom, n_max, lines):
+            values[i, n - 1] = real(
+                "rate", weight * bessel_j(n, k_motion * amplitude)**2, ">= 0")
     metadata = {"surface": "custom", "normalization": "hz",
                 "version": _version}
     return SweepResult("amplitude_m", amplitude_values, "n",

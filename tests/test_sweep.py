@@ -7,12 +7,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from accelrad import (AtomParams, FreeSpace, GeneralPeriodicMotion, Mirror,
-                      OracleMismatchError, PhysicsDomainError, RotationMotion,
-                      ShoMotion, SweepResult, allowed_sidebands,
-                      bessel_j, fig2_surface, fig3_surface, rate_surface)
+from accelrad import (EMIT_EXCITE, PARALLEL, AtomParams, FreeSpace,
+                      GeneralPeriodicMotion, Mirror, OracleMismatchError,
+                      PhysicsDomainError, RotationMotion, ShoMotion, Sideband,
+                      SweepResult, allowed_sidebands, bessel_j, fig2_surface,
+                      fig3_surface, rate_surface)
 from accelrad.constants import SPEED_OF_LIGHT as C
 from accelrad.oracle import verified_lines
+from accelrad.rates import check_clearance, check_closed_form
 
 # The axes of the config-less ``sweep --preset fig2`` and ``fig3``.
 FIG2_A_TILDE = np.linspace(0.0, 30.0, 512)
@@ -245,6 +247,139 @@ class TestRateSurface:
         with pytest.raises(PhysicsDomainError, match="custom sweeps support "
                            "free-space and mirror geometries"):
             rate_surface(atom, motion, geom, [0.5], 2)
+
+    @pytest.mark.parametrize("geom", [FreeSpace(), Mirror(z0=1e-2)],
+                             ids=["free_space", "mirror"])
+    def test_each_line_factor_is_taken_once(self, geom, monkeypatch):
+        # n = 1, 2 are closed at omega0 = 2.5 Omega; n = 3..6 are open.
+        import accelrad.rates as rates_module
+        import accelrad.sweep as sweep_module
+
+        calls = {"field_mode": 0, "bessel_j": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(type(geom), "field_mode",
+                            counted("field_mode", type(geom).field_mode))
+        for module in (rates_module, sweep_module):
+            monkeypatch.setattr(module, "bessel_j",
+                                counted("bessel_j", bessel_j))
+        Omega = 2.0 * math.pi * 1e9
+        atom = AtomParams(omega0=2.5 * Omega, g=1e6)
+        motion = ShoMotion(amplitude=1e-3, Omega=Omega)
+        amplitudes = [1e-4, 2e-4, 4e-4, 8e-4]
+        res = rate_surface(atom, motion, geom, amplitudes, 6)
+        assert calls == {"field_mode": 6, "bessel_j": 4 * 4}
+        assert np.count_nonzero(res.values[:, :2]) == 0
+
+
+def frozen_sideband(geom, atom, motion, n):
+    """The closed-form line as the row-by-row sweep built it: field mode,
+    projection, boundary phase, prefactor and Bessel factor in one go."""
+    eps = n * motion.Omega - atom.omega0
+    field = geom.field_mode(eps)
+    if field is None:
+        return None
+    k, z0, chi, omega_m, m = field
+    if z0 is None:
+        a_tilde, s = k * motion.amplitude, 1.0
+    else:
+        k_motion, k_normal = motion.project(k)
+        theta = k_normal * z0 - 0.5 * math.pi * n
+        if math.isinf(theta):
+            raise PhysicsDomainError(
+                f"boundary phase {theta} rad is beyond float64 range")
+        a_tilde = k_motion * motion.amplitude
+        s = 4.0 * math.sin(theta)**2
+    rate = (2.0 * math.pi * chi * atom.g**2 / motion.Omega
+            * s * bessel_j(n, a_tilde)**2)
+    return Sideband(n, omega_m, rate, EMIT_EXCITE, m)
+
+
+def frozen_rate_surface(atom, motion, geom, amplitude_values, n_max):
+    """The custom sweep as one allowed_sidebands call per amplitude row."""
+    amplitude_values = tuple(float(a) for a in amplitude_values)
+    values = np.zeros((len(amplitude_values), n_max))
+    for i, amplitude in enumerate(amplitude_values):
+        row = replace(motion, amplitude=amplitude)
+        check_clearance(row, geom)
+        check_closed_form(row, geom)
+        for n in range(1, n_max + 1):
+            line = frozen_sideband(geom, atom, row, n)
+            if line is not None:
+                values[i, line.n - 1] = line.rate
+    return SweepResult("amplitude_m", amplitude_values, "n",
+                       range(1, n_max + 1), values, {})
+
+
+def outcome(fn, *args):
+    """A call's values as bytes, or the type and message of its error."""
+    try:
+        return fn(*args).values.tobytes()
+    except Exception as exc:  # every error type is compared
+        return type(exc), str(exc)
+
+
+_OMEGA = 2.0 * math.pi * 1e10
+_ATOM = AtomParams(omega0=0.5 * _OMEGA, g=1e6)
+_SHO = ShoMotion(amplitude=1e-4, Omega=_OMEGA)
+
+ERROR_CASES = {
+    # id: (atom, motion, geometry, amplitudes, n_max, error type)
+    "reaches-mirror": (_ATOM, _SHO, Mirror(z0=1e-3),
+                       [1e-4, 1e-3, 2e-4], 8, PhysicsDomainError),
+    "negative-amplitude": (_ATOM, _SHO, Mirror(z0=1e-3),
+                           [1e-4, -1e-4, 2e-4], 8, PhysicsDomainError),
+    "nan-amplitude": (_ATOM, _SHO, FreeSpace(),
+                      [1e-4, math.nan, 2e-4], 8, PhysicsDomainError),
+    # k A passes MAX_ARGUMENT at n = 3 of the middle row only.
+    "bessel-argument": (_ATOM, _SHO, FreeSpace(),
+                        [1e-4, 3e4, 1e5], 8, PhysicsDomainError),
+    "coupling-overflow": (AtomParams(omega0=0.5 * _OMEGA, g=1e160), _SHO,
+                          Mirror(z0=1e-3), [1e-4, 2e-4], 8, OverflowError),
+    "rate-past-range": (AtomParams(omega0=0.5 * _OMEGA, g=1e154), _SHO,
+                        FreeSpace(), [0.0, 1e-4], 8, PhysicsDomainError),
+    "boundary-phase": (_ATOM, _SHO, Mirror(z0=1e307),
+                       [1e-4, 2e-4], 8, PhysicsDomainError),
+    # n = 1 meets MAX_ARGUMENT before n = 2's photon frequency (and, at
+    # the mirror, its boundary phase) is infinite.
+    "drive-1e308": (AtomParams(omega0=1.0, g=1.0),
+                    ShoMotion(amplitude=1e-3, Omega=1e308), FreeSpace(),
+                    [1e-3, 2e-3], 2, PhysicsDomainError),
+    "drive-1e308-mirror": (AtomParams(omega0=1.0, g=1.0),
+                           ShoMotion(amplitude=1e-3, Omega=1e308),
+                           Mirror(z0=1.0), [1e-3, 2e-3], 2,
+                           PhysicsDomainError),
+    "decreasing-axis": (_ATOM, _SHO, Mirror(z0=1e-3),
+                        [2e-4, 1e-4], 8, PhysicsDomainError),
+}
+
+
+class TestRateSurfaceMatchesRowByRowLoop:
+    @pytest.mark.parametrize("case", ERROR_CASES.values(),
+                             ids=ERROR_CASES.keys())
+    def test_error_type_and_message(self, case):
+        *args, error = case
+        new, old = outcome(rate_surface, *args), outcome(frozen_rate_surface,
+                                                         *args)
+        assert new == old
+        assert isinstance(old, tuple) and old[0] is error
+
+    @pytest.mark.parametrize("geom", [FreeSpace(), Mirror(z0=1e-3)],
+                             ids=["free_space", "mirror"])
+    @pytest.mark.parametrize("motion", [
+        _SHO, ShoMotion(amplitude=1e-4, Omega=_OMEGA, orientation=PARALLEL,
+                        delta=0.3)], ids=["perpendicular", "parallel"])
+    def test_values_bit_equal(self, motion, geom):
+        amplitudes = np.linspace(0.0, 9e-4, 7)
+        args = (_ATOM, motion, geom, amplitudes, 40)
+        new = outcome(rate_surface, *args)
+        assert isinstance(new, bytes)
+        assert new == outcome(frozen_rate_surface, *args)
 
 
 class TestSpectrum:
