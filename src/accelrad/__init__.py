@@ -11,7 +11,8 @@ __version__ = "0.1.0"
 
 from .errors import (ConfigError, ConvergenceError, OracleMismatchError,
                      OracleRangeError, PhysicsDomainError)
-from .specfun import bessel_j, bessel_j_orders, rational_period_integral
+from .specfun import (bessel_j, bessel_j_cells, bessel_j_orders,
+                      rational_period_integral)
 from .rates import (ABSORB_DEEXCITE, EMIT_EXCITE, PARALLEL, PERPENDICULAR,
                     RESONANCE_TOL, AtomParams, Cavity, FreeSpace,
                     GeneralPeriodicMotion, Mirror, RotationMotion, ShoMotion,
@@ -27,7 +28,8 @@ __all__ = [
     "ConfigError", "ConvergenceError", "OracleMismatchError",
     "OracleRangeError", "PhysicsDomainError",
     # special functions
-    "bessel_j", "bessel_j_orders", "rational_period_integral",
+    "bessel_j", "bessel_j_cells", "bessel_j_orders",
+    "rational_period_integral",
     # domain model and rates
     "ABSORB_DEEXCITE", "EMIT_EXCITE", "PARALLEL", "PERPENDICULAR",
     "RESONANCE_TOL", "AtomParams", "Cavity", "FreeSpace",

@@ -18,6 +18,12 @@ Two evaluators, both self-contained (no scipy):
                        step pairs that stores only the orders asked for,
                        one order for ``bessel_j`` and, at every x > 0, a
                        column cut by Kapteyn's bound for ``bessel_j_orders``.
+                       Over arrays (``bessel_j_cells``, and
+                       ``bessel_j_orders`` at a 1-D x) the series and the
+                       full pass at |x| <= 200 step every element at once,
+                       the pass in lockstep on its pair index, each
+                       element bit for bit its scalar call; every other
+                       element takes its scalar route.
 * ``rational_period_integral`` -- one-period average
                        (1/2pi) * int_{-pi}^{pi} exp(i(x sin(q s) - p s)) ds,
                        which vanishes unless q divides p; this is the
@@ -162,33 +168,74 @@ def bessel_j(n: int, x: float) -> float:
     return _miller_range(n, n, x)[0]
 
 
-def bessel_j_orders(n_max: int, x: float) -> "np.ndarray":
+def bessel_j_orders(n_max: int, x) -> "np.ndarray":
     """All of J_0(x) .. J_{n_max}(x) from a single downward recurrence.
 
     One Miller pass yields every order at once, which is what the sweep
     engine wants for whole-column evaluation.  It stops at ``top``, the
     last order Kapteyn's cut lets through; every order above is 0.0.
+
+    For a 1-D array ``x`` it returns one such column per element, shape
+    ``(len(x), n_max + 1)``, each equal bit for bit to the call at that
+    float.  The columns at |x| <= 200 run their passes together, in
+    lockstep on the pair index (``_miller_lockstep``); a column above 200,
+    or one whose normalization is not finite or zero, takes its own pass or
+    the series, as the call at that float does.  The first element that the
+    call at a float refuses raises that call's error.
     """
     n_max = whole_number("n_max", n_max, 0)
+    if np.ndim(x):
+        return _orders_columns(n_max, x)
     _check_argument(x)
     sign = -1.0 if x < 0 else 1.0
     x = abs(float(x))
-    top = n_max
-    if _kapteyn_zero(top, x):  # the bound falls as n rises past x: bisect
-        top, cut = int(x), n_max
-        while cut - top > 1:
-            mid = (top + cut) // 2
-            top, cut = (top, mid) if _kapteyn_zero(mid, x) else (mid, cut)
     out = np.zeros(n_max + 1)
-    try:
-        out[:top + 1] = _miller_range(0, top, x)
-    except (OverflowError, ZeroDivisionError):
-        # Below about x = 1e-6 the pass overflows (at 0 it divides by zero);
-        # there the series stops after (x/2)^k / k! and its first correction.
-        out[:top + 1] = [_bessel_series(k, x) for k in range(top + 1)]
+    top = _column_top(n_max, x)
+    out[:top + 1] = _column(top, x)
     if sign < 0:
         out[1::2] *= -1.0
     return out
+
+
+def bessel_j_cells(n, x) -> "np.ndarray":
+    """J_n(x) over the broadcast arrays ``n`` (whole orders) and ``x``:
+    each element equals ``bessel_j(n_i, x_i)`` bit for bit, the sign of 0.0
+    included.
+
+    An element at |x| <= 12 takes the series, every element in the scalar
+    loop's operations and stopping rule, with one loop turn per factor or
+    term for all of them (``_series_cells``).  Kapteyn's cut sets its cells
+    to 0.0 at 12 < |x| <= 200, and the other cells there run their Miller
+    passes in lockstep on the pair index (``_miller_cells``).  An element
+    above 200 takes ``bessel_j`` on its own.  The first element that
+    ``bessel_j`` refuses raises its error.
+    """
+    n, x = np.broadcast_arrays(np.asarray(n), np.asarray(x, dtype=float))
+    shape = x.shape
+    n, x = n.ravel(), x.ravel()
+    if n.dtype.kind not in "iu":
+        n = np.array([whole_number("order", v, 0) for v in n.tolist()],
+                     dtype=np.int64)
+    ax = np.abs(x)
+    bad = ~(ax <= MAX_ARGUMENT) | (n < 0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        bessel_j(n[k].item(), x[k].item())  # raises the scalar's error
+    out = np.empty(x.size)
+    series = ax <= _SERIES_CUTOFF
+    out[series] = _series_cells(n[series], ax[series])
+    far = np.flatnonzero(ax > _DEBYE_MIN_X)
+    out[far] = [bessel_j(k, a) for k, a in zip(n[far].tolist(),
+                                               ax[far].tolist())]
+    middle = np.flatnonzero(~series & (ax <= _DEBYE_MIN_X))
+    cut = np.array([_kapteyn_zero(k, a) for k, a in zip(
+        n[middle].tolist(), ax[middle].tolist())], dtype=bool)
+    out[middle[cut]] = 0.0
+    miller = middle[~cut]
+    out[miller] = _miller_cells(n[miller], ax[miller])
+    flip = (x < 0) & (n % 2 == 1)  # J_n(-x) = -J_n(x) for odd n
+    out[flip] = -out[flip]
+    return out.reshape(shape)
 
 
 def _check_argument(x: float) -> None:
@@ -445,6 +492,164 @@ def _miller_range(lo: int, hi: int, x: float) -> list:
         raise OverflowError(f"Miller normalization overflows at x = {x!r}")
     first = 2 * top - 1
     return [v / norm for v in reversed(kept[first - hi:first - lo + 1])]
+
+
+def _column_top(n_max: int, x: float) -> int:
+    """The last of the orders 0 .. n_max that Kapteyn's cut lets through at
+    x >= 0; the bound falls as n rises past x, so a cut column bisects."""
+    top = n_max
+    if _kapteyn_zero(top, x):
+        top, cut = int(x), n_max
+        while cut - top > 1:
+            mid = (top + cut) // 2
+            top, cut = (top, mid) if _kapteyn_zero(mid, x) else (mid, cut)
+    return top
+
+
+def _column(top: int, x: float) -> list:
+    """J_0(x) .. J_top(x), x >= 0, by one Miller pass.  Below about x =
+    1e-6 the pass overflows (at 0 it divides by zero); there the series
+    stops after (x/2)^k / k! and its first correction."""
+    try:
+        return _miller_range(0, top, x)
+    except (OverflowError, ZeroDivisionError):
+        return [_bessel_series(k, x) for k in range(top + 1)]
+
+
+def _orders_columns(n_max: int, x) -> "np.ndarray":
+    """``bessel_j_orders`` at each element of the 1-D array ``x``."""
+    x = np.asarray(x, dtype=float)
+    ax = np.abs(x)
+    bad = ~(ax <= MAX_ARGUMENT)
+    if bad.any():
+        _check_argument(x[np.argmax(bad)].item())  # raises
+    tops = [_column_top(n_max, a) for a in ax.tolist()]
+    out = np.zeros((x.size, n_max + 1))
+    near = np.flatnonzero(ax <= _DEBYE_MIN_X)
+    top = np.array(tops, dtype=np.int64)[near]
+    start = _miller_starts(top, ax[near])
+    by_start = np.argsort(-start, kind="stable")
+    near, top, start = near[by_start], top[by_start], start[by_start]
+    width = int(top.max(initial=-1)) + 1  # orders 0 .. the highest top
+    kept = np.zeros((near.size, width + 1))  # pair j: orders 2j - 1, 2j - 2
+
+    def keep(j, count, up, cur):
+        if 2 * j - 2 < width:
+            kept[:count, 2 * j - 2] = cur[:count]
+            kept[:count, 2 * j - 1] = up[:count]
+
+    norm = _miller_lockstep(ax[near], start, keep)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        values = kept[:, :width] / norm[:, None]
+    values[np.arange(width) > top[:, None]] = 0.0
+    out[near, :width] = values
+    for k in np.flatnonzero(ax > _DEBYE_MIN_X):
+        out[k, :tops[k] + 1] = _column(tops[k], ax[k].item())
+    for k in near[~np.isfinite(norm) | (norm == 0.0)]:
+        out[k, :tops[k] + 1] = [_bessel_series(i, ax[k].item())
+                                for i in range(tops[k] + 1)]
+    out[x < 0, 1::2] *= -1.0
+    return out
+
+
+def _miller_starts(n, x):
+    """``_miller_start`` over arrays of orders and arguments x > 0, with
+    the same integer and float operations."""
+    base = np.maximum(n, x.astype(np.int64))
+    m = base + 16 + (2.5 * np.sqrt(base + 1.0)).astype(np.int64)
+    return m + (m & 1)
+
+
+def _miller_lockstep(x, start, keep):
+    """``_miller_range``'s pass for every element of x > 0 at once, each
+    from its own even ``start``, x and start ordered by start, largest
+    first; returns each element's normalization J_0 + 2 sum J_2k.
+
+    Pair j runs the scalar pair body, with tk = 4j, on the elements whose
+    start reaches it, a prefix of the order; the others wait at (up, cur,
+    norm) = (0, seed, 0), as a scalar pass waits until it starts.  So each
+    element takes exactly its scalar pass's operations, and its bits.
+    ``keep(j, count, up, cur)`` reads J_{2j-1} and J_{2j-2}, unnormalized,
+    after pair j.  An element whose pass overflows, or which sits at 0,
+    ends with a normalization that is not finite, silently.
+    """
+    up = np.zeros(x.size)
+    cur = np.full(x.size, _MILLER_SEED)
+    norm = np.zeros(x.size)
+    pairs = start // 2
+    last = int(pairs[0]) if pairs.size else 0
+    counts = np.searchsorted(-pairs, -np.arange(last + 1), side="right")
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for j in range(last, 0, -1):
+            c = counts[j]
+            tk, xs, u, v = 4.0 * j, x[:c], up[:c], cur[:c]
+            norm[:c] += 2.0 * v
+            np.subtract(tk / xs * v, u, out=u)
+            np.subtract((tk - 2.0) / xs * u, v, out=v)
+            keep(j, c, up, cur)
+        norm += cur
+    return norm
+
+
+def _miller_cells(n, x):
+    """``_miller_range(n_i, n_i, x_i)[0]`` for each element, 12 < x <= 200,
+    from one lockstep pass: the pair holding order n, n // 2 + 1, keeps its
+    ``up`` for odd n and its ``cur`` for even n."""
+    start = _miller_starts(n, x)
+    order = np.argsort(-start, kind="stable")
+    n, x, start = n[order], x[order], start[order]
+    pair = n // 2 + 1
+    odd = n % 2 == 1
+    by_pair = np.argsort(pair, kind="stable")
+    edges = np.searchsorted(pair[by_pair], np.arange(pair.max(initial=0) + 2))
+    value = np.empty(n.size)
+
+    def keep(j, count, up, cur):
+        if j + 1 < edges.size and edges[j] < edges[j + 1]:
+            sel = by_pair[edges[j]:edges[j + 1]]
+            value[sel] = np.where(odd[sel], up[sel], cur[sel])
+
+    norm = _miller_lockstep(x, start, keep)
+    for k in np.flatnonzero(~np.isfinite(norm) | (norm == 0.0)):
+        _miller_range(int(n[k]), int(n[k]), float(x[k]))  # raises
+    out = np.empty(n.size)
+    out[order] = value / norm
+    return out
+
+
+def _series_cells(n, x):
+    """``_bessel_series(n_i, x_i)`` for each element, x >= 0, in the scalar
+    loop's operations: one loop turn per factor of (x/2)^n / n! for every
+    element whose order reaches it, then one per term for every element not
+    yet stopped.  A factor product that reaches 0.0 stays 0.0, and its
+    series then stops after one term at 0.0, the scalar's early return."""
+    order = np.argsort(-n, kind="stable")
+    ns, half = n[order], 0.5 * x[order]
+    term = np.ones(n.size)
+    count = n.size
+    for i in itertools.count(1):
+        while count and ns[count - 1] < i:
+            count -= 1
+        if not count or not term[:count].any():
+            break
+        term[:count] *= half[:count] / i
+    out = np.empty(n.size)
+    live = np.arange(n.size)
+    total, peak, h2 = term.copy(), np.abs(term), half * half
+    for k in itertools.count(1):
+        if not live.size:
+            break
+        term *= -h2 / (k * (ns + k))
+        total += term
+        mag = np.abs(term)
+        peak = np.maximum(peak, mag)
+        done = (mag <= _SERIES_TOL * np.abs(total)) | (mag <= 1e-17 * peak)
+        out[order[live[done]]] = total[done]
+        stay = ~done
+        live, term, total, peak, h2, ns = (
+            live[stay], term[stay], total[stay], peak[stay], h2[stay],
+            ns[stay])
+    return out
 
 
 def rational_period_integral(x: float, p: int, q: int) -> float:

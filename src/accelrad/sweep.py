@@ -3,7 +3,10 @@
 Cells are written into pre-sized arrays addressed by grid index, so results
 are deterministic regardless of evaluation order.  The custom surface takes
 each sideband's amplitude-free factor (the geometry's ``line``) once and
-pays one Bessel factor per cell.
+pays one Bessel factor per cell.  Each surface takes its Bessel values from
+one array call (``bessel_j_orders`` over fig2's axis, ``bessel_j_cells``
+for fig3's J_1 and a custom surface's cells after row 0), equal bit for bit
+to the scalar calls it replaces; squares stay Python's ``**``.
 """
 
 import math
@@ -14,7 +17,7 @@ from ._lazy import np
 from .constants import SPEED_OF_LIGHT as C
 from .errors import PhysicsDomainError, real, whole_number
 from .rates import AtomParams, Cavity, ShoMotion, check_clearance
-from .specfun import bessel_j, bessel_j_orders
+from .specfun import bessel_j, bessel_j_cells, bessel_j_orders
 
 #: Validity bound on the dimensionless amplitude for the small-amplitude
 #: closed form (J_1(x)^2 ~ x^2/4).
@@ -72,6 +75,12 @@ class SweepResult:
                     f"aux {key!r} must be bool, or float and finite")
 
 
+def _squares(values) -> list:
+    """Each element squared as a Python float, by libm's pow; an array's
+    ``** 2`` is ``x * x``, which rounds differently in the last bit."""
+    return [v ** 2 for v in values.ravel().tolist()]
+
+
 def fig2_surface(a_tilde_values, n_max: int, *, g: float | None = None,
                  Omega: float | None = None) -> SweepResult:
     """Free-space rate surface over dimensionless amplitude and sideband
@@ -89,11 +98,8 @@ def fig2_surface(a_tilde_values, n_max: int, *, g: float | None = None,
     fixed = {} if g is None else {"g": real("g", g, "> 0"),
                                   "Omega": real("Omega", Omega, "> 0")}
 
-    values = np.empty((len(a_tilde_values), n_max))
-    for i, a in enumerate(a_tilde_values):
-        # Python floats squared by pow; an array's ** 2 is j * j, which
-        # rounds differently in the last bit.
-        values[i, :] = [j ** 2 for j in bessel_j_orders(n_max, a)[1:].tolist()]
+    columns = bessel_j_orders(n_max, a_tilde_values)[:, 1:]
+    values = np.array(_squares(columns)).reshape(columns.shape)
     normalization = "prefactor-omitted"
     if g is not None:
         with np.errstate(over="ignore", invalid="ignore"):  # see SweepResult
@@ -131,7 +137,7 @@ def fig3_surface(amplitude_values, alpha_values, *,
         values = (math.pi * np.outer(amps, alphas)**2 * Omega**3
                   / (32.0 * C**2))
         a_tilde = 0.5 * Omega * amps / C
-        j1_sq = np.array([bessel_j(1, a) ** 2 for a in a_tilde])
+        j1_sq = np.array(_squares(bessel_j_cells(1, a_tilde)))
         g_sq = (alphas * 0.5 * Omega) ** 2
         exact = 2.0 * math.pi / Omega * np.outer(j1_sq, g_sq)
     approx_valid = np.broadcast_to((a_tilde < SMALL_AMPLITUDE_MAX)[:, None],
@@ -165,7 +171,11 @@ def rate_surface(atom: AtomParams, motion: ShoMotion, geom,
     n = 1..n_max.  Each line's amplitude-free factor is taken once, on the
     first row, so a cell costs one Bessel factor; it equals the line's
     ``allowed_sidebands`` rate at that amplitude bit for bit, and the sweep
-    raises the errors the row-by-row loop raised, in its order.
+    raises the errors the row-by-row loop raised, in its order.  Row 0
+    takes its cells one ``bessel_j`` call each; the rows after it, once
+    each row's amplitude and clearance are checked, take theirs from one
+    ``bessel_j_cells`` call, and a row's refusal is raised after the cells
+    of the rows above it.
 
     Cells with no open sideband (n*Omega <= omega0) are zero.  Each
     amplitude row must clear the boundary.  The one place that refuses a
@@ -176,18 +186,40 @@ def rate_surface(atom: AtomParams, motion: ShoMotion, geom,
             "custom sweeps support free-space and mirror geometries with "
             "SHO motion")
     n_max = whole_number("n_max", n_max, 1)
-    amplitude_values = tuple(float(a) for a in amplitude_values)
+    amplitude_values = tuple(amplitude_values)
     values = np.zeros((len(amplitude_values), n_max))
+    rows = []   # each checked row's amplitude, as a float
     lines = []  # (n, weight, k_motion) of each open line, from row 0
-    for i, amplitude in enumerate(amplitude_values):
-        check_clearance(replace(motion, amplitude=amplitude), geom)
-        for n, weight, k_motion in lines if i else _open_lines(
-                atom, motion, geom, n_max, lines):
-            values[i, n - 1] = real(
-                "rate", weight * bessel_j(n, k_motion * amplitude)**2, ">= 0")
+    try:
+        for a in amplitude_values:
+            amplitude = float(real("amplitude", a, ">= 0"))
+            check_clearance(replace(motion, amplitude=amplitude), geom)
+            if not rows:
+                for n, weight, k_motion in _open_lines(atom, motion, geom,
+                                                       n_max, lines):
+                    values[0, n - 1] = real("rate", weight * bessel_j(
+                        n, k_motion * amplitude)**2, ">= 0")
+            rows.append(amplitude)
+    except ValueError as exc:  # waits for the cells of the rows above
+        refused = exc
+    else:
+        refused = None
+    if len(rows) > 1 and lines:
+        orders, weights, k_motion = zip(*lines)
+        cells = bessel_j_cells(orders, np.multiply.outer(rows[1:], k_motion))
+        rates = [w * j2 for w, j2 in zip(weights * (len(rows) - 1),
+                                         _squares(cells))]
+        checked = np.array(rates)
+        valid = np.isfinite(checked) & (checked >= 0)
+        if not valid.all():
+            real("rate", rates[np.argmin(valid)], ">= 0")  # raises
+        values[1:len(rows), np.array(orders) - 1] = checked.reshape(
+            cells.shape)
+    if refused is not None:
+        raise refused
     metadata = {"surface": "custom", "normalization": "hz",
                 "version": _version}
-    return SweepResult("amplitude_m", amplitude_values, "n",
+    return SweepResult("amplitude_m", rows, "n",
                        range(1, n_max + 1), values, metadata,
                        fixed={"omega0": atom.omega0, "g": atom.g,
                               "Omega": motion.Omega})

@@ -8,6 +8,7 @@ JSON output carries it) must say so where it updates them.
 """
 
 import hashlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from accelrad.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 COMMANDS = {
     "rate": ["rate"],
@@ -175,4 +177,81 @@ def test_fresh_process_matches_golden(fresh_python, case):
     argv, (code, digest) = FRESH_PROCESS[case]
     proc = fresh_python("-m", "accelrad.cli", *argv)
     assert proc.returncode == code, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == digest
+
+
+# The six sweep requests of the benchmark's fixed ``figures`` probe
+# (``bench/workloads.py`` ``probe("figures")``), by label: grids drawn
+# around the presets' defaults, so a change that moves any sweep byte fails
+# here as well as in the benchmark's digest comparison.
+FIGURES_PROBE_GOLDEN = {
+    "sweep/fig2/csv":
+        "96a01b6541eae1e0f705dbd8e5ee81263e7d04649c2c71670c64972b4e5d14dc",
+    "sweep/fig2/json":
+        "829e29bd52d91496fb97f2a0205df1237ae05849b5920ba63ee910855857af6c",
+    "sweep/fig3/csv":
+        "374c0196b913f724ff1dddf9528652c15ef7df827882ef5011a02bef936d4163",
+    "sweep/fig3/json":
+        "cb5563739693993ce9d57af96c15bf8928a6c967f428e0c3fd3da4e78de49d18",
+    "sweep/custom/csv":
+        "ce59bd6178bcfdb3b05c9b22ea3636850e3d5c4a500c30032f774c23c8ef7083",
+    "sweep/custom/json":
+        "a223331754e362f46237ce3bee069bf1fd976dc15a5caf97c395d6bebc0df958",
+}
+
+
+@pytest.fixture(scope="module")
+def figures_probe():
+    """The probe's sweep requests by label, read from ``bench/``, which
+    this test changes nothing in."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(BENCH))
+    return {req.label: req for req in workloads.probe("figures")
+            if req.argv[0] == "sweep"}
+
+
+def test_every_figures_probe_sweep_is_pinned(figures_probe):
+    assert set(figures_probe) == set(FIGURES_PROBE_GOLDEN)
+
+
+@pytest.mark.parametrize("label", sorted(FIGURES_PROBE_GOLDEN))
+def test_figures_probe_matches_golden(capsys, tmp_path, figures_probe,
+                                      label):
+    request = figures_probe[label]
+    config = tmp_path / "probe.cfg"
+    config.write_text(request.config)
+    argv = [str(config) if a == "{config}" else a for a in request.argv]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == FIGURES_PROBE_GOLDEN[label]
+
+
+# fig2 columns at a_tilde = 0 (the default axis starts there) and below
+# 1e-6, where a column's Miller pass divides by zero or overflows and the
+# series takes over, in a new interpreter under ``-W error``: the array
+# pass must turn neither into a numpy warning.
+TINY_FIG2_GOLDEN = {
+    "csv": "e754cf95dc157076fecbf1d885ac3b2aa85113725f23a24cb1211944fe92b635",
+    "json": "3da116d98fabe44c23c88c3ef1f02471180f39b439eff2776584ee07c278ff69",
+}
+
+
+@pytest.mark.parametrize("grid", ["default", "a_tilde_max-1e-5"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_fig2_near_zero_warns_nothing(fresh_python, tmp_path, grid, fmt):
+    argv = ["sweep", "--preset", "fig2", "--format", fmt]
+    if grid == "default":
+        digest = CONFIGLESS_GOLDEN["sweep-fig2", fmt][1]
+    else:
+        config = tmp_path / "tiny.cfg"
+        config.write_text((CONFIGS / "free_space.cfg").read_text()
+                          + "\n[sweep]\na_tilde_max = 1e-5\n")
+        argv += ["--config", str(config)]
+        digest = TINY_FIG2_GOLDEN[fmt]
+    proc = fresh_python("-W", "error", "-m", "accelrad.cli", *argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
     assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == digest

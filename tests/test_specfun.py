@@ -26,7 +26,8 @@ from hypothesis import strategies as st
 import accelrad.specfun as specfun
 from accelrad import (AtomParams, ConvergenceError, FreeSpace,
                       PhysicsDomainError, ShoMotion, allowed_sidebands,
-                      bessel_j, bessel_j_orders, rational_period_integral)
+                      bessel_j, bessel_j_cells, bessel_j_orders,
+                      rational_period_integral)
 from accelrad import _quadrature as quadrature
 from accelrad._quadrature import refine_to_tolerance
 from accelrad.constants import SPEED_OF_LIGHT as C
@@ -1337,6 +1338,117 @@ class TestCountedWork:
         for n, x in cases:
             bessel_j(n, x)
         assert max(terms) <= 27, max(terms)
+
+
+def same_bits(a, b):
+    """Equal floats with equal signs, so 0.0 and -0.0 differ."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def route_of(n, x):
+    """The route ``bessel_j`` takes at (n, |x|), as the array evaluator
+    groups its elements."""
+    x = abs(x)
+    if x <= specfun._SERIES_CUTOFF:
+        return "series"
+    if kapteyn_cut(n, x):
+        return "cut"
+    return "miller" if x <= specfun._DEBYE_MIN_X else "scalar"
+
+
+class TestArrayEvaluators:
+    """``bessel_j_cells`` and ``bessel_j_orders`` over an array equal the
+    scalar calls element by element, bit for bit and in the sign of 0.0,
+    and refuse the first element the scalar calls refuse, as they do."""
+
+    EDGES = (0.0, -0.0, 5e-324, 1e-300, 3e-7, -3e-7, 9.9e-7, 1e-6, 12.0,
+             -12.0, 12.000000000000002, 200.0, -200.0, 200.00000000000003)
+
+    @staticmethod
+    def cell_draws(seed, count):
+        rng = random.Random(seed)
+        cells = [(n, x) for n in (0, 1, 2, 7, 30, 267, 400)
+                 for x in TestArrayEvaluators.EDGES]
+        cells += [(300, 13.0), (400, -100.0), (10**15, 150.0), (3000, 3150.0),
+                  (3000, -3150.0), (5000, 250.0), (0, 1e4), (77, -300.0)]
+        while len(cells) < count:
+            n = rng.randint(0, 500)
+            x = rng.choice([rng.uniform(-12.0, 12.0),
+                            rng.uniform(-200.0, 200.0),
+                            rng.uniform(-600.0, 600.0),
+                            math.exp(rng.uniform(-60.0, 0.0))])
+            cells.append((n, x))
+        return cells
+
+    def test_cells_equal_scalar_calls(self):
+        cells = self.cell_draws(41, 4000)
+        routes = {route_of(n, x) for n, x in cells}
+        assert routes == {"series", "cut", "miller", "scalar"}
+        assert any(x < 0 and n % 2 for n, x in cells)
+        n, x = (np.array(v) for v in zip(*cells))
+        got = bessel_j_cells(n, x)
+        assert got.shape == (len(cells),)
+        for (order, arg), value in zip(cells, got.tolist()):
+            assert same_bits(value, bessel_j(order, arg)), (order, arg)
+
+    def test_cells_broadcast_and_keep_the_shape(self):
+        x = np.array([[0.5, -13.0, 250.0], [1e-7, 199.0, -12.0]])
+        got = bessel_j_cells([1, 2, 3], x)
+        assert got.shape == (2, 3)
+        for i, j in itertools.product(range(2), range(3)):
+            assert same_bits(got[i, j], bessel_j(j + 1, x[i, j]))
+        assert bessel_j_cells([], []).shape == (0,)
+
+    @pytest.mark.parametrize("n_max", [0, 1, 5, 30, 400])
+    def test_columns_equal_scalar_columns(self, n_max):
+        rng = random.Random(42 + n_max)
+        xs = list(self.EDGES) + [250.0, -1000.0, 1e4]
+        xs += [rng.choice([rng.uniform(-200.0, 200.0), rng.uniform(0.0, 30.0),
+                           math.exp(rng.uniform(-30.0, -13.0))])
+               for _ in range(200)]
+        got = bessel_j_orders(n_max, np.array(xs))
+        assert got.shape == (len(xs), n_max + 1)
+        for x, row in zip(xs, got.tolist()):
+            want = bessel_j_orders(n_max, x).tolist()
+            assert all(map(same_bits, row, want)), x
+
+    def test_cut_columns_and_fallback_columns_are_in_the_draws(self):
+        # n_max 400 is cut at every x below about 45.8; below about 1e-6
+        # the column's pass overflows and it takes the series.
+        x = np.array([0.0, 3e-7, 0.5, 20.0])
+        tops = [specfun._column_top(400, a) for a in x.tolist()]
+        assert tops[0] < tops[1] < tops[2] < tops[3] < 400
+        with pytest.raises((OverflowError, ZeroDivisionError)):
+            specfun._miller_range(0, tops[1], 3e-7)
+        got = bessel_j_orders(400, x)
+        for a, row in zip(x.tolist(), got.tolist()):
+            assert all(map(same_bits, row, bessel_j_orders(400, a).tolist()))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2e7,
+                                     -1.5e7])
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_first_refused_argument_raises_the_scalar_error(self, bad, k):
+        x = [1.0, 50.0, 300.0, 5.0, 3e7]  # a later refusal: another message
+        x[k] = bad
+        n = [1, 4, 0, 7, 2]
+        with pytest.raises(Exception) as scalar:
+            bessel_j(n[k], bad)
+        with pytest.raises(type(scalar.value), match=re.escape(
+                str(scalar.value))):
+            bessel_j_cells(n, x)
+        with pytest.raises(Exception) as scalar:
+            bessel_j_orders(6, bad)
+        with pytest.raises(type(scalar.value), match=re.escape(
+                str(scalar.value))):
+            bessel_j_orders(6, np.array(x))
+
+    def test_first_refused_order_raises_the_scalar_error(self):
+        with pytest.raises(ValueError, match="^order must be an integer >= 0, "
+                           "got -1$"):
+            bessel_j_cells([1, -1, 2], [1.0, 2.0, math.nan])
+        with pytest.raises(ValueError, match="^order must be an integer >= 0, "
+                           "got 1.5$"):
+            bessel_j_cells([1.0, 1.5], [1.0, 2.0])
 
 
 class TestAnger:

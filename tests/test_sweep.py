@@ -10,7 +10,8 @@ import pytest
 from accelrad import (EMIT_EXCITE, PARALLEL, AtomParams, FreeSpace,
                       GeneralPeriodicMotion, Mirror, OracleMismatchError,
                       PhysicsDomainError, RotationMotion, ShoMotion, Sideband,
-                      SweepResult, allowed_sidebands, bessel_j, fig2_surface,
+                      SweepResult, allowed_sidebands, bessel_j,
+                      bessel_j_cells, fig2_surface,
                       fig3_surface, rate_surface)
 from accelrad.constants import SPEED_OF_LIGHT as C
 from accelrad.oracle import verified_lines
@@ -74,6 +75,37 @@ class TestFig2Surface:
             direct = bessel_j(n, a) ** 2
             assert abs(res.values[i, j] - direct) \
                 <= 1e-12 * max(res.values[i, j], direct) + 1e-14
+
+    def test_one_array_pass_per_surface(self, monkeypatch):
+        # Every column at a_tilde <= 200 steps in one lockstep pass, whose
+        # pair loop runs as often as the longest column's scalar pass, not
+        # as often as all of them; no column takes a pass of its own (the
+        # one at a_tilde = 0 takes the series).
+        import accelrad.specfun as specfun
+
+        passes, pairs = [], []
+        lockstep = specfun._miller_lockstep
+
+        def counted(x, start, keep):
+            passes.append(x.size)
+
+            def counted_keep(j, *rest):
+                pairs.append(j)
+                return keep(j, *rest)
+
+            return lockstep(x, start, counted_keep)
+
+        def refused(*args):
+            raise AssertionError("a column took its own Miller pass")
+
+        monkeypatch.setattr(specfun, "_miller_lockstep", counted)
+        monkeypatch.setattr(specfun, "_miller_range", refused)
+        fig2_surface(FIG2_A_TILDE, 30)
+        starts = [specfun._miller_start(specfun._column_top(30, a), a)
+                  for a in FIG2_A_TILDE.tolist()]
+        assert passes == [512]
+        assert pairs == list(range(max(starts) // 2, 0, -1))
+        assert len(pairs) == 30 and sum(starts) // 2 == 15339
 
     def test_absolute_mode_restores_prefactor(self):
         g, Omega = 0.3, 2.0
@@ -252,10 +284,14 @@ class TestRateSurface:
                              ids=["free_space", "mirror"])
     def test_each_line_factor_is_taken_once(self, geom, monkeypatch):
         # n = 1, 2 are closed at omega0 = 2.5 Omega; n = 3..6 are open.
+        # Row 0 takes its 4 open cells through bessel_j, the other 3 rows
+        # their 12 through one bessel_j_cells call: 16 evaluations, one per
+        # open cell.
         import accelrad.rates as rates_module
         import accelrad.sweep as sweep_module
 
-        calls = {"field_mode": 0, "bessel_j": 0}
+        calls = {"field_mode": 0, "bessel_j": 0, "bessel_j_cells": 0,
+                 "cells": 0}
 
         def counted(key, fn):
             def wrapper(*args):
@@ -263,18 +299,37 @@ class TestRateSurface:
                 return fn(*args)
             return wrapper
 
+        def cells(n, x):
+            calls["cells"] += np.broadcast(n, x).size
+            return bessel_j_cells(n, x)
+
         monkeypatch.setattr(type(geom), "field_mode",
                             counted("field_mode", type(geom).field_mode))
         for module in (rates_module, sweep_module):
             monkeypatch.setattr(module, "bessel_j",
                                 counted("bessel_j", bessel_j))
+        monkeypatch.setattr(sweep_module, "bessel_j_cells",
+                            counted("bessel_j_cells", cells))
         Omega = 2.0 * math.pi * 1e9
         atom = AtomParams(omega0=2.5 * Omega, g=1e6)
         motion = ShoMotion(amplitude=1e-3, Omega=Omega)
         amplitudes = [1e-4, 2e-4, 4e-4, 8e-4]
         res = rate_surface(atom, motion, geom, amplitudes, 6)
-        assert calls == {"field_mode": 6, "bessel_j": 4 * 4}
+        assert calls == {"field_mode": 6, "bessel_j": 4, "bessel_j_cells": 1,
+                         "cells": 3 * 4}
         assert np.count_nonzero(res.values[:, :2]) == 0
+
+    @pytest.mark.parametrize("amplitudes", [[10**400], [1e-9, 10**400]],
+                             ids=["first-row", "second-row"])
+    def test_an_int_past_float_range_is_a_physics_error(self, amplitudes):
+        # As fig2_surface and fig3_surface say it, not float()'s
+        # OverflowError.
+        with pytest.raises(PhysicsDomainError, match=(
+                "^amplitude must be finite and >= 0, got an int past "
+                "float64 range$")):
+            rate_surface(AtomParams(omega0=1.0, g=1.0),
+                         ShoMotion(amplitude=0.0, Omega=2.0), FreeSpace(),
+                         amplitudes, 2)
 
 
 def frozen_sideband(geom, atom, motion, n):
@@ -336,6 +391,9 @@ ERROR_CASES = {
                            [1e-4, -1e-4, 2e-4], 8, PhysicsDomainError),
     "nan-amplitude": (_ATOM, _SHO, FreeSpace(),
                       [1e-4, math.nan, 2e-4], 8, PhysicsDomainError),
+    # A cell of row 1 is refused before row 2's amplitude.
+    "argument-before-nan-row": (_ATOM, _SHO, FreeSpace(),
+                                [1e-4, 3e4, math.nan], 8, PhysicsDomainError),
     # k A passes MAX_ARGUMENT at n = 3 of the middle row only.
     "bessel-argument": (_ATOM, _SHO, FreeSpace(),
                         [1e-4, 3e4, 1e5], 8, PhysicsDomainError),
