@@ -13,7 +13,6 @@ the code; any other exception is a bug and propagates.
 """
 
 import argparse
-import configparser
 import functools
 import json
 import math
@@ -92,13 +91,16 @@ CONFIG_SECTIONS = {
     },
 }
 
+# The words the "bool" kind reads, as configparser's BOOLEAN_STATES has them
+BOOLEAN_STATES = {"1": True, "yes": True, "true": True, "on": True,
+                  "0": False, "no": False, "false": False, "off": False}
+
 # kind -> (reader, what a text it cannot read is not)
 _KINDS = {
     "float": (float, "a number"),
     "length": (parse_length, "a length"),
     "int": (int, "an integer"),
-    "bool": (lambda text: configparser.ConfigParser.BOOLEAN_STATES[
-        text.lower()], "a boolean"),
+    "bool": (lambda text: BOOLEAN_STATES[text.lower()], "a boolean"),
     "str": (str, "text"),
     "tuple": (lambda text: tuple(map(float, text.split(","))),
               "comma-separated numbers"),
@@ -145,25 +147,72 @@ def _read_section(section, items=(), **values):
     return SimpleNamespace(**values)
 
 
+def _config_sections(text):
+    """``{section: [(key, value)]}`` of a config text, in file order.
+
+    One pass over the lines, split on ``"\n"`` only, reads the language
+    ``configparser.ConfigParser(interpolation=None, default_section="")``
+    reads: a line whose first non-blank character is ``#`` or ``;`` is a
+    comment; ``[name]`` runs to the line's last ``]``; a key ends at the
+    first ``=`` or ``:`` and is lower-cased; a line indented deeper than its
+    key's line continues the value, blank lines inside it kept.  A repeated
+    section or key, text before the first header, or a line with no
+    delimiter or no key is a syntax error that names its line."""
+    sections, keys, values, indent = {}, None, None, 0
+    for number, line in enumerate(text.split("\n"), 1):
+        stripped = line.strip()
+        if not stripped or stripped[0] in "#;":
+            if values is not None and not stripped:
+                values.append("")
+            continue
+        level = len(line) - len(line.lstrip())
+        if values is not None and level > indent:
+            values.append(stripped)
+            continue
+        indent = level
+        end = stripped.rfind("]") if stripped[0] == "[" else -1
+        if end > 1:
+            name = stripped[1:end]
+            if name in sections:
+                problem = f"section [{name}] is given twice"
+            else:
+                keys = sections[name] = {}
+                values = None
+                continue
+        else:
+            eq, colon = stripped.find("="), stripped.find(":")
+            cut = eq if colon < 0 or 0 <= eq < colon else colon
+            key = stripped[:cut].rstrip().lower()
+            if keys is None:
+                problem = f"{stripped!r} comes before any [section] header"
+            elif cut < 0:
+                problem = f"{stripped!r} is not a key = value line"
+            elif cut == 0:
+                problem = f"{stripped!r} has no key"
+            elif key in keys:
+                problem = f"[{name}] {key} is given twice"
+            else:
+                values = keys[key] = [stripped[cut + 1:].lstrip()]
+                continue
+        raise ConfigError(f"config syntax error: line {number}: {problem}")
+    return {name: [(key, "\n".join(lines).rstrip())
+                   for key, lines in keys.items()]
+            for name, keys in sections.items()}
+
+
 def parse_config(text: str) -> SimpleNamespace:
     """Parse configuration text into the ``[run]`` namespace, which holds
     the ``atom``, ``motion``, ``geometry`` and ``sweep`` namespaces; an
     absent ``[sweep]`` or ``[run]`` reads as its defaults."""
-    # No header spells the empty default section, so [DEFAULT] is a section
-    # like any other and the unknown-section check refuses it.
-    cp = configparser.ConfigParser(interpolation=None, default_section="")
-    try:
-        cp.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"config syntax error: {exc}") from None
+    # [DEFAULT] is a section like any other: the unknown-section check
+    # refuses it.
+    items = _config_sections(text)
     for section in ("atom", "motion", "geometry"):
-        if not cp.has_section(section):
+        if section not in items:
             raise ConfigError(f"missing required section [{section}]")
-    for section in cp.sections():
+    for section in items:
         if section not in CONFIG_SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
-    items = {section: cp.items(section, raw=True)
-             for section in cp.sections()}
     parts = {section: _read_section(section, items.get(section, ()))
              for section in ("atom", "motion", "geometry", "sweep")}
     return _read_section("run", items.get("run", ()), **parts)

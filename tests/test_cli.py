@@ -1864,3 +1864,157 @@ class TestConfigTable:
                 expected.add((f"[{section}]", name, kind, bound or "",
                               shown, ", ".join(choices or ())))
         assert {row[:3] + row[4:] for row in rows} == expected
+
+
+# The config reader against configparser, the language it reads.
+
+def _configparser_sections(text):
+    """``[(section, [(key, value)])]`` as configparser reads ``text`` under
+    the settings the reader copies, or None where configparser refuses."""
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
+    try:
+        parser.read_string(text)
+    except configparser.Error:
+        return None
+    return [(name, parser.items(name, raw=True))
+            for name in parser.sections()]
+
+
+def _reader_sections(text):
+    """The same from ``cli._config_sections``; a refusal must be a syntax
+    error that names its line."""
+    try:
+        return list(cli_module._config_sections(text).items())
+    except ConfigError as exc:
+        assert str(exc).startswith("config syntax error: line "), exc
+        return None
+
+
+# Whitespace that str.strip removes, beyond space and tab.
+_ODD_BLANKS = ("\r", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "　")
+_INDENTS = st.sampled_from(("", "", " ", "  ", "\t", " \t", *_ODD_BLANKS))
+_NAMES = st.sampled_from(("atom", "run", "Run", "a]b", "[x", "x y", " "))
+_KEYS = st.sampled_from(("alpha", "Alpha", "n_max", "N_MAX", "k k", " "))
+_VALUES = st.sampled_from(("", "1", "3 # three", "a=b", "c: d", "x]", "\r",
+                           " ; not a comment", "[run]"))
+
+
+@st.composite
+def _config_line(draw):
+    indent = draw(_INDENTS)
+    shape = draw(st.sampled_from(("header", "key", "key", "key", "key",
+                                  "more", "more", "comment", "blank",
+                                  "blank", "bare", "junk")))
+    if shape == "header":
+        body = (f"[{draw(_NAMES)}]" + draw(st.sampled_from(
+            ("", "", "]", " junk", "] ; x", "]]"))))
+    elif shape == "key":
+        body = (draw(_KEYS) + draw(st.sampled_from(("=", " = ", ":", ": ",
+                                                    " :", "\t=\t")))
+                + draw(_VALUES))
+    elif shape == "more":   # a value's next line, if indented deeper
+        body = draw(st.sampled_from((" ", "\t", "  "))) + draw(_VALUES)
+    elif shape == "comment":
+        body = draw(st.sampled_from(("#", ";"))) + draw(_VALUES)
+    elif shape == "blank":
+        body = ""
+    elif shape == "bare":   # no delimiter, or no key before it
+        body = draw(st.sampled_from(("verbose", "[", "[]", "=", ": x",
+                                     " = 1")))
+    else:
+        body = draw(st.text("[]=:#; \tabA\r\x0c", max_size=8))
+    return indent + body + draw(st.sampled_from(("", "", "\r", " ")))
+
+
+@st.composite
+def _config_text(draw):
+    """Lines of the shapes above, mostly after a first header, joined by
+    ``"\n"`` with or without a last newline."""
+    lines = draw(st.lists(_config_line(), max_size=12))
+    if draw(st.integers(0, 5)):
+        lines.insert(0, f"[{draw(_NAMES)}]")
+    return "\n".join(lines) + draw(st.sampled_from(("", "\n")))
+
+
+# Texts made of the lines above, and now and then text of the reader's
+# special characters alone.
+_CONFIG_TEXTS = _config_text() | st.text("[]=:#;\n \tkA\r", max_size=40)
+
+
+class TestConfigSyntax:
+    """``cli._config_sections`` accepts what configparser accepts, under the
+    settings it copies, reads it the same, and refuses the rest."""
+
+    @given(text=_CONFIG_TEXTS)
+    @settings(max_examples=600, deadline=None)
+    def test_reads_as_configparser_reads(self, text):
+        assert _reader_sections(text) == _configparser_sections(text), text
+
+    @pytest.mark.parametrize("text", [
+        "", "\n\n", "[a]", "[a]]\nk=1", "[a] junk\nk=1", "[a]b]c\nk=1",
+        "[]\nk=1", "[] x]\nk=1", "[DEFAULT]\nk=1", "  [a]\nk=1\n  v",
+        "[a]\nk\n", "[a]\n=1\n", "[a]\n :1\n", "[a]\nk:=1\n", "[a]\nk=:1\n",
+        "[a]\nk = 1\n  [b]\n", "[a]\nk = 1\n [b]\nj = 2\n",
+        "[a]\n k = 1\n  v\n k2 = 2\n", "[a]\nk =\n  v\n",
+        "[a]\nk = 1\n\n\n", "[a]\nk = 1\n\n  # c\n\n  v\n\n",
+        "[a]\nK = 1\nk = 2\n", "[a]\nk = 1\n[a]\n", "[a]\n[A]\nk = 1\n",
+        "k = 1\n[a]\n", "# c\n[a]\n", "[a]\nk = 1 # c\nj = 2 ; c\n",
+        "[a]\r\nk = 1\r\n  v\r\n", "[a]\nk = 1\r\n\r\n  v\r\n",
+        "[a]\nk\r= 1\n", "[a]\n\x0bk = 1\n\x0b\x0bv\n", "[a]\n\xa0k = 1\n",
+        "[a]\nk = 1\x85\n", "[a]\nk = a\x1cb\n", "[a]\n　  \n",
+    ])
+    def test_edge_cases_read_as_configparser_reads(self, text):
+        assert _reader_sections(text) == _configparser_sections(text)
+
+    @pytest.mark.parametrize("text,line,problem", [
+        ("k = 1\n[atom]\n", 1, "'k = 1' comes before any [section] header"),
+        ("[atom]\nk = 1\n\n[atom]\n", 4, "section [atom] is given twice"),
+        ("[atom]\nalpha = 1\nAlpha: 2\n", 3, "[atom] alpha is given twice"),
+        ("[atom]\nverbose\n", 2, "'verbose' is not a key = value line"),
+        ("[atom]\n= 3\n", 2, "'= 3' has no key"),
+        ("[atom]\nverbose\n\nquiet\n", 2,
+         "'verbose' is not a key = value line"),
+    ])
+    def test_refusal_names_its_line(self, text, line, problem):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert str(exc.value) == f"config syntax error: line {line}: {problem}"
+
+    def test_wrapped_samples_read_as_one_line(self):
+        samples = [repr(1e-9 * math.sin(2 * math.pi * j / 16))
+                   for j in range(16)]
+        one_line = FREE_SPACE_CFG.replace(
+            "kind = sho\n", "kind = general\nsamples = "
+            + ",".join(samples) + "\n")
+        wrapped = FREE_SPACE_CFG.replace(
+            "kind = sho\n", "kind = general\nsamples = "
+            + ",".join(samples[:6]) + ",\n    " + ",".join(samples[6:11])
+            + ",\n    # the second half\n\n\t" + ",\n\t".join(samples[11:])
+            + "\n")
+        assert wrapped.count("\n") == one_line.count("\n") + 8
+        cfg = parse_config(wrapped)
+        assert cfg == parse_config(one_line)
+        assert cfg.motion.samples == tuple(map(float, samples))
+
+    def test_inline_comment_is_part_of_the_value(self, tmp_path, capsys):
+        text = FREE_SPACE_CFG + "[run]\nn_max = 3 # three\n"
+        assert main(["rate", "--config", write_cfg(tmp_path, text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: [run] n_max = '3 # three' "
+                                "is not an integer\n")
+
+    def test_crlf_file_reads_as_lf_file(self, tmp_path):
+        text = FREE_SPACE_CFG + "[run]\nn_max = 3\nformat = json\n"
+        lf = tmp_path / "lf.cfg"
+        crlf = tmp_path / "crlf.cfg"
+        lf.write_bytes(text.encode())
+        crlf.write_bytes(text.replace("\n", "\r\n").encode())
+        assert b"\r\n" in crlf.read_bytes()
+        cfg = cli_module._load_config(str(crlf))
+        assert cfg == cli_module._load_config(str(lf)) == parse_config(text)
+        assert (cfg.n_max, cfg.format) == (3, "json")
+
+    def test_boolean_words_are_configparsers(self):
+        assert (cli_module.BOOLEAN_STATES
+                == configparser.ConfigParser.BOOLEAN_STATES)

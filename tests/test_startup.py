@@ -1,5 +1,5 @@
-"""Start-up: numpy is loaded on first use, never at import time, and the
-package builds few dataclasses as it loads.
+"""Start-up: numpy is loaded on first use, never at import time,
+configparser never, and the package builds few dataclasses as it loads.
 
 Each test runs a new interpreter, because pytest has imported numpy and
 accelrad long before any test here runs.
@@ -43,6 +43,28 @@ def test_closed_form_path_loads_no_numpy(fresh_python, argv):
 def test_verify_loads_numpy_on_first_use(fresh_python):
     argv = ["rate", "--verify", "--config", str(CONFIGS / "cavity.cfg")]
     assert numpy_submodules_after(fresh_python, *argv) != []
+
+
+# Runs ``cli.main`` on its arguments (none: import only), then writes
+# whether configparser was ever imported.  The config reader is accelrad's
+# own, so neither reading a config nor importing the CLI pays for it.
+_CONFIGPARSER_AFTER = """\
+import json, sys
+import accelrad.cli
+code = accelrad.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+sys.stderr.write(json.dumps("configparser" in sys.modules))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["rate", "--config", str(CONFIGS / "free_space.cfg")],
+], ids=["import", "rate-free-space"])
+def test_config_reading_loads_no_configparser(fresh_python, argv):
+    proc = fresh_python("-c", _CONFIGPARSER_AFTER, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stderr.splitlines()[-1]) is False
 
 
 _THIRD_PARTY = """\
