@@ -2,28 +2,32 @@
 
 Two evaluators, both self-contained (no scipy):
 
-* ``bessel_j``      -- integer-order Bessel J_n on five routes: the
-                       ascending power series for |x| <= 12; 0.0 at O(1)
-                       for n > x > 12 where Kapteyn's bound (DLMF 10.14.5)
-                       proves it; Debye's expansion (DLMF 10.19.6) for
-                       x > 200 far enough past the turning point x = n, at
-                       a bounded cost of at most 17 terms (at n = 0 it is
-                       Hankel's expansion, DLMF 10.17.3); for the other
-                       orders at x > 200, the downward (Miller) recurrence
-                       run only to the largest order Debye's route serves,
-                       normalized by Debye's value there and never
-                       rescaled, at O(|n - x| + sqrt(x)) steps; and for
-                       12 < x <= 200 the full Miller pass, normalized by
-                       J_0 + 2 sum J_2k = 1, at O(max(n, x)): one loop of
-                       step pairs that stores only the orders asked for,
-                       one order for ``bessel_j`` and, at every x > 0, a
-                       column cut by Kapteyn's bound for ``bessel_j_orders``.
-                       Over arrays (``bessel_j_cells``, and
-                       ``bessel_j_orders`` at a 1-D x) the series and the
-                       full pass at |x| <= 200 step every element at once,
-                       the pass in lockstep on its pair index, each
-                       element bit for bit its scalar call; every other
-                       element takes its scalar route.
+* ``bessel_j``      -- integer-order Bessel J_n, J_n(-x) = (-1)^n J_n(x),
+                       on the route this table picks from (n, |x|) alone:
+
+    |x| <= 12          the ascending power series
+    n > x > 12, cut    0.0 at O(1), where Kapteyn's bound (DLMF 10.14.5)
+                       proves it
+    x > 200, Debye     Debye's expansion (DLMF 10.19.6) far enough past the
+                       turning point x = n, at most 17 terms (at n = 0
+                       Hankel's expansion, DLMF 10.17.3)
+    x > 200, the rest  the downward (Miller) recurrence run only to the
+                       largest order Debye's route serves, normalized by
+                       Debye's value there, at O(|n - x| + sqrt(x)) steps
+    12 < x <= 200      the full Miller pass, normalized by J_0 + 2 sum J_2k
+                       = 1, at O(max(n, x)): one loop of step pairs that
+                       stores only the orders asked for
+
+                       ``bessel_j_cells`` takes each element's route from
+                       the table: the series and the full pass step every
+                       element at once, the pass in lockstep on its pair
+                       index, and every other element calls ``bessel_j``.
+                       ``bessel_j_orders`` takes a column J_0 .. J_top, top
+                       the last order Kapteyn's cut lets through: at |x| <=
+                       200 by the lockstep full pass, or by the series where
+                       its normalization is not finite or zero (below about
+                       |x| = 1e-6), and above 200 by a full pass of its own.
+                       A number x runs as a one-element column.
 * ``rational_period_integral`` -- one-period average
                        (1/2pi) * int_{-pi}^{pi} exp(i(x sin(q s) - p s)) ds,
                        which vanishes unless q divides p; this is the
@@ -51,20 +55,18 @@ _MILLER_SEED = 1e-30 * 2.0 ** -840  # 1.4e-283, where both Miller passes start
 #: (``TestCountedWork::test_series_takes_at_most_27_terms``).
 _SERIES_TOL = 1e-12
 #: Largest |x| the Bessel evaluators accept; a full Miller pass there, which
-#: only ``bessel_j_orders`` still runs, takes 0.8 s (CPython 3.11, 2-core
-#: Xeon).  Neither Miller pass rescales: raising the cap requires re-running
-#: both ``test_pass_stays_in_normal_range`` tests at the new cap.
+#: only ``bessel_j_orders`` still runs, takes about 1e7 steps.  Neither
+#: Miller pass rescales: raising the cap requires re-running both
+#: ``test_pass_stays_in_normal_range`` tests at the new cap.
 MAX_ARGUMENT = 1e7
 
 # Debye's route takes x > _DEBYE_MIN_X with tau = n tan^3(beta) = w^3 / n^2
 # >= _DEBYE_MIN_TAU, where x = n sec(beta) and w = sqrt(x^2 - n^2).  There a
 # term falls below _DEBYE_TOL within the 17 of _DEBYE_U: on a scan of n up
 # to 5000 the worst case needs all 17, at (144, 200); at x = 150 the same tau
-# needs 18.  Measured with CPython 3.11 on a 2-core Xeon: the route costs
-# 7-15 us (its worst at 17 terms), a Miller pass 21 us at x = 200 and about
-# 0.08 us more per unit of max(n, x) above it.  The anchored pass of the
-# band x ~ n, 16 + 2.5 sqrt(x) + 12 x^(1/3) steps for x >= n, costs 24 us at
-# (300, 315) and 32 us at (3000, 3150), against 27 and 233 us for Miller.
+# needs 18.  The anchored pass of the band x ~ n takes 16 + 2.5 sqrt(x) +
+# 12 x^(1/3) steps for x >= n, 328 at (3000, 3150) against 3306 for a full
+# Miller pass (``TestCountedWork``).
 _DEBYE_MIN_X = 200.0
 _DEBYE_MIN_TAU = 120.0
 _DEBYE_TOL = 2.0 ** -54
@@ -169,58 +171,58 @@ def bessel_j(n: int, x: float) -> float:
 
 
 def bessel_j_orders(n_max: int, x) -> "np.ndarray":
-    """All of J_0(x) .. J_{n_max}(x) from a single downward recurrence.
-
-    One Miller pass yields every order at once, which is what the sweep
-    engine wants for whole-column evaluation.  It stops at ``top``, the
-    last order Kapteyn's cut lets through; every order above is 0.0.
-
-    For a 1-D array ``x`` it returns one such column per element, shape
-    ``(len(x), n_max + 1)``, each equal bit for bit to the call at that
-    float.  The columns at |x| <= 200 run their passes together, in
-    lockstep on the pair index (``_miller_lockstep``); a column above 200,
-    or one whose normalization is not finite or zero, takes its own pass or
-    the series, as the call at that float does.  The first element that the
-    call at a float refuses raises that call's error.
+    """J_0(x) .. J_{n_max}(x), shape ``(n_max + 1,)`` for a number ``x``, or
+    one such column per element of a 1-D array ``x``, shape ``(len(x),
+    n_max + 1)``; routes as in the module's table, every order above the
+    column's top 0.0.  Each column equals the call at its element alone bit
+    for bit, the sign of 0.0 included.  Any other shape of ``x`` is refused
+    with ValueError, and the first element that ``bessel_j`` refuses raises
+    its error.
     """
     n_max = whole_number("n_max", n_max, 0)
-    if np.ndim(x):
-        return _orders_columns(n_max, x)
-    _check_argument(x)
-    sign = -1.0 if x < 0 else 1.0
-    x = abs(float(x))
-    out = np.zeros(n_max + 1)
-    top = _column_top(n_max, x)
-    out[:top + 1] = _column(top, x)
-    if sign < 0:
-        out[1::2] *= -1.0
-    return out
+    x = np.asarray(x)
+    if x.ndim > 1:
+        raise ValueError(f"x must be a number or a 1-D array, got shape "
+                         f"{x.shape}")
+    _, x, shape = _read_cells(0, x)  # the argument checks of bessel_j
+    ax = np.abs(x)
+    tops = [_column_top(n_max, a) for a in ax.tolist()]
+    out = np.zeros((x.size, n_max + 1))
+    near = np.flatnonzero(ax <= _DEBYE_MIN_X)
+    top = np.array(tops, dtype=np.int64)[near]
+    start = _miller_starts(top, ax[near])
+    by_start = np.argsort(-start, kind="stable")
+    near, top, start = near[by_start], top[by_start], start[by_start]
+    width = int(top.max(initial=-1)) + 1  # orders 0 .. the highest top
+    kept = np.zeros((near.size, width + 1))  # pair j: orders 2j - 1, 2j - 2
+
+    def keep(j, count, up, cur):
+        if 2 * j - 2 < width:
+            kept[:count, 2 * j - 2] = cur[:count]
+            kept[:count, 2 * j - 1] = up[:count]
+
+    norm = _miller_lockstep(ax[near], start, keep)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        values = kept[:, :width] / norm[:, None]
+    values[np.arange(width) > top[:, None]] = 0.0
+    out[near, :width] = values
+    for k in np.flatnonzero(ax > _DEBYE_MIN_X):
+        out[k, :tops[k] + 1] = _miller_range(0, tops[k], ax[k].item())
+    for k in near[~np.isfinite(norm) | (norm == 0.0)]:
+        out[k, :tops[k] + 1] = [_bessel_series(i, ax[k].item())
+                                for i in range(tops[k] + 1)]
+    out[x < 0, 1::2] *= -1.0
+    return out.reshape(shape + (n_max + 1,))
 
 
 def bessel_j_cells(n, x) -> "np.ndarray":
-    """J_n(x) over the broadcast arrays ``n`` (whole orders) and ``x``:
-    each element equals ``bessel_j(n_i, x_i)`` bit for bit, the sign of 0.0
-    included.
-
-    An element at |x| <= 12 takes the series, every element in the scalar
-    loop's operations and stopping rule, with one loop turn per factor or
-    term for all of them (``_series_cells``).  Kapteyn's cut sets its cells
-    to 0.0 at 12 < |x| <= 200, and the other cells there run their Miller
-    passes in lockstep on the pair index (``_miller_cells``).  An element
-    above 200 takes ``bessel_j`` on its own.  The first element that
+    """J_n(x) over the broadcast arrays ``n`` (whole orders) and ``x``, routes
+    as in the module's table: each element equals ``bessel_j(n_i, x_i)`` bit
+    for bit, the sign of 0.0 included, and the first element that
     ``bessel_j`` refuses raises its error.
     """
-    n, x = np.broadcast_arrays(np.asarray(n), np.asarray(x, dtype=float))
-    shape = x.shape
-    n, x = n.ravel(), x.ravel()
-    if n.dtype.kind not in "iu":
-        n = np.array([whole_number("order", v, 0) for v in n.tolist()],
-                     dtype=np.int64)
+    n, x, shape = _read_cells(n, x)
     ax = np.abs(x)
-    bad = ~(ax <= MAX_ARGUMENT) | (n < 0)
-    if bad.any():
-        k = int(np.argmax(bad))
-        bessel_j(n[k].item(), x[k].item())  # raises the scalar's error
     out = np.empty(x.size)
     series = ax <= _SERIES_CUTOFF
     out[series] = _series_cells(n[series], ax[series])
@@ -236,6 +238,27 @@ def bessel_j_cells(n, x) -> "np.ndarray":
     flip = (x < 0) & (n % 2 == 1)  # J_n(-x) = -J_n(x) for odd n
     out[flip] = -out[flip]
     return out.reshape(shape)
+
+
+def _read_cells(n, x):
+    """``n`` and ``x`` broadcast and flattened, as whole orders and float
+    arguments, and their shape.  The first element at which ``bessel_j``
+    refuses its order or its argument raises that call's error."""
+    n, x = np.broadcast_arrays(np.asarray(n), np.asarray(x))
+    shape = x.shape
+    n, x = n.ravel(), x.ravel()
+    if n.dtype.kind in "iu" and np.can_cast(x.dtype, float):
+        # int64 orders: an unsigned or narrow order would wrap in -n or n + k
+        orders = n.astype(np.int64, copy=False)
+        args = x.astype(float, copy=False)
+        if ((np.abs(args) <= MAX_ARGUMENT) & (orders >= 0)).all():
+            return orders, args, shape
+    orders, args = [], []
+    for k, a in zip(n.tolist(), x.tolist()):  # bessel_j's checks, in order
+        orders.append(whole_number("order", k, 0))
+        _check_argument(a)
+        args.append(float(a))
+    return np.array(orders, dtype=np.int64), np.array(args), shape
 
 
 def _check_argument(x: float) -> None:
@@ -340,9 +363,7 @@ def _bessel_anchored(n: int, x: float) -> float:
 def _miller_steps(k: int, steps: int, x: float, up: float, cur: float):
     """``steps`` steps J_{j-1} = (2j/x) J_j - J_{j+1}, j = k, k - 1, ..,
     from (up, cur) = (f_{k+1}, f_k), with no rescaling: returns f_{k-steps+1}
-    and f_{k-steps}.  An odd step first, then pairs, which cost about a
-    tenth less per step than single steps (300 and 3000 steps, CPython
-    3.11.7 on a 2-core Xeon)."""
+    and f_{k-steps}.  An odd step first, then pairs of steps."""
     tk = 2.0 * k
     if steps & 1:
         up, cur = cur, (tk / x) * cur - up
@@ -504,52 +525,6 @@ def _column_top(n_max: int, x: float) -> int:
             mid = (top + cut) // 2
             top, cut = (top, mid) if _kapteyn_zero(mid, x) else (mid, cut)
     return top
-
-
-def _column(top: int, x: float) -> list:
-    """J_0(x) .. J_top(x), x >= 0, by one Miller pass.  Below about x =
-    1e-6 the pass overflows (at 0 it divides by zero); there the series
-    stops after (x/2)^k / k! and its first correction."""
-    try:
-        return _miller_range(0, top, x)
-    except (OverflowError, ZeroDivisionError):
-        return [_bessel_series(k, x) for k in range(top + 1)]
-
-
-def _orders_columns(n_max: int, x) -> "np.ndarray":
-    """``bessel_j_orders`` at each element of the 1-D array ``x``."""
-    x = np.asarray(x, dtype=float)
-    ax = np.abs(x)
-    bad = ~(ax <= MAX_ARGUMENT)
-    if bad.any():
-        _check_argument(x[np.argmax(bad)].item())  # raises
-    tops = [_column_top(n_max, a) for a in ax.tolist()]
-    out = np.zeros((x.size, n_max + 1))
-    near = np.flatnonzero(ax <= _DEBYE_MIN_X)
-    top = np.array(tops, dtype=np.int64)[near]
-    start = _miller_starts(top, ax[near])
-    by_start = np.argsort(-start, kind="stable")
-    near, top, start = near[by_start], top[by_start], start[by_start]
-    width = int(top.max(initial=-1)) + 1  # orders 0 .. the highest top
-    kept = np.zeros((near.size, width + 1))  # pair j: orders 2j - 1, 2j - 2
-
-    def keep(j, count, up, cur):
-        if 2 * j - 2 < width:
-            kept[:count, 2 * j - 2] = cur[:count]
-            kept[:count, 2 * j - 1] = up[:count]
-
-    norm = _miller_lockstep(ax[near], start, keep)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        values = kept[:, :width] / norm[:, None]
-    values[np.arange(width) > top[:, None]] = 0.0
-    out[near, :width] = values
-    for k in np.flatnonzero(ax > _DEBYE_MIN_X):
-        out[k, :tops[k] + 1] = _column(tops[k], ax[k].item())
-    for k in near[~np.isfinite(norm) | (norm == 0.0)]:
-        out[k, :tops[k] + 1] = [_bessel_series(i, ax[k].item())
-                                for i in range(tops[k] + 1)]
-    out[x < 0, 1::2] *= -1.0
-    return out
 
 
 def _miller_starts(n, x):

@@ -1069,6 +1069,25 @@ def traced_miller_range(lo, hi, x):
     return values, max(peak, abs(norm)), low
 
 
+def counted_lockstep(monkeypatch):
+    """Wrap ``specfun._miller_lockstep`` to record each pass's element count
+    and, per pass, each pair index its loop turns at; returns both lists."""
+    passes, pairs = [], []
+    lockstep = specfun._miller_lockstep
+
+    def counted(x, start, keep):
+        passes.append(x.size)
+
+        def counted_keep(j, *rest):
+            pairs.append(j)
+            return keep(j, *rest)
+
+        return lockstep(x, start, counted_keep)
+
+    monkeypatch.setattr(specfun, "_miller_lockstep", counted)
+    return passes, pairs
+
+
 class TestColumnPass:
     """``bessel_j_orders`` runs its one Miller pass only up to the last order
     Kapteyn's cut lets through, from one seed and with no rescaling."""
@@ -1097,7 +1116,10 @@ class TestColumnPass:
 
     def test_columns_run_to_the_cut_top(self, monkeypatch):
         # The pass runs up to min(n_max, last uncut order), and every order
-        # above it is 0.0.  An uncut column tests the cut once, at n_max.
+        # above it is 0.0.  At x <= 200 it is a lockstep pass over the one
+        # column, whose pair loop turns _miller_start(top, x) / 2 times; above
+        # 200 it is one _miller_range(0, top, x).  An uncut column tests the
+        # cut once, at n_max.
         calls, tests = [], []
         real_range, real_zero = specfun._miller_range, specfun._kapteyn_zero
 
@@ -1109,6 +1131,7 @@ class TestColumnPass:
             tests.append(n)
             return real_zero(n, x)
 
+        passes, pairs = counted_lockstep(monkeypatch)
         monkeypatch.setattr(specfun, "_miller_range", recorded)
         monkeypatch.setattr(specfun, "_kapteyn_zero", counted)
         rng = random.Random(32)
@@ -1118,19 +1141,27 @@ class TestColumnPass:
             cases.append((rng.randint(0, 2 * last_uncut_order(x)), x))
         cases += [(0, 1e-6), (43, 1e-6), (44, 1e-6), (269, 12.5),
                   (270, 12.5)]
-        cut = 0
+        cut = far = 0
         for n_max, x in cases:
-            calls.clear()
-            tests.clear()
+            for record in (calls, tests, passes, pairs):
+                record.clear()
             top = min(n_max, last_uncut_order(x))
             out = bessel_j_orders(n_max, x)
-            assert calls == [(0, top)], (n_max, x)
+            if x <= 200.0:
+                assert (passes, calls) == ([1], []), (n_max, x)
+                assert pairs == list(range(
+                    specfun._miller_start(top, x) // 2, 0, -1)), (n_max, x)
+            else:
+                far += 1
+                assert (passes, pairs, calls) == ([0], [], [(0, top)]), (
+                    n_max, x)
             assert not out[top + 1:].any(), (n_max, x)
             if top == n_max:
                 assert tests == [n_max], (n_max, x)
             else:
                 cut += 1
         assert 50 < cut < len(cases) - 50
+        assert 20 < far < len(cases) - 20
 
     def test_orders_beyond_float_range_are_zero(self):
         # Kapteyn's bound falls as n rises, so an order too large for a
@@ -1254,17 +1285,19 @@ class TestCountedWork:
             if (n, x) == (3000, 3150.0):
                 assert steps == 328
 
-    def test_column_work_is_flat_past_the_cut(self, work):
+    def test_column_work_is_flat_past_the_cut(self, work, monkeypatch):
         # bessel_j_orders runs its pass only up to the last order Kapteyn's
         # cut lets through, 140 at x = 0.5, so n_max 1000 and 100 000 both
-        # cost _miller_start(140, 0.5) = 186 steps (1096 and 100 806 when
-        # the pass ran up to n_max).
+        # cost _miller_start(140, 0.5) = 186 steps, 93 pair turns of the
+        # lockstep (1096 and 100 806 steps when the pass ran up to n_max).
+        passes, pairs = counted_lockstep(monkeypatch)
         totals = []
         for n_max in (1000, 100_000):
             work.update(dict.fromkeys(work, 0))
+            pairs.clear()
             bessel_j_orders(n_max, 0.5)
-            totals.append(sum(work.values()))
-        assert last_uncut_order(0.5) == 140
+            totals.append(2 * len(pairs) + sum(work.values()))
+        assert last_uncut_order(0.5) == 140 and passes == [1, 1]
         assert totals == [186, 186], totals
 
     @pytest.mark.parametrize("speed", [2e-7, 0.021])
@@ -1356,6 +1389,30 @@ def route_of(n, x):
     return "miller" if x <= specfun._DEBYE_MIN_X else "scalar"
 
 
+def frozen_column(n_max, x):
+    """``bessel_j_orders(n_max, x)`` at a float x as its scalar path gave it
+    before a float ran as a one-element column of the array code: one
+    ``_miller_range(0, top, x)``, the series where that pass overflows or
+    divides by zero, 0.0 above ``top`` and odd orders flipped for x < 0."""
+    sign = -1.0 if x < 0 else 1.0
+    x = abs(float(x))
+    out = np.zeros(n_max + 1)
+    top = n_max
+    if specfun._kapteyn_zero(top, x):
+        top, cut = int(x), n_max
+        while cut - top > 1:
+            mid = (top + cut) // 2
+            top, cut = (top, mid) if specfun._kapteyn_zero(mid, x) else (
+                mid, cut)
+    try:
+        out[:top + 1] = specfun._miller_range(0, top, x)
+    except (OverflowError, ZeroDivisionError):
+        out[:top + 1] = [specfun._bessel_series(k, x) for k in range(top + 1)]
+    if sign < 0:
+        out[1::2] *= -1.0
+    return out
+
+
 class TestArrayEvaluators:
     """``bessel_j_cells`` and ``bessel_j_orders`` over an array equal the
     scalar calls element by element, bit for bit and in the sign of 0.0,
@@ -1391,6 +1448,17 @@ class TestArrayEvaluators:
         for (order, arg), value in zip(cells, got.tolist()):
             assert same_bits(value, bessel_j(order, arg)), (order, arg)
 
+    @pytest.mark.parametrize("dtype", [np.uint32, np.uint64, np.int16])
+    def test_cells_read_every_integer_dtype_of_order(self, dtype):
+        # On every route; an unsigned order wrapped in -n before.
+        cells = [(n, x) for n, x in self.cell_draws(43, 600) if n < 1000]
+        assert {route_of(n, x) for n, x in cells} == {
+            "series", "cut", "miller", "scalar"}
+        n, x = (np.array(v) for v in zip(*cells))
+        got = bessel_j_cells(n.astype(dtype), x)
+        for (order, arg), value in zip(cells, got.tolist()):
+            assert same_bits(value, bessel_j(order, arg)), (order, arg)
+
     def test_cells_broadcast_and_keep_the_shape(self):
         x = np.array([[0.5, -13.0, 250.0], [1e-7, 199.0, -12.0]])
         got = bessel_j_cells([1, 2, 3], x)
@@ -1409,8 +1477,11 @@ class TestArrayEvaluators:
         got = bessel_j_orders(n_max, np.array(xs))
         assert got.shape == (len(xs), n_max + 1)
         for x, row in zip(xs, got.tolist()):
-            want = bessel_j_orders(n_max, x).tolist()
+            want = frozen_column(n_max, x).tolist()
             assert all(map(same_bits, row, want)), x
+            alone = bessel_j_orders(n_max, x)
+            assert alone.shape == (n_max + 1,)
+            assert all(map(same_bits, alone.tolist(), want)), x
 
     def test_cut_columns_and_fallback_columns_are_in_the_draws(self):
         # n_max 400 is cut at every x below about 45.8; below about 1e-6
@@ -1422,10 +1493,13 @@ class TestArrayEvaluators:
             specfun._miller_range(0, tops[1], 3e-7)
         got = bessel_j_orders(400, x)
         for a, row in zip(x.tolist(), got.tolist()):
-            assert all(map(same_bits, row, bessel_j_orders(400, a).tolist()))
+            want = frozen_column(400, a).tolist()
+            assert all(map(same_bits, row, want)), a
+            assert all(map(same_bits, bessel_j_orders(400, a).tolist(),
+                           want)), a
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2e7,
-                                     -1.5e7])
+                                     -1.5e7, "1.0", b"2", None, 1 + 0j])
     @pytest.mark.parametrize("k", [0, 3])
     def test_first_refused_argument_raises_the_scalar_error(self, bad, k):
         x = [1.0, 50.0, 300.0, 5.0, 3e7]  # a later refusal: another message
@@ -1441,6 +1515,15 @@ class TestArrayEvaluators:
         with pytest.raises(type(scalar.value), match=re.escape(
                 str(scalar.value))):
             bessel_j_orders(6, np.array(x))
+
+    @pytest.mark.parametrize("x", [[[1.0, 2.0]], [[math.nan, 2.0]],
+                                   np.zeros((2, 3, 1))])
+    def test_an_x_of_two_or_more_axes_is_refused(self, x):
+        # Before any argument is checked, so a NaN in it is not the error.
+        shape = re.escape(str(np.shape(x)))
+        with pytest.raises(ValueError, match=f"^x must be a number or a 1-D "
+                           f"array, got shape {shape}$"):
+            bessel_j_orders(2, x)
 
     def test_first_refused_order_raises_the_scalar_error(self):
         with pytest.raises(ValueError, match="^order must be an integer >= 0, "
